@@ -64,7 +64,7 @@ pub struct EngineOpts {
     pub channels: u32,
     /// Channel-select stage for `channels > 1`.
     pub select: ChannelSelect,
-    /// Worker threads for the fabric's epoch-batched path (`run_epoch`):
+    /// Worker threads for the fabric's epoch-batched path:
     /// 1 runs epochs on the caller's thread; more attach a persistent
     /// pool. Only meaningful for `channels > 1` — outputs are
     /// byte-identical for every value either way.

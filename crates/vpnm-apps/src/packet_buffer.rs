@@ -120,7 +120,7 @@ pub struct PacketBufferStats {
     /// Events rejected because a queue was full/empty.
     pub queue_rejections: u64,
     /// Dequeues that never produced a response because their read stalled
-    /// inside an epoch-batched run ([`VpnmPacketBuffer::run_epoch`]
+    /// inside an epoch-batched run ([`VpnmPacketBuffer::run_epoch_arena`]
     /// pre-commits pointer movement, so a stalled read becomes a lost
     /// cell, not a retry). Always 0 on the per-tick path, and
     /// astronomically rare on the epoch path at line rate — the paper
@@ -139,7 +139,7 @@ pub struct EpochDelivery {
     pub completed_at: u64,
 }
 
-/// What happened during one [`VpnmPacketBuffer::run_epoch`] call.
+/// What happened during one [`VpnmPacketBuffer::run_epoch_arena`] call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BufferEpochReport {
     /// Per-event outcome, aligned with the input slice: `Ok` means the
@@ -410,61 +410,29 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
     /// Runs `len` interface cycles in one epoch-batched call, applying at
     /// most one event per cycle — the serving front-end's batch front
     /// door, and the only packet-buffer drive mode that reaches a
-    /// fabric's parallel `run_epoch` worker path.
+    /// fabric's parallel epoch worker path.
     ///
     /// `events` holds `(cycle_offset, event)` pairs with offsets strictly
-    /// increasing and `< len`; offsets with no entry run idle. Admission
-    /// checks (queue bounds, range) are applied at schedule time against
-    /// the same pointer state the per-tick path would see, so the
-    /// per-event outcomes are exact. Accepted events *pre-commit* their
-    /// pointer movement; in exchange, a memory stall inside the epoch is
-    /// a lost event rather than a retry (a stalled read surfaces in
+    /// increasing and `< len`; offsets with no entry run idle. Enqueue
+    /// payloads are `(start, end)` byte spans into one shared `arena`
+    /// buffer, so a whole epoch of enqueues costs one allocation (the
+    /// arena) rather than one per cell — each span becomes a zero-copy
+    /// [`Bytes::slice`] reference. Admission checks (queue bounds, range)
+    /// are applied at schedule time against the same pointer state the
+    /// per-tick path would see, so the per-event outcomes are exact.
+    /// Accepted events *pre-commit* their pointer movement; in exchange,
+    /// a memory stall inside the epoch is a lost event rather than a
+    /// retry (a stalled read surfaces in
     /// [`PacketBufferStats::lost_reads`] when its orphan in-flight entry
     /// is skipped, a stalled write as a cell that reads back empty).
     /// Stall-free epochs — the designed-for regime at line rate — are
     /// byte-equivalent to driving [`VpnmPacketBuffer::tick`] cycle by
     /// cycle.
     ///
-    /// Deliveries are returned directly (with their due cycle) rather
-    /// than through the per-tick pending queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if offsets are not strictly increasing or reach `len`.
-    pub fn run_epoch(&mut self, len: u64, events: &[(u64, BufferEvent)]) -> BufferEpochReport {
-        let mut report = BufferEpochReport {
-            outcomes: Vec::with_capacity(events.len()),
-            ..BufferEpochReport::default()
-        };
-        let mut sparse: Vec<(u64, Request)> = Vec::with_capacity(events.len());
-        let mut prev: Option<u64> = None;
-        for (offset, event) in events {
-            Self::check_offset(*offset, len, &mut prev);
-            let outcome = match event {
-                BufferEvent::Enqueue { queue, cell } => self.admit_enqueue(*queue).map(|addr| {
-                    sparse.push((*offset, Request::write(addr, cell.clone())));
-                }),
-                BufferEvent::Dequeue { queue } => self.admit_dequeue(*queue).map(|addr| {
-                    sparse.push((*offset, Request::read(addr)));
-                }),
-            };
-            if outcome.is_err() {
-                self.stats.queue_rejections += 1;
-            }
-            report.outcomes.push(outcome);
-        }
-        self.finish_epoch(len, sparse, &mut report);
-        report
-    }
-
-    /// Arena-backed variant of [`VpnmPacketBuffer::run_epoch`]: event
-    /// payloads are `(start, end)` byte spans into one shared `arena`
-    /// buffer instead of per-event `Vec`s, so a whole epoch of enqueues
-    /// costs one allocation (the arena) rather than one per cell — each
-    /// span becomes a zero-copy [`Bytes::slice`] reference. Semantics
-    /// (admission checks, outcomes, stall accounting, deliveries) are
-    /// byte-identical to `run_epoch` with the equivalent expanded
-    /// events, pinned by the `arena_epoch_matches_event_epoch` proptest.
+    /// The admitted events form a sparse epoch handed to the memory in
+    /// one [`PipelinedMemory::run_epoch_sparse`] call; deliveries are
+    /// returned directly (with their due cycle) rather than through the
+    /// per-tick pending queue.
     ///
     /// # Panics
     ///
@@ -483,7 +451,9 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
         let mut sparse: Vec<(u64, Request)> = Vec::with_capacity(events.len());
         let mut prev: Option<u64> = None;
         for &(offset, event) in events {
-            Self::check_offset(offset, len, &mut prev);
+            assert!(offset < len, "event offset {offset} outside epoch of {len}");
+            assert!(prev.is_none_or(|p| p < offset), "event offsets must strictly increase");
+            prev = Some(offset);
             let outcome = match event {
                 LaneEvent::Enqueue { queue, start, end, tenant } => {
                     self.admit_enqueue(queue).map(|addr| {
@@ -500,15 +470,19 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
             }
             report.outcomes.push(outcome);
         }
-        self.finish_epoch(len, sparse, &mut report);
+        let run = self.mem.run_epoch_sparse(len, &sparse);
+        report.stalled = run.stalled;
+        self.stats.memory_stalls += run.stalled;
+        report.delivered.reserve(run.responses.len());
+        for r in run.responses {
+            let queue = self.pair_response_queue(r.addr.0);
+            self.stats.delivered += 1;
+            report.delivered.push(EpochDelivery {
+                cell: DequeuedCell { queue, data: r.data },
+                completed_at: r.completed_at.as_u64(),
+            });
+        }
         report
-    }
-
-    #[inline]
-    fn check_offset(offset: u64, len: u64, prev: &mut Option<u64>) {
-        assert!(offset < len, "event offset {offset} outside epoch of {len}");
-        assert!(prev.is_none_or(|p| p < offset), "event offsets must strictly increase");
-        *prev = Some(offset);
     }
 
     /// Admission-checks an enqueue at schedule time against the shadow
@@ -541,38 +515,6 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
                 self.stats.dequeued += 1;
                 Ok(addr)
             }
-        }
-    }
-
-    /// Runs the admitted request lane through the memory and pairs the
-    /// epoch's responses into the report.
-    fn finish_epoch(
-        &mut self,
-        len: u64,
-        sparse: Vec<(u64, Request)>,
-        report: &mut BufferEpochReport,
-    ) {
-        // A full epoch — one accepted event on every cycle, which is the
-        // steady state at line rate — needs no sparse gap-jumping at all:
-        // strictly increasing offsets below `len` that number `len` are
-        // exactly `0..len`, so the span goes through the dense
-        // batch-issue door (batched hashing/routing, no skip machinery).
-        let run = if sparse.len() as u64 == len {
-            let dense: Vec<Request> = sparse.into_iter().map(|(_, req)| req).collect();
-            self.mem.issue_batch(&dense)
-        } else {
-            self.mem.run_epoch_sparse(len, &sparse)
-        };
-        report.stalled = run.stalled;
-        self.stats.memory_stalls += run.stalled;
-        report.delivered.reserve(run.responses.len());
-        for r in run.responses {
-            let queue = self.pair_response_queue(r.addr.0);
-            self.stats.delivered += 1;
-            report.delivered.push(EpochDelivery {
-                cell: DequeuedCell { queue, data: r.data },
-                completed_at: r.completed_at.as_u64(),
-            });
         }
     }
 
@@ -616,6 +558,28 @@ enum Action {
     None,
     Enqueue(u32),
     Dequeue(u32),
+}
+
+/// Test helper: packs owned [`BufferEvent`]s into the arena encoding
+/// [`VpnmPacketBuffer::run_epoch_arena`] takes (host tenant).
+#[cfg(test)]
+fn pack_arena(events: &[(u64, BufferEvent)]) -> (Vec<(u64, LaneEvent)>, Bytes) {
+    let mut arena = Vec::new();
+    let lane = events
+        .iter()
+        .map(|(offset, event)| {
+            let event = match event {
+                BufferEvent::Enqueue { queue, cell } => {
+                    let start = arena.len() as u32;
+                    arena.extend_from_slice(cell);
+                    LaneEvent::Enqueue { queue: *queue, start, end: arena.len() as u32, tenant: 0 }
+                }
+                BufferEvent::Dequeue { queue } => LaneEvent::Dequeue { queue: *queue, tenant: 0 },
+            };
+            (*offset, event)
+        })
+        .collect();
+    (lane, Bytes::from(arena))
 }
 
 #[cfg(test)]
@@ -822,7 +786,8 @@ mod tests {
         }
         tick_cells.extend(tick_buf.drain());
 
-        let report = epoch_buf.run_epoch(40, &events);
+        let (lane, arena) = pack_arena(&events);
+        let report = epoch_buf.run_epoch_arena(40, &lane, &arena);
         assert_eq!(report.stalled, 0);
         assert_eq!(report.outcomes, tick_outcomes);
         // Deliveries due within the epoch carry the deterministic
@@ -844,13 +809,11 @@ mod tests {
     #[should_panic(expected = "strictly increase")]
     fn epoch_rejects_unsorted_offsets() {
         let mut buf = buffer();
-        buf.run_epoch(
-            8,
-            &[
-                (3, BufferEvent::Enqueue { queue: 0, cell: vec![1] }),
-                (3, BufferEvent::Enqueue { queue: 0, cell: vec![2] }),
-            ],
-        );
+        let (lane, arena) = pack_arena(&[
+            (3, BufferEvent::Enqueue { queue: 0, cell: vec![1] }),
+            (3, BufferEvent::Enqueue { queue: 0, cell: vec![2] }),
+        ]);
+        buf.run_epoch_arena(8, &lane, &arena);
     }
 
     #[test]
@@ -871,7 +834,9 @@ mod tests {
         for seq in 0..16u64 {
             events.push((16 + seq, BufferEvent::Dequeue { queue: 5 }));
         }
-        let report = buf.run_epoch(64, &events);
+        buf.mem.set_workers(4);
+        let (lane, arena) = pack_arena(&events);
+        let report = buf.run_epoch_arena(64, &lane, &arena);
         assert!(report.outcomes.iter().all(Result::is_ok));
         assert_eq!(report.stalled, 0);
         let mut got: Vec<DequeuedCell> = report.delivered.into_iter().map(|d| d.cell).collect();
@@ -1008,7 +973,8 @@ mod proptests {
             }
             tick_cells.extend(tick_buf.drain());
 
-            let report = epoch_buf.run_epoch(len, &batch);
+            let (lane, arena) = pack_arena(&batch);
+            let report = epoch_buf.run_epoch_arena(len, &lane, &arena);
             prop_assert_eq!(report.stalled, 0);
             prop_assert_eq!(&report.outcomes, &tick_outcomes);
             let mut epoch_cells: Vec<DequeuedCell> =
@@ -1016,55 +982,6 @@ mod proptests {
             epoch_cells.extend(epoch_buf.drain());
             prop_assert_eq!(epoch_cells, tick_cells);
             prop_assert_eq!(epoch_buf.stats(), tick_buf.stats());
-        }
-
-        /// The arena-backed epoch path is byte-identical to the owned
-        /// `BufferEvent` epoch path for arbitrary interleavings: same
-        /// outcomes, same delivered cells, same stats — only the payload
-        /// carrier (span into shared arena vs per-event `Vec`) differs.
-        #[test]
-        fn arena_epoch_matches_event_epoch(events in proptest::collection::vec(ev(), 1..250)) {
-            let mut ev_buf = VpnmPacketBuffer::new(VpnmConfig::test_roomy(), 4, 16, 9).unwrap();
-            let mut ar_buf = VpnmPacketBuffer::new(VpnmConfig::test_roomy(), 4, 16, 9).unwrap();
-            let len = events.len() as u64;
-
-            let mut arena = Vec::new();
-            let mut batch = Vec::new();
-            let mut lane = Vec::new();
-            for (offset, e) in events.iter().enumerate() {
-                match e {
-                    Ev::Enq(q) => {
-                        let cell = payload_bytes(u32::from(*q), offset as u64, 8);
-                        let start = arena.len() as u32;
-                        arena.extend_from_slice(&cell);
-                        batch.push((
-                            offset as u64,
-                            BufferEvent::Enqueue { queue: u32::from(*q), cell },
-                        ));
-                        lane.push((offset as u64, LaneEvent::Enqueue {
-                            queue: u32::from(*q),
-                            start,
-                            end: arena.len() as u32,
-                            tenant: 0,
-                        }));
-                    }
-                    Ev::Deq(q) => {
-                        batch.push((offset as u64, BufferEvent::Dequeue { queue: u32::from(*q) }));
-                        lane.push((
-                            offset as u64,
-                            LaneEvent::Dequeue { queue: u32::from(*q), tenant: 0 },
-                        ));
-                    }
-                    Ev::Idle => {}
-                }
-            }
-
-            let ev_report = ev_buf.run_epoch(len, &batch);
-            let ar_report = ar_buf.run_epoch_arena(len, &lane, &Bytes::from(arena));
-            prop_assert_eq!(ev_report, ar_report);
-            let ev_drained = ev_buf.drain();
-            prop_assert_eq!(ev_drained, ar_buf.drain());
-            prop_assert_eq!(ev_buf.stats(), ar_buf.stats());
         }
     }
 }

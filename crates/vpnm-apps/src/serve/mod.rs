@@ -15,7 +15,7 @@
 //!                                  FlowTable slot == buffer queue index
 //!                                                                  │
 //!  egress ◄── deterministic t+D return ◄── VpnmPacketBuffer ◄──────┘
-//!             (latency histogram)          run_epoch → fabric workers
+//!             (latency histogram)          run_epoch_arena → fabric workers
 //! ```
 //!
 //! **Backpressure is explicit and bounded everywhere.** A packet that
@@ -133,7 +133,7 @@ pub struct ServeConfig {
     /// Offered window in interface cycles.
     pub cycles: u64,
     /// Cycles per epoch batch (the producer hand-off and
-    /// `run_epoch` unit).
+    /// `run_epoch_arena` unit).
     pub epoch_len: u64,
     /// Traffic source.
     pub source: ArrivalSource,
@@ -484,8 +484,12 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
     serving.producer_parks = rig.join();
 
     // Anything still unpaired after a full drain is an orphan of a
-    // stalled read.
-    serving.stall_drops += buf.reconcile_lost();
+    // stalled (or regulator-deferred) read. The buffer's in-flight FIFO
+    // and `issued` mirror the same dequeues, so each orphan is counted
+    // once, from `issued`; `reconcile_lost` runs for its clearing side
+    // effect on the buffer's own accounting.
+    let orphans = buf.reconcile_lost();
+    debug_assert_eq!(orphans, issued.len() as u64, "both FIFOs mirror the same dequeues");
     serving.stall_drops += issued.len() as u64;
     if let Some(t) = tenant_lanes.as_mut() {
         for cell in &issued {
@@ -670,6 +674,57 @@ mod tests {
                 t.deferred
             );
         }
+    }
+
+    #[test]
+    fn deferred_dequeue_after_the_last_response_is_counted_once() {
+        // Regression: a dequeue the regulator defers after the last
+        // delivered response is an orphan in both the buffer's in-flight
+        // FIFO and the loop's `issued` FIFO; counting it from both broke
+        // conservation by one per orphan. The greedy tenant keeps sending
+        // through the final offered epoch against a 1/8 budget, so its
+        // last dequeues are deferred with no later response behind them.
+        use vpnm_core::RegulatorMode;
+        let cycles = 2048u64;
+        let trace: Vec<Arrival> = (0..cycles)
+            .step_by(4)
+            .map(|c| Arrival { cycle: c, flow: (c / 4) % 64, tenant: u16::from(c % 16 != 0) })
+            .collect();
+        let cfg = ServeConfig {
+            engine: EngineOpts {
+                channels: 2,
+                select: ChannelSelect::UniversalHash,
+                tenants: 2,
+                regulator: RegulatorMode::Global,
+                tenant_rate: (1, 8),
+                tenant_burst: 2,
+                ..EngineOpts::default()
+            },
+            cycles,
+            epoch_len: 512,
+            source: ArrivalSource::Trace(std::sync::Arc::new(trace)),
+            ..small()
+        };
+        let report = run_serve(&cfg).unwrap();
+        let s = &report.serving;
+        assert_eq!(s.offered, cycles / 4);
+        assert!(s.stall_drops > 0, "the regulator must defer the greedy tenant");
+        assert!(
+            s.conserves(report.residual),
+            "offered {} != transmitted {} + stall drops {} + other drops {} + residual {}",
+            s.offered,
+            s.transmitted,
+            s.stall_drops,
+            s.ingress_drops + s.flow_queue_drops + s.flow_table_drops,
+            report.residual
+        );
+        let section = report.snapshot.as_ref().unwrap().tenants.as_ref().expect("qos section");
+        let dropped: u64 = section.per_tenant.iter().map(|t| t.dropped).sum();
+        assert_eq!(
+            dropped,
+            s.ingress_drops + s.flow_queue_drops + s.flow_table_drops + s.stall_drops,
+            "per-tenant drops sum to the total"
+        );
     }
 
     #[test]

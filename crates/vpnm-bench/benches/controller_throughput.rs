@@ -16,8 +16,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vpnm_bench::report::{merge_bench_json, BenchRecord};
 use vpnm_core::{
-    ChannelSelect, FabricConfig, LineAddr, ReferenceController, Request, VpnmConfig,
-    VpnmController, VpnmFabric,
+    ChannelSelect, FabricConfig, LineAddr, PipelinedMemory, ReferenceController, Request,
+    VpnmConfig, VpnmController, VpnmFabric,
 };
 use vpnm_workloads::generators::AddressGenerator;
 use vpnm_workloads::UniformAddresses;
@@ -29,11 +29,12 @@ fn uniform_reads(space: u64, seed: u64) -> impl FnMut() -> Option<Request> {
     move || Some(Request::read(LineAddr(rng.gen_range(0..space))))
 }
 
-/// The batched front door: generator batch-fill + `run_reads_with`, so
-/// the timed loop pays neither one generator call nor one `tick` call
-/// per cycle, and responses fold into counters instead of a buffer.
-/// `UniformAddresses` draws the identical stream the per-tick
-/// `uniform_reads` closure draws (same `StdRng`, same range call).
+/// The batched front door: a pre-built `Vec<Request>` issued through one
+/// dense `issue_batch` call, so the timed region is pure door — no
+/// generator call and no `tick` call per cycle, addresses bank-hashed a
+/// chunk at a time (SIMD on AVX2 hosts). `UniformAddresses` draws the
+/// identical stream the per-tick `uniform_reads` closure draws (same
+/// `StdRng`, same range call).
 fn bench_uniform_reads(c: &mut Criterion) {
     let mut group = c.benchmark_group("controller/uniform_reads");
     for (name, config) in [
@@ -47,43 +48,8 @@ fn bench_uniform_reads(c: &mut Criterion) {
                 || {
                     let mem = VpnmController::new(config.clone(), 7).expect("valid");
                     let space = 1u64 << mem.config().addr_bits;
-                    (mem, UniformAddresses::new(space, 3), vec![0u64; CYCLES as usize])
-                },
-                |(mut mem, mut gen, mut addrs)| {
-                    gen.fill_addrs(&mut addrs);
-                    let mut served = 0u64;
-                    let counts = mem.run_reads_with(&addrs, CYCLES, |r| {
-                        served += r.completed_at.as_u64();
-                    });
-                    std::hint::black_box((counts, served));
-                    mem
-                },
-                criterion::BatchSize::LargeInput,
-            );
-        });
-    }
-    group.finish();
-}
-
-/// The dense batch front door: a pre-built `Vec<Request>` issued through
-/// `issue_batch`, which hashes whole chunks through `hash_batch` (SIMD on
-/// AVX2 hosts) and prefetches bank/ring state ahead of the step loop.
-/// Same stream as `controller/uniform_reads`, so the two IDs are directly
-/// comparable.
-fn bench_issue_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("controller/issue_batch");
-    for (name, config) in
-        [("small_test", VpnmConfig::small_test()), ("paper_optimal", VpnmConfig::paper_optimal())]
-    {
-        group.throughput(Throughput::Elements(CYCLES));
-        group.bench_function(BenchmarkId::from_parameter(name), |bench| {
-            bench.iter_batched(
-                || {
-                    let mem = VpnmController::new(config.clone(), 7).expect("valid");
-                    let space = 1u64 << mem.config().addr_bits;
-                    let mut gen = UniformAddresses::new(space, 3);
                     let mut addrs = vec![0u64; CYCLES as usize];
-                    gen.fill_addrs(&mut addrs);
+                    UniformAddresses::new(space, 3).fill_addrs(&mut addrs);
                     let reqs: Vec<Request> =
                         addrs.iter().map(|&a| Request::read(LineAddr(a))).collect();
                     (mem, reqs)
@@ -178,17 +144,19 @@ fn bench_idle_fast_forward(c: &mut Criterion) {
         }
     };
     group.bench_function("fast_paper_optimal", |bench| {
-        // Batched front door: the trace is materialized once in setup, so
-        // the timed region is pure `run_batch` — admission, event-horizon
-        // skipping and response collection with no per-cycle callback.
+        // Batched front door: the sparse trace is materialized once in
+        // setup, so the timed region is pure `run_epoch_sparse` —
+        // admission, event-horizon skipping and response collection with
+        // no per-cycle callback.
         bench.iter_batched(
             || {
                 let mut gen = source(9);
-                let trace: Vec<Option<Request>> = (0..CYCLES).map(|_| gen()).collect();
+                let trace: Vec<(u64, Request)> =
+                    (0..CYCLES).filter_map(|i| Some((i, gen()?))).collect();
                 (VpnmController::new(VpnmConfig::paper_optimal(), 7).expect("valid"), trace)
             },
             |(mut mem, trace)| {
-                std::hint::black_box(mem.run_batch(&trace, CYCLES));
+                std::hint::black_box(mem.run_epoch_sparse(CYCLES, &trace));
                 mem
             },
             criterion::BatchSize::LargeInput,
@@ -200,7 +168,9 @@ fn bench_idle_fast_forward(c: &mut Criterion) {
         bench.iter_batched(
             || (VpnmController::new(VpnmConfig::paper_optimal(), 7).expect("valid"), source(9)),
             |(mut mem, mut gen)| {
-                std::hint::black_box(mem.run(CYCLES, |_| gen()));
+                for _ in 0..CYCLES {
+                    std::hint::black_box(mem.tick(gen()));
+                }
                 mem
             },
             criterion::BatchSize::LargeInput,
@@ -228,7 +198,7 @@ fn bench_idle_fast_forward(c: &mut Criterion) {
 
 /// Multi-channel fabric throughput, sequential lockstep (`seq/…`: one
 /// `tick` per cycle, every channel stepped — the pre-epoch drive) against
-/// the epoch-batched path (`par/…`: `run_epoch` with one worker per
+/// the epoch-batched path (`par/…`: `issue_batch` with one worker per
 /// channel). Fabrics persist across iterations so the parallel side
 /// measures steady-state epochs, not pool spawns; uniform reads at full
 /// rate, so each channel of a C-channel fabric sees ~1/C of the stream
@@ -264,13 +234,13 @@ fn bench_fabric_uniform_reads(c: &mut Criterion) {
         let mut fab = VpnmFabric::new(fc, 7).expect("valid");
         fab.set_workers(channels as usize);
         let mut gen = UniformAddresses::new(space, 3);
-        let mut batch: Vec<Option<Request>> = Vec::with_capacity(CYCLES as usize);
+        let mut batch: Vec<Request> = Vec::with_capacity(CYCLES as usize);
         group.bench_function(BenchmarkId::new("par", format!("{channels}ch")), |bench| {
             bench.iter(|| {
                 gen.fill_addrs(&mut addrs);
                 batch.clear();
-                batch.extend(addrs.iter().map(|&a| Some(Request::read(LineAddr(a)))));
-                std::hint::black_box(fab.run_epoch(&batch));
+                batch.extend(addrs.iter().map(|&a| Request::read(LineAddr(a))));
+                std::hint::black_box(fab.issue_batch(&batch));
             });
         });
     }
@@ -329,9 +299,8 @@ fn bench_merged_stream(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_uniform_reads,
-    bench_issue_batch,
     bench_uniform_reads_tick,
+    bench_uniform_reads,
     bench_reference_uniform_reads,
     bench_fabric_uniform_reads,
     bench_idle_fast_forward,
@@ -347,9 +316,13 @@ fn main() {
         std::env::set_var("BENCH_MEASURE_MS", "800");
     }
     let mut criterion = Criterion::default().configure_from_args();
-    bench_uniform_reads(&mut criterion);
-    bench_issue_batch(&mut criterion);
+    // The per-tick rows go first: the batch rows free a ~1 MB request +
+    // response pair every iteration, and until the process's allocator
+    // has settled (the first row or two) those frees trim the heap and
+    // the next iteration pays the page faults again — ~20 % on whichever
+    // large-buffer row happens to run first, on parent and change alike.
     bench_uniform_reads_tick(&mut criterion);
+    bench_uniform_reads(&mut criterion);
     bench_reference_uniform_reads(&mut criterion);
     bench_fabric_uniform_reads(&mut criterion);
     bench_idle_fast_forward(&mut criterion);
@@ -380,7 +353,7 @@ fn main() {
     let speedup_fabric =
         ns_of("fabric/uniform_reads/seq/8ch") / ns_of("fabric/uniform_reads/par/8ch");
     let speedup_batch = ns_of("controller/uniform_reads_tick/paper_optimal")
-        / ns_of("controller/issue_batch/paper_optimal");
+        / ns_of("controller/uniform_reads/paper_optimal");
     let summary = [
         ("speedup_fast_vs_reference_paper_optimal_uniform_reads", speedup_uniform),
         ("speedup_fast_vs_reference_paper_optimal_bursty_idle", speedup_idle),

@@ -2,7 +2,7 @@
 use std::time::Instant;
 use vpnm_core::delay_storage::DelayStorageBuffer;
 use vpnm_core::request::LineAddr;
-use vpnm_core::{Request, VpnmConfig, VpnmController};
+use vpnm_core::{PipelinedMemory, Request, VpnmConfig, VpnmController};
 use vpnm_dram::{DramConfig, DramDevice};
 use vpnm_sim::{Cycle, Histogram};
 use vpnm_workloads::generators::AddressGenerator;
@@ -47,13 +47,12 @@ fn main() {
     let mut gen = UniformAddresses::new(space, 3);
     let mut addrs = vec![0u64; CYCLES as usize];
     gen.fill_addrs(&mut addrs);
-    let trace: Vec<Option<Request>> =
-        addrs.iter().map(|&a| Some(Request::read(LineAddr(a)))).collect();
+    let trace: Vec<Request> = addrs.iter().map(|&a| Request::read(LineAddr(a))).collect();
     time(
-        "run_batch only (pre-built)",
+        "issue_batch only (pre-built)",
         Box::new(move || {
             let mut mem = VpnmController::new(c2.clone(), 7).expect("valid");
-            std::hint::black_box(mem.run_batch(&trace, CYCLES));
+            std::hint::black_box(mem.issue_batch(&trace));
         }),
     );
 

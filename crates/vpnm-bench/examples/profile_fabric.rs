@@ -2,7 +2,7 @@
 //!
 //! Runs the full-rate 8-channel `paper_optimal` uniform-read workload
 //! (the `fabric/uniform_reads/*` bench scenario) through the lockstep
-//! `tick` loop and the epoch-batched `run_epoch` path at 1 and 8
+//! `tick` loop and the epoch-batched `issue_batch` door at 1 and 8
 //! workers, reporting ns per fabric cycle and the fraction of
 //! channel-cycles the busy-horizon machinery proved skippable. On a
 //! single-core container the worker counts should land within noise of
@@ -10,7 +10,9 @@
 //! there are physical cores to divide across (see
 //! docs/PERFORMANCE.md, "Measured scaling").
 use std::time::Instant;
-use vpnm_core::{ChannelSelect, FabricConfig, LineAddr, Request, VpnmConfig, VpnmFabric};
+use vpnm_core::{
+    ChannelSelect, FabricConfig, LineAddr, PipelinedMemory, Request, VpnmConfig, VpnmFabric,
+};
 use vpnm_workloads::generators::AddressGenerator;
 use vpnm_workloads::UniformAddresses;
 
@@ -45,13 +47,13 @@ fn main() {
         let mut fab = VpnmFabric::new(fc.clone(), 7).unwrap();
         fab.set_workers(workers);
         let mut gen = UniformAddresses::new(space, 3);
-        let mut batch: Vec<Option<Request>> = Vec::with_capacity(CYCLES as usize);
+        let mut batch: Vec<Request> = Vec::with_capacity(CYCLES as usize);
         let t = Instant::now();
         for _ in 0..ITERS {
             gen.fill_addrs(&mut addrs);
             batch.clear();
-            batch.extend(addrs.iter().map(|&a| Some(Request::read(LineAddr(a)))));
-            std::hint::black_box(fab.run_epoch(&batch));
+            batch.extend(addrs.iter().map(|&a| Request::read(LineAddr(a))));
+            std::hint::black_box(fab.issue_batch(&batch));
         }
         let ns = t.elapsed().as_nanos() as f64 / (CYCLES * ITERS) as f64;
         let skipped = fab.merged_snapshot().map_or(0, |s| s.cycles_skipped);

@@ -80,7 +80,6 @@ fn main() {
             cell_bytes: 8,
             hash: HashKind::H3,
             write_buffer_entries: None,
-            trace_capacity: 0,
             forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,

@@ -6,8 +6,8 @@
 //! module splits such a horizon into fixed-size **shards**, each an
 //! independent controller instance whose seeds derive only from the
 //! campaign seed and the shard index. Shards run across all cores via
-//! [`crate::parallel::run_trials_chunked`], driving the batched
-//! [`vpnm_core::VpnmController::run_batch`] front door, and every
+//! [`crate::parallel::run_trials_chunked`], driving the dense
+//! [`PipelinedMemory::issue_batch`] front door, and every
 //! completed shard is appended as one JSON line to a checkpoint file —
 //! kill the process at any point and a rerun resumes from the last
 //! completed shard instead of restarting the campaign.
@@ -43,7 +43,7 @@ use vpnm_workloads::UniformAddresses;
 ///
 /// Version history: 1 — initial grammar; 2 — header gained `channels`
 /// (multi-channel fabric campaigns); 3 — fabric shards switched from the
-/// per-tick loop to the epoch-batched `run_epoch` path, which changes the
+/// per-tick loop to the epoch-batched path, which changes the
 /// recorded `cycles_skipped` (per-channel idle spans are now skipped), so
 /// v2 fabric shard lines no longer match fresh ones.
 ///
@@ -53,7 +53,7 @@ use vpnm_workloads::UniformAddresses;
 /// without divergence.
 pub const CHECKPOINT_VERSION: u32 = 3;
 
-/// Interface cycles simulated per `run_batch` call inside a shard — large
+/// Interface cycles simulated per `issue_batch` call inside a shard — large
 /// enough to amortize batch setup, small enough to keep buffers in cache.
 const BATCH_CYCLES: usize = 8192;
 
@@ -163,10 +163,13 @@ pub fn run_shard(params: &CampaignParams, shard: u64) -> ShardResult {
 
 /// Runs one shard to completion: a fresh controller (or fabric, for
 /// `channels > 1`) and a fresh uniform read stream, both seeded
-/// deterministically from `(params.seed, shard)`, driven through
-/// [`VpnmController::run_batch`] in [`BATCH_CYCLES`]-sized batches (the
-/// single-channel fast path) or through the fabric's epoch-batched
-/// `run_epoch` in the same batch size, and drained at the end.
+/// deterministically from `(params.seed, shard)`, driven through the
+/// dense [`PipelinedMemory::issue_batch`] door in `BATCH_CYCLES`-sized
+/// batches and drained at the end. On a fabric each channel advances
+/// through a whole batch at a time (per-channel batched hashing and
+/// idle-span skipping apply, since every channel sees only `~1/C` of the
+/// stream), and histograms carry one sample per channel per cycle, merged
+/// across channels.
 ///
 /// `workers` only affects how a multi-channel shard's epochs execute
 /// (on-thread for 1, a per-shard [`vpnm_core::WorkerPool`] otherwise) —
@@ -176,15 +179,30 @@ pub fn run_shard_with_workers(params: &CampaignParams, shard: u64, workers: usiz
     let config = params.validate().expect("validated before sharding");
     let ctrl_seed = splitmix64(params.seed.wrapping_add(shard));
     let wl_seed = splitmix64(ctrl_seed ^ 0x9E37_79B9_7F4A_7C15);
+    let gen = UniformAddresses::new(1u64 << config.addr_bits, wl_seed);
+    let cycles = params.cycles_of_shard(shard);
     if params.channels > 1 {
-        return run_shard_fabric(params, shard, config, ctrl_seed, wl_seed, workers);
+        let mut mem =
+            VpnmFabric::new(params.fabric_config(config), ctrl_seed).expect("params validate");
+        mem.set_workers(workers);
+        drive_shard(mem, gen, shard, cycles)
+    } else {
+        let mem = VpnmController::new(config, ctrl_seed).expect("preset validates");
+        drive_shard(mem, gen, shard, cycles)
     }
-    let mut mem = VpnmController::new(config.clone(), ctrl_seed).expect("preset validates");
-    let mut gen = UniformAddresses::new(1u64 << config.addr_bits, wl_seed);
+}
 
+/// The shard body, generic over the engine: `cycles` full-rate uniform
+/// reads through `issue_batch`, then a drain.
+fn drive_shard<M: PipelinedMemory>(
+    mut mem: M,
+    mut gen: UniformAddresses,
+    shard: u64,
+    cycles: u64,
+) -> ShardResult {
     let mut addrs = vec![0u64; BATCH_CYCLES];
-    let mut batch: Vec<Option<Request>> = Vec::with_capacity(BATCH_CYCLES);
-    let mut remaining = params.cycles_of_shard(shard);
+    let mut batch: Vec<Request> = Vec::with_capacity(BATCH_CYCLES);
+    let mut remaining = cycles;
     let mut accepted = 0u64;
     let mut stalled = 0u64;
     let mut responses = 0u64;
@@ -192,8 +210,8 @@ pub fn run_shard_with_workers(params: &CampaignParams, shard: u64, workers: usiz
         let n = remaining.min(BATCH_CYCLES as u64) as usize;
         gen.fill_addrs(&mut addrs[..n]);
         batch.clear();
-        batch.extend(addrs[..n].iter().map(|&a| Some(Request::read(LineAddr(a)))));
-        let report = mem.run_batch(&batch, n as u64);
+        batch.extend(addrs[..n].iter().map(|&a| Request::read(LineAddr(a))));
+        let report = mem.issue_batch(&batch);
         accepted += report.accepted;
         stalled += report.stalled;
         responses += report.responses.len() as u64;
@@ -201,61 +219,7 @@ pub fn run_shard_with_workers(params: &CampaignParams, shard: u64, workers: usiz
     }
     responses += mem.drain().len() as u64;
 
-    let m = mem.metrics();
-    ShardResult {
-        shard,
-        cycles: mem.now().as_u64(),
-        cycles_skipped: mem.cycles_skipped(),
-        accepted,
-        stalled,
-        responses,
-        first_stall_at: m.first_stall_at.map(|c| c.as_u64()),
-        queue_depth: m.queue_depth_hist.clone(),
-        storage_occupancy: m.storage_occupancy_hist.clone(),
-    }
-}
-
-/// The multi-channel shard body: the same deterministic stream, striped
-/// over a fabric and driven through the epoch-batched `run_epoch` path —
-/// each channel advances through a whole [`BATCH_CYCLES`] epoch at a time
-/// (per-channel batched hashing and idle-span skipping apply, since every
-/// channel sees only `~1/C` of the stream), optionally across `workers`
-/// pool threads. Histograms carry one sample per channel per cycle,
-/// merged across channels.
-fn run_shard_fabric(
-    params: &CampaignParams,
-    shard: u64,
-    config: VpnmConfig,
-    ctrl_seed: u64,
-    wl_seed: u64,
-    workers: usize,
-) -> ShardResult {
-    let addr_bits = config.addr_bits;
-    let mut mem =
-        VpnmFabric::new(params.fabric_config(config), ctrl_seed).expect("params validate");
-    mem.set_workers(workers);
-    let mut gen = UniformAddresses::new(1u64 << addr_bits, wl_seed);
-
-    let mut addrs = vec![0u64; BATCH_CYCLES];
-    let mut batch: Vec<Option<Request>> = Vec::with_capacity(BATCH_CYCLES);
-    let mut remaining = params.cycles_of_shard(shard);
-    let mut accepted = 0u64;
-    let mut stalled = 0u64;
-    let mut responses = 0u64;
-    while remaining > 0 {
-        let n = remaining.min(BATCH_CYCLES as u64) as usize;
-        gen.fill_addrs(&mut addrs[..n]);
-        batch.clear();
-        batch.extend(addrs[..n].iter().map(|&a| Some(Request::read(LineAddr(a)))));
-        let report = mem.run_epoch(&batch);
-        accepted += report.accepted;
-        stalled += report.stalled;
-        responses += report.responses.len() as u64;
-        remaining -= n as u64;
-    }
-    responses += PipelinedMemory::drain(&mut mem).len() as u64;
-
-    let snap = mem.merged_snapshot().expect("controllers keep metrics");
+    let snap = mem.snapshot().expect("controllers keep metrics");
     ShardResult {
         shard,
         cycles: mem.now().as_u64(),
@@ -264,8 +228,8 @@ fn run_shard_fabric(
         stalled,
         responses,
         first_stall_at: snap.metrics.first_stall_at.map(|c| c.as_u64()),
-        queue_depth: snap.metrics.queue_depth_hist.clone(),
-        storage_occupancy: snap.metrics.storage_occupancy_hist.clone(),
+        queue_depth: snap.metrics.queue_depth_hist,
+        storage_occupancy: snap.metrics.storage_occupancy_hist,
     }
 }
 

@@ -50,9 +50,9 @@ where
     let slots: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(slot) = slots.get(i) else { break };
                 let job = slot.lock().expect("job slot").take().expect("each job taken once");
@@ -60,8 +60,7 @@ where
                 *results[i].lock().expect("result slot") = Some(out);
             });
         }
-    })
-    .expect("sharded jobs must not panic");
+    });
     results
         .into_iter()
         .map(|m| m.into_inner().expect("worker joined").expect("every job ran"))
@@ -115,9 +114,9 @@ where
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                 if start >= n {
                     break;
@@ -130,8 +129,7 @@ where
                 progress(finished, n);
             });
         }
-    })
-    .expect("sharded trials must not panic");
+    });
     results
         .into_iter()
         .map(|m| m.into_inner().expect("worker joined").expect("every trial ran"))

@@ -255,26 +255,11 @@ impl BankController {
         }
     }
 
-    /// Warms the cache lines a `submit` of a read for `addr` will touch
-    /// (see [`DelayStorageBuffer::prefetch`]). Semantically a no-op;
-    /// batched drivers call it a few cycles ahead of the actual submit.
-    #[inline]
-    pub fn prefetch(&self, addr: LineAddr) {
-        self.storage.prefetch(addr);
-    }
-
     /// Warms the delay-storage row an upcoming playback will touch (see
     /// [`DelayStorageBuffer::prefetch_row`]). Semantically a no-op.
     #[inline]
     pub fn prefetch_row(&self, row: RowId) {
         self.storage.prefetch_row(row);
-    }
-
-    /// Warms the CAM slot an upcoming playback's unlink will probe (see
-    /// [`DelayStorageBuffer::prefetch_playback`]). Semantically a no-op.
-    #[inline]
-    pub fn prefetch_playback(&self, row: RowId) {
-        self.storage.prefetch_playback(row);
     }
 
     /// Rows currently live in the delay storage buffer.

@@ -58,8 +58,6 @@ pub struct VpnmConfig {
     pub hash: HashKind,
     /// Write buffer entries; `None` = `ceil(Q/2)` per the paper.
     pub write_buffer_entries: Option<usize>,
-    /// Per-bank trace retention (0 disables tracing).
-    pub trace_capacity: usize,
     /// Forensic event-ring capacity for the fast engine's observability
     /// layer (0 disables event recording). Only meaningful when the
     /// `forensics` cargo feature is compiled in; see
@@ -88,7 +86,6 @@ impl VpnmConfig {
             cell_bytes: 64,
             hash: HashKind::H3,
             write_buffer_entries: None,
-            trace_capacity: 0,
             forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,
@@ -115,7 +112,6 @@ impl VpnmConfig {
             cell_bytes: 8,
             hash: HashKind::H3,
             write_buffer_entries: None,
-            trace_capacity: 0,
             forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,
@@ -137,7 +133,6 @@ impl VpnmConfig {
             cell_bytes: 8,
             hash: HashKind::H3,
             write_buffer_entries: None,
-            trace_capacity: 0,
             forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,
@@ -177,12 +172,6 @@ impl VpnmConfig {
     /// Builder-style delay override.
     pub fn with_delay(mut self, d: u64) -> Self {
         self.delay_override = Some(d);
-        self
-    }
-
-    /// Builder-style trace capacity override.
-    pub fn with_trace_capacity(mut self, cap: usize) -> Self {
-        self.trace_capacity = cap;
         self
     }
 
@@ -377,7 +366,6 @@ mod tests {
             cell_bytes: 8,
             hash: HashKind::LowBits,
             write_buffer_entries: None,
-            trace_capacity: 0,
             forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,

@@ -40,6 +40,7 @@ use crate::config::{SchedulerKind, VpnmConfig};
 use crate::delay_storage::RowId;
 use crate::forensics::{ForensicKind, ForensicRing};
 use crate::hash_engine::HashEngine;
+use crate::memory::PipelinedMemory;
 use crate::metrics::ControllerMetrics;
 use crate::ready_set::ReadySet;
 use crate::request::{LineAddr, Request, Response, StallKind, TenantId, TickOutput};
@@ -47,8 +48,7 @@ use crate::snapshot::MetricsSnapshot;
 use bytes::Bytes;
 use vpnm_dram::{DramConfig, DramDevice, DramStats};
 use vpnm_hash::BankHasher;
-use vpnm_sim::trace::TraceKind;
-use vpnm_sim::{Cycle, DualClock, TraceRecorder};
+use vpnm_sim::{Cycle, DualClock};
 
 /// Minimum interface cycles a busy-horizon skip must cover to be worth
 /// taking: the horizon computation (ready-bank rotor scan, due-playback
@@ -64,6 +64,12 @@ const SKIP_BUSY_MIN: u64 = 4;
 /// one decrement per idle cycle instead of one horizon scan).
 const SKIP_BUSY_BACKOFF: u32 = 63;
 
+/// Requests bank-hashed per [`HashEngine::hash_batch`] call inside the
+/// batch drive loop: large enough to amortize the call and keep the SIMD
+/// lanes full, small enough that both scratch arrays (12 KiB together)
+/// live on the stack and stay in L1.
+const HASH_CHUNK: usize = 1024;
+
 /// What to do when a request cannot be accepted this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallPolicy {
@@ -76,7 +82,8 @@ pub enum StallPolicy {
     Drop,
 }
 
-/// Summary of a batched [`VpnmController::run`] call.
+/// Summary of one batch-door call ([`PipelinedMemory::issue_batch`],
+/// [`PipelinedMemory::run_epoch_sparse`], [`PipelinedMemory::run_epoch`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Every response that became due during the run, in order.
@@ -90,26 +97,11 @@ pub struct RunReport {
     pub rejected: u64,
 }
 
-/// Acceptance counts from a sink-style run — [`RunReport`] without the
-/// collected responses (those went to the caller's sink as they became
-/// due).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunCounts {
-    /// Requests accepted (including merged reads).
-    pub accepted: u64,
-    /// Requests that stalled on a full buffer (retryable).
-    pub stalled: u64,
-    /// Malformed requests rejected outright (not retryable).
-    pub rejected: u64,
-    /// Responses that became due during the run.
-    pub responses: u64,
-}
-
 /// Run-length accumulator for the two per-cycle occupancy samples
 /// ([`ControllerMetrics::sample_cycle`]'s inputs). At steady state
 /// consecutive cycles sample identical values — a full-rate read stream
 /// allocates and frees one storage row per cycle, holding `storage_live`
-/// flat — so the batch drive loops count the run and flush it through
+/// flat — so the batch drive loop counts the run and flushes it through
 /// [`ControllerMetrics::sample_cycles`] in O(1) instead of updating two
 /// histograms every cycle. Histogram updates commute, so the deferred
 /// flush leaves the final metrics byte-identical to per-cycle recording,
@@ -170,7 +162,7 @@ fn first_set_bit(bits: &[u64], from: usize, to: usize) -> Option<usize> {
 /// Presents banked DRAM as a flat pipeline: every accepted read is answered
 /// after exactly `D` interface cycles regardless of the access pattern.
 /// Drive it one interface cycle at a time with [`VpnmController::tick`], or
-/// in batches with [`VpnmController::run`].
+/// a whole epoch at a time through the [`PipelinedMemory`] batch doors.
 ///
 /// ```
 /// use vpnm_core::{Request, LineAddr, VpnmConfig, VpnmController};
@@ -203,8 +195,6 @@ pub struct VpnmController {
     rr_next: u32,
     metrics: ControllerMetrics,
     outstanding: usize,
-    trace: TraceRecorder,
-    next_request_id: u64,
     /// Banks with a non-empty access queue (the only banks a bus grant
     /// can do anything for).
     ready: ReadySet,
@@ -235,8 +225,8 @@ pub struct VpnmController {
     ring_occ: Vec<u64>,
     /// Total live delay-storage rows across banks.
     storage_live: u64,
-    /// Interface cycles covered by event-horizon skips in
-    /// [`VpnmController::run_batch`] (drive-mode accounting; not part of
+    /// Interface cycles covered by event-horizon skips in the batch
+    /// drive loop (drive-mode accounting; not part of
     /// [`ControllerMetrics`] so metrics equality across engines and drive
     /// modes is unaffected).
     cycles_skipped: u64,
@@ -283,11 +273,6 @@ impl VpnmController {
                     .with_merging(config.merging)
             })
             .collect();
-        let trace = if config.trace_capacity > 0 {
-            TraceRecorder::with_capacity(config.trace_capacity)
-        } else {
-            TraceRecorder::disabled()
-        };
         Ok(VpnmController {
             clock: DualClock::new(config.bus_ratio),
             delay,
@@ -297,8 +282,6 @@ impl VpnmController {
             rr_next: 0,
             metrics: ControllerMetrics::with_banks(config.banks as usize),
             outstanding: 0,
-            trace,
-            next_request_id: 0,
             ready: ReadySet::new(config.banks),
             bank_busy_until: vec![0; config.banks as usize],
             bank_queue_depth: vec![0; config.banks as usize],
@@ -357,12 +340,6 @@ impl VpnmController {
         self.hash.bank_of(addr.0)
     }
 
-    /// The lifecycle trace, when enabled via
-    /// [`VpnmConfig::trace_capacity`].
-    pub fn trace(&self) -> &TraceRecorder {
-        &self.trace
-    }
-
     /// The forensic event ring, when enabled via
     /// [`VpnmConfig::forensics_capacity`] (and the `forensics` feature).
     pub fn forensics(&self) -> &ForensicRing {
@@ -370,7 +347,8 @@ impl VpnmController {
     }
 
     /// Interface cycles covered by event-horizon skips rather than
-    /// individual ticks (see [`VpnmController::run_batch`]).
+    /// individual ticks (the batch doors skip; [`VpnmController::tick`]
+    /// never does).
     pub fn cycles_skipped(&self) -> u64 {
         self.cycles_skipped
     }
@@ -412,13 +390,13 @@ impl VpnmController {
     }
 
     /// One interface cycle with the bank mapping already computed —
-    /// [`VpnmController::tick`] with the hash hoisted out so
-    /// [`VpnmController::run_batch`] can amortize hashing over a whole
-    /// batch. `bank` is only read for a `Some` request that passes
-    /// validation. Inlined into each drive loop so the request stays in
-    /// registers instead of crossing a call boundary every simulated
-    /// cycle, and a due response is handed to `emit` in place rather
-    /// than moved out through a return value.
+    /// [`VpnmController::tick`] with the hash hoisted out so the batch
+    /// drive loop can amortize hashing over a whole chunk. `bank` is only
+    /// read for a `Some` request that passes validation. Inlined into its
+    /// callers ([`VpnmController::tick`] and the two halves of the batch
+    /// drive loop) so the request stays in registers instead of crossing a call boundary
+    /// every simulated cycle, and a due response is handed to `emit` in
+    /// place rather than moved out through a return value.
     #[inline]
     fn step(
         &mut self,
@@ -490,12 +468,9 @@ impl VpnmController {
         // on a tick that allocated).
         let mut alloc_bank: Option<usize> = None;
         if let Some(req) = request {
-            let id = self.next_request_id;
-            self.next_request_id += 1;
             if let Some(kind) = self.validate(&req) {
                 stall = Some(kind);
                 self.metrics.record_stall(kind, now);
-                self.trace.record(now, id, TraceKind::Stalled);
             } else {
                 let addr = req.addr();
                 let tenant = req.tenant();
@@ -509,7 +484,6 @@ impl VpnmController {
                         self.outstanding += 1;
                         self.metrics.note_outstanding(self.outstanding as u64);
                         read_row = Some((bank as u32, row, tenant));
-                        self.trace.record(now, id, TraceKind::Accepted);
                         self.storage_live += 1;
                         alloc_bank = Some(bank);
                         let after = self.banks[bank].queue_depth();
@@ -535,12 +509,10 @@ impl VpnmController {
                         self.outstanding += 1;
                         self.metrics.note_outstanding(self.outstanding as u64);
                         read_row = Some((bank as u32, row, tenant));
-                        self.trace.record(now, id, TraceKind::Merged);
                         self.forensics.record(now, bank as u32, ForensicKind::Merged { addr, row });
                     }
                     Ok(Accepted::WriteBuffered) => {
                         self.metrics.writes_accepted += 1;
-                        self.trace.record(now, id, TraceKind::Accepted);
                         let after = self.banks[bank].queue_depth();
                         self.bank_queue_depth[bank] = after as u32;
                         self.max_depth_lane = self.max_depth_lane.max(after as u32);
@@ -563,7 +535,6 @@ impl VpnmController {
                     Err(kind) => {
                         stall = Some(kind);
                         self.metrics.record_stall(kind, now);
-                        self.trace.record(now, id, TraceKind::Stalled);
                         if self.forensics.is_enabled() {
                             let bc = &self.banks[bank];
                             let context = ForensicKind::Stalled {
@@ -660,7 +631,7 @@ impl VpnmController {
         }
         // NOTE: the per-cycle occupancy sample (`sample_cycle`) is the
         // caller's duty — `tick` records it immediately, the batch drive
-        // loops run-length-batch it (see `SampleRun`). Histogram updates
+        // loop run-length-batches it (see `SampleRun`). Histogram updates
         // commute, so the final metrics are identical either way.
 
         #[cfg(debug_assertions)]
@@ -824,306 +795,69 @@ impl VpnmController {
         }
     }
 
-    /// Drives the controller for `cycles` interface cycles, pulling at
-    /// most one request per cycle from `source` (called with the cycle
-    /// count *before* the tick; the request is presented on the following
-    /// edge). Returns the responses and acceptance counts.
+    /// The one batch drive loop: advances `len` interface cycles as a
+    /// **sparse epoch**, presenting request `k` of `count` on cycle offset
+    /// `at(k).0` (offsets strictly increasing and `< len`) and running
+    /// every other cycle idle. Produces exactly the responses, metrics and
+    /// acceptance counts of the equivalent [`VpnmController::tick`]
+    /// sequence — a property test pins this for every encoding — while
+    /// amortizing two costs the per-tick path pays every cycle:
     ///
-    /// This is the batched front door for benchmarks and experiment
-    /// drivers: idle stretches (cycles where `source` returns `None` and
-    /// no bank has work) cost almost nothing thanks to the idle
-    /// fast-forward.
-    pub fn run(
+    /// * **Chunked batch hashing**: bank mappings are computed
+    ///   [`HASH_CHUNK`] requests at a time through
+    ///   [`HashEngine::hash_batch`] (SIMD where available) into stack
+    ///   buffers, so the hash tables stay hot and no per-call allocation
+    ///   scales with the epoch.
+    /// * **Event-horizon skipping**: the idle gap before the next request
+    ///   (or the end of the epoch) is known from the offsets alone, so
+    ///   [`VpnmController::idle_span`] jumps the clock straight to the
+    ///   next observable event ([`VpnmController::skip_idle`] /
+    ///   [`VpnmController::skip_busy`]); skipped spans are counted in
+    ///   [`VpnmController::cycles_skipped`]. The cost of an epoch scales
+    ///   with its requests and due playbacks, not with `len`.
+    ///
+    /// `at` is the caller's view of its own encoding, monomorphised in: a
+    /// dense `&[Request]` has `at(k).0 == k`, so its gap test is a
+    /// never-taken branch and no offset array is ever materialised. The
+    /// presenting `step` below always carries a request and the idle one
+    /// in `idle_span` never does, so each inlines specialised; funnelling
+    /// both through one call site with a run-time `Option` measured 4–5 %
+    /// slower on a dense stream.
+    fn drive<'a>(
         &mut self,
-        cycles: u64,
-        mut source: impl FnMut(Cycle) -> Option<Request>,
+        len: u64,
+        count: usize,
+        at: impl Fn(usize) -> (u64, &'a Request),
     ) -> RunReport {
-        let mut report = RunReport::default();
-        for _ in 0..cycles {
-            let request = source(self.now());
-            let presented = request.is_some();
-            let out = self.tick(request);
-            if let Some(r) = out.response {
-                report.responses.push(r);
-            }
-            match out.stall {
-                None => report.accepted += u64::from(presented),
-                Some(kind) if kind.is_rejection() => report.rejected += 1,
-                Some(_) => report.stalled += 1,
-            }
-        }
-        report
-    }
-
-    /// Drives the controller for `budget.max(requests.len())` interface
-    /// cycles, presenting `requests[i]` on cycle `i` (cycles beyond the
-    /// slice are idle). Produces exactly the same responses, metrics, and
-    /// acceptance counts as the equivalent [`VpnmController::tick`]
-    /// sequence — a property test pins this — but amortizes two costs the
-    /// per-tick path pays every cycle:
-    ///
-    /// * **Batched hashing**: the bank mapping of every request in the
-    ///   slice is computed in one [`HashEngine::hash_batch`] call up
-    ///   front, letting the hash tables stay hot in cache across the
-    ///   whole batch instead of being re-touched once per cycle.
-    /// * **Event-horizon skipping**: inside a run of idle cycles (no
-    ///   request presented, no bank with queued work), the next observable
-    ///   event is the earliest of the next request, the next delay-ring
-    ///   playback, and the end of the budget — so the clock jumps straight
-    ///   there. This generalizes the per-tick idle fast-forward (which
-    ///   still paid one `tick` call per idle interface cycle) into a true
-    ///   next-event jump. Skipped spans are counted in
-    ///   [`VpnmController::cycles_skipped`] and recorded as one
-    ///   [`ForensicKind::FastForward`] event when forensics are enabled.
-    pub fn run_batch(&mut self, requests: &[Option<Request>], budget: u64) -> RunReport {
-        let len = requests.len() as u64;
-        let total = budget.max(len);
-        // Pre-hash every presented address in one batched pass. The hash
-        // is total over u64, so malformed (out-of-range) addresses get a
-        // bank too — it is simply never read, because `step` validates
-        // before consulting it.
-        let mut addrs: Vec<u64> = Vec::with_capacity(requests.len());
-        addrs.extend(requests.iter().flatten().map(|r| r.addr().0));
-        let mut banks = vec![0u32; addrs.len()];
-        self.hash.hash_batch(&addrs, &mut banks);
-
-        let mut report = RunReport::default();
-        let mut samples = SampleRun::default();
-        // Cursor into `banks`, advanced once per `Some` request visited
-        // (skips only ever jump over `None` entries, so it stays aligned).
-        let mut next_bank = 0usize;
-        // Exclusive end of the known idle (all-`None`) run containing the
-        // current cycle, cached so repeated skip attempts inside one gap
-        // never rescan the request slice.
-        let mut gap_end = 0u64;
-        let mut i = 0u64;
-        while i < total {
-            let idle = i >= len || requests[i as usize].is_none();
-            if idle {
-                if gap_end <= i {
-                    let mut j = i + 1;
-                    while j < len && requests[j as usize].is_none() {
-                        j += 1;
-                    }
-                    gap_end = if j >= len { total } else { j };
-                }
-                let n = if self.ready.is_empty() {
-                    self.skip_idle(gap_end - i)
-                } else {
-                    self.skip_busy(gap_end - i)
-                };
-                if n > 0 {
-                    i += n;
-                    continue;
-                }
-                // n == 0: a playback falls due (or a bus grant does real
-                // work) this very cycle — take the normal step below.
-            }
-            let (request, bank) = if i < len {
-                match &requests[i as usize] {
-                    Some(r) => {
-                        let b = banks[next_bank] as usize;
-                        next_bank += 1;
-                        (Some(r.clone()), b)
-                    }
-                    None => (None, 0),
-                }
-            } else {
-                (None, 0)
-            };
-            let presented = request.is_some();
-            let stall = self.step(request, bank, &mut |r| report.responses.push(r));
-            let depth = self.max_queue_depth();
-            samples.push(&mut self.metrics, depth, self.storage_live);
-            match stall {
-                None => report.accepted += u64::from(presented),
-                Some(kind) if kind.is_rejection() => report.rejected += 1,
-                Some(_) => report.stalled += 1,
-            }
-            i += 1;
-        }
-        samples.flush(&mut self.metrics);
-        report
-    }
-
-    /// [`VpnmController::run_batch`] over a **sparse** epoch: advances
-    /// `len` interface cycles presenting `requests[k].1` on cycle
-    /// `requests[k].0` (offsets strictly increasing, `< len`); every
-    /// other cycle is idle. Exactly equivalent to `run_batch` over the
-    /// densified span — same responses, metrics, and skip accounting (a
-    /// test pins this) — but the cost scales with the number of requests
-    /// and due playbacks, not with `len`: idle gaps are *known* from the
-    /// offsets, so no dense `Option` slice is ever materialized or
-    /// scanned. This is what makes a multi-channel
-    /// [`crate::VpnmFabric`] epoch cheap — each channel of a `C`-channel
-    /// fabric sees only `1/C` of the stream and jumps straight across the
-    /// other `C-1`/`C` of the epoch.
-    pub fn run_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
         debug_assert!(
-            requests.windows(2).all(|p| p[0].0 < p[1].0)
-                && requests.last().is_none_or(|&(o, _)| o < len),
+            (1..count).all(|k| at(k - 1).0 < at(k).0) && (count == 0 || at(count - 1).0 < len),
             "offsets must be strictly increasing and < len"
         );
-        // Pre-hash every presented address in one batched pass, exactly
-        // like `run_batch` (the hash is total over u64, so malformed
-        // addresses hash harmlessly — `step` validates before use).
-        let mut addrs: Vec<u64> = Vec::with_capacity(requests.len());
-        addrs.extend(requests.iter().map(|(_, r)| r.addr().0));
-        let mut banks = vec![0u32; addrs.len()];
-        self.hash.hash_batch(&addrs, &mut banks);
-
         let mut report = RunReport::default();
+        // At steady state an epoch answers about as many reads as it
+        // presents; reserving keeps collection off the reallocation path.
+        report.responses.reserve(count);
         let mut samples = SampleRun::default();
-        let mut k = 0usize;
+        let mut addrs = [0u64; HASH_CHUNK];
+        let mut banks = [0u32; HASH_CHUNK];
+        // Cycles `0..i` of the epoch are done; requests `0..k` presented.
         let mut i = 0u64;
-        while i < len {
-            let next_req = requests.get(k).map_or(len, |&(o, _)| o);
-            if i < next_req {
-                let n = if self.ready.is_empty() {
-                    self.skip_idle(next_req - i)
-                } else {
-                    self.skip_busy(next_req - i)
-                };
-                if n > 0 {
-                    i += n;
-                    continue;
+        let mut k = 0usize;
+        while k < count {
+            // The hash is total over u64, so malformed addresses hash
+            // harmlessly — `step` validates before consulting the bank.
+            let n = HASH_CHUNK.min(count - k);
+            for (j, a) in addrs[..n].iter_mut().enumerate() {
+                *a = at(k + j).1.addr().0;
+            }
+            self.hash.hash_batch(&addrs[..n], &mut banks[..n]);
+            for (j, &bank) in banks[..n].iter().enumerate() {
+                let (offset, request) = at(k + j);
+                if i < offset {
+                    self.idle_span(offset - i, &mut samples, &mut report.responses);
                 }
-                // n == 0: a playback falls due (or a bus grant does real
-                // work) this very cycle — take the normal (idle) step
-                // below.
-            }
-            let (request, bank) = if i == next_req {
-                let b = banks[k] as usize;
-                let r = requests[k].1.clone();
-                k += 1;
-                (Some(r), b)
-            } else {
-                (None, 0)
-            };
-            let presented = request.is_some();
-            let stall = self.step(request, bank, &mut |r| report.responses.push(r));
-            let depth = self.max_queue_depth();
-            samples.push(&mut self.metrics, depth, self.storage_live);
-            match stall {
-                None => report.accepted += u64::from(presented),
-                Some(kind) if kind.is_rejection() => report.rejected += 1,
-                Some(_) => report.stalled += 1,
-            }
-            i += 1;
-        }
-        samples.flush(&mut self.metrics);
-        report
-    }
-
-    /// [`VpnmController::run_batch`] specialized to an all-read request
-    /// stream given as raw line addresses: `addrs[i]` is presented as
-    /// `Request::Read` on cycle `i`, and cycles `addrs.len()..budget` are
-    /// idle. Exactly equivalent to the `run_batch` call over the same
-    /// stream (a test pins this) but without materializing a
-    /// `Vec<Option<Request>>` — the dominant cost of driving a full-load
-    /// read benchmark, where the request enum is pure overhead around an
-    /// 8-byte address.
-    pub fn run_reads(&mut self, addrs: &[u64], budget: u64) -> RunReport {
-        let mut responses = Vec::new();
-        let counts = self.run_reads_with(addrs, budget, |r| responses.push(r));
-        RunReport {
-            responses,
-            accepted: counts.accepted,
-            stalled: counts.stalled,
-            rejected: counts.rejected,
-        }
-    }
-
-    /// [`VpnmController::run_reads`] with responses streamed to a sink
-    /// instead of collected: throughput measurement and campaign shards
-    /// fold each [`Response`] into counters on the spot, so buffering
-    /// every response of a long run would be pure memory traffic.
-    /// Addresses are bank-hashed in cache-sized chunks via
-    /// [`HashEngine::hash_batch`].
-    pub fn run_reads_with(
-        &mut self,
-        addrs: &[u64],
-        budget: u64,
-        mut on_response: impl FnMut(Response),
-    ) -> RunCounts {
-        const CHUNK: usize = 1024;
-        let len = addrs.len() as u64;
-        let total = budget.max(len);
-        let mut counts = RunCounts::default();
-        let mut samples = SampleRun::default();
-        let mut banks = [0u32; CHUNK];
-        for chunk in addrs.chunks(CHUNK) {
-            let banks = &mut banks[..chunk.len()];
-            self.hash.hash_batch(chunk, banks);
-            for (&addr, &bank) in chunk.iter().zip(banks.iter()) {
-                let stall =
-                    self.step(Some(Request::read(LineAddr(addr))), bank as usize, &mut |r| {
-                        counts.responses += 1;
-                        on_response(r);
-                    });
-                let depth = self.max_queue_depth();
-                samples.push(&mut self.metrics, depth, self.storage_live);
-                match stall {
-                    None => counts.accepted += 1,
-                    Some(kind) if kind.is_rejection() => counts.rejected += 1,
-                    Some(_) => counts.stalled += 1,
-                }
-            }
-        }
-        // Idle tail out to the budget, with event-horizon skipping.
-        let mut i = len;
-        while i < total {
-            let n = if self.ready.is_empty() {
-                self.skip_idle(total - i)
-            } else {
-                self.skip_busy(total - i)
-            };
-            if n > 0 {
-                i += n;
-                continue;
-            }
-            self.step(None, 0, &mut |r| {
-                counts.responses += 1;
-                on_response(r);
-            });
-            let depth = self.max_queue_depth();
-            samples.push(&mut self.metrics, depth, self.storage_live);
-            i += 1;
-        }
-        samples.flush(&mut self.metrics);
-        counts
-    }
-
-    /// Dense batch issue: advances exactly `requests.len()` interface
-    /// cycles, presenting `requests[i]` on cycle `i` — the saturated-load
-    /// counterpart of [`VpnmController::run_batch`], for callers whose
-    /// span has a request on *every* cycle (epoch-batched front-ends at
-    /// line rate). Observationally identical to `run_batch` over the
-    /// `Some`-wrapped slice (a property test pins this), but the drive
-    /// loop carries no `Option` scanning and no idle/skip machinery:
-    /// addresses are bank-hashed in cache-sized chunks through the
-    /// batched (SIMD where available) [`HashEngine::hash_batch`] path,
-    /// and the per-cycle work is one prefetched `step`.
-    pub fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
-        const CHUNK: usize = 1024;
-        let mut report = RunReport::default();
-        let mut samples = SampleRun::default();
-        // Full-rate batches answer ~one read per cycle; reserving up front
-        // keeps the response collection out of the reallocation path.
-        report.responses.reserve(requests.len());
-        let mut addrs = [0u64; CHUNK];
-        let mut banks = [0u32; CHUNK];
-        for chunk in requests.chunks(CHUNK) {
-            let addrs = &mut addrs[..chunk.len()];
-            let banks = &mut banks[..chunk.len()];
-            for (a, r) in addrs.iter_mut().zip(chunk) {
-                *a = r.addr().0;
-            }
-            self.hash.hash_batch(addrs, banks);
-            for k in 0..chunk.len() {
-                let stall = self.step(Some(chunk[k].clone()), banks[k] as usize, &mut |r| {
-                    report.responses.push(r)
-                });
+                let stall = self
+                    .step(Some(request.clone()), bank as usize, &mut |r| report.responses.push(r));
                 let depth = self.max_queue_depth();
                 samples.push(&mut self.metrics, depth, self.storage_live);
                 match stall {
@@ -1131,10 +865,36 @@ impl VpnmController {
                     Some(kind) if kind.is_rejection() => report.rejected += 1,
                     Some(_) => report.stalled += 1,
                 }
+                i = offset + 1;
             }
+            k += n;
+        }
+        if i < len {
+            self.idle_span(len - i, &mut samples, &mut report.responses);
         }
         samples.flush(&mut self.metrics);
         report
+    }
+
+    /// The request-free half of [`VpnmController::drive`]: advances `gap`
+    /// interface cycles known to present nothing, jumping to the next
+    /// observable event wherever a skip is provable and taking a normal
+    /// idle step wherever it is not (a playback falls due, or a bus
+    /// grant does real work, on that very cycle). Not generic over the
+    /// door's view, so every encoding shares one copy.
+    fn idle_span(&mut self, gap: u64, samples: &mut SampleRun, responses: &mut Vec<Response>) {
+        let mut left = gap;
+        while left > 0 {
+            let n = if self.ready.is_empty() { self.skip_idle(left) } else { self.skip_busy(left) };
+            if n > 0 {
+                left -= n;
+                continue;
+            }
+            self.step(None, 0, &mut |r| responses.push(r));
+            let depth = self.max_queue_depth();
+            samples.push(&mut self.metrics, depth, self.storage_live);
+            left -= 1;
+        }
     }
 
     /// Fast-forwards through up to `gap` interface cycles that are known
@@ -1387,10 +1147,63 @@ impl VpnmController {
     }
 }
 
+/// The trait surface: the four-method core forwards to the inherent
+/// methods, and the batch doors are views over the one private `drive`
+/// loop (the option-dense `run_epoch` door is the trait default, which
+/// re-encodes sparsely and lands in `run_epoch_sparse`).
+impl PipelinedMemory for VpnmController {
+    fn delay(&self) -> u64 {
+        // Explicit paths: the inherent methods share these names.
+        VpnmController::delay(self)
+    }
+
+    fn tick(&mut self, request: Option<Request>) -> TickOutput {
+        VpnmController::tick(self, request)
+    }
+
+    fn outstanding(&self) -> usize {
+        VpnmController::outstanding(self)
+    }
+
+    fn now(&self) -> Cycle {
+        VpnmController::now(self)
+    }
+
+    fn drain(&mut self) -> Vec<Response> {
+        VpnmController::drain(self)
+    }
+
+    fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
+        self.drive(len, requests.len(), |k| (requests[k].0, &requests[k].1))
+    }
+
+    fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
+        // Dense view: offset(k) == k, so `drive`'s gap test never fires.
+        self.drive(requests.len() as u64, requests.len(), |k| (k as u64, &requests[k]))
+    }
+
+    fn bank_of(&self, addr: LineAddr) -> Option<u32> {
+        Some(VpnmController::bank_of(self, addr))
+    }
+
+    fn metrics(&self) -> Option<&ControllerMetrics> {
+        Some(VpnmController::metrics(self))
+    }
+
+    fn snapshot(&self) -> Option<MetricsSnapshot> {
+        Some(VpnmController::snapshot(self))
+    }
+
+    fn total_stalls(&self) -> u64 {
+        VpnmController::metrics(self).total_stalls()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hash_engine::HashKind;
+    use crate::memory::{sparse_of, ticked};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1609,15 +1422,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_lifecycle() {
-        let cfg = VpnmConfig::small_test().with_trace_capacity(64);
-        let mut mem = VpnmController::new(cfg, 1).unwrap();
-        mem.tick_read(1);
-        mem.tick_read(1);
-        assert!(mem.trace().len() >= 2);
-    }
-
-    #[test]
     fn rekey_preserves_data_and_changes_mapping() {
         use vpnm_hash::BankHasher;
         let mut mem = VpnmController::new(VpnmConfig::test_roomy(), 50).unwrap();
@@ -1755,106 +1559,157 @@ mod tests {
         assert!(VpnmController::new(cfg, 0).is_err());
     }
 
-    #[test]
-    fn run_batches_match_manual_ticks() {
-        let mk = || VpnmController::new(VpnmConfig::small_test(), 11).unwrap();
-        let reqs: Vec<Option<Request>> = (0..2000u64)
-            .map(|i| {
-                if i % 3 == 0 {
-                    Some(Request::read(LineAddr(i * 37 % 5000)))
-                } else if i % 7 == 0 {
-                    Some(Request::write(LineAddr(i % 64), vec![i as u8]))
-                } else {
-                    None
-                }
-            })
-            .collect();
+    /// Snapshot bytes with the one sanctioned batch/tick divergence (the
+    /// `cycles_skipped` drive-mode counter) masked off.
+    fn snapshot_sans_skips(mem: &VpnmController) -> String {
+        let mut snap = mem.snapshot();
+        snap.cycles_skipped = 0;
+        snap.to_json()
+    }
 
-        let mut manual = mk();
-        let mut manual_responses = Vec::new();
-        let mut accepted = 0u64;
-        let mut stalled = 0u64;
-        for r in &reqs {
-            let out = manual.tick(r.clone());
-            manual_responses.extend(out.response);
-            match out.stall {
-                None => accepted += u64::from(r.is_some()),
-                Some(k) if k.is_rejection() => {}
-                Some(_) => stalled += 1,
-            }
+    /// The one surviving drive-path property: **batch door ≡ `tick`
+    /// sequence**. Runs `stream` (after ticking `prefix` into every twin,
+    /// so epochs start from a warm state with reads in flight) through
+    /// every encoding that can express it — option-dense `run_epoch`,
+    /// sparse `run_epoch_sparse`, and, when no slot is idle, dense
+    /// `issue_batch` — and demands byte-identical reports, clock, metrics
+    /// and snapshot (modulo `cycles_skipped`, which must instead agree
+    /// between the doors). Returns the cycles a batch door skipped, so
+    /// callers can also assert the skip machinery actually engaged.
+    fn assert_doors_match_ticks(
+        cfg: &VpnmConfig,
+        prefix: &[Option<Request>],
+        stream: &[Option<Request>],
+    ) -> u64 {
+        let mk = || {
+            let mut mem = VpnmController::new(cfg.clone(), 7).unwrap();
+            ticked(&mut mem, prefix);
+            mem
+        };
+        let mut oracle = mk();
+        let want = ticked(&mut oracle, stream);
+        assert_eq!(oracle.cycles_skipped(), 0, "tick never skips");
+
+        let sparse = sparse_of(stream);
+        let dense: Option<Vec<Request>> = stream.iter().cloned().collect();
+        type Door<'a> = Box<dyn Fn(&mut VpnmController) -> RunReport + 'a>;
+        let mut doors: Vec<(&str, Door<'_>)> = vec![
+            ("run_epoch", Box::new(|m| m.run_epoch(stream))),
+            ("run_epoch_sparse", Box::new(|m| m.run_epoch_sparse(stream.len() as u64, &sparse))),
+        ];
+        if let Some(dense) = &dense {
+            doors.push(("issue_batch", Box::new(|m| m.issue_batch(dense))));
         }
+        let mut twins = Vec::new();
+        for (door, run) in &doors {
+            let mut mem = mk();
+            assert_eq!(run(&mut mem), want, "{door}: report");
+            assert_eq!(mem.now(), oracle.now(), "{door}: clock");
+            assert_eq!(mem.metrics(), oracle.metrics(), "{door}: metrics");
+            assert_eq!(snapshot_sans_skips(&mem), oracle.snapshot().to_json(), "{door}: snapshot");
+            twins.push((door, mem));
+        }
+        // Whatever is still in flight at the epoch seam must come out
+        // identically afterwards.
+        let want_drained = oracle.drain();
+        let skipped = twins[0].1.cycles_skipped();
+        for (door, mut mem) in twins {
+            assert_eq!(mem.drain(), want_drained, "{door}: drain");
+            // One loop behind every door: the same stream takes the same
+            // skips whichever encoding it arrives in.
+            assert_eq!(mem.cycles_skipped(), skipped, "{door}: skip accounting");
+        }
+        skipped
+    }
 
-        let mut batched = mk();
-        let mut it = reqs.iter().cloned();
-        let report = batched.run(reqs.len() as u64, |_| it.next().flatten());
-        assert_eq!(report.responses, manual_responses);
-        assert_eq!(report.accepted, accepted);
-        assert_eq!(report.stalled, stalled);
-        assert_eq!(report.rejected, 0);
-        assert_eq!(manual.metrics(), batched.metrics());
+    fn read(a: u64) -> Option<Request> {
+        Some(Request::read(LineAddr(a)))
+    }
+
+    fn write(a: u64, v: u8) -> Option<Request> {
+        Some(Request::write(LineAddr(a), vec![v]))
     }
 
     #[test]
-    fn run_batch_matches_manual_ticks_and_skips() {
-        // A bursty trace with long idle gaps: the batched path must take
-        // event-horizon skips (cycles_skipped > 0) and still be
-        // observationally identical to the tick-by-tick run.
-        let mk = || VpnmController::new(VpnmConfig::small_test(), 11).unwrap();
-        let mut reqs: Vec<Option<Request>> = Vec::new();
+    fn doors_match_ticks_on_a_dense_stream() {
+        // Every cycle presents a request — reads, writes, repeats that
+        // merge, and a colliding stride that stalls — across more than
+        // one hash chunk, so all three encodings (dense included) run and
+        // the chunk refill seam is crossed mid-stream.
+        let stream: Vec<Option<Request>> = (0..(2 * HASH_CHUNK as u64 + 300))
+            .map(|i| match i % 9 {
+                0 => write(i % 64, i as u8),
+                1 | 2 => read(i % 64),
+                3 => read(42),
+                4 => read((i % 256) * 64),
+                _ => read(i * 37 % 5000),
+            })
+            .collect();
+        for ratio in [1.0, 1.3] {
+            let cfg = VpnmConfig::small_test().with_bus_ratio(ratio);
+            assert_doors_match_ticks(&cfg, &[], &stream);
+            // And from a warm start with reads already in flight.
+            assert_doors_match_ticks(&cfg, &stream[..50], &stream[50..]);
+        }
+    }
+
+    #[test]
+    fn doors_match_ticks_across_gaps_longer_than_d() {
+        // Bursts separated by idle gaps of at least D, plus an idle tail
+        // past the last request: the batch doors must take event-horizon
+        // skips and still be observationally identical to the ticked run.
+        let cfg = VpnmConfig::small_test();
+        let d = VpnmController::new(cfg.clone(), 7).unwrap().delay() as usize;
+        let mut stream: Vec<Option<Request>> = Vec::new();
         for burst in 0..20u64 {
             for i in 0..12u64 {
                 let a = (burst * 977 + i * 37) % 5000;
-                reqs.push(Some(if i % 5 == 4 {
-                    Request::write(LineAddr(a % 64), vec![i as u8])
-                } else {
-                    Request::read(LineAddr(a))
-                }));
+                stream.push(if i % 5 == 4 { write(a % 64, i as u8) } else { read(a) });
             }
-            reqs.extend(std::iter::repeat_n(None, 60 + burst as usize));
+            stream.extend(std::iter::repeat_n(None, d + burst as usize));
         }
-        let budget = reqs.len() as u64 + 200;
+        stream.extend(std::iter::repeat_n(None, 200));
+        let skipped = assert_doors_match_ticks(&cfg, &[], &stream);
+        assert!(skipped > 0, "gaps must be skipped");
+    }
 
-        let mut manual = mk();
-        let mut manual_report = RunReport::default();
-        for r in &reqs {
-            let out = manual.tick(r.clone());
-            manual_report.responses.extend(out.response);
-            match out.stall {
-                None => manual_report.accepted += u64::from(r.is_some()),
-                Some(k) if k.is_rejection() => manual_report.rejected += 1,
-                Some(_) => manual_report.stalled += 1,
-            }
-        }
-        for _ in reqs.len() as u64..budget {
-            manual_report.responses.extend(manual.tick(None).response);
-        }
-
-        let mut batched = mk();
-        let report = batched.run_batch(&reqs, budget);
-        assert_eq!(report, manual_report);
-        assert_eq!(batched.now(), manual.now());
-        assert_eq!(batched.metrics(), manual.metrics());
-        assert!(batched.cycles_skipped() > 0, "gaps must be skipped");
-        assert_eq!(manual.cycles_skipped(), 0);
-        // Snapshots agree byte-for-byte modulo the drive-mode counter.
-        let mut snap = batched.snapshot();
-        snap.cycles_skipped = 0;
-        assert_eq!(snap, manual.snapshot());
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn doors_match_ticks_with_malformed_requests_mid_batch() {
+        // An out-of-range address and an oversized write in the middle of
+        // a batch are rejected and counted exactly as `tick` rejects them
+        // (debug builds assert at the source instead), and the requests
+        // after them are unaffected.
+        let cfg = VpnmConfig::small_test();
+        let oob = Some(Request::read(LineAddr(1 << cfg.addr_bits)));
+        let fat = Some(Request::write(LineAddr(3), vec![0u8; cfg.cell_bytes + 1]));
+        let mut dense: Vec<Option<Request>> = (0..40u64).map(|i| read(i * 13 % 500)).collect();
+        dense[17] = oob.clone();
+        dense[23] = fat.clone();
+        assert_doors_match_ticks(&cfg, &[], &dense);
+        let mut gappy = dense.clone();
+        gappy.splice(20..20, std::iter::repeat_n(None, 150));
+        assert_doors_match_ticks(&cfg, &[], &gappy);
+        let mut mem = VpnmController::new(cfg, 7).unwrap();
+        let flat: Vec<Request> = dense.into_iter().flatten().collect();
+        let report = mem.issue_batch(&flat);
+        assert_eq!(report.rejected, 2);
+        assert_eq!(mem.metrics().malformed_rejections, 2);
     }
 
     #[test]
-    fn run_batch_skip_lands_exactly_on_retire_cycle() {
-        // One read in flight, then a pure-idle batch: the event-horizon
+    fn sparse_epoch_skip_lands_exactly_on_retire_cycle() {
+        // One read in flight, then a pure-idle epoch: the event-horizon
         // jump must stop exactly at the ring slot where the playback falls
         // due, answer it with latency D, then skip the remaining budget.
         for ratio in [1.0, 1.3, 2.0] {
             let cfg = VpnmConfig::small_test().with_bus_ratio(ratio);
-            let mut mem = VpnmController::new(cfg, 21).unwrap();
+            let mut mem = VpnmController::new(cfg.clone(), 21).unwrap();
             let d = mem.delay();
             mem.tick_write(9, vec![0x5A]);
             assert!(mem.tick_read(9).accepted());
             let before = mem.now().as_u64();
-            let report = mem.run_batch(&[], 5 * d);
+            let report = mem.run_epoch_sparse(5 * d, &[]);
             assert_eq!(report.responses.len(), 1, "ratio {ratio}");
             let r = &report.responses[0];
             assert_eq!(r.latency(), d, "ratio {ratio}");
@@ -1863,188 +1718,44 @@ mod tests {
             assert_eq!(mem.now().as_u64(), before + 5 * d, "budget fully consumed");
             assert!(mem.cycles_skipped() > 0, "idle spans must be skipped");
             assert_eq!(mem.metrics().deadline_misses, 0);
+            // The same scenario as a stream, through every door.
+            let idle = vec![None; 5 * d as usize];
+            assert_doors_match_ticks(&cfg, &[write(9, 0x5A), read(9)], &idle);
         }
     }
 
     proptest! {
-        /// `run_batch` over arbitrary traces (with idle runs long enough
-        /// to trigger event-horizon skips) is observationally identical to
-        /// the equivalent `tick` sequence: same responses, same report,
-        /// same clock, same metrics, same snapshot bytes modulo the
-        /// `cycles_skipped` drive-mode counter.
+        /// Batch door ≡ `tick` sequence over arbitrary streams — reads,
+        /// writes that merge and forward, colliding strides that stall,
+        /// idle runs long enough to trigger event-horizon skips, and an
+        /// idle budget tail — in all three encodings: the stream itself
+        /// through the option-dense and sparse doors, and its gap-free
+        /// projection through the dense door as well.
         #[test]
-        fn run_batch_equals_tick_sequence(
+        fn batch_doors_equal_tick_sequence(
             chunks in proptest::collection::vec(
                 prop_oneof![
-                    3 => (0u64..1 << 16).prop_map(|a|
-                        vec![Some(Request::read(LineAddr(a)))]),
-                    1 => (0u64..64u64, any::<u8>()).prop_map(|(a, v)|
-                        vec![Some(Request::write(LineAddr(a), vec![v]))]),
-                    2 => (1usize..100).prop_map(|n| vec![None; n]),
-                ],
-                0..40,
-            ),
-            extra in 0u64..120,
-            ratio_idx in 0usize..3,
-        ) {
-            let reqs: Vec<Option<Request>> = chunks.concat();
-            let ratio = [1.0, 1.3, 1.7][ratio_idx];
-            let cfg = VpnmConfig::small_test().with_bus_ratio(ratio);
-            let mk = || VpnmController::new(cfg.clone(), 7).unwrap();
-            let budget = reqs.len() as u64 + extra;
-
-            let mut manual = mk();
-            let mut manual_report = RunReport::default();
-            for r in &reqs {
-                let out = manual.tick(r.clone());
-                manual_report.responses.extend(out.response);
-                match out.stall {
-                    None => manual_report.accepted += u64::from(r.is_some()),
-                    Some(k) if k.is_rejection() => manual_report.rejected += 1,
-                    Some(_) => manual_report.stalled += 1,
-                }
-            }
-            for _ in reqs.len() as u64..budget {
-                manual_report.responses.extend(manual.tick(None).response);
-            }
-
-            let mut batched = mk();
-            let report = batched.run_batch(&reqs, budget);
-            prop_assert_eq!(report, manual_report);
-            prop_assert_eq!(batched.now(), manual.now());
-            prop_assert_eq!(batched.metrics(), manual.metrics());
-            let mut snap = batched.snapshot();
-            snap.cycles_skipped = 0;
-            prop_assert_eq!(snap.to_json(), manual.snapshot().to_json());
-        }
-
-        /// `run_reads` (and its streaming `run_reads_with` form) over an
-        /// address slice is observationally identical to `run_batch` over
-        /// the same stream wrapped in `Some(Request::Read)` — including
-        /// the idle tail past the end of the slice.
-        #[test]
-        fn run_reads_equals_run_batch(
-            addrs in proptest::collection::vec(0u64..1 << 16, 0..200),
-            extra in 0u64..150,
-            ratio_idx in 0usize..3,
-        ) {
-            let ratio = [1.0, 1.3, 1.7][ratio_idx];
-            let cfg = VpnmConfig::small_test().with_bus_ratio(ratio);
-            let mk = || VpnmController::new(cfg.clone(), 7).unwrap();
-            let budget = addrs.len() as u64 + extra;
-            let reqs: Vec<Option<Request>> = addrs
-                .iter()
-                .map(|&a| Some(Request::read(LineAddr(a))))
-                .collect();
-
-            let mut batched = mk();
-            let batch_report = batched.run_batch(&reqs, budget);
-
-            let mut by_addrs = mk();
-            let report = by_addrs.run_reads(&addrs, budget);
-            prop_assert_eq!(&report, &batch_report);
-            prop_assert_eq!(by_addrs.now(), batched.now());
-            prop_assert_eq!(by_addrs.metrics(), batched.metrics());
-            prop_assert_eq!(
-                by_addrs.snapshot().to_json(),
-                batched.snapshot().to_json()
-            );
-
-            let mut streamed = mk();
-            let mut sunk = Vec::new();
-            let counts = streamed.run_reads_with(&addrs, budget, |r| sunk.push(r));
-            prop_assert_eq!(sunk, batch_report.responses);
-            prop_assert_eq!(counts.accepted, batch_report.accepted);
-            prop_assert_eq!(counts.stalled, batch_report.stalled);
-            prop_assert_eq!(counts.rejected, batch_report.rejected);
-            prop_assert_eq!(counts.responses, report.responses.len() as u64);
-            prop_assert_eq!(streamed.metrics(), batched.metrics());
-        }
-
-        /// `issue_batch` over a fully dense request span (uniform,
-        /// bursty-ish write mixes, and adversarially colliding reads all
-        /// arise from the generators) is observationally identical to
-        /// `run_batch` over the `Some`-wrapped slice — same responses,
-        /// report, clock, metrics, and snapshot bytes.
-        #[test]
-        fn issue_batch_equals_run_batch(
-            reqs in proptest::collection::vec(
-                prop_oneof![
-                    4 => (0u64..1 << 16).prop_map(|a|
-                        Request::read(LineAddr(a))),
-                    1 => (0u64..64u64, any::<u8>()).prop_map(|(a, v)|
-                        Request::write(LineAddr(a), vec![v])),
+                    4 => (0u64..1 << 16).prop_map(|a| vec![read(a)]),
+                    1 => (0u64..64u64, any::<u8>()).prop_map(|(a, v)| vec![write(a, v)]),
                     // Colliding reads: a stride the low-bits baseline
                     // would funnel into one bank, to exercise stalls.
-                    1 => (0u64..256u64).prop_map(|a|
-                        Request::read(LineAddr(a * 64))),
-                ],
-                0..300,
-            ),
-            ratio_idx in 0usize..3,
-        ) {
-            let ratio = [1.0, 1.3, 1.7][ratio_idx];
-            let cfg = VpnmConfig::small_test().with_bus_ratio(ratio);
-            let mk = || VpnmController::new(cfg.clone(), 7).unwrap();
-            let dense: Vec<Option<Request>> =
-                reqs.iter().cloned().map(Some).collect();
-
-            let mut batched = mk();
-            let batch_report = batched.run_batch(&dense, dense.len() as u64);
-
-            let mut issued = mk();
-            let report = issued.issue_batch(&reqs);
-            prop_assert_eq!(report, batch_report);
-            prop_assert_eq!(issued.now(), batched.now());
-            prop_assert_eq!(issued.metrics(), batched.metrics());
-            prop_assert_eq!(
-                issued.snapshot().to_json(),
-                batched.snapshot().to_json()
-            );
-        }
-
-        /// `run_sparse` over the `(offset, request)` encoding of a trace
-        /// is observationally identical to `run_batch` over its dense
-        /// form — including the skip accounting, since both jump exactly
-        /// the same idle gaps.
-        #[test]
-        fn run_sparse_equals_run_batch(
-            chunks in proptest::collection::vec(
-                prop_oneof![
-                    3 => (0u64..1 << 16).prop_map(|a|
-                        vec![Some(Request::read(LineAddr(a)))]),
-                    1 => (0u64..64u64, any::<u8>()).prop_map(|(a, v)|
-                        vec![Some(Request::write(LineAddr(a), vec![v]))]),
+                    1 => (0u64..256u64).prop_map(|a| vec![read(a * 64)]),
                     2 => (1usize..100).prop_map(|n| vec![None; n]),
                 ],
-                0..40,
+                0..60,
             ),
             tail in 0usize..120,
+            warm in 0usize..40,
             ratio_idx in 0usize..3,
         ) {
-            let mut reqs: Vec<Option<Request>> = chunks.concat();
-            reqs.extend(std::iter::repeat_n(None, tail));
-            let sparse: Vec<(u64, Request)> = reqs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| r.clone().map(|r| (i as u64, r)))
-                .collect();
-            let ratio = [1.0, 1.3, 1.7][ratio_idx];
-            let cfg = VpnmConfig::small_test().with_bus_ratio(ratio);
-            let mk = || VpnmController::new(cfg.clone(), 9).unwrap();
-
-            let mut dense_run = mk();
-            let dense_report = dense_run.run_batch(&reqs, reqs.len() as u64);
-
-            let mut sparse_run = mk();
-            let report = sparse_run.run_sparse(reqs.len() as u64, &sparse);
-            prop_assert_eq!(report, dense_report);
-            prop_assert_eq!(sparse_run.now(), dense_run.now());
-            prop_assert_eq!(sparse_run.cycles_skipped(), dense_run.cycles_skipped());
-            prop_assert_eq!(
-                sparse_run.snapshot().to_json(),
-                dense_run.snapshot().to_json()
-            );
+            let mut stream: Vec<Option<Request>> = chunks.concat();
+            stream.extend(std::iter::repeat_n(None, tail));
+            let cfg = VpnmConfig::small_test().with_bus_ratio([1.0, 1.3, 1.7][ratio_idx]);
+            let warm = warm.min(stream.len());
+            assert_doors_match_ticks(&cfg, &stream[..warm], &stream[warm..]);
+            let dense: Vec<Option<Request>> =
+                stream.iter().filter(|slot| slot.is_some()).cloned().collect();
+            assert_doors_match_ticks(&cfg, &[], &dense);
         }
     }
 
@@ -2059,8 +1770,9 @@ mod tests {
             let d = mem.delay();
             mem.tick_write(9, vec![0x77]);
             // long idle stretch — fast-forwarded internally
-            let idle = mem.run(10 * d, |_| None);
-            assert!(idle.responses.is_empty());
+            for _ in 0..10 * d {
+                assert!(mem.tick(None).response.is_none());
+            }
             let out = mem.tick_read(9);
             assert!(out.accepted());
             let responses = mem.drain();

@@ -294,41 +294,14 @@ impl DelayStorageBuffer {
         self.cam.get(addr).map(|e| e.row)
     }
 
-    /// Issues a hardware prefetch for `p`'s cache line (see
-    /// [`crate::prefetch::prefetch_read`], shared with the serving
-    /// layer's batched flow-table probes).
-    #[inline]
-    fn warm<T>(p: *const T) {
-        crate::prefetch::prefetch_read(p);
-    }
-
-    /// Warms the CAM home slot of `addr` so a
-    /// [`DelayStorageBuffer::lookup_hinted`] issued a few cycles later
-    /// finds the line already in cache. Semantically a no-op.
-    #[inline]
-    pub fn prefetch(&self, addr: LineAddr) {
-        let i = self.cam.home(addr);
-        Self::warm(&raw const self.cam.slots[i]);
-    }
-
-    /// Warms a row ahead of its playback deadline (see
-    /// [`DelayStorageBuffer::prefetch`]) — by playback time the row was
-    /// last touched a full bank access ago and has long left the cache.
+    /// Warms a row ahead of its playback deadline with a hardware
+    /// prefetch ([`crate::prefetch::prefetch_read`], shared with the
+    /// serving layer's batched flow-table probes) — by playback time the
+    /// row was last touched a full bank access ago and has long left the
+    /// cache. Semantically a no-op.
     #[inline]
     pub fn prefetch_row(&self, row: RowId) {
-        Self::warm(&raw const self.rows[row as usize]);
-    }
-
-    /// Second warmup stage before a playback: with the row line already
-    /// resident (an earlier [`DelayStorageBuffer::prefetch_row`]), touch
-    /// the CAM slot its unlink will hit — the row's cached slot, exact
-    /// unless a backward shift moved the entry since.
-    #[inline]
-    pub fn prefetch_playback(&self, row: RowId) {
-        let r = &self.rows[row as usize];
-        if r.addr_valid {
-            Self::warm(&raw const self.cam.slots[r.cam_slot as usize]);
-        }
+        crate::prefetch::prefetch_read(&raw const self.rows[row as usize]);
     }
 
     /// CAM search that, on a miss, hands back the insert position as a

@@ -157,7 +157,8 @@ type EpochDone<M> = Vec<(usize, M, RunReport)>;
 ///
 /// [`VpnmFabric::tick`] is the sequential lockstep path: one interface
 /// cycle at a time, every channel stepped in channel order.
-/// [`VpnmFabric::run_epoch`] batches a span of cycles into an **epoch**:
+/// The batch doors ([`PipelinedMemory::run_epoch_sparse`] and its dense /
+/// option-dense encodings) hand a span of cycles over as an **epoch**:
 /// the router scatters the span's requests into per-channel lanes,
 /// channels advance through the whole epoch independently (sequentially,
 /// or on a persistent [`WorkerPool`] after [`VpnmFabric::set_workers`]),
@@ -175,7 +176,7 @@ pub struct VpnmFabric<M: PipelinedMemory = crate::VpnmController> {
     /// routing (a bit select would alias them into a valid channel), so
     /// their counts live here and fold into the merged snapshot.
     fabric_metrics: ControllerMetrics,
-    /// Persistent worker pool for [`VpnmFabric::run_epoch`]; `None` (the
+    /// Persistent worker pool for the epoch path; `None` (the
     /// default) runs epochs on the caller's thread.
     pool: Option<WorkerPool<EpochJob<M>, EpochDone<M>>>,
     /// Token buckets throttling the ingress when QoS is configured with a
@@ -194,6 +195,17 @@ pub struct VpnmFabric<M: PipelinedMemory = crate::VpnmController> {
 /// stride.
 fn channel_seed(seed: u64, channel: u32) -> u64 {
     seed ^ u64::from(channel).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// `req` re-addressed to the channel-local line `local` (payload shared,
+/// tenant kept).
+fn localized(req: &Request, local: u64) -> Request {
+    match req {
+        Request::Read { tenant, .. } => Request::Read { addr: LineAddr(local), tenant: *tenant },
+        Request::Write { data, tenant, .. } => {
+            Request::Write { addr: LineAddr(local), data: data.clone(), tenant: *tenant }
+        }
+    }
 }
 
 impl<M: PipelinedMemory> VpnmFabric<M> {
@@ -357,15 +369,7 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
             } else {
                 let (ch, local) = self.selector.route(req.addr().0);
                 if self.admit(&req, ch, local, self.now + 1) {
-                    let local_req = match req {
-                        Request::Read { tenant, .. } => {
-                            Request::Read { addr: LineAddr(local), tenant }
-                        }
-                        Request::Write { data, tenant, .. } => {
-                            Request::Write { addr: LineAddr(local), data, tenant }
-                        }
-                    };
-                    target = Some((ch as usize, local_req));
+                    target = Some((ch as usize, localized(&req, local)));
                 } else {
                     // Deferred, not dropped: the channels still advance
                     // this cycle (lockstep), the request just never
@@ -404,13 +408,13 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
         TickOutput { response, stall }
     }
 
-    /// Workers driving [`VpnmFabric::run_epoch`]: `1` means epochs run on
+    /// Workers driving the epoch path: `1` means epochs run on
     /// the caller's thread (no pool).
     pub fn workers(&self) -> usize {
         self.pool.as_ref().map_or(1, WorkerPool::workers)
     }
 
-    /// Switches [`VpnmFabric::run_epoch`] between on-thread execution
+    /// Switches the epoch path between on-thread execution
     /// (`workers <= 1`) and a persistent [`WorkerPool`] of `workers`
     /// threads (clamped to the channel count — extra workers would only
     /// idle). Channel `c` is always served by worker `c % workers`, so
@@ -441,159 +445,90 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
         }));
     }
 
-    /// Advances the whole fabric `requests.len()` interface cycles as one
-    /// **epoch**: `requests[i]` is the request presented at fabric cycle
-    /// `now + i` (`None` = idle). Equivalent to that many
-    /// [`VpnmFabric::tick`] calls — byte-identical responses (in exact
-    /// cycle order), stall counts, and merged snapshots, modulo the
-    /// `cycles_skipped` drive-mode counter — but executed channel-major:
-    /// requests are routed into sparse per-channel lanes up front, each
-    /// channel advances through the full epoch independently via
-    /// [`PipelinedMemory::run_epoch_sparse`] (so per-channel batched
-    /// hashing applies and a channel jumps straight across the cycles
-    /// that belong to its siblings — the work per epoch scales with the
-    /// requests and responses, not with `channels x cycles` — and
-    /// channels can run on [`VpnmFabric::set_workers`] pool threads),
-    /// and the epoch barrier merges responses back into cycle order. At most one
-    /// response is due per fabric cycle (shared pinned `D`), so the merge
-    /// key `completed_at` is unique and the order exact.
-    pub fn run_epoch(&mut self, requests: &[Option<Request>]) -> RunReport {
+    /// The one epoch router behind every batch door: advances the whole
+    /// fabric `len` interface cycles, presenting request `k` of `count` at
+    /// fabric cycle `now + at(k).0` (a sparse epoch; `at` is the door's
+    /// view of its own encoding, exactly as in the controller's drive
+    /// loop). Equivalent to that many [`VpnmFabric::tick`] calls —
+    /// byte-identical responses (in exact cycle order), stall counts, and
+    /// merged snapshots, modulo the `cycles_skipped` drive-mode counter —
+    /// but executed channel-major: malformed requests are held at the
+    /// fabric edge exactly like `tick` holds them (same rejection kind,
+    /// same recording cycle), channel selection runs as one batched pass
+    /// over the presented addresses ([`ChannelSelector::route_batch`],
+    /// SIMD-backed for the keyed permutation), admission runs serially in
+    /// cycle order, and the survivors scatter into sparse per-channel
+    /// lanes that each channel then advances through independently via
+    /// [`PipelinedMemory::run_epoch_sparse`] — jumping straight across
+    /// the cycles that belong to its siblings, so the work per epoch
+    /// scales with the requests and responses, not with `channels x
+    /// cycles`, and channels can run on [`VpnmFabric::set_workers`] pool
+    /// threads.
+    ///
+    /// `bypass` is the single-channel hand-off: with one channel the
+    /// selector is the identity (zero channel bits), so routing,
+    /// local-address translation, and the barrier merge are all pure
+    /// overhead, and the door passes its span to the engine in the
+    /// encoding it arrived in. Only a well-formed, QoS-less span bypasses
+    /// — malformed requests must be rejected *at the fabric*, and
+    /// per-request admission and ledger accounting live in the routed
+    /// path.
+    fn route<'a>(
+        &mut self,
+        len: u64,
+        count: usize,
+        at: impl Fn(usize) -> (u64, &'a Request),
+        bypass: impl FnOnce(&mut M) -> RunReport,
+    ) -> RunReport {
+        debug_assert!(
+            (1..count).all(|k| at(k - 1).0 < at(k).0) && (count == 0 || at(count - 1).0 < len),
+            "offsets must be strictly increasing and < len"
+        );
         let mut report = RunReport::default();
-        if requests.is_empty() {
+        if len == 0 {
             return report;
         }
-        // Single-channel fast path: the selector is the identity (zero
-        // channel bits), so routing, local-address translation, and the
-        // barrier merge are all pure overhead — hand the engine the span
-        // directly. Only the well-formed case bypasses: a malformed
-        // request must be rejected *at the fabric* with fabric-level
-        // accounting, so any such span takes the generic path below —
-        // and so does any QoS-tracked fabric, whose per-request
-        // admission and ledger accounting live in that path.
         if self.channels.len() == 1
             && self.ledger.is_none()
-            && requests.iter().flatten().all(|req| self.validate(req).is_none())
+            && (0..count).all(|k| self.validate(at(k).1).is_none())
         {
-            let report = self.channels[0].run_epoch(requests);
-            self.now += requests.len() as u64;
-            return report;
+            self.now += len;
+            return bypass(&mut self.channels[0]);
         }
-        // Route: scatter the span into sparse per-channel request lanes,
-        // holding malformed requests at the fabric edge exactly like
-        // `tick` does (same rejection kind, same recording cycle). Lanes
-        // are sparse `(offset, request)` pairs — the routing pass writes
-        // one entry per presented request, not one slot per channel per
-        // cycle, and each channel later jumps the gaps its lane encodes.
-        // Channel selection runs as one batched pass over the presented
-        // addresses ([`ChannelSelector::route_batch`], SIMD-backed for
-        // the keyed permutation), then the requests scatter to lanes.
-        let len = requests.len() as u64;
-        let mut offsets: Vec<u64> = Vec::with_capacity(requests.len());
-        let mut addrs: Vec<u64> = Vec::with_capacity(requests.len());
-        for (i, slot) in requests.iter().enumerate() {
-            let Some(req) = slot else { continue };
+        // `kept[j]` indexes the j-th well-formed request; `addrs[j]` is
+        // its fabric address, routed to `(chans[j], locals[j])`.
+        let mut kept: Vec<usize> = Vec::with_capacity(count);
+        let mut addrs: Vec<u64> = Vec::with_capacity(count);
+        for k in 0..count {
+            let (offset, req) = at(k);
             if let Some(kind) = self.validate(req) {
                 report.rejected += 1;
-                self.fabric_metrics.record_stall(kind, Cycle::new(self.now + i as u64 + 1));
+                self.fabric_metrics.record_stall(kind, Cycle::new(self.now + offset + 1));
                 continue;
             }
-            offsets.push(i as u64);
+            kept.push(k);
             addrs.push(req.addr().0);
         }
         let mut chans = vec![0u32; addrs.len()];
         let mut locals = vec![0u64; addrs.len()];
         self.selector.route_batch(&addrs, &mut chans, &mut locals);
         let mut lanes: Vec<SparseLane> = vec![Vec::new(); self.channels.len()];
-        for (k, &i) in offsets.iter().enumerate() {
-            let req = requests[i as usize].as_ref().expect("offsets index presented requests");
+        for (j, &k) in kept.iter().enumerate() {
+            let (offset, req) = at(k);
             // Admission runs serially in offset (= cycle) order at the
             // exact cycle `tick` would present the request, so the epoch
             // path defers the same requests the sequential path does.
-            if !self.admit(req, chans[k], locals[k], self.now + i + 1) {
+            if !self.admit(req, chans[j], locals[j], self.now + offset + 1) {
                 report.stalled += 1;
                 continue;
             }
-            lanes[chans[k] as usize].push((
-                i,
-                match req {
-                    Request::Read { tenant, .. } => {
-                        Request::Read { addr: LineAddr(locals[k]), tenant: *tenant }
-                    }
-                    Request::Write { data, tenant, .. } => Request::Write {
-                        addr: LineAddr(locals[k]),
-                        data: data.clone(),
-                        tenant: *tenant,
-                    },
-                },
-            ));
+            lanes[chans[j] as usize].push((offset, localized(req, locals[j])));
         }
         self.execute_lanes(len, lanes, &mut report);
         report
     }
 
-    /// Dense batch issue at the fabric: advances `requests.len()` cycles
-    /// presenting `requests[i]` on cycle `i` — [`VpnmFabric::run_epoch`]
-    /// for saturated spans, with no `Option` slots to scan. A
-    /// single-channel fabric hands the span straight to its engine's
-    /// [`PipelinedMemory::issue_batch`] dense path; a multi-channel one
-    /// batch-routes and runs the usual sparse-lane epoch (each channel
-    /// still sees only its `1/C` slice, so its lane is inherently
-    /// sparse).
-    pub fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
-        let mut report = RunReport::default();
-        if requests.is_empty() {
-            return report;
-        }
-        if self.channels.len() == 1
-            && self.ledger.is_none()
-            && requests.iter().all(|req| self.validate(req).is_none())
-        {
-            let report = self.channels[0].issue_batch(requests);
-            self.now += requests.len() as u64;
-            return report;
-        }
-        let len = requests.len() as u64;
-        let mut offsets: Vec<u64> = Vec::with_capacity(requests.len());
-        let mut addrs: Vec<u64> = Vec::with_capacity(requests.len());
-        for (i, req) in requests.iter().enumerate() {
-            if let Some(kind) = self.validate(req) {
-                report.rejected += 1;
-                self.fabric_metrics.record_stall(kind, Cycle::new(self.now + i as u64 + 1));
-                continue;
-            }
-            offsets.push(i as u64);
-            addrs.push(req.addr().0);
-        }
-        let mut chans = vec![0u32; addrs.len()];
-        let mut locals = vec![0u64; addrs.len()];
-        self.selector.route_batch(&addrs, &mut chans, &mut locals);
-        let mut lanes: Vec<SparseLane> = vec![Vec::new(); self.channels.len()];
-        for (k, &i) in offsets.iter().enumerate() {
-            let req = &requests[i as usize];
-            if !self.admit(req, chans[k], locals[k], self.now + i + 1) {
-                report.stalled += 1;
-                continue;
-            }
-            lanes[chans[k] as usize].push((
-                i,
-                match req {
-                    Request::Read { tenant, .. } => {
-                        Request::Read { addr: LineAddr(locals[k]), tenant: *tenant }
-                    }
-                    Request::Write { data, tenant, .. } => Request::Write {
-                        addr: LineAddr(locals[k]),
-                        data: data.clone(),
-                        tenant: *tenant,
-                    },
-                },
-            ));
-        }
-        self.execute_lanes(len, lanes, &mut report);
-        report
-    }
-
-    /// The execute-and-merge half of an epoch, shared by
-    /// [`VpnmFabric::run_epoch`] and [`VpnmFabric::issue_batch`]: runs
+    /// The execute-and-merge half of [`VpnmFabric::route`]: runs
     /// every channel through its sparse lane (on-thread or on the worker
     /// pool), folds the per-channel reports into `report`, and
     /// barrier-merges the response streams back into exact cycle order.
@@ -706,15 +641,6 @@ impl VpnmFabric<crate::VpnmController> {
     pub fn new(config: FabricConfig, seed: u64) -> Result<Self, String> {
         VpnmFabric::with_engines(config, seed, |_, cfg, s| crate::VpnmController::new(cfg, s))
     }
-
-    /// Aggregate statistics of all per-channel DRAM devices.
-    pub fn merged_dram_stats(&self) -> vpnm_dram::DramStats {
-        let mut stats = vpnm_dram::DramStats::default();
-        for ch in &self.channels {
-            stats.merge_from(ch.dram_stats());
-        }
-        stats
-    }
 }
 
 impl VpnmFabric<crate::ReferenceController> {
@@ -727,15 +653,6 @@ impl VpnmFabric<crate::ReferenceController> {
     /// Returns the validation failure message for an inconsistent config.
     pub fn new_reference(config: FabricConfig, seed: u64) -> Result<Self, String> {
         VpnmFabric::with_engines(config, seed, |_, cfg, s| crate::ReferenceController::new(cfg, s))
-    }
-
-    /// Aggregate statistics of all per-channel DRAM devices.
-    pub fn merged_dram_stats(&self) -> vpnm_dram::DramStats {
-        let mut stats = vpnm_dram::DramStats::default();
-        for ch in &self.channels {
-            stats.merge_from(ch.dram_stats());
-        }
-        stats
     }
 }
 
@@ -756,16 +673,24 @@ impl<M: PipelinedMemory> PipelinedMemory for VpnmFabric<M> {
         VpnmFabric::now(self)
     }
 
-    fn run_epoch(&mut self, requests: &[Option<Request>]) -> RunReport {
-        // The channel-major epoch path (not the trait's tick-loop
-        // default): per-channel batching, idle-span skipping, and the
-        // worker pool when one is configured.
-        VpnmFabric::run_epoch(self, requests)
+    fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
+        self.route(
+            len,
+            requests.len(),
+            |k| (requests[k].0, &requests[k].1),
+            |engine| engine.run_epoch_sparse(len, requests),
+        )
     }
 
     fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
-        // Batch-routed dense issue (single-channel bypass included).
-        VpnmFabric::issue_batch(self, requests)
+        // Dense view: offset(k) == k. (The option-dense `run_epoch` door
+        // is the trait default, which re-encodes onto `run_epoch_sparse`.)
+        self.route(
+            requests.len() as u64,
+            requests.len(),
+            |k| (k as u64, &requests[k]),
+            |engine| engine.issue_batch(requests),
+        )
     }
 
     fn snapshot(&self) -> Option<MetricsSnapshot> {
@@ -783,6 +708,7 @@ impl<M: PipelinedMemory> PipelinedMemory for VpnmFabric<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::{sparse_of, ticked};
     use crate::{IdealMemory, VpnmController};
 
     fn fabric_config(channels: u32, select: ChannelSelect) -> FabricConfig {
@@ -969,75 +895,68 @@ mod tests {
         snap.to_json()
     }
 
-    #[test]
-    fn run_epoch_matches_tick_sequence() {
-        for channels in [1, 4] {
-            let cfg = fabric_config(channels, ChannelSelect::UniversalHash);
-            let mut ticked = VpnmFabric::new(cfg.clone(), 0xEE).unwrap();
-            let mut epoched = VpnmFabric::new(cfg, 0xEE).unwrap();
-            let stream = epoch_stream(1200, 77);
-
-            let mut tick_responses = Vec::new();
-            let mut tick_accepted = 0u64;
-            for req in &stream {
-                let out = VpnmFabric::tick(&mut ticked, req.clone());
-                tick_accepted += u64::from(req.is_some() && out.accepted());
-                tick_responses.extend(out.response);
-            }
-            // Two epochs with a seam in the middle: responses issued in
-            // epoch one may come due in epoch two.
-            let (a, b) = stream.split_at(500);
-            let ra = epoched.run_epoch(a);
-            let rb = epoched.run_epoch(b);
-            assert_eq!(u64::from(epoched.now()), stream.len() as u64, "{channels}ch");
-            assert_eq!(ra.accepted + rb.accepted, tick_accepted, "{channels}ch");
-
-            let epoch_responses: Vec<_> = ra.responses.into_iter().chain(rb.responses).collect();
-            assert_eq!(epoch_responses, tick_responses, "{channels}ch");
-            assert_eq!(
-                PipelinedMemory::drain(&mut epoched),
-                PipelinedMemory::drain(&mut ticked),
-                "{channels}ch"
-            );
-            assert_eq!(
-                snapshot_sans_skips(&epoched),
-                snapshot_sans_skips(&ticked),
-                "{channels}ch: snapshots must agree modulo cycles_skipped"
-            );
+    /// The fabric's one drive-path property: **batch door ≡ `tick`
+    /// sequence**. Ticks `stream` through an oracle fabric, then runs it
+    /// as two epochs (a seam at `seam`: reads issued in the first come
+    /// due in the second) through every encoding that can express it —
+    /// option-dense, sparse, and dense when no slot is idle — on fabrics
+    /// built by `mk`, demanding identical reports, clock, drain and
+    /// snapshot (modulo `cycles_skipped`; the snapshot's tenant section
+    /// carries the regulator's per-tenant issued/deferred ledger).
+    fn assert_doors_match_ticks<F: PipelinedMemory>(
+        mk: impl Fn() -> F,
+        stream: &[Option<Request>],
+        seam: usize,
+    ) {
+        let state = |fab: &F| {
+            let mut snap = fab.snapshot().expect("fabrics of controllers keep metrics");
+            snap.cycles_skipped = 0;
+            snap.to_json()
+        };
+        let mut oracle = mk();
+        let want = ticked(&mut oracle, stream);
+        let spans = [&stream[..seam], &stream[seam..]];
+        let dense = spans.map(|span| span.iter().cloned().collect::<Option<Vec<Request>>>());
+        type Door<'a, F> = Box<dyn Fn(&mut F, usize) -> RunReport + 'a>;
+        let mut doors: Vec<(&str, Door<'_, F>)> = vec![
+            ("run_epoch", Box::new(|f, e| f.run_epoch(spans[e]))),
+            (
+                "run_epoch_sparse",
+                Box::new(|f, e| f.run_epoch_sparse(spans[e].len() as u64, &sparse_of(spans[e]))),
+            ),
+        ];
+        if let [Some(a), Some(b)] = &dense {
+            doors.push(("issue_batch", Box::new(move |f, e| f.issue_batch([a, b][e]))));
+        }
+        let (want_now, want_state) = (oracle.now(), state(&oracle));
+        let want_drained = oracle.drain();
+        for (door, run) in &doors {
+            let mut fab = mk();
+            let mut got = run(&mut fab, 0);
+            let second = run(&mut fab, 1);
+            got.accepted += second.accepted;
+            got.stalled += second.stalled;
+            got.rejected += second.rejected;
+            got.responses.extend(second.responses);
+            assert_eq!(got, want, "{door}: report");
+            assert_eq!(fab.now(), want_now, "{door}: clock");
+            assert_eq!(state(&fab), want_state, "{door}: snapshot");
+            assert_eq!(fab.drain(), want_drained, "{door}: drain");
         }
     }
 
     #[test]
-    fn issue_batch_matches_run_epoch() {
-        // Dense spans (every cycle presents a request) through the batch
-        // door must be byte-identical to the Option-slotted epoch path —
-        // including across the single-channel bypass and the epoch seam.
+    fn batch_doors_match_tick_sequence() {
+        // Gappy and gap-free streams, across the single-channel bypass
+        // and the routed multi-channel path.
+        let gappy = epoch_stream(1200, 77);
+        let dense: Vec<Option<Request>> =
+            epoch_stream(1200, 31).into_iter().filter(Option::is_some).collect();
         for channels in [1u32, 4] {
             let cfg = fabric_config(channels, ChannelSelect::UniversalHash);
-            let mut epoched = VpnmFabric::new(cfg.clone(), 0xAB).unwrap();
-            let mut batched = VpnmFabric::new(cfg, 0xAB).unwrap();
-            let dense: Vec<Request> = epoch_stream(1200, 31).into_iter().flatten().collect();
-            let slotted: Vec<Option<Request>> = dense.iter().cloned().map(Some).collect();
-
-            let (sa, sb) = slotted.split_at(500);
-            let (da, db) = dense.split_at(500);
-            let ra = epoched.run_epoch(sa);
-            let rb = epoched.run_epoch(sb);
-            let ba = batched.issue_batch(da);
-            let bb = batched.issue_batch(db);
-            assert_eq!(ba, ra, "{channels}ch");
-            assert_eq!(bb, rb, "{channels}ch");
-            assert_eq!(batched.now(), epoched.now(), "{channels}ch");
-            assert_eq!(
-                PipelinedMemory::drain(&mut batched),
-                PipelinedMemory::drain(&mut epoched),
-                "{channels}ch"
-            );
-            assert_eq!(
-                snapshot_sans_skips(&batched),
-                snapshot_sans_skips(&epoched),
-                "{channels}ch"
-            );
+            let mk = || VpnmFabric::new(cfg.clone(), 0xEE).unwrap();
+            assert_doors_match_ticks(mk, &gappy, 500);
+            assert_doors_match_ticks(mk, &dense, 500);
         }
     }
 
@@ -1156,63 +1075,70 @@ mod tests {
         assert!((190..=202).contains(&issued), "issued {issued}");
     }
 
+    /// `epoch_stream` with its requests dealt round-robin to two tenants.
+    fn two_tenant_stream(n: u64, seed: u64) -> Vec<Option<Request>> {
+        epoch_stream(n, seed)
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                let tenant = crate::TenantId((i % 2) as u16);
+                slot.map(|req| match req {
+                    Request::Read { addr, .. } => Request::read_as(tenant, addr),
+                    Request::Write { addr, data, .. } => Request::write_as(tenant, addr, data),
+                })
+            })
+            .collect()
+    }
+
     #[test]
     fn regulated_epoch_path_matches_tick_sequence() {
-        // Regulation must be drive-mode invariant: tick-by-tick, epoch,
-        // and pooled-epoch execution defer the same requests and produce
-        // byte-identical snapshots — including through the (now disabled)
-        // single-channel bypass.
-        for channels in [1u32, 4] {
+        // Regulation must be drive-mode invariant: tick-by-tick, on-thread
+        // epochs and pooled epochs at every worker count defer the same
+        // requests and produce byte-identical snapshots — per-bank and
+        // global budgets, including through the single-channel fabric
+        // (whose bypass a QoS section disables).
+        let stream = two_tenant_stream(900, 5);
+        for (channels, qos) in [
+            (1u32, qos_config(RegulatorMode::PerBank, 1, 2, 4)),
+            (4, qos_config(RegulatorMode::PerBank, 1, 2, 4)),
+            (8, qos_config(RegulatorMode::Global, 1, 4, 2)),
+        ] {
             let mut cfg = fabric_config(channels, ChannelSelect::UniversalHash);
-            cfg.qos = Some(qos_config(RegulatorMode::PerBank, 1, 2, 4));
-            let stream: Vec<Option<Request>> = epoch_stream(900, 5)
-                .into_iter()
-                .enumerate()
-                .map(|(i, slot)| {
-                    slot.map(|req| match req {
-                        Request::Read { addr, .. } => {
-                            Request::read_as(crate::TenantId((i % 2) as u16), addr)
-                        }
-                        Request::Write { addr, data, .. } => {
-                            Request::write_as(crate::TenantId((i % 2) as u16), addr, data)
-                        }
-                    })
-                })
-                .collect();
-
-            let mut ticked = VpnmFabric::new(cfg.clone(), 0xEE).unwrap();
-            let mut tick_responses = Vec::new();
-            let mut tick_throttled = 0u64;
-            for req in &stream {
-                let out = VpnmFabric::tick(&mut ticked, req.clone());
-                tick_throttled += u64::from(out.stall == Some(StallKind::Throttled));
-                tick_responses.extend(out.response);
+            cfg.qos = Some(qos);
+            let mut probe = VpnmFabric::new(cfg.clone(), 0xEE).unwrap();
+            assert!(
+                ticked(&mut probe, &stream).stalled > 0,
+                "{channels}ch: the stream must exercise deferral"
+            );
+            for workers in [1usize, 2, 3, 8] {
+                let mk = || {
+                    let mut fab = VpnmFabric::new(cfg.clone(), 0xEE).unwrap();
+                    fab.set_workers(workers);
+                    fab
+                };
+                assert_doors_match_ticks(mk, &stream, 333);
             }
-            assert!(tick_throttled > 0, "{channels}ch: the stream must exercise deferral");
-
-            let mut epoched = VpnmFabric::new(cfg.clone(), 0xEE).unwrap();
-            let (a, b) = stream.split_at(333);
-            let ra = epoched.run_epoch(a);
-            let rb = epoched.run_epoch(b);
-            let epoch_responses: Vec<_> = ra.responses.into_iter().chain(rb.responses).collect();
-            assert_eq!(epoch_responses, tick_responses, "{channels}ch");
-            assert_eq!(ticked.tenant_ledger(), epoched.tenant_ledger(), "{channels}ch");
-
-            let mut pooled = VpnmFabric::new(cfg, 0xEE).unwrap();
-            pooled.set_workers(4);
-            let mut pooled_responses = Vec::new();
-            for span in stream.chunks(250) {
-                pooled_responses.extend(pooled.run_epoch(span).responses);
-            }
-            assert_eq!(pooled_responses, tick_responses, "{channels}ch");
-            assert_eq!(ticked.tenant_ledger(), pooled.tenant_ledger(), "{channels}ch");
-
-            PipelinedMemory::drain(&mut ticked);
-            PipelinedMemory::drain(&mut epoched);
-            PipelinedMemory::drain(&mut pooled);
-            assert_eq!(snapshot_sans_skips(&epoched), snapshot_sans_skips(&ticked), "{channels}ch");
-            assert_eq!(snapshot_sans_skips(&pooled), snapshot_sans_skips(&ticked), "{channels}ch");
         }
+    }
+
+    #[test]
+    fn boxed_fabric_forwards_the_batch_doors() {
+        // Through `Box<dyn PipelinedMemory>` the doors must land on the
+        // fabric's native epoch path, not on the trait's tick-loop
+        // defaults: same bytes as the ticked oracle, and the channels'
+        // event-horizon skips show up in the merged snapshot.
+        let mut cfg = fabric_config(4, ChannelSelect::UniversalHash);
+        cfg.qos = Some(qos_config(RegulatorMode::Global, 1, 4, 2));
+        let stream = two_tenant_stream(900, 9);
+        let mk = || -> Box<dyn PipelinedMemory> {
+            let mut fab = VpnmFabric::new(cfg.clone(), 0xEE).unwrap();
+            fab.set_workers(2);
+            Box::new(fab)
+        };
+        assert_doors_match_ticks(mk, &stream, 400);
+        let mut boxed = mk();
+        boxed.run_epoch_sparse(stream.len() as u64, &sparse_of(&stream));
+        assert!(boxed.snapshot().unwrap().cycles_skipped > 0, "native path skips idle spans");
     }
 
     #[test]
@@ -1239,14 +1165,27 @@ mod tests {
 
     #[cfg(not(debug_assertions))]
     #[test]
-    fn run_epoch_rejects_malformed_like_tick() {
-        let mut fab = VpnmFabric::new(fabric_config(2, ChannelSelect::LowBits), 1).unwrap();
-        let oob = 1u64 << fab.config().base.addr_bits;
-        let spans = [None, Some(Request::read(LineAddr(oob))), Some(Request::read(LineAddr(3)))];
-        let r = fab.run_epoch(&spans.to_vec());
-        assert_eq!(r.rejected, 1);
-        assert_eq!(r.accepted, 1);
-        assert_eq!(fab.fabric_rejections(), 1);
+    fn batch_doors_reject_malformed_like_tick() {
+        // Rejected at the fabric edge with fabric-level accounting — on
+        // the routed path and on a single channel, where a malformed
+        // request must keep the span off the bypass.
+        for channels in [1u32, 2] {
+            let cfg = fabric_config(channels, ChannelSelect::LowBits);
+            let oob = Request::read(LineAddr(1u64 << cfg.base.addr_bits));
+            let fat = Request::write(LineAddr(5), vec![0; cfg.base.cell_bytes + 1]);
+            let span = [None, Some(oob.clone()), Some(Request::read(LineAddr(3)))];
+            let mut fab = VpnmFabric::new(cfg.clone(), 1).unwrap();
+            let r = fab.run_epoch(&span);
+            assert_eq!((r.rejected, r.accepted), (1, 1));
+            assert_eq!(fab.fabric_rejections(), 1);
+
+            let mut dense: Vec<Option<Request>> =
+                epoch_stream(300, 3).into_iter().filter(Option::is_some).collect();
+            dense[100] = Some(oob);
+            dense[200] = Some(fat);
+            let mk = || VpnmFabric::new(cfg.clone(), 1).unwrap();
+            assert_doors_match_ticks(mk, &dense, 150);
+        }
     }
 
     #[cfg(not(debug_assertions))]

@@ -70,7 +70,7 @@ pub mod snapshot;
 pub mod write_buffer;
 
 pub use config::{SchedulerKind, VpnmConfig};
-pub use controller::{RunCounts, RunReport, StallPolicy, VpnmController};
+pub use controller::{RunReport, StallPolicy, VpnmController};
 pub use fabric::{ChannelSelect, ChannelSelector, FabricConfig, VpnmFabric};
 pub use forensics::{ForensicEvent, ForensicKind, ForensicRing};
 pub use hash_engine::{HashEngine, HashKind};

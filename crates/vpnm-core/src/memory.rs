@@ -83,29 +83,34 @@ pub trait PipelinedMemory {
         out
     }
 
-    /// Advances `requests.len()` interface cycles as one **epoch**,
-    /// presenting `requests[i]` on cycle `i`, and returns the collected
-    /// responses (in delivery order) plus acceptance counts.
+    /// Advances `len` interface cycles as one **sparse epoch** —
+    /// presenting `requests[k].1` on cycle `requests[k].0` (offsets
+    /// strictly increasing, `< len`), every other cycle idle — and returns
+    /// the collected responses (in delivery order) plus acceptance counts.
     ///
-    /// This is the batched front door the epoch-synchronized
-    /// [`crate::VpnmFabric`] workers drive: one call hands an engine a
-    /// whole span of cycles, so implementations can amortize per-cycle
-    /// costs across the span. The contract is observational equivalence
+    /// This is the one batch primitive of the stack: the
+    /// [`crate::VpnmFabric`] feeds each channel its `1/C` lane through it,
+    /// the packet buffer and the serving loop issue whole scheduling
+    /// epochs through it, and the two other batch doors below are
+    /// re-encodings onto it. The contract is observational equivalence
     /// with the per-tick path: responses, stall accounting, clock, and
     /// metrics must be exactly what the equivalent
     /// [`PipelinedMemory::tick`] sequence produces. The one sanctioned
     /// exception is the `cycles_skipped` drive-mode counter — engines
-    /// with event-horizon skipping ([`crate::VpnmController`], which
-    /// routes this method to its `run_batch`) account skipped idle spans
-    /// there, while the per-tick path grinds through them.
-    fn run_epoch(&mut self, requests: &[Option<Request>]) -> RunReport {
+    /// with event-horizon skipping ([`crate::VpnmController`]) account
+    /// jumped idle spans there, making their cost proportional to the
+    /// requests and responses in the span rather than to `len`.
+    ///
+    /// The default is the trait's only tick-driven loop, correct for
+    /// every engine.
+    fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
         let mut report = RunReport::default();
-        for req in requests {
-            let presented = req.is_some();
-            let out = self.tick(req.clone());
-            if let Some(r) = out.response {
-                report.responses.push(r);
-            }
+        let mut pending = requests.iter().peekable();
+        for i in 0..len {
+            let request = pending.next_if(|(offset, _)| *offset == i).map(|(_, r)| r.clone());
+            let presented = request.is_some();
+            let out = self.tick(request);
+            report.responses.extend(out.response);
             match out.stall {
                 None => report.accepted += u64::from(presented),
                 Some(kind) if kind.is_rejection() => report.rejected += 1,
@@ -115,53 +120,23 @@ pub trait PipelinedMemory {
         report
     }
 
-    /// [`PipelinedMemory::run_epoch`] over a **sparse** epoch: advances
-    /// `len` interface cycles presenting `requests[k].1` on cycle
-    /// `requests[k].0` (offsets strictly increasing, `< len`); all other
-    /// cycles are idle.
-    ///
-    /// Same observational-equivalence contract as `run_epoch` (it *is*
-    /// the same epoch, just encoded sparsely). The default densifies and
-    /// delegates, which is correct for every engine; engines with
-    /// event-horizon skipping override it to jump the gaps directly —
-    /// [`crate::VpnmController`] routes it to its `run_sparse`, making
-    /// the cost proportional to the requests and responses in the span
-    /// rather than to `len`. The [`crate::VpnmFabric`] epoch path feeds
-    /// each channel through this method: a channel of a `C`-channel
-    /// fabric only ever sees its own `1/C` slice of the stream.
-    fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
-        let mut dense: Vec<Option<Request>> = vec![None; len as usize];
-        for (offset, req) in requests {
-            dense[*offset as usize] = Some(req.clone());
-        }
-        self.run_epoch(&dense)
+    /// The option-dense encoding of [`PipelinedMemory::run_epoch_sparse`]:
+    /// `requests.len()` cycles, `requests[i]` (`None` = idle) on cycle
+    /// `i`. The default re-encodes sparsely and delegates.
+    fn run_epoch(&mut self, requests: &[Option<Request>]) -> RunReport {
+        self.run_epoch_sparse(requests.len() as u64, &sparse_of(requests))
     }
 
-    /// Dense batch issue: advances exactly `requests.len()` interface
-    /// cycles presenting `requests[i]` on cycle `i` — the saturated-load
-    /// special case of [`PipelinedMemory::run_epoch`] where every slot
-    /// carries a request, so implementations can drop the per-cycle
-    /// `Option` handling and idle-gap machinery entirely and batch the
-    /// address hashing / routing across the whole span.
-    ///
-    /// Same observational-equivalence contract as `run_epoch` over the
-    /// `Some`-wrapped slice. The default ticks; [`crate::VpnmController`]
-    /// routes it to its chunked-hashing `issue_batch`, and
-    /// [`crate::VpnmFabric`] to its batch-routed epoch path.
+    /// The dense encoding of [`PipelinedMemory::run_epoch_sparse`]:
+    /// exactly `requests.len()` cycles with `requests[i]` on cycle `i` —
+    /// the saturated-load case. The default re-encodes sparsely and
+    /// delegates; [`crate::VpnmController`] and [`crate::VpnmFabric`] view
+    /// the slice in place instead (offset `k` *is* `k`), so a dense
+    /// stream pays for no offset array.
     fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
-        let mut report = RunReport::default();
-        for req in requests {
-            let out = self.tick(Some(req.clone()));
-            if let Some(r) = out.response {
-                report.responses.push(r);
-            }
-            match out.stall {
-                None => report.accepted += 1,
-                Some(kind) if kind.is_rejection() => report.rejected += 1,
-                Some(_) => report.stalled += 1,
-            }
-        }
-        report
+        let sparse: Vec<(u64, Request)> =
+            requests.iter().enumerate().map(|(i, r)| (i as u64, r.clone())).collect();
+        self.run_epoch_sparse(requests.len() as u64, &sparse)
     }
 
     /// The aggregate metrics, for engines that keep them. `None` for
@@ -183,6 +158,32 @@ pub trait PipelinedMemory {
     fn total_stalls(&self) -> u64 {
         self.snapshot().map_or(0, |s| s.metrics.total_stalls())
     }
+}
+
+/// The sparse `(offset, request)` encoding of an option-dense span.
+pub(crate) fn sparse_of(requests: &[Option<Request>]) -> Vec<(u64, Request)> {
+    requests.iter().enumerate().filter_map(|(i, slot)| Some((i as u64, slot.clone()?))).collect()
+}
+
+/// The per-cycle oracle every batch door is held to by the equivalence
+/// tests: `stream[i]` presented through `tick` on cycle `i`, folded into
+/// the [`RunReport`] a batch door must reproduce.
+#[cfg(test)]
+pub(crate) fn ticked<M: PipelinedMemory + ?Sized>(
+    mem: &mut M,
+    stream: &[Option<Request>],
+) -> RunReport {
+    let mut report = RunReport::default();
+    for slot in stream {
+        let out = mem.tick(slot.clone());
+        report.responses.extend(out.response);
+        match out.stall {
+            None => report.accepted += u64::from(slot.is_some()),
+            Some(kind) if kind.is_rejection() => report.rejected += 1,
+            Some(_) => report.stalled += 1,
+        }
+    }
+    report
 }
 
 /// Boxed engines forward everything, so `Box<dyn PipelinedMemory>` (and
@@ -212,11 +213,11 @@ impl<M: PipelinedMemory + ?Sized> PipelinedMemory for Box<M> {
     fn drain(&mut self) -> Vec<Response> {
         (**self).drain()
     }
-    fn run_epoch(&mut self, requests: &[Option<Request>]) -> RunReport {
-        (**self).run_epoch(requests)
-    }
     fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
         (**self).run_epoch_sparse(len, requests)
+    }
+    fn run_epoch(&mut self, requests: &[Option<Request>]) -> RunReport {
+        (**self).run_epoch(requests)
     }
     fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
         (**self).issue_batch(requests)
@@ -229,65 +230,6 @@ impl<M: PipelinedMemory + ?Sized> PipelinedMemory for Box<M> {
     }
     fn total_stalls(&self) -> u64 {
         (**self).total_stalls()
-    }
-}
-
-impl PipelinedMemory for crate::VpnmController {
-    fn delay(&self) -> u64 {
-        // Explicit paths: the inherent methods share these names.
-        crate::VpnmController::delay(self)
-    }
-
-    fn tick(&mut self, request: Option<Request>) -> TickOutput {
-        crate::VpnmController::tick(self, request)
-    }
-
-    fn outstanding(&self) -> usize {
-        crate::VpnmController::outstanding(self)
-    }
-
-    fn now(&self) -> Cycle {
-        crate::VpnmController::now(self)
-    }
-
-    fn drain(&mut self) -> Vec<Response> {
-        // The inherent drain takes the idle fast-forward path.
-        crate::VpnmController::drain(self)
-    }
-
-    fn run_epoch(&mut self, requests: &[Option<Request>]) -> RunReport {
-        // The inherent batched path: pre-hashed banks plus event-horizon
-        // skipping over idle runs. A property test pins it byte-identical
-        // to the tick sequence (modulo `cycles_skipped`).
-        crate::VpnmController::run_batch(self, requests, requests.len() as u64)
-    }
-
-    fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
-        // The native sparse drive: idle gaps are jumped from the offsets
-        // alone, so no dense span is ever materialized or scanned.
-        crate::VpnmController::run_sparse(self, len, requests)
-    }
-
-    fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
-        // The dense fast path: chunked batched hashing, no Option or
-        // skip machinery. A property test pins it to `run_batch`.
-        crate::VpnmController::issue_batch(self, requests)
-    }
-
-    fn bank_of(&self, addr: LineAddr) -> Option<u32> {
-        Some(crate::VpnmController::bank_of(self, addr))
-    }
-
-    fn metrics(&self) -> Option<&ControllerMetrics> {
-        Some(crate::VpnmController::metrics(self))
-    }
-
-    fn snapshot(&self) -> Option<MetricsSnapshot> {
-        Some(crate::VpnmController::snapshot(self))
-    }
-
-    fn total_stalls(&self) -> u64 {
-        crate::VpnmController::metrics(self).total_stalls()
     }
 }
 

@@ -42,8 +42,7 @@ use crate::write_buffer::WriteBuffer;
 use bytes::Bytes;
 use vpnm_dram::{DramConfig, DramDevice, DramStats};
 use vpnm_hash::BankHasher;
-use vpnm_sim::trace::TraceKind;
-use vpnm_sim::{Cycle, DualClock, TraceRecorder};
+use vpnm_sim::{Cycle, DualClock};
 
 #[derive(Debug, Clone, Default)]
 struct SeedRow {
@@ -282,8 +281,6 @@ pub struct ReferenceController {
     rr_next: u32,
     metrics: ControllerMetrics,
     outstanding: usize,
-    trace: TraceRecorder,
-    next_request_id: u64,
     /// Who issued the read due at each future interface cycle, indexed by
     /// `cycle % D`. The per-bank delay lines only carry row ids, so the
     /// tenant rides in this parallel wheel: slot `t % D` is read (for the
@@ -326,11 +323,6 @@ impl ReferenceController {
                 )
             })
             .collect();
-        let trace = if config.trace_capacity > 0 {
-            TraceRecorder::with_capacity(config.trace_capacity)
-        } else {
-            TraceRecorder::disabled()
-        };
         Ok(ReferenceController {
             clock: DualClock::new(config.bus_ratio),
             delay,
@@ -340,8 +332,6 @@ impl ReferenceController {
             rr_next: 0,
             metrics: ControllerMetrics::with_banks(config.banks as usize),
             outstanding: 0,
-            trace,
-            next_request_id: 0,
             tenant_wheel: vec![TenantId::HOST; delay as usize],
             config,
         })
@@ -418,12 +408,9 @@ impl ReferenceController {
         let mut stall = None;
         let mut read_row = None; // (bank, row) scheduled into its delay line
         if let Some(req) = request {
-            let id = self.next_request_id;
-            self.next_request_id += 1;
             if let Some(kind) = self.validate(&req) {
                 stall = Some(kind);
                 self.metrics.record_stall(kind, now);
-                self.trace.record(now, id, TraceKind::Stalled);
             } else {
                 let bank = self.hash.bank_of(req.addr().0) as usize;
                 let tenant = req.tenant();
@@ -438,7 +425,6 @@ impl ReferenceController {
                         self.metrics.note_outstanding(self.outstanding as u64);
                         read_row = Some((bank, row));
                         self.tenant_wheel[wheel_slot] = tenant;
-                        self.trace.record(now, id, TraceKind::Accepted);
                     }
                     Ok(Accepted::ReadMerged(row)) => {
                         self.metrics.reads_accepted += 1;
@@ -447,16 +433,13 @@ impl ReferenceController {
                         self.metrics.note_outstanding(self.outstanding as u64);
                         read_row = Some((bank, row));
                         self.tenant_wheel[wheel_slot] = tenant;
-                        self.trace.record(now, id, TraceKind::Merged);
                     }
                     Ok(Accepted::WriteBuffered) => {
                         self.metrics.writes_accepted += 1;
-                        self.trace.record(now, id, TraceKind::Accepted);
                     }
                     Err(kind) => {
                         stall = Some(kind);
                         self.metrics.record_stall(kind, now);
-                        self.trace.record(now, id, TraceKind::Stalled);
                     }
                 }
             }

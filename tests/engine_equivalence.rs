@@ -255,7 +255,7 @@ fn fabric_runs_are_deterministic_at_four_channels() {
 
 /// Merged snapshot serialization with the one sanctioned epoch/tick
 /// divergence — the `cycles_skipped` drive-mode counter — masked off
-/// (the same convention the `run_batch` equivalence tests use).
+/// (the same convention the batch-door equivalence tests use).
 fn snapshot_sans_skips<M: PipelinedMemory>(fab: &VpnmFabric<M>) -> String {
     let mut snap = fab.merged_snapshot().expect("fabric keeps metrics");
     snap.cycles_skipped = 0;
@@ -374,7 +374,7 @@ fn boxed_engines_run_the_same_stream_through_one_call_site() {
 fn engines_agree_on_paper_scale_config() {
     // A short run at the paper's full-scale geometry (many banks, long
     // delay) so the equivalence isn't only checked on toy sizes.
-    let cfg = VpnmConfig { trace_capacity: 0, ..VpnmConfig::paper_compact() };
+    let cfg = VpnmConfig::paper_compact();
     let stream: Vec<Option<Request>> = (0..3000u64)
         .map(|i| {
             if i % 11 == 0 {

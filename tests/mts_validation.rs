@@ -50,7 +50,6 @@ fn markov_model_predicts_simulated_queue_stalls() {
         cell_bytes: 8,
         hash: HashKind::H3,
         write_buffer_entries: None,
-        trace_capacity: 0,
         forensics_capacity: 0,
         scheduler: SchedulerKind::RoundRobin,
         merging: true,
@@ -79,7 +78,6 @@ fn markov_model_tracks_q_scaling() {
         cell_bytes: 8,
         hash: HashKind::H3,
         write_buffer_entries: None,
-        trace_capacity: 0,
         forensics_capacity: 0,
         scheduler: SchedulerKind::RoundRobin,
         merging: true,
@@ -130,7 +128,6 @@ fn storage_dominated_config_stalls_on_storage() {
         cell_bytes: 8,
         hash: HashKind::H3,
         write_buffer_entries: None,
-        trace_capacity: 0,
         forensics_capacity: 0,
         scheduler: SchedulerKind::RoundRobin,
         merging: true,
