@@ -127,31 +127,20 @@ impl BankController {
     pub fn submit(&mut self, event: BankEvent) -> Result<Accepted, StallKind> {
         match event {
             BankEvent::Read { addr } => {
-                // One CAM probe serves both the merge lookup and (on a
-                // miss) the insert position for the fresh allocation.
-                let hint = if self.merging {
-                    match self.storage.lookup_hinted(addr) {
-                        Ok(row) => {
-                            // Redundant access: merge, no bank access
-                            // needed (paper Figure 1, middle graph).
-                            self.storage.merge(row);
-                            return Ok(Accepted::ReadMerged(row));
-                        }
-                        Err(hint) => Some(hint),
+                if self.merging {
+                    if let Some(row) = self.storage.lookup(addr) {
+                        // Redundant access: merge, no bank access needed
+                        // (paper Figure 1, middle graph).
+                        self.storage.merge(row);
+                        return Ok(Accepted::ReadMerged(row));
                     }
-                } else {
-                    None
-                };
+                }
                 // Check queue space before allocating so no rollback is
                 // ever needed.
                 if self.queue.is_full() {
                     return Err(StallKind::AccessQueue);
                 }
-                let row = match hint {
-                    Some(hint) => self.storage.allocate_hinted(addr, hint),
-                    None => self.storage.allocate(addr),
-                };
-                let Some(row) = row else {
+                let Some(row) = self.storage.allocate(addr) else {
                     return Err(StallKind::DelayStorage);
                 };
                 self.queue.push(AccessEntry::Read { row }).expect("checked for space above");
@@ -519,6 +508,41 @@ mod tests {
         // D = 2 elapses without any bus grant
         let pb = h.advance(None).unwrap();
         assert_eq!(pb.data, None, "unfilled row at deadline is a miss");
+    }
+
+    /// After a deadline miss the freed row's bank access is still queued;
+    /// its late grant fills the free row. Release builds only — debug
+    /// builds assert on touching a free row instead.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn late_fill_after_a_miss_never_reaches_the_rows_next_owner() {
+        let mut h = Harness::new(BankController::new(0, 2, 2, 1), 2);
+        let mut d = dram();
+        d.poke(0, 1, vec![0x5A]);
+        let Accepted::ReadQueued(row) = h.bc.submit(BankEvent::Read { addr: LineAddr(1) }).unwrap()
+        else {
+            panic!()
+        };
+        h.advance(Some(row));
+        h.advance(None);
+        assert_eq!(h.advance(None).unwrap().data, None, "miss frees the row unfilled");
+        assert_eq!(h.bc.storage_occupancy(), 0);
+        // The stale access issues now and fills the free row …
+        assert!(h.bc.on_bus_grant(&mut d, Cycle::new(3)).issued);
+        // … which the next read of another address claims.
+        let Accepted::ReadQueued(reused) =
+            h.bc.submit(BankEvent::Read { addr: LineAddr(2) }).unwrap()
+        else {
+            panic!()
+        };
+        assert_eq!(reused, row, "lowest free row is reused");
+        h.advance(Some(reused));
+        h.advance(None);
+        // Its own access is still queued behind the stale one: a miss,
+        // not address 1's cell.
+        let pb = h.advance(None).unwrap();
+        assert_eq!(pb.addr, LineAddr(2));
+        assert_eq!(pb.data, None, "stale cell must not be served");
     }
 
     #[test]

@@ -509,7 +509,10 @@ impl VpnmController {
                         self.outstanding += 1;
                         self.metrics.note_outstanding(self.outstanding as u64);
                         read_row = Some((bank as u32, row, tenant));
-                        self.forensics.record(now, bank as u32, ForensicKind::Merged { addr, row });
+                        if self.forensics.is_enabled() {
+                            let merged = ForensicKind::Merged { addr, row };
+                            self.forensics.record(now, bank as u32, merged);
+                        }
                     }
                     Ok(Accepted::WriteBuffered) => {
                         self.metrics.writes_accepted += 1;

@@ -17,18 +17,24 @@
 //! # Performance
 //!
 //! In hardware the CAM search and the "first zero circuit" (free-row scan)
-//! are single-cycle combinational logic; the original software model made
-//! them O(K) linear scans on every read. This implementation keeps the
-//! *semantics* of those scans — lookup returns the **lowest-index** valid
-//! live row for an address, allocate claims the **lowest-index** free row —
-//! but answers them from an address→row hash index and a free-row bitset,
-//! so the per-read cost is O(1) amortized (O(K/64) for allocate). The
-//! lowest-index tie-break only matters when several valid rows share an
-//! address, which cannot happen while merging is enabled but does happen
-//! in merging-off ablations; that rare removal path falls back to an O(K)
-//! rescan so behaviour stays bit-identical to the linear model.
+//! are single-cycle combinational logic, and the model keeps that shape:
+//! a 16-bit address tag per row, stored row-indexed in 64-row words next
+//! to a `valid` bitset (row live *and* address-valid) and a `free` bitset.
+//! A lookup compares one word of tags against the probe's tag in parallel
+//! (`tag_match::match_mask`), ANDs the result with `valid`, and
+//! walks the surviving bits lowest-first, confirming the full address in
+//! the row — `trailing_zeros` is the priority encoder, so "lowest-index
+//! valid live row" (lookup) and "lowest-index free row" (allocate) hold by
+//! construction, duplicates from merging-off ablations included. Tags of
+//! freed rows and of the padding lanes past `K` are never cleared: the
+//! `valid` mask, not the tag, is the truth. Allocation is lowest-free-first,
+//! so live rows sit in the low words and words with no valid row are
+//! skipped — the compare is bounded by occupancy, not `K`. At `K = 128`
+//! a bank's tags are four cache lines (8 KB per 32-bank controller,
+//! L1-resident); nothing is hashed, probed or shifted.
 
 use crate::request::LineAddr;
+use crate::tag_match::{match_mask, LANES};
 use bytes::Bytes;
 
 /// Index of a row in the delay storage buffer (the id stored in the bank
@@ -53,17 +59,9 @@ pub struct Playback {
 struct Row {
     /// Address held by this row, when the row is live.
     addr: LineAddr,
-    /// Address-valid flag: participates in CAM matching. Cleared by a
-    /// matching write while the row drains.
-    addr_valid: bool,
     /// Outstanding playbacks against this row (the paper's `C`-bit
     /// counter).
     counter: u32,
-    /// CAM slot the row's address was last indexed under — lets the
-    /// unlink on the playback path skip the probe. May go stale when a
-    /// backward-shift deletion moves the slot, so consumers must validate
-    /// (slot used and address matches) before trusting it.
-    cam_slot: u32,
     /// Data words, present once the bank read completed.
     data: Option<Bytes>,
 }
@@ -74,165 +72,19 @@ impl Row {
     }
 }
 
-/// Hash-index entry: the lowest-index valid live row holding an address,
-/// plus how many valid live rows hold it (more than one only with merging
-/// disabled).
-#[derive(Debug, Clone, Copy)]
-struct CamEntry {
-    row: RowId,
-    valid_rows: u16,
-    /// Probe distance from the address's home slot — lets the
-    /// backward-shift deletion decide slot movability without re-hashing
-    /// every scanned address. Bounded by the live entry count (≤ `K`), so
-    /// `u16` holds it for any accepted `K`.
-    dist: u16,
+/// The 16-bit CAM tag of an address: the top bits of a multiplicative
+/// hash, so addresses that differ anywhere are unlikely to share a tag.
+/// Equal tags are only candidates — the row's full address decides.
+#[inline]
+fn tag_of(addr: LineAddr) -> u16 {
+    (addr.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as u16
 }
 
-// Full-avalanche integer hash for the CAM index: the workspace's one
-// canonical SplitMix64 (bit-identical to the private copy it replaces).
-use vpnm_hash::fast::splitmix64 as mix64;
-
-/// One CAM table slot, packed to 16 bytes (4 per cache line). A slot is
-/// unused iff `entry.valid_rows == 0` — every live entry counts at least
-/// one valid row, so no separate flag is needed and the table stays half
-/// the size it would be with one.
-#[derive(Debug, Clone, Copy)]
-struct CamSlot {
-    addr: LineAddr,
-    entry: CamEntry,
+/// Word index and bit of `row` in the `valid` / `free` bitsets.
+#[inline]
+fn word_bit(row: RowId) -> (usize, u64) {
+    (row as usize / LANES, 1u64 << (row as usize % LANES))
 }
-
-impl CamSlot {
-    #[inline]
-    fn used(&self) -> bool {
-        self.entry.valid_rows != 0
-    }
-}
-
-/// The address→row CAM index: an open-addressed table with linear probing
-/// and backward-shift deletion. At most `K` distinct addresses are ever
-/// live at once (each needs at least one row), so sizing the table to the
-/// next power of two ≥ `2K` bounds the load factor at ½ and keeps probe
-/// chains to a couple of cache hits — measurably cheaper per request than
-/// a general-purpose `HashMap` on this three-ops-per-request path.
-#[derive(Debug, Clone)]
-struct CamIndex {
-    slots: Vec<CamSlot>,
-    mask: usize,
-}
-
-impl CamIndex {
-    fn new(k: usize) -> Self {
-        assert!(k <= usize::from(u16::MAX), "CAM sized for at most {} rows", u16::MAX);
-        let cap = (2 * k).next_power_of_two().max(8);
-        let empty =
-            CamSlot { addr: LineAddr(0), entry: CamEntry { row: 0, valid_rows: 0, dist: 0 } };
-        CamIndex { slots: vec![empty; cap], mask: cap - 1 }
-    }
-
-    #[inline]
-    fn home(&self, addr: LineAddr) -> usize {
-        mix64(addr.0) as usize & self.mask
-    }
-
-    /// Unchecked slot access for mask-reduced indices — the probe loops
-    /// run once per accepted request, and `i & mask` can never reach
-    /// `slots.len()`, so the bounds check is pure overhead there.
-    #[inline]
-    fn slot(&self, i: usize) -> &CamSlot {
-        debug_assert!(i < self.slots.len());
-        // SAFETY: every caller derives `i` via `& self.mask`, and
-        // `slots.len() == mask + 1` by construction (power of two).
-        unsafe { self.slots.get_unchecked(i) }
-    }
-
-    /// Probes `addr`'s chain: `Ok(slot)` when present, `Err((slot, dist))`
-    /// with the unused slot terminating the chain (and its probe distance
-    /// from home) when absent — exactly where [`CamIndex::note_alloc`]
-    /// would insert, letting the read hot path reuse one probe for both
-    /// the search and the insert.
-    #[inline]
-    fn probe(&self, addr: LineAddr) -> Result<usize, (usize, u16)> {
-        let mut i = self.home(addr);
-        let mut dist = 0u16;
-        loop {
-            let s = self.slot(i);
-            if !s.used() {
-                return Err((i, dist));
-            }
-            if s.addr == addr {
-                return Ok(i);
-            }
-            i = (i + 1) & self.mask;
-            dist += 1;
-        }
-    }
-
-    /// Slot index holding `addr`, if present.
-    #[inline]
-    fn find(&self, addr: LineAddr) -> Option<usize> {
-        self.probe(addr).ok()
-    }
-
-    #[inline]
-    fn get(&self, addr: LineAddr) -> Option<CamEntry> {
-        self.find(addr).map(|i| self.slots[i].entry)
-    }
-
-    /// Registers a newly allocated valid row: bumps the duplicate count
-    /// (keeping the lowest row index) or inserts a fresh entry. The ½ load
-    /// bound guarantees a free slot exists. Returns the slot used, for the
-    /// row's `cam_slot` hint.
-    fn note_alloc(&mut self, addr: LineAddr, row: RowId) -> usize {
-        let mut i = self.home(addr);
-        let mut dist = 0u16;
-        loop {
-            let s = &mut self.slots[i];
-            if !s.used() {
-                *s = CamSlot { addr, entry: CamEntry { row, valid_rows: 1, dist } };
-                return i;
-            }
-            if s.addr == addr {
-                s.entry.row = s.entry.row.min(row);
-                s.entry.valid_rows += 1;
-                return i;
-            }
-            i = (i + 1) & self.mask;
-            dist += 1;
-        }
-    }
-
-    /// Empties slot `i`, back-shifting displaced successors so probe
-    /// chains stay unbroken (no tombstones). Movability comes from each
-    /// slot's stored probe distance — no re-hash of scanned addresses.
-    fn remove_at(&mut self, mut i: usize) {
-        let mut j = i;
-        loop {
-            j = (j + 1) & self.mask;
-            let s = *self.slot(j);
-            if !s.used() {
-                break;
-            }
-            // `j`'s element may fill the hole at `i` iff its home precedes
-            // or equals `i` in cyclic probe order, i.e. its probe distance
-            // reaches back to the hole.
-            let off = j.wrapping_sub(i) & self.mask;
-            if usize::from(s.entry.dist) >= off {
-                self.slots[i] = s;
-                self.slots[i].entry.dist = s.entry.dist - off as u16;
-                i = j;
-            }
-        }
-        self.slots[i].entry.valid_rows = 0;
-    }
-}
-
-/// An opaque CAM insert position returned by a
-/// [`DelayStorageBuffer::lookup_hinted`] miss, consumable by
-/// [`DelayStorageBuffer::allocate_hinted`]. Invalidated by any other CAM
-/// mutation in between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CamHint(usize, u16);
 
 /// The paper's **delay storage buffer (DSB)**: the `K`-row merging CAM of
 /// one bank controller (Figure 3, left). Overflow is the *delay storage
@@ -256,8 +108,11 @@ pub struct CamHint(usize, u16);
 pub struct DelayStorageBuffer {
     rows: Vec<Row>,
     live: usize,
-    /// CAM index: address → lowest valid live row (+ duplicate count).
-    cam: CamIndex,
+    /// Address tag of each row, one 64-row word per bitset word (the last
+    /// one padded past `K`). Meaningful only under a set `valid` bit.
+    tags: Vec<[u16; LANES]>,
+    /// CAM match enable; bit set = row live *and* address-valid.
+    valid: Vec<u64>,
     /// Free-row bitset ("first zero circuit"); bit set = row free.
     free: Vec<u64>,
 }
@@ -270,12 +125,19 @@ impl DelayStorageBuffer {
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "delay storage buffer needs at least one row");
-        let mut free = vec![0u64; k.div_ceil(64)];
+        let words = k.div_ceil(LANES);
+        let mut free = vec![0u64; words];
         for (i, word) in free.iter_mut().enumerate() {
-            let bits = (k - i * 64).min(64);
-            *word = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
+            let bits = (k - i * LANES).min(LANES);
+            *word = if bits == LANES { u64::MAX } else { (1u64 << bits) - 1 };
         }
-        DelayStorageBuffer { rows: vec![Row::default(); k], live: 0, cam: CamIndex::new(k), free }
+        DelayStorageBuffer {
+            rows: vec![Row::default(); k],
+            live: 0,
+            tags: vec![[0; LANES]; words],
+            valid: vec![0; words],
+            free,
+        }
     }
 
     /// Capacity `K`.
@@ -290,8 +152,23 @@ impl DelayStorageBuffer {
 
     /// CAM search: the row currently holding `addr` with a set valid flag
     /// (the lowest-index one, matching the hardware priority encoder).
+    #[inline]
     pub fn lookup(&self, addr: LineAddr) -> Option<RowId> {
-        self.cam.get(addr).map(|e| e.row)
+        let tag = tag_of(addr);
+        for (w, (&valid, tags)) in self.valid.iter().zip(&self.tags).enumerate() {
+            if valid == 0 {
+                continue;
+            }
+            let mut candidates = match_mask(tags, tag) & valid;
+            while candidates != 0 {
+                let row = w * LANES + candidates.trailing_zeros() as usize;
+                if self.rows[row].addr == addr {
+                    return Some(row as RowId);
+                }
+                candidates &= candidates - 1;
+            }
+        }
+        None
     }
 
     /// Warms a row ahead of its playback deadline with a hardware
@@ -304,94 +181,36 @@ impl DelayStorageBuffer {
         crate::prefetch::prefetch_read(&raw const self.rows[row as usize]);
     }
 
-    /// CAM search that, on a miss, hands back the insert position as a
-    /// [`CamHint`] so a subsequent [`DelayStorageBuffer::allocate_hinted`]
-    /// can skip re-probing. Exactly [`DelayStorageBuffer::lookup`]
-    /// otherwise.
-    #[inline]
-    pub fn lookup_hinted(&self, addr: LineAddr) -> Result<RowId, CamHint> {
-        match self.cam.probe(addr) {
-            Ok(i) => Ok(self.cam.slots[i].entry.row),
-            Err((i, dist)) => Err(CamHint(i, dist)),
-        }
-    }
-
-    /// [`DelayStorageBuffer::allocate`] with the CAM insert slot already
-    /// known from a [`DelayStorageBuffer::lookup_hinted`] miss. The hint
-    /// is only valid while no CAM mutation happened in between (the
-    /// submit path calls the two back to back).
-    #[inline]
-    pub fn allocate_hinted(&mut self, addr: LineAddr, hint: CamHint) -> Option<RowId> {
-        debug_assert!(!self.cam.slots[hint.0].used(), "stale CAM hint");
-        debug_assert!(self.cam.probe(addr) == Err((hint.0, hint.1)), "hint for wrong address");
-        let idx = self.first_free()?;
-        self.free[idx as usize / 64] &= !(1u64 << (idx as usize % 64));
-        let row = &mut self.rows[idx as usize];
-        row.addr = addr;
-        row.addr_valid = true;
-        row.counter = 1;
-        row.cam_slot = hint.0 as u32;
-        row.data = None;
-        self.live += 1;
-        self.cam.slots[hint.0] =
-            CamSlot { addr, entry: CamEntry { row: idx, valid_rows: 1, dist: hint.1 } };
-        Some(idx)
-    }
-
     /// Allocates a free row for `addr` with counter 1 (the "first zero
     /// circuit" of the paper). Returns `None` when every row is live —
     /// the *delay storage buffer stall* condition.
+    #[inline]
     pub fn allocate(&mut self, addr: LineAddr) -> Option<RowId> {
         let idx = self.first_free()?;
-        self.free[idx as usize / 64] &= !(1u64 << (idx as usize % 64));
+        let (w, bit) = word_bit(idx);
+        self.free[w] &= !bit;
+        self.valid[w] |= bit;
+        self.tags[w][idx as usize % LANES] = tag_of(addr);
         let row = &mut self.rows[idx as usize];
         row.addr = addr;
-        row.addr_valid = true;
         row.counter = 1;
+        // Not redundant with the `take` in the last playback: after a
+        // deadline miss the row is freed unfilled while its bank access is
+        // still queued, and the late grant then fills the *free* row
+        // (`fill` checks liveness only in debug builds). Clearing here
+        // keeps that stale cell from reaching the row's next owner.
         row.data = None;
         self.live += 1;
-        let slot = self.cam.note_alloc(addr, idx);
-        self.rows[idx as usize].cam_slot = slot as u32;
         Some(idx)
     }
 
     fn first_free(&self) -> Option<RowId> {
         for (i, &word) in self.free.iter().enumerate() {
             if word != 0 {
-                return Some((i * 64) as RowId + word.trailing_zeros());
+                return Some((i * LANES) as RowId + word.trailing_zeros());
             }
         }
         None
-    }
-
-    /// Unlinks a (still or formerly) valid row from the CAM index,
-    /// promoting the next-lowest duplicate if one exists. Only the
-    /// duplicate case (merging disabled) pays the O(K) rescan.
-    #[inline]
-    fn cam_remove(&mut self, addr: LineAddr, row: RowId) {
-        // Open addressing keeps one slot per address, so a used slot whose
-        // address matches IS the entry — the row's cached slot then saves
-        // the probe. A backward shift may have moved the entry since the
-        // hint was written; only that stale case re-probes.
-        let hint = self.rows[row as usize].cam_slot as usize;
-        let hinted = self.cam.slots[hint];
-        let i = if hinted.used() && hinted.addr == addr {
-            hint
-        } else {
-            self.cam.find(addr).expect("CAM entry for valid row")
-        };
-        let entry = &mut self.cam.slots[i].entry;
-        entry.valid_rows -= 1;
-        if entry.valid_rows == 0 {
-            self.cam.remove_at(i);
-        } else if entry.row == row {
-            let next = self
-                .rows
-                .iter()
-                .position(|r| !r.is_free() && r.addr_valid && r.addr == addr)
-                .expect("duplicate valid row promised by CAM count");
-            self.cam.slots[i].entry.row = next as RowId;
-        }
     }
 
     /// Registers a redundant request against a live row (counter += 1).
@@ -458,13 +277,10 @@ impl DelayStorageBuffer {
         // the common (unmerged) case then costs no refcount round-trip.
         let data = if r.counter == 0 { r.data.take() } else { r.data.clone() };
         if r.counter == 0 {
-            let was_valid = r.addr_valid;
-            r.addr_valid = false;
             self.live -= 1;
-            self.free[row as usize / 64] |= 1u64 << (row as usize % 64);
-            if was_valid {
-                self.cam_remove(addr, row);
-            }
+            let (w, bit) = word_bit(row);
+            self.free[w] |= bit;
+            self.valid[w] &= !bit;
         }
         Playback { addr, data }
     }
@@ -474,15 +290,12 @@ impl DelayStorageBuffer {
     /// row keeps serving already-merged reads. Returns whether a row
     /// matched.
     pub fn invalidate(&mut self, addr: LineAddr) -> bool {
-        match self.cam.get(addr) {
-            Some(entry) => {
-                let row = entry.row;
-                self.rows[row as usize].addr_valid = false;
-                self.cam_remove(addr, row);
-                true
-            }
-            None => false,
-        }
+        let Some(row) = self.lookup(addr) else {
+            return false;
+        };
+        let (w, bit) = word_bit(row);
+        self.valid[w] &= !bit;
+        true
     }
 }
 
@@ -630,6 +443,83 @@ mod tests {
         assert_eq!(dsb.allocate(LineAddr(1000)), Some(3));
         assert_eq!(dsb.allocate(LineAddr(1001)), Some(128));
     }
+
+    /// Two distinct addresses with the same 16-bit tag, found by search
+    /// (once: the multiplicative tag spreads consecutive addresses so
+    /// evenly that the first repeat only comes after ~2^16 of them).
+    pub(super) fn colliding_pair() -> (LineAddr, LineAddr) {
+        static PAIR: std::sync::OnceLock<(LineAddr, LineAddr)> = std::sync::OnceLock::new();
+        *PAIR.get_or_init(|| {
+            let mut first = vec![None; 1 << 16];
+            for a in (1u64..).map(LineAddr) {
+                match first[usize::from(tag_of(a))] {
+                    Some(b) => return (b, a),
+                    None => first[usize::from(tag_of(a))] = Some(a),
+                }
+            }
+            unreachable!("2^16 + 1 addresses cannot have distinct 16-bit tags");
+        })
+    }
+
+    #[test]
+    fn equal_tags_are_candidates_not_matches() {
+        let (a, b) = colliding_pair();
+        assert_ne!(a, b);
+        assert_eq!(tag_of(a), tag_of(b));
+        let mut dsb = DelayStorageBuffer::new(4);
+        let ra = dsb.allocate(a).unwrap();
+        assert_eq!(dsb.lookup(b), None, "an equal tag alone must not merge");
+        let rb = dsb.allocate(b).unwrap();
+        assert_ne!(ra, rb);
+        assert_eq!(dsb.lookup(a), Some(ra));
+        assert_eq!(dsb.lookup(b), Some(rb), "found past the lower-row false candidate");
+        assert!(dsb.invalidate(a));
+        assert_eq!(dsb.lookup(a), None);
+        assert_eq!(dsb.lookup(b), Some(rb), "invalidating one must not hide the other");
+        assert!(!dsb.invalidate(a));
+        assert!(dsb.invalidate(b));
+        assert_eq!(dsb.lookup(b), None);
+    }
+
+    #[test]
+    fn padding_lanes_and_freed_rows_never_match() {
+        // Padding lanes (and never-used rows) carry tag 0; so does this
+        // address.
+        let pad = LineAddr(0);
+        assert_eq!(tag_of(pad), 0);
+        let other = LineAddr(1);
+        assert_ne!(tag_of(other), 0);
+
+        // Empty buffer, and a word whose only valid row has another tag
+        // while its 61 padding lanes all carry the probe's.
+        let mut dsb = DelayStorageBuffer::new(3);
+        assert_eq!(dsb.lookup(pad), None);
+        let r = dsb.allocate(other).unwrap();
+        assert_eq!(dsb.lookup(pad), None);
+        assert!(!dsb.invalidate(pad));
+
+        // A freed row keeps its tag and address but not its valid bit.
+        let p = dsb.allocate(pad).unwrap();
+        assert_eq!(dsb.lookup(pad), Some(p));
+        dsb.playback(p);
+        assert_eq!(dsb.lookup(pad), None, "freed row must not match");
+        dsb.playback(r);
+        assert_eq!(dsb.lookup(other), None);
+
+        // Live rows only in word 1; words 0 (all freed) and 2 (2 rows +
+        // 62 padding lanes) stay silent.
+        let mut dsb = DelayStorageBuffer::new(130);
+        for i in 0..65u64 {
+            dsb.allocate(LineAddr(1 + i)).unwrap();
+        }
+        for row in 0..64 {
+            dsb.playback(row);
+        }
+        assert_eq!(dsb.live_rows(), 1);
+        assert_eq!(dsb.lookup(pad), None);
+        assert_eq!(dsb.lookup(LineAddr(65)), Some(64));
+        assert_eq!(dsb.lookup(LineAddr(64)), None);
+    }
 }
 
 #[cfg(test)]
@@ -657,8 +547,21 @@ mod proptests {
         ]
     }
 
+    /// Capacities on both sides of the 64-row word boundary, plus a
+    /// three-word buffer with a padded last word.
+    const KS: [usize; 6] = [1, 6, 63, 64, 65, 130];
+
+    /// The addresses op bytes name (`a % 8` or `a % 16`): the
+    /// padding-tag address and an equal-tag pair ahead of plain ones.
+    fn pool() -> [LineAddr; 16] {
+        let (x, y) = super::tests::colliding_pair();
+        let mut pool: [LineAddr; 16] = std::array::from_fn(|i| LineAddr(i as u64));
+        (pool[1], pool[2]) = (x, y);
+        pool
+    }
+
     /// The original O(K) model: plain linear scans, no index structures.
-    /// The indexed implementation must agree with it on every observable.
+    /// The tag-array implementation must agree with it on every observable.
     struct LinearModel {
         rows: Vec<(LineAddr, bool, u32)>, // (addr, valid, counter)
     }
@@ -703,16 +606,27 @@ mod proptests {
         /// Counter conservation: playbacks never exceed reads, live rows
         /// never exceed capacity, and a drained buffer is fully free.
         #[test]
-        fn conservation(ops in proptest::collection::vec(op(), 1..300)) {
-            let k = 8;
+        fn conservation(
+            ops in proptest::collection::vec(op(), 1..300),
+            ki in 0usize..KS.len(),
+            preload in 0usize..130,
+        ) {
+            let k = KS[ki];
+            let pool = pool();
             let mut dsb = DelayStorageBuffer::new(k);
             let mut scheduled: Vec<RowId> = Vec::new(); // pending playbacks, FIFO
             let mut reads = 0u64;
             let mut playbacks = 0u64;
+            // Start part-full so the ops land across every word of the
+            // larger buffers.
+            for i in 0..preload.min(k - 1) {
+                scheduled.push(dsb.allocate(pool[i % 16]).expect("below capacity"));
+                reads += 1;
+            }
             for op in &ops {
                 match op {
                     Op::Read(a) | Op::BlindRead(a) => {
-                        let addr = LineAddr(u64::from(*a % 16));
+                        let addr = pool[usize::from(*a % 16)];
                         let row = match dsb.lookup(addr) {
                             Some(r) => { dsb.merge(r); Some(r) }
                             None => dsb.allocate(addr),
@@ -723,7 +637,7 @@ mod proptests {
                         }
                     }
                     Op::Fill(a) => {
-                        if let Some(r) = dsb.lookup(LineAddr(u64::from(*a % 16))) {
+                        if let Some(r) = dsb.lookup(pool[usize::from(*a % 16)]) {
                             dsb.fill(r, vec![*a]);
                         }
                     }
@@ -735,7 +649,7 @@ mod proptests {
                         }
                     }
                     Op::Invalidate(a) => {
-                        dsb.invalidate(LineAddr(u64::from(*a % 16)));
+                        dsb.invalidate(pool[usize::from(*a % 16)]);
                     }
                 }
                 prop_assert!(dsb.live_rows() <= k);
@@ -747,21 +661,37 @@ mod proptests {
                 dsb.playback(r);
             }
             prop_assert_eq!(dsb.live_rows(), 0);
+            for addr in pool {
+                prop_assert_eq!(dsb.lookup(addr), None);
+            }
         }
 
-        /// The indexed CAM + free bitset must be observationally identical
-        /// to the original linear-scan model, including the duplicate-row
-        /// corner the merging-off controller exercises (`BlindRead`).
+        /// The tag CAM + bitsets must be observationally identical to the
+        /// original linear-scan model, including the duplicate-row corner
+        /// the merging-off controller exercises (`BlindRead`), across the
+        /// word boundary and with equal-tag addresses in play.
         #[test]
-        fn matches_linear_scan_model(ops in proptest::collection::vec(op(), 1..400)) {
-            let k = 6;
+        fn matches_linear_scan_model(
+            ops in proptest::collection::vec(op(), 1..400),
+            ki in 0usize..KS.len(),
+            preload in 0usize..130,
+        ) {
+            let k = KS[ki];
+            let pool = pool();
             let mut dsb = DelayStorageBuffer::new(k);
             let mut model = LinearModel::new(k);
             let mut scheduled: Vec<RowId> = Vec::new();
+            // Start part-full (duplicates spread over every word) so the
+            // ops land across the larger buffers.
+            for i in 0..preload.min(k - 1) {
+                let got = dsb.allocate(pool[i % 8]);
+                prop_assert_eq!(got, model.allocate(pool[i % 8]));
+                scheduled.push(got.expect("below capacity"));
+            }
             for op in &ops {
                 match op {
                     Op::Read(a) => {
-                        let addr = LineAddr(u64::from(*a % 8));
+                        let addr = pool[usize::from(*a % 8)];
                         prop_assert_eq!(dsb.lookup(addr), model.lookup(addr));
                         let row = match dsb.lookup(addr) {
                             Some(r) => { dsb.merge(r); model.rows[r as usize].2 += 1; Some(r) }
@@ -775,13 +705,13 @@ mod proptests {
                     }
                     Op::BlindRead(a) => {
                         // merging disabled: allocate without lookup
-                        let addr = LineAddr(u64::from(*a % 8));
+                        let addr = pool[usize::from(*a % 8)];
                         let got = dsb.allocate(addr);
                         prop_assert_eq!(got, model.allocate(addr));
                         if let Some(r) = got { scheduled.push(r); }
                     }
                     Op::Fill(a) => {
-                        let addr = LineAddr(u64::from(*a % 8));
+                        let addr = pool[usize::from(*a % 8)];
                         prop_assert_eq!(dsb.lookup(addr), model.lookup(addr));
                         if let Some(r) = dsb.lookup(addr) { dsb.fill(r, vec![*a]); }
                     }
@@ -793,14 +723,14 @@ mod proptests {
                         }
                     }
                     Op::Invalidate(a) => {
-                        let addr = LineAddr(u64::from(*a % 8));
+                        let addr = pool[usize::from(*a % 8)];
                         prop_assert_eq!(dsb.invalidate(addr), model.invalidate(addr));
                     }
                 }
                 prop_assert_eq!(dsb.live_rows(), model.live());
                 // every address agrees after every operation
-                for probe in 0..8u64 {
-                    prop_assert_eq!(dsb.lookup(LineAddr(probe)), model.lookup(LineAddr(probe)));
+                for addr in &pool[..8] {
+                    prop_assert_eq!(dsb.lookup(*addr), model.lookup(*addr));
                 }
             }
         }

@@ -67,6 +67,7 @@ pub mod regulator;
 pub mod request;
 pub mod ring;
 pub mod snapshot;
+mod tag_match;
 pub mod write_buffer;
 
 pub use config::{SchedulerKind, VpnmConfig};
