@@ -4,11 +4,10 @@
 //! (the `fabric/uniform_reads/*` bench scenario) through the lockstep
 //! `tick` loop and the epoch-batched `issue_batch` door at 1 and 8
 //! workers, reporting ns per fabric cycle and the fraction of
-//! channel-cycles the busy-horizon machinery proved skippable. On a
-//! single-core container the worker counts should land within noise of
-//! each other — the execute phase only divides by worker count when
-//! there are physical cores to divide across (see
-//! docs/PERFORMANCE.md, "Measured scaling").
+//! channel-cycles the channels' idle skip covered (small at full rate:
+//! a channel is rarely without a queued bank). The execute phase only
+//! divides by worker count when there are physical cores to divide
+//! across (see docs/PERFORMANCE.md, "Measured scaling").
 use std::time::Instant;
 use vpnm_core::{
     ChannelSelect, FabricConfig, LineAddr, PipelinedMemory, Request, VpnmConfig, VpnmFabric,

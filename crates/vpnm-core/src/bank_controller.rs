@@ -268,8 +268,8 @@ impl BankController {
 
     /// The memory cycle the in-service access completes at, if one is in
     /// service. Until it passes, every bus grant to this bank is wasted —
-    /// the busy-horizon skip uses this to prove whole grant windows
-    /// state-free.
+    /// the controller mirrors this in a packed lane so a wasted slot
+    /// never touches the bank.
     pub fn in_service_until(&self) -> Option<Cycle> {
         self.in_service_until
     }

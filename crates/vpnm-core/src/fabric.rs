@@ -330,33 +330,6 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
         ok
     }
 
-    /// Range/size check against the *fabric* address space, mirroring the
-    /// controllers' own `validate`: debug builds assert (a malformed
-    /// request is a harness bug), release builds reject and count.
-    fn validate(&self, req: &Request) -> Option<StallKind> {
-        let addr = req.addr();
-        let addr_bits = self.config.base.addr_bits;
-        debug_assert!(
-            addr.0 < (1u64 << addr_bits),
-            "address {addr} outside the configured {addr_bits}-bit fabric space",
-        );
-        if addr.0 >= (1u64 << addr_bits) {
-            return Some(StallKind::AddressRange);
-        }
-        if let Request::Write { data, .. } = req {
-            debug_assert!(
-                data.len() <= self.config.base.cell_bytes,
-                "write of {} bytes exceeds cell size {}",
-                data.len(),
-                self.config.base.cell_bytes
-            );
-            if data.len() > self.config.base.cell_bytes {
-                return Some(StallKind::OversizedWrite);
-            }
-        }
-        None
-    }
-
     /// Advances all channels one lockstep interface cycle, routing
     /// `request` to its channel under the local address, and translating
     /// the (at most one) due response back to the fabric address space.
@@ -364,7 +337,10 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
         let mut target: Option<(usize, Request)> = None;
         let mut stall = None;
         if let Some(req) = request {
-            if let Some(kind) = self.validate(&req) {
+            // Checked against the *fabric* address space; the channels
+            // re-check the localized request against their own.
+            let base = &self.config.base;
+            if let Some(kind) = req.malformed(base.addr_bits, base.cell_bytes) {
                 stall = Some(kind);
             } else {
                 let (ch, local) = self.selector.route(req.addr().0);
@@ -488,9 +464,10 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
         if len == 0 {
             return report;
         }
+        let (addr_bits, cell_bytes) = (self.config.base.addr_bits, self.config.base.cell_bytes);
         if self.channels.len() == 1
             && self.ledger.is_none()
-            && (0..count).all(|k| self.validate(at(k).1).is_none())
+            && (0..count).all(|k| at(k).1.malformed(addr_bits, cell_bytes).is_none())
         {
             self.now += len;
             return bypass(&mut self.channels[0]);
@@ -501,7 +478,7 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
         let mut addrs: Vec<u64> = Vec::with_capacity(count);
         for k in 0..count {
             let (offset, req) = at(k);
-            if let Some(kind) = self.validate(req) {
+            if let Some(kind) = req.malformed(addr_bits, cell_bytes) {
                 report.rejected += 1;
                 self.fabric_metrics.record_stall(kind, Cycle::new(self.now + offset + 1));
                 continue;

@@ -9,18 +9,22 @@
 //! be reconstructed after the fact — "bank 3 exceeded DSB depth 8 at cycle
 //! N; here are the 64 events before it".
 //!
-//! # Zero overhead by construction
-//!
-//! Two gates keep the tracer out of the hot path:
+//! # Two gates, and what the default costs
 //!
 //! * **Compile time**: the `forensics` cargo feature (on by default).
 //!   Building `vpnm-core` with `--no-default-features` replaces
 //!   [`ForensicRing`] with a no-op stub whose `record` inlines to nothing.
 //! * **Run time**: [`crate::VpnmConfig::forensics_capacity`]. The default
-//!   of `0` leaves the ring disabled; every `record` call is then a single
-//!   predictable branch. The benchmark guard (`controller_throughput` vs
-//!   the committed `BENCH_controller.json` baseline) enforces that this
-//!   stays within noise.
+//!   of `0` leaves the ring disabled; every event site is then an
+//!   `is_enabled()` branch around a `record` call that is never taken.
+//!
+//! Disabled at run time is cheap but not free: with the feature compiled
+//! in and capacity 0, a full-rate read stream (`mem_dense_reads` of the
+//! repo benchmark) runs 70.6 ns per cycle against 66.2 ns with the
+//! feature compiled out — 8 alternating pairs, every compiled-out run
+//! faster than every default run (−6.3 %; `docs/PERFORMANCE.md`,
+//! "Guardrails"). No dependent crate forwards the feature, so the
+//! workspace's binaries always carry it.
 //!
 //! Only the fast engine ([`crate::VpnmController`]) records forensic
 //! events; the aggregate counters that the differential suite compares

@@ -61,7 +61,6 @@ pub mod memory;
 pub mod metrics;
 pub mod pool;
 pub mod prefetch;
-pub mod ready_set;
 pub mod reference;
 pub mod regulator;
 pub mod request;

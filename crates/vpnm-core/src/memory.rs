@@ -69,8 +69,9 @@ pub trait PipelinedMemory {
     /// The default drives [`PipelinedMemory::tick`] under the same budget
     /// the engines use inherently (`(outstanding + 1) * D + D` cycles — a
     /// correct implementation answers everything within `D`; the slack
-    /// guards against a broken one looping forever). Engines with a faster
-    /// inherent drain (idle fast-forward) override this.
+    /// guards against a broken one looping forever). The two controllers
+    /// override it with their inherent `drain`, the same per-tick loop
+    /// that panics instead of returning when the budget runs out.
     fn drain(&mut self) -> Vec<Response> {
         let mut out = Vec::new();
         let budget = (self.outstanding() as u64 + 1) * self.delay() + self.delay();

@@ -408,7 +408,7 @@ impl ReferenceController {
         let mut stall = None;
         let mut read_row = None; // (bank, row) scheduled into its delay line
         if let Some(req) = request {
-            if let Some(kind) = self.validate(&req) {
+            if let Some(kind) = req.malformed(self.config.addr_bits, self.config.cell_bytes) {
                 stall = Some(kind);
                 self.metrics.record_stall(kind, now);
             } else {
@@ -491,32 +491,6 @@ impl ReferenceController {
         self.metrics.sample_cycle(max_queue as u64, storage as u64);
 
         TickOutput { response, stall }
-    }
-
-    /// Same request validation as the fast engine (debug builds assert,
-    /// release builds reject gracefully).
-    fn validate(&self, req: &Request) -> Option<StallKind> {
-        let addr = req.addr();
-        debug_assert!(
-            addr.0 < (1u64 << self.config.addr_bits),
-            "address {addr} outside the configured {}-bit space",
-            self.config.addr_bits
-        );
-        if addr.0 >= (1u64 << self.config.addr_bits) {
-            return Some(StallKind::AddressRange);
-        }
-        if let Request::Write { data, .. } = req {
-            debug_assert!(
-                data.len() <= self.config.cell_bytes,
-                "write of {} bytes exceeds cell size {}",
-                data.len(),
-                self.config.cell_bytes
-            );
-            if data.len() > self.config.cell_bytes {
-                return Some(StallKind::OversizedWrite);
-            }
-        }
-        None
     }
 
     /// The original grant scan: visit all `B` banks from the round-robin

@@ -137,6 +137,35 @@ impl Request {
     pub fn is_read(&self) -> bool {
         matches!(self, Request::Read { .. })
     }
+
+    /// Checks this request against an address space of `addr_bits` bits
+    /// and a cell size of `cell_bytes`, returning the rejection kind if
+    /// it is malformed — the one validation both engines and the fabric
+    /// apply at their front doors. A malformed request is a harness bug,
+    /// so debug builds additionally assert at its source; release builds
+    /// reject and count.
+    #[inline]
+    pub fn malformed(&self, addr_bits: u32, cell_bytes: usize) -> Option<StallKind> {
+        let addr = self.addr();
+        debug_assert!(
+            addr.0 < (1u64 << addr_bits),
+            "address {addr} outside the configured {addr_bits}-bit space",
+        );
+        if addr.0 >= (1u64 << addr_bits) {
+            return Some(StallKind::AddressRange);
+        }
+        if let Request::Write { data, .. } = self {
+            debug_assert!(
+                data.len() <= cell_bytes,
+                "write of {} bytes exceeds cell size {cell_bytes}",
+                data.len(),
+            );
+            if data.len() > cell_bytes {
+                return Some(StallKind::OversizedWrite);
+            }
+        }
+        None
+    }
 }
 
 /// A completed read delivered at its deterministic deadline.

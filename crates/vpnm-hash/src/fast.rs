@@ -30,10 +30,10 @@ pub fn splitmix64(mut z: u64) -> u64 {
 /// Batched [`splitmix64`]: `out[i] = splitmix64(inputs[i])`,
 /// bit-identical to the scalar loop on every input.
 ///
-/// With the `simd` feature on an AVX2 host this runs four lanes per
-/// iteration (the wrapping multiplies decompose into 32×32→64 partial
-/// products); otherwise it is the plain scalar loop. The serving
-/// layer's `FlowTable::slots_of_batch` hashes its fingerprints here.
+/// On an AVX2 host this runs four lanes per iteration (the wrapping
+/// multiplies decompose into 32×32→64 partial products); otherwise it
+/// is the plain scalar loop. The serving layer's
+/// `FlowTable::slots_of_batch` hashes its fingerprints here.
 ///
 /// # Panics
 ///
@@ -41,7 +41,7 @@ pub fn splitmix64(mut z: u64) -> u64 {
 #[inline]
 pub fn splitmix64_batch(inputs: &[u64], out: &mut [u64]) {
     assert_eq!(inputs.len(), out.len(), "batch length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if crate::simd::splitmix64_fold(inputs, out) {
         return;
     }

@@ -111,6 +111,23 @@ impl H3Hash {
     }
 }
 
+impl H3Hash {
+    /// The scalar batch fold, with the loop order swapped vs `bank_of`:
+    /// walk each 2 KiB byte table across the whole batch while it is hot
+    /// in L1, instead of cycling all tables per address. XOR is
+    /// commutative, so the result is bit-identical to `bank_of` per
+    /// element.
+    fn bank_of_batch_scalar(&self, addrs: &[u64], out: &mut [u32]) {
+        out.fill(self.offset as u32);
+        for (c, table) in self.tables.iter().enumerate() {
+            let shift = 8 * c;
+            for (o, &a) in out.iter_mut().zip(addrs) {
+                *o ^= table[(a >> shift) as u8 as usize] as u32;
+            }
+        }
+    }
+}
+
 impl BankHasher for H3Hash {
     fn num_banks(&self) -> u32 {
         1 << self.out_bits
@@ -129,21 +146,11 @@ impl BankHasher for H3Hash {
         // Vector path: 8 addresses per iteration, one AVX2 gather per
         // byte table, truncation to 32 bits commuting with XOR — the
         // result is bit-identical to `bank_of` per element.
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if crate::simd::fold_u32(&self.tables, self.offset as u32, addrs, out) {
             return;
         }
-        // Loop order swapped vs the scalar path: walk each 2 KiB byte
-        // table across the whole batch while it is hot in L1, instead of
-        // cycling all tables per address. XOR is commutative, so the
-        // result is bit-identical to `bank_of` per element.
-        out.fill(self.offset as u32);
-        for (c, table) in self.tables.iter().enumerate() {
-            let shift = 8 * c;
-            for (o, &a) in out.iter_mut().zip(addrs) {
-                *o ^= table[(a >> shift) as u8 as usize] as u32;
-            }
-        }
+        self.bank_of_batch_scalar(addrs, out);
     }
 
     fn latency_cycles(&self) -> u64 {
@@ -255,6 +262,9 @@ mod tests {
             let addrs: Vec<u64> = (0..777).map(|_| rng.gen()).collect();
             let mut out = vec![0u32; addrs.len()];
             h.bank_of_batch(&addrs, &mut out);
+            let mut scalar = vec![0u32; addrs.len()];
+            h.bank_of_batch_scalar(&addrs, &mut scalar);
+            assert_eq!(out, scalar, "dispatching batch vs scalar batch");
             for (&a, &b) in addrs.iter().zip(&out) {
                 assert_eq!(b, h.bank_of(a), "addr {a:#x}");
             }
@@ -296,10 +306,11 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// The batched fold (SIMD when the feature and AVX2 are on,
-        /// table-major scalar otherwise) is bit-identical to the scalar
-        /// `bank_of` for random keys, widths, and batch lengths spanning
-        /// the 8-lane vector boundary and the scalar tail.
+        /// Three ways bit-identical: per-element `bank_of`, the
+        /// table-major scalar batch, and the dispatching batch (AVX2
+        /// where the host has it) — for random keys, widths, and batch
+        /// lengths spanning the 8-lane vector boundary and the scalar
+        /// tail.
         #[test]
         fn batch_bit_identical_to_scalar(
             seed in any::<u64>(),
@@ -310,6 +321,9 @@ mod proptests {
             let h = H3Hash::from_seed(addr_bits, out_bits, seed);
             let mut out = vec![0u32; addrs.len()];
             h.bank_of_batch(&addrs, &mut out);
+            let mut scalar = vec![0u32; addrs.len()];
+            h.bank_of_batch_scalar(&addrs, &mut scalar);
+            prop_assert_eq!(&out, &scalar, "dispatching batch vs scalar batch");
             for (&a, &b) in addrs.iter().zip(&out) {
                 prop_assert_eq!(b, h.bank_of(a), "addr {:#x}", a);
             }

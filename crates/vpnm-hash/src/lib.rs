@@ -54,7 +54,7 @@ pub mod gf2;
 pub mod h3;
 pub mod multiply_shift;
 pub mod permute;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod simd;
 pub mod tabulation;
 

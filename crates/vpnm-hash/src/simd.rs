@@ -10,12 +10,14 @@
 //! Bit-identity with the scalar paths is a hard contract: XOR is
 //! commutative and the gathers read exactly the same table entries the
 //! scalar loops do, so results match bit for bit on every input — the
-//! `simd_matches_scalar` proptests in each family pin this.
+//! `batch_bit_identical_to_scalar` proptests in each family pin this
+//! three ways (per-element ≡ scalar batch ≡ dispatching batch).
 //!
 //! Entry points return `false` when AVX2 is unavailable at runtime (or
 //! the batch is too small to be worth dispatching); callers then fall
-//! through to their scalar loops. The whole module is compiled out
-//! unless the `simd` feature is on and the target is x86_64.
+//! through to their scalar loops. The platform picks the path — there is
+//! no build-time switch; the module is compiled out only where the
+//! target is not x86_64.
 
 use std::arch::x86_64::{
     __m128i, __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_blend_epi32,

@@ -50,6 +50,21 @@ impl TabulationHash {
     }
 }
 
+impl TabulationHash {
+    /// The table-major scalar batch fold: each 1 KiB character table
+    /// stays hot in L1 across the whole batch. XOR commutes, so the
+    /// result is bit-identical to `bank_of` per element.
+    fn bank_of_batch_scalar(&self, addrs: &[u64], out: &mut [u32]) {
+        out.fill(0);
+        for (i, t) in self.tables.iter().enumerate() {
+            let shift = 8 * i;
+            for (o, &a) in out.iter_mut().zip(addrs) {
+                *o ^= t[((a >> shift) & 0xFF) as usize];
+            }
+        }
+    }
+}
+
 impl BankHasher for TabulationHash {
     fn num_banks(&self) -> u32 {
         1 << self.out_bits
@@ -67,20 +82,11 @@ impl BankHasher for TabulationHash {
         assert_eq!(addrs.len(), out.len(), "batch slices must match in length");
         // Vector path: 8 addresses per iteration, one AVX2 gather per
         // character table; bit-identical to `bank_of` per element.
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if crate::simd::fold_tab_u32(&self.tables, addrs, out) {
             return;
         }
-        // Table-major scalar fold: each 1 KiB character table stays hot
-        // in L1 across the whole batch. XOR commutes, so the result is
-        // bit-identical to `bank_of` per element.
-        out.fill(0);
-        for (i, t) in self.tables.iter().enumerate() {
-            let shift = 8 * i;
-            for (o, &a) in out.iter_mut().zip(addrs) {
-                *o ^= t[((a >> shift) & 0xFF) as usize];
-            }
-        }
+        self.bank_of_batch_scalar(addrs, out);
     }
 
     fn latency_cycles(&self) -> u64 {
@@ -152,6 +158,9 @@ mod tests {
             (0..333).map(|i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
         let mut out = vec![0u32; addrs.len()];
         h.bank_of_batch(&addrs, &mut out);
+        let mut scalar = vec![0u32; addrs.len()];
+        h.bank_of_batch_scalar(&addrs, &mut scalar);
+        assert_eq!(out, scalar, "dispatching batch vs scalar batch");
         for (&a, &b) in addrs.iter().zip(&out) {
             assert_eq!(b, h.bank_of(a), "addr {a:#x}");
         }
@@ -164,10 +173,10 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// The batched fold (SIMD when the feature and AVX2 are on,
-        /// table-major scalar otherwise) is bit-identical to the scalar
-        /// `bank_of` for random keys and batch lengths spanning the
-        /// 8-lane vector boundary and the scalar tail.
+        /// Three ways bit-identical: per-element `bank_of`, the
+        /// table-major scalar batch, and the dispatching batch (AVX2
+        /// where the host has it) — for random keys and batch lengths
+        /// spanning the 8-lane vector boundary and the scalar tail.
         #[test]
         fn batch_bit_identical_to_scalar(
             seed in any::<u64>(),
@@ -177,6 +186,9 @@ mod proptests {
             let h = TabulationHash::from_seed(out_bits, seed);
             let mut out = vec![0u32; addrs.len()];
             h.bank_of_batch(&addrs, &mut out);
+            let mut scalar = vec![0u32; addrs.len()];
+            h.bank_of_batch_scalar(&addrs, &mut scalar);
+            prop_assert_eq!(&out, &scalar, "dispatching batch vs scalar batch");
             for (&a, &b) in addrs.iter().zip(&out) {
                 prop_assert_eq!(b, h.bank_of(a), "addr {:#x}", a);
             }

@@ -341,16 +341,15 @@ impl DualClock {
     /// would consume at most `m` memory cycles — i.e. how many whole
     /// interface cycles fit inside the next `m` memory ticks.
     ///
-    /// Used by busy-horizon skips: a simulation that has computed "the
-    /// next state-changing memory tick is `m + 1` ticks away" can skip
-    /// exactly the interface cycles whose memory ticks all precede it,
-    /// then step normally into the event. Returns 0 when not even one
+    /// [`WallPacer::cycles_due`] is its caller: with nanoseconds as the
+    /// fast domain, it is the number of interface cycles that have fallen
+    /// due in `m` elapsed nanoseconds. Returns 0 when not even one
     /// interface edge falls within `m` memory ticks.
     pub fn interfaces_within_memory(&self, m: u64) -> u64 {
         // advance_interfaces(n) consumes ceil((n*num - acc)/den) memory
-        // ticks, which is <= m iff n*num <= m*den + acc. This sits on the
-        // busy-horizon skip's hot path, so stay in u64 for the short
-        // horizons skips actually see (den <= 1000 by construction).
+        // ticks, which is <= m iff n*num <= m*den + acc. Stay in u64
+        // while `m*den` fits; a pacer catching up after a long stall
+        // (den up to 1e9) takes the u128 fallback.
         match m.checked_mul(self.den).and_then(|md| md.checked_add(self.acc)) {
             Some(md) => md / self.num,
             None => {
