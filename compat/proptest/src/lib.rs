@@ -275,7 +275,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy for `Vec`s of `element` values; produced by [`vec`].
+    /// Strategy for `Vec`s of `element` values; produced by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

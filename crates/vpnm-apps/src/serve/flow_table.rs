@@ -104,7 +104,7 @@ impl FlowTable {
     /// (`splitmix64_batch`, the same AVX2 dispatch layer as
     /// `HashEngine::hash_batch` — the fingerprint function itself must
     /// stay SplitMix64 so existing snapshots remain byte-identical),
-    /// home slots are software-prefetched [`LOOKAHEAD`] probes ahead,
+    /// home slots are software-prefetched `LOOKAHEAD` (8) probes ahead,
     /// and `out` receives one dense slot per flow in order.
     ///
     /// Equivalent to calling `slot_of` per flow in sequence (insertions

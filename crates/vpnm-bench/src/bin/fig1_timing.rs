@@ -21,11 +21,53 @@ use vpnm_core::delay_line::CircularDelayBuffer;
 use vpnm_core::request::LineAddr;
 use vpnm_core::{HashKind, PipelinedMemory, Request, VpnmConfig};
 use vpnm_dram::{DramConfig, DramDevice};
-use vpnm_sim::trace::TraceKind;
-use vpnm_sim::{Cycle, TraceRecorder};
+use vpnm_sim::Cycle;
 
 const D: u64 = 30;
 const L: u64 = 15;
+
+/// One lifecycle event: `(cycle, request id, legend tag)`.
+type Event = (u64, u64, char);
+
+/// Renders the events as an ASCII timing diagram: one row per request in
+/// order of first appearance, one column per cycle between the earliest
+/// and latest event. A row shows its tags at their cycles, `-` between
+/// its first and last event, and spaces elsewhere. Empty when there are
+/// no events or the span exceeds `max_width` columns.
+fn render_timing_diagram(events: &[Event], max_width: usize) -> String {
+    if events.is_empty() {
+        return String::new();
+    }
+    let t0 = events.iter().map(|e| e.0).min().unwrap();
+    let t1 = events.iter().map(|e| e.0).max().unwrap();
+    let width = (t1 - t0 + 1) as usize;
+    if width > max_width {
+        return String::new();
+    }
+    let mut order: Vec<u64> = Vec::new();
+    for &(_, req, _) in events {
+        if !order.contains(&req) {
+            order.push(req);
+        }
+    }
+    let mut out = String::new();
+    for req in order {
+        let evs: Vec<&Event> = events.iter().filter(|e| e.1 == req).collect();
+        let first = evs.iter().map(|e| e.0).min().unwrap();
+        let last = evs.iter().map(|e| e.0).max().unwrap();
+        let mut row = vec![' '; width];
+        for col in first..=last {
+            row[(col - t0) as usize] = '-';
+        }
+        for &&(at, _, tag) in &evs {
+            row[(at - t0) as usize] = tag;
+        }
+        out.push_str(&format!("req {req:>4} |"));
+        out.extend(row);
+        out.push('\n');
+    }
+    out
+}
 
 /// Drives one scenario: `(cycle, request-id, address)` submissions.
 fn run_scenario(title: &str, submissions: &[(u64, u64, u64)]) {
@@ -41,7 +83,7 @@ fn run_scenario(title: &str, submissions: &[(u64, u64, u64)]) {
     // system one shared wheel serves all banks).
     let mut bc = BankController::new(0, 4, 2, 1);
     let mut wheel = CircularDelayBuffer::new(D as usize);
-    let mut trace = TraceRecorder::with_capacity(256);
+    let mut trace: Vec<Event> = Vec::new();
     // request id currently being accessed by the bank, with finish time
     let mut accessing: Option<(u64, Cycle)> = None;
     // ids in delay-line schedule order: playbacks pop from the front
@@ -55,7 +97,7 @@ fn run_scenario(title: &str, submissions: &[(u64, u64, u64)]) {
         // bank grant every cycle (single bank, R = 1)
         if let Some((id, done)) = accessing {
             if now >= done {
-                trace.record(now, id, TraceKind::AccessDone);
+                trace.push((t, id, 'D'));
                 accessing = None;
             }
         }
@@ -63,7 +105,7 @@ fn run_scenario(title: &str, submissions: &[(u64, u64, u64)]) {
             if let Some(&id) = queued_ids.front() {
                 if bc.on_bus_grant(&mut dram, now).issued {
                     queued_ids.pop_front();
-                    trace.record(now, id, TraceKind::AccessIssued);
+                    trace.push((t, id, 'I'));
                     accessing = Some((id, now + L));
                 }
             }
@@ -73,19 +115,19 @@ fn run_scenario(title: &str, submissions: &[(u64, u64, u64)]) {
         if let Some(&(_, id, addr)) = submissions.iter().find(|&&(st, _, _)| st == t) {
             match bc.submit(BankEvent::Read { addr: LineAddr(addr) }) {
                 Ok(Accepted::ReadQueued(row)) => {
-                    trace.record(now, id, TraceKind::Accepted);
+                    trace.push((t, id, 'a'));
                     scheduled.push_back(id);
                     queued_ids.push_back(id);
                     incoming = Some(row);
                 }
                 Ok(Accepted::ReadMerged(row)) => {
-                    trace.record(now, id, TraceKind::Merged);
+                    trace.push((t, id, 'm'));
                     scheduled.push_back(id);
                     incoming = Some(row);
                 }
                 Ok(Accepted::WriteBuffered) => unreachable!("reads only"),
                 Err(kind) => {
-                    trace.record(now, id, TraceKind::Stalled);
+                    trace.push((t, id, 'S'));
                     println!("  cycle {t:>3}: request {id} STALLED ({kind})");
                 }
             }
@@ -95,11 +137,11 @@ fn run_scenario(title: &str, submissions: &[(u64, u64, u64)]) {
         if let Some(row) = wheel.tick(incoming) {
             bc.playback(row);
             let id = scheduled.pop_front().expect("playback has a scheduled id");
-            trace.record(now, id, TraceKind::Completed);
+            trace.push((t, id, 'C'));
         }
     }
     println!("\n=== {title} ===");
-    println!("{}", trace.render_timing_diagram(120));
+    println!("{}", render_timing_diagram(&trace, 120));
 }
 
 fn main() {
@@ -149,4 +191,27 @@ fn main() {
     println!("Every completed request shows C exactly {D} cycles after its a/m marker;");
     println!("redundant requests (m) trigger no bank access; overload (more than Q = {} in", D / L);
     println!("flight for one bank) stalls instead of breaking the timing abstraction.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn diagram_renders_rows_per_request() {
+        let events = [(0, 1, 'a'), (5, 1, 'C'), (2, 2, 'a'), (7, 2, 'C')];
+        let d = render_timing_diagram(&events, 80);
+        let lines: Vec<&str> = d.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].contains('a'));
+        assert!(lines[0].contains('C'));
+        // request 1 spans cols 0..=5, request 2 cols 2..=7
+        assert!(lines[1].starts_with("req    2 |  a"));
+    }
+
+    #[test]
+    fn diagram_empty_and_too_wide() {
+        assert_eq!(render_timing_diagram(&[], 10), "");
+        assert_eq!(render_timing_diagram(&[(0, 1, 'a'), (1000, 1, 'C')], 10), "");
+    }
 }

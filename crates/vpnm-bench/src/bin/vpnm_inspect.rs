@@ -35,8 +35,7 @@ fn main() {
         }
         None => {
             println!(
-                "(forensic ring compiled out — rebuild vpnm-core with the default\n\
-                 `forensics` feature for the event window)\n\
+                "(no stall event retained in the forensic ring)\n\
                  stall: {} at interface cycle {}",
                 f.stall_kind, f.stall_cycle
             );

@@ -32,11 +32,11 @@ pub struct DsbOverflowForensics {
     /// The stall's kind — always [`StallKind::DelayStorage`] for this
     /// scenario (asserted by the deterministic test).
     pub stall_kind: StallKind,
-    /// The retained forensic events, oldest first (empty when the
-    /// `forensics` feature is compiled out).
+    /// The retained forensic events, oldest first.
     pub events: Vec<ForensicEvent>,
     /// The rendered causal window ("bank 0 exceeded DSB occupancy K at
-    /// cycle N; last … events leading up to it"), when available.
+    /// cycle N; last … events leading up to it"); `None` when no stall
+    /// event was retained in the ring.
     pub report: Option<String>,
     /// The controller's [`vpnm_core::MetricsSnapshot`] as JSON.
     pub snapshot_json: String,
@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn report_names_bank_cycle_and_structure() {
         let f = forced_dsb_overflow();
-        let report = f.report.expect("forensics feature is on by default");
+        let report = f.report.expect("the ring retains the stall");
         let k = VpnmConfig::small_test().storage_rows;
         assert!(
             report

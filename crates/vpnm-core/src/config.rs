@@ -59,9 +59,9 @@ pub struct VpnmConfig {
     /// Write buffer entries; `None` = `ceil(Q/2)` per the paper.
     pub write_buffer_entries: Option<usize>,
     /// Forensic event-ring capacity for the fast engine's observability
-    /// layer (0 disables event recording). Only meaningful when the
-    /// `forensics` cargo feature is compiled in; see
-    /// [`crate::forensics`].
+    /// layer — the one forensics gate. `0` (the default) records nothing
+    /// and costs nothing: the controller then runs the instantiation of
+    /// its cycle body with no event sites. See [`crate::forensics`].
     pub forensics_capacity: usize,
     /// Bus grant policy (ablation knob; the paper uses round-robin).
     pub scheduler: SchedulerKind,

@@ -223,8 +223,8 @@ pub struct VpnmController {
     /// Cached zero cell served on deadline misses.
     zero_cell: Bytes,
     /// Forensic event ring (see [`crate::forensics`]); inert unless
-    /// [`VpnmConfig::forensics_capacity`] is non-zero and the `forensics`
-    /// feature is compiled in.
+    /// [`VpnmConfig::forensics_capacity`] is non-zero, which each drive
+    /// entry checks once to pick `step::<true>` or `step::<false>`.
     forensics: ForensicRing,
 }
 
@@ -322,7 +322,7 @@ impl VpnmController {
     }
 
     /// The forensic event ring, when enabled via
-    /// [`VpnmConfig::forensics_capacity`] (and the `forensics` feature).
+    /// [`VpnmConfig::forensics_capacity`].
     pub fn forensics(&self) -> &ForensicRing {
         &self.forensics
     }
@@ -364,7 +364,12 @@ impl VpnmController {
             None => 0,
         };
         let mut response = None;
-        let stall = self.step(request, bank, &mut |r| response = Some(r));
+        let mut emit = |r| response = Some(r);
+        let stall = if self.forensics.is_enabled() {
+            self.step::<true>(request, bank, &mut emit)
+        } else {
+            self.step::<false>(request, bank, &mut emit)
+        };
         let depth = self.max_queue_depth();
         self.metrics.sample_cycle(depth, self.storage_live);
         TickOutput { response, stall }
@@ -378,8 +383,12 @@ impl VpnmController {
     /// drive loop) so the request stays in registers instead of crossing a call boundary
     /// every simulated cycle, and a due response is handed to `emit` in
     /// place rather than moved out through a return value.
+    ///
+    /// `REC` compiles the seven forensic event sites in or out. Callers
+    /// pass the value their entry point read from the ring, so the silent
+    /// instantiation never branches on the forensics gate.
     #[inline]
-    fn step(
+    fn step<const REC: bool>(
         &mut self,
         request: Option<Request>,
         bank: usize,
@@ -430,7 +439,7 @@ impl VpnmController {
                     if after == 0 {
                         self.ready_banks -= 1;
                     }
-                    if self.forensics.is_enabled() {
+                    if REC {
                         self.forensics.record(
                             self.clock.interface_now(),
                             bank as u32,
@@ -480,7 +489,7 @@ impl VpnmController {
                         if after == 1 {
                             self.ready_banks += 1;
                         }
-                        if self.forensics.is_enabled() {
+                        if REC {
                             self.forensics.record(
                                 now,
                                 bank as u32,
@@ -494,7 +503,7 @@ impl VpnmController {
                         self.outstanding += 1;
                         self.metrics.note_outstanding(self.outstanding as u64);
                         read_row = Some((bank as u32, row, tenant));
-                        if self.forensics.is_enabled() {
+                        if REC {
                             let merged = ForensicKind::Merged { addr, row };
                             self.forensics.record(now, bank as u32, merged);
                         }
@@ -512,7 +521,7 @@ impl VpnmController {
                         if after == 1 {
                             self.ready_banks += 1;
                         }
-                        if self.forensics.is_enabled() {
+                        if REC {
                             self.forensics.record(
                                 now,
                                 bank as u32,
@@ -523,7 +532,7 @@ impl VpnmController {
                     Err(kind) => {
                         stall = Some(kind);
                         self.metrics.record_stall(kind, now);
-                        if self.forensics.is_enabled() {
+                        if REC {
                             let bc = &self.banks[bank];
                             let context = ForensicKind::Stalled {
                                 kind,
@@ -592,7 +601,7 @@ impl VpnmController {
             };
             self.outstanding -= 1;
             self.metrics.responses += 1;
-            if self.forensics.is_enabled() {
+            if REC {
                 self.forensics.record(
                     now,
                     bank,
@@ -780,8 +789,10 @@ impl VpnmController {
     /// presenting `step` below always carries a request and the idle one
     /// in `idle_span` never does, so each inlines specialised; funnelling
     /// both through one call site with a run-time `Option` measured 4–5 %
-    /// slower on a dense stream.
-    fn drive<'a>(
+    /// slower on a dense stream. `REC` is the forensics gate its door
+    /// read once (see [`VpnmController::step`]), threaded through
+    /// unchanged.
+    fn drive<'a, const REC: bool>(
         &mut self,
         len: u64,
         count: usize,
@@ -812,10 +823,11 @@ impl VpnmController {
             for (j, &bank) in banks[..n].iter().enumerate() {
                 let (offset, request) = at(k + j);
                 if i < offset {
-                    self.idle_span(offset - i, &mut samples, &mut report.responses);
+                    self.idle_span::<REC>(offset - i, &mut samples, &mut report.responses);
                 }
-                let stall = self
-                    .step(Some(request.clone()), bank as usize, &mut |r| report.responses.push(r));
+                let stall = self.step::<REC>(Some(request.clone()), bank as usize, &mut |r| {
+                    report.responses.push(r)
+                });
                 let depth = self.max_queue_depth();
                 samples.push(&mut self.metrics, depth, self.storage_live);
                 match stall {
@@ -828,7 +840,7 @@ impl VpnmController {
             k += n;
         }
         if i < len {
-            self.idle_span(len - i, &mut samples, &mut report.responses);
+            self.idle_span::<REC>(len - i, &mut samples, &mut report.responses);
         }
         samples.flush(&mut self.metrics);
         report
@@ -839,18 +851,23 @@ impl VpnmController {
     /// due playback while no bank is queued and taking a normal idle step
     /// otherwise (a bank is queued, or a playback falls due on that very
     /// cycle). Not generic over the door's view, so every encoding shares
-    /// one copy.
-    fn idle_span(&mut self, gap: u64, samples: &mut SampleRun, responses: &mut Vec<Response>) {
+    /// one copy per `REC`.
+    fn idle_span<const REC: bool>(
+        &mut self,
+        gap: u64,
+        samples: &mut SampleRun,
+        responses: &mut Vec<Response>,
+    ) {
         let mut left = gap;
         while left > 0 {
             if self.ready_banks == 0 {
-                let n = self.skip_idle(left);
+                let n = self.skip_idle::<REC>(left);
                 if n > 0 {
                     left -= n;
                     continue;
                 }
             }
-            self.step(None, 0, &mut |r| responses.push(r));
+            self.step::<REC>(None, 0, &mut |r| responses.push(r));
             let depth = self.max_queue_depth();
             samples.push(&mut self.metrics, depth, self.storage_live);
             left -= 1;
@@ -868,7 +885,7 @@ impl VpnmController {
     /// playback falls due (ring span empty), and queue depths / storage
     /// occupancy are frozen, so the occupancy samples are identical by
     /// bulk-recording.
-    fn skip_idle(&mut self, gap: u64) -> u64 {
+    fn skip_idle<const REC: bool>(&mut self, gap: u64) -> u64 {
         debug_assert_eq!(self.ready_banks, 0);
         // Occupied ring slots equal `outstanding` reads, so an empty
         // controller skips the whole gap without scanning.
@@ -879,7 +896,7 @@ impl VpnmController {
             let depth = self.max_queue_depth();
             self.metrics.sample_cycles(depth, self.storage_live, n);
             self.cycles_skipped += n;
-            if self.forensics.is_enabled() {
+            if REC {
                 self.forensics.record(
                     self.clock.interface_now(),
                     0,
@@ -1046,12 +1063,22 @@ impl PipelinedMemory for VpnmController {
     }
 
     fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
-        self.drive(len, requests.len(), |k| (requests[k].0, &requests[k].1))
+        let at = |k: usize| (requests[k].0, &requests[k].1);
+        if self.forensics.is_enabled() {
+            self.drive::<true>(len, requests.len(), at)
+        } else {
+            self.drive::<false>(len, requests.len(), at)
+        }
     }
 
     fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
         // Dense view: offset(k) == k, so `drive`'s gap test never fires.
-        self.drive(requests.len() as u64, requests.len(), |k| (k as u64, &requests[k]))
+        let (len, at) = (requests.len() as u64, |k: usize| (k as u64, &requests[k]));
+        if self.forensics.is_enabled() {
+            self.drive::<true>(len, requests.len(), at)
+        } else {
+            self.drive::<false>(len, requests.len(), at)
+        }
     }
 
     fn bank_of(&self, addr: LineAddr) -> Option<u32> {
@@ -1594,6 +1621,86 @@ mod tests {
             let idle = vec![None; 5 * d as usize];
             assert_doors_match_ticks(&cfg, &[write(9, 0x5A), read(9)], &idle);
         }
+    }
+
+    #[test]
+    fn doors_record_forensics_like_ticks() {
+        // The batch doors' recording instantiation (`drive::<true>`) is
+        // reached by nothing but this test. With the ring on, a door must
+        // record exactly the events the `tick` sequence records, plus the
+        // `FastForward` markers only its idle skip emits; with the ring
+        // off it records nothing. The run itself — responses, metrics,
+        // snapshot — must not depend on the capacity at all.
+        let d = VpnmController::new(VpnmConfig::small_test(), 7).unwrap().delay() as usize;
+        // A dense prefix across the hash-chunk seam: reads, writes, and
+        // repeats that merge …
+        let dense: Vec<Option<Request>> = (0..(2 * HASH_CHUNK as u64 + 300))
+            .map(|i| match i % 7 {
+                0 => write(i % 64, i as u8),
+                1 | 2 => read(i % 64),
+                3 => read(42),
+                _ => read(i * 37 % 5000),
+            })
+            .collect();
+        // … then bursts separated by idle stretches longer than D.
+        let mut stream = dense.clone();
+        for burst in 0..120u64 {
+            for i in 0..24u64 {
+                let a = (burst * 977 + i * 37) % 5000;
+                stream.push(match i % 4 {
+                    0 => write(a % 64, i as u8),
+                    1 => read(7),
+                    _ => read(a),
+                });
+            }
+            stream.extend(std::iter::repeat_n(None, d + 1 + burst as usize % 9));
+        }
+        let sparse = sparse_of(&stream);
+        let flat: Vec<Request> = dense.iter().flatten().cloned().collect();
+        type Door<'a> = Box<dyn Fn(&mut VpnmController) -> RunReport + 'a>;
+        let doors: [(&str, &[Option<Request>], Door<'_>); 2] = [
+            (
+                "run_epoch_sparse",
+                &stream,
+                Box::new(|m| m.run_epoch_sparse(stream.len() as u64, &sparse)),
+            ),
+            ("issue_batch", &dense, Box::new(|m| m.issue_batch(&flat))),
+        ];
+        let mut by_capacity = Vec::new();
+        for cap in [0usize, 65536] {
+            let cfg = VpnmConfig::small_test().with_forensics_capacity(cap);
+            let mk = || VpnmController::new(cfg.clone(), 7).unwrap();
+            let mut runs = Vec::new();
+            for (door, input, run) in &doors {
+                let mut oracle = mk();
+                let want = ticked(&mut oracle, input);
+                let mut mem = mk();
+                let got = run(&mut mem);
+                assert_eq!(got, want, "{door}, capacity {cap}: report");
+                assert_eq!(mem.metrics(), oracle.metrics(), "{door}, capacity {cap}: metrics");
+                assert_eq!(snapshot_sans_skips(&mem), oracle.snapshot().to_json(), "{door}");
+                assert_eq!(mem.forensics().dropped(), 0, "{door}: the ring must not wrap");
+                let (skips, events): (Vec<_>, Vec<_>) = mem
+                    .forensics()
+                    .events()
+                    .into_iter()
+                    .partition(|e| matches!(e.kind, ForensicKind::FastForward { .. }));
+                assert_eq!(events, oracle.forensics().events(), "{door}, capacity {cap}: events");
+                if cap == 0 {
+                    assert!(events.is_empty() && skips.is_empty(), "{door}: ring off");
+                } else {
+                    // Every well-formed request leaves at least one event.
+                    let requests = input.iter().flatten().count();
+                    assert!(events.len() >= requests, "{door}: ring on records");
+                    if *door == "run_epoch_sparse" {
+                        assert!(!skips.is_empty(), "idle stretches must be fast-forwarded");
+                    }
+                }
+                runs.push((got, mem.snapshot().to_json()));
+            }
+            by_capacity.push(runs);
+        }
+        assert_eq!(by_capacity[0], by_capacity[1], "capacity must not change the run");
     }
 
     proptest! {

@@ -1,4 +1,4 @@
-//! Stall forensics: a compile-time-gated, ring-buffered event tracer.
+//! Stall forensics: a ring-buffered event tracer with one run-time gate.
 //!
 //! When the paper's probabilistic guarantees are working, stalls happen
 //! once per ~10¹³ accesses — which means that when one *does* happen, the
@@ -9,22 +9,16 @@
 //! be reconstructed after the fact — "bank 3 exceeded DSB depth 8 at cycle
 //! N; here are the 64 events before it".
 //!
-//! # Two gates, and what the default costs
+//! # One gate, and what it costs when off
 //!
-//! * **Compile time**: the `forensics` cargo feature (on by default).
-//!   Building `vpnm-core` with `--no-default-features` replaces
-//!   [`ForensicRing`] with a no-op stub whose `record` inlines to nothing.
-//! * **Run time**: [`crate::VpnmConfig::forensics_capacity`]. The default
-//!   of `0` leaves the ring disabled; every event site is then an
-//!   `is_enabled()` branch around a `record` call that is never taken.
-//!
-//! Disabled at run time is cheap but not free: with the feature compiled
-//! in and capacity 0, a full-rate read stream (`mem_dense_reads` of the
-//! repo benchmark) runs 70.6 ns per cycle against 66.2 ns with the
-//! feature compiled out — 8 alternating pairs, every compiled-out run
-//! faster than every default run (−6.3 %; `docs/PERFORMANCE.md`,
-//! "Guardrails"). No dependent crate forwards the feature, so the
-//! workspace's binaries always carry it.
+//! [`crate::VpnmConfig::forensics_capacity`] is the only gate, on every
+//! build: `0` (the default) records nothing, any other value keeps the
+//! last that-many events. The controller reads the gate once per drive
+//! call (`tick` and each batch door) and runs one of two instantiations
+//! of the same cycle body — one with the event sites compiled in, one
+//! without — so with capacity 0 the hot loop carries no trace of the
+//! tracer, no per-event branch included (`docs/OBSERVABILITY.md`, "What
+//! Tier 2 costs when unused", has the measurement).
 //!
 //! Only the fast engine ([`crate::VpnmController`]) records forensic
 //! events; the aggregate counters that the differential suite compares
@@ -163,10 +157,8 @@ impl fmt::Display for ForensicEvent {
 
 /// Fixed-capacity ring of [`ForensicEvent`]s, oldest evicted first.
 ///
-/// This is the real implementation, compiled in when the `forensics`
-/// feature is enabled (the default). A zero `capacity` disables recording
-/// entirely; [`ForensicRing::record`] then costs one branch.
-#[cfg(feature = "forensics")]
+/// A zero `capacity` disables recording entirely: the controller then
+/// never calls [`ForensicRing::record`].
 #[derive(Debug, Clone)]
 pub struct ForensicRing {
     buf: Vec<ForensicEvent>,
@@ -177,7 +169,6 @@ pub struct ForensicRing {
     recorded: u64,
 }
 
-#[cfg(feature = "forensics")]
 impl ForensicRing {
     /// Creates a ring retaining the last `capacity` events (0 disables).
     pub fn new(capacity: usize) -> Self {
@@ -190,7 +181,8 @@ impl ForensicRing {
         self.capacity > 0
     }
 
-    /// Records one event, evicting the oldest when full.
+    /// Records one event, evicting the oldest when full (a no-op on a
+    /// disabled ring).
     #[inline]
     pub fn record(&mut self, at: Cycle, bank: u32, kind: ForensicKind) {
         if self.capacity == 0 {
@@ -278,62 +270,7 @@ impl ForensicRing {
     }
 }
 
-/// No-op stand-in compiled when the `forensics` feature is disabled: the
-/// same API surface, with `record` inlining to nothing so the hot path
-/// carries no trace of the tracer.
-#[cfg(not(feature = "forensics"))]
-#[derive(Debug, Clone)]
-pub struct ForensicRing;
-
-#[cfg(not(feature = "forensics"))]
-impl ForensicRing {
-    /// Creates the disabled stub (capacity is ignored).
-    pub fn new(_capacity: usize) -> Self {
-        ForensicRing
-    }
-
-    /// Always false: nothing is recorded.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        false
-    }
-
-    /// Compiled away entirely.
-    #[inline(always)]
-    pub fn record(&mut self, _at: Cycle, _bank: u32, _kind: ForensicKind) {}
-
-    /// Always 0.
-    pub fn len(&self) -> usize {
-        0
-    }
-
-    /// Always true.
-    pub fn is_empty(&self) -> bool {
-        true
-    }
-
-    /// Always 0.
-    pub fn recorded(&self) -> u64 {
-        0
-    }
-
-    /// Always 0.
-    pub fn dropped(&self) -> u64 {
-        0
-    }
-
-    /// Always empty.
-    pub fn events(&self) -> Vec<ForensicEvent> {
-        Vec::new()
-    }
-
-    /// Always `None`.
-    pub fn stall_report(&self) -> Option<String> {
-        None
-    }
-}
-
-#[cfg(all(test, feature = "forensics"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

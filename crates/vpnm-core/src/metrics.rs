@@ -7,8 +7,7 @@
 //!    cheap enough (a handful of compares and adds per interface cycle) to
 //!    keep enabled in every build, including benchmark runs.
 //! 2. **Forensic event tracing** (see [`crate::forensics`]): a ring buffer
-//!    of individual lifecycle events, compile-time gated behind the
-//!    `forensics` cargo feature and runtime gated by
+//!    of individual lifecycle events, gated by
 //!    [`crate::VpnmConfig::forensics_capacity`].
 //!
 //! Both engines — the fast [`crate::VpnmController`] and the seed

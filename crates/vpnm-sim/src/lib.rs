@@ -7,11 +7,11 @@
 //! * [`Cycle`] and [`Clock`] — a monotonically advancing cycle counter.
 //! * [`DualClock`] — the two-rate clock domain of the VPNM paper (memory bus
 //!   running `R`× faster than the request interface, Section 4 of the paper).
-//! * [`stats`] — counters, running means, and power-of-two histograms used
-//!   for throughput/latency/occupancy accounting.
-//! * [`trace`] — a bounded event recorder for debugging and for rendering
-//!   Figure-1-style timing diagrams.
-//! * [`rng`] — deterministic seed derivation so every experiment is
+//! * [`WallPacer`] — paces a simulated cycle count against wall time.
+//! * [`stats`] — power-of-two and log-linear histograms
+//!   ([`Histogram`], [`FineHistogram`]) for latency and occupancy
+//!   distributions.
+//! * [`rng`] — the SplitMix64 seed mixer, so every experiment is
 //!   reproducible from a single root seed.
 //!
 //! # Example
@@ -40,9 +40,6 @@
 pub mod clock;
 pub mod rng;
 pub mod stats;
-pub mod trace;
 
 pub use clock::{Clock, Cycle, DualClock, MemoryTick, WallPacer};
-pub use rng::SeedSequence;
-pub use stats::{Counter, FineHistogram, Histogram, RunningStats};
-pub use trace::{TraceEvent, TraceRecorder};
+pub use stats::{FineHistogram, Histogram};

@@ -1,62 +1,9 @@
-//! Deterministic seed derivation.
+//! Deterministic seed mixing.
 //!
-//! Every randomized component in the workspace (hash key material, workload
-//! generators, adversaries) takes its randomness from a seed derived off a
-//! single root seed through [`SeedSequence`], so an entire experiment is
-//! reproducible from one `u64` and independent components never share RNG
-//! streams by accident.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// Derives independent, labeled child seeds from a root seed.
-///
-/// Derivation uses the SplitMix64 finalizer over `(root, label-hash,
-/// counter)`, which is the standard method for decorrelating seed streams.
-///
-/// ```
-/// use vpnm_sim::SeedSequence;
-/// let mut seq = SeedSequence::new(42);
-/// let a = seq.derive("hash-keys");
-/// let b = seq.derive("workload");
-/// assert_ne!(a, b);
-/// // Deterministic: re-deriving from a fresh sequence yields the same seeds.
-/// let mut seq2 = SeedSequence::new(42);
-/// assert_eq!(seq2.derive("hash-keys"), a);
-/// assert_eq!(seq2.derive("workload"), b);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SeedSequence {
-    root: u64,
-    counter: u64,
-}
-
-impl SeedSequence {
-    /// Creates a sequence rooted at `root`.
-    pub fn new(root: u64) -> Self {
-        SeedSequence { root, counter: 0 }
-    }
-
-    /// Derives the next child seed, mixed with a human-readable `label`.
-    ///
-    /// The label participates in the derivation, so reordering differently
-    /// labeled derivations yields different seeds (catching accidental
-    /// stream reuse), while the counter guarantees uniqueness for repeated
-    /// labels.
-    pub fn derive(&mut self, label: &str) -> u64 {
-        let mut h = self.root;
-        for &b in label.as_bytes() {
-            h = splitmix64(h ^ u64::from(b));
-        }
-        self.counter += 1;
-        splitmix64(h ^ self.counter.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    /// Derives a ready-to-use [`StdRng`] for the given label.
-    pub fn rng(&mut self, label: &str) -> StdRng {
-        StdRng::seed_from_u64(self.derive(label))
-    }
-}
+//! Randomized components (hash key material, workload generators,
+//! adversaries, campaign shards) derive their seeds from one root `u64`
+//! through the SplitMix64 finalizer, so an entire experiment is
+//! reproducible from that root.
 
 // Canonical implementation lives in vpnm-hash (one mixer for the whole
 // workspace); re-exported here because all historical call sites import
@@ -66,41 +13,6 @@ pub use vpnm_hash::fast::{splitmix64, splitmix64_batch};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngCore;
-
-    #[test]
-    fn derivation_is_deterministic() {
-        let mut a = SeedSequence::new(7);
-        let mut b = SeedSequence::new(7);
-        for label in ["x", "y", "x", "z"] {
-            assert_eq!(a.derive(label), b.derive(label));
-        }
-    }
-
-    #[test]
-    fn different_roots_differ() {
-        let mut a = SeedSequence::new(1);
-        let mut b = SeedSequence::new(2);
-        assert_ne!(a.derive("l"), b.derive("l"));
-    }
-
-    #[test]
-    fn repeated_labels_get_distinct_seeds() {
-        let mut s = SeedSequence::new(0);
-        let a = s.derive("same");
-        let b = s.derive("same");
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn rng_streams_are_independent() {
-        let mut s = SeedSequence::new(99);
-        let mut r1 = s.rng("one");
-        let mut r2 = s.rng("two");
-        let v1: Vec<u64> = (0..4).map(|_| r1.next_u64()).collect();
-        let v2: Vec<u64> = (0..4).map(|_| r2.next_u64()).collect();
-        assert_ne!(v1, v2);
-    }
 
     #[test]
     fn splitmix_mixes_low_bits() {

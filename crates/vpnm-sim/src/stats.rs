@@ -1,163 +1,4 @@
-//! Counters, running statistics, and histograms for simulation accounting.
-
-use std::fmt;
-
-/// A named saturating event counter.
-///
-/// ```
-/// use vpnm_sim::Counter;
-/// let mut c = Counter::new("bank_conflicts");
-/// c.incr();
-/// c.add(4);
-/// assert_eq!(c.get(), 5);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    name: &'static str,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter with a static name.
-    pub fn new(name: &'static str) -> Self {
-        Counter { name, value: 0 }
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.value = self.value.saturating_add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// The counter's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}", self.name, self.value)
-    }
-}
-
-/// Streaming mean/variance/min/max over `u64` samples (Welford's method).
-///
-/// ```
-/// use vpnm_sim::RunningStats;
-/// let mut s = RunningStats::new();
-/// for v in [2u64, 4, 4, 4, 5, 5, 7, 9] {
-///     s.record(v);
-/// }
-/// assert_eq!(s.count(), 8);
-/// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.variance() - 4.571428).abs() < 1e-3); // sample variance
-/// assert_eq!(s.min(), Some(2));
-/// assert_eq!(s.max(), Some(9));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: Option<u64>,
-    max: Option<u64>,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        self.count += 1;
-        let v = value as f64;
-        let delta = v - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (v - self.mean);
-        self.min = Some(self.min.map_or(value, |m| m.min(value)));
-        self.max = Some(self.max.map_or(value, |m| m.max(value)));
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance; `0.0` for fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample seen, if any.
-    pub fn min(&self) -> Option<u64> {
-        self.min
-    }
-
-    /// Largest sample seen, if any.
-    pub fn max(&self) -> Option<u64> {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-}
+//! Histograms for simulation accounting.
 
 /// A histogram with logarithmic (power-of-two) buckets for latency and
 /// occupancy distributions.
@@ -569,83 +410,6 @@ impl FineHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basic() {
-        let mut c = Counter::new("x");
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(2);
-        assert_eq!(c.get(), 3);
-        assert_eq!(c.name(), "x");
-        assert_eq!(c.to_string(), "x = 3");
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter::new("s");
-        c.add(u64::MAX);
-        c.incr();
-        assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
-    fn running_stats_empty() {
-        let s = RunningStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn running_stats_single_sample() {
-        let mut s = RunningStats::new();
-        s.record(10);
-        assert_eq!(s.mean(), 10.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), Some(10));
-        assert_eq!(s.max(), Some(10));
-    }
-
-    #[test]
-    fn running_stats_merge_matches_sequential() {
-        let samples: Vec<u64> = (0..100).map(|i| (i * 37) % 91).collect();
-        let mut all = RunningStats::new();
-        for &v in &samples {
-            all.record(v);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &v in &samples[..40] {
-            a.record(v);
-        }
-        for &v in &samples[40..] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-6);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn running_stats_merge_with_empty() {
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        b.record(5);
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        assert_eq!(a.mean(), 5.0);
-        let empty = RunningStats::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 1);
-    }
 
     #[test]
     fn histogram_bucket_boundaries() {

@@ -17,8 +17,7 @@
 //!   processes) and out-of-order TCP segment streams for the packet
 //!   buffering and reassembly applications.
 //!
-//! All generators are deterministic given a seed (via
-//! [`vpnm_sim::SeedSequence`]-derived seeds).
+//! All generators are deterministic given a seed.
 
 #![warn(missing_docs)]
 
