@@ -204,7 +204,10 @@ impl BankController {
         // of the round-robin slots are not used when … the memory bank is
         // busy") and must not count as a conflict in device stats — the
         // `try_issue` variants fold that readiness peek into the issue
-        // itself, so the busy window is tested once, not twice.
+        // itself, so the busy window is tested once, not twice. A write
+        // tests it up front instead, so that it can pop the buffered cell
+        // and move it into the device (no refcount traffic), while a busy
+        // bank still leaves the buffer untouched.
         let busy_until = match self.queue.front().copied() {
             None => 0,
             Some(AccessEntry::Read { row }) => {
@@ -221,20 +224,20 @@ impl BankController {
                     None => 0,
                 }
             }
-            Some(AccessEntry::Write) => {
-                let w = self.writes.front().expect("Write queue entry implies buffered write");
-                match dram
-                    .try_issue_write(self.bank, w.addr.0, w.data.clone(), now_mem)
+            Some(AccessEntry::Write)
+                if dram
+                    .is_bank_ready(self.bank, now_mem)
+                    .unwrap_or_else(|e| panic!("unexpected DRAM error: {e}")) =>
+            {
+                let w = self.writes.pop().expect("Write queue entry implies buffered write");
+                let done = dram
+                    .try_issue_write(self.bank, w.addr.0, w.data, now_mem)
                     .unwrap_or_else(|e| panic!("unexpected DRAM error: {e}"))
-                {
-                    Some(done) => {
-                        self.writes.pop().expect("front checked above");
-                        self.in_service_until = Some(done);
-                        done.as_u64()
-                    }
-                    None => 0,
-                }
+                    .expect("bank readiness checked above");
+                self.in_service_until = Some(done);
+                done.as_u64()
             }
+            Some(AccessEntry::Write) => 0,
         };
         GrantOutcome {
             retired,
@@ -494,6 +497,32 @@ mod tests {
         assert!(!bc.on_bus_grant(&mut d, Cycle::new(4)).issued);
         assert!(!bc.on_bus_grant(&mut d, Cycle::new(6)).issued); // retires, nothing left
         assert_eq!(bc.queue_depth(), 0);
+    }
+
+    #[test]
+    fn busy_bank_write_grant_keeps_the_cell_then_moves_it_into_the_device() {
+        let mut bc = controller();
+        let mut d = dram();
+        // A full 8-byte cell: the device stores it as is, unpadded.
+        let cell = Bytes::from(vec![0xC5; 8]);
+        let ptr = cell.as_slice().as_ptr();
+        bc.submit(BankEvent::Write { addr: LineAddr(6), data: cell }).unwrap();
+        // Occupy the bank through the device, behind the controller's back.
+        let free_at = d.issue_read(1, 0, Cycle::ZERO).unwrap().data_ready_at;
+        for now in 0..free_at.as_u64() {
+            let g = bc.on_bus_grant(&mut d, Cycle::new(now));
+            assert!(!g.issued && !g.retired, "cycle {now}: busy bank issues nothing");
+            assert_eq!((bc.write_buffer_depth(), bc.queue_depth()), (1, 1), "cycle {now}");
+            let w = bc.writes.front().expect("write still buffered");
+            assert_eq!((w.addr, w.data.as_slice().as_ptr()), (LineAddr(6), ptr));
+            assert_eq!(w.data, [0xC5; 8]);
+        }
+        assert_eq!((d.stats().writes, d.stats().bank_conflicts), (0, 0));
+        let g = bc.on_bus_grant(&mut d, free_at);
+        assert!(g.issued);
+        assert_eq!(bc.write_buffer_depth(), 0);
+        assert_eq!(d.stats().writes, 1);
+        assert_eq!(d.peek(1, 6).as_slice().as_ptr(), ptr, "the buffered cell is stored zero-copy");
     }
 
     #[test]

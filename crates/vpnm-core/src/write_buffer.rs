@@ -87,8 +87,7 @@ impl WriteBuffer {
         Ok(())
     }
 
-    /// The oldest write, without removing it (the issue path peeks first
-    /// so a busy bank leaves the buffer untouched).
+    /// The oldest write, without removing it.
     pub fn front(&self) -> Option<&PendingWrite> {
         self.entries.front()
     }

@@ -120,33 +120,42 @@ pub fn payload_bytes(flow: u32, seq: u64, size: usize) -> Vec<u8> {
 /// allocation — byte-identical to [`payload_bytes`]. The serving loop
 /// fills one shared epoch arena with this instead of allocating a
 /// `Vec` per packet.
+///
+/// The keystream is built a whole word at a time — constant-size 8-byte
+/// appends, then one partial tail word — so a cell costs no
+/// variable-length copy.
 pub fn payload_extend(flow: u32, seq: u64, size: usize, out: &mut Vec<u8>) {
     out.reserve(size);
     let mut state = (u64::from(flow) << 40) ^ seq ^ 0x5EED;
-    let mut written = 0usize;
-    while written < size {
+    for _ in 0..size / 8 {
         state = vpnm_sim::rng::splitmix64(state);
-        let take = (size - written).min(8);
-        out.extend_from_slice(&state.to_le_bytes()[..take]);
-        written += take;
+        out.extend_from_slice(&state.to_le_bytes());
+    }
+    let tail = size % 8;
+    if tail != 0 {
+        state = vpnm_sim::rng::splitmix64(state);
+        out.extend_from_slice(&state.to_le_bytes()[..tail]);
     }
 }
 
 /// True when `data` is exactly the `(flow, seq)` payload of `size`
 /// bytes — an allocation-free `data == payload_bytes(flow, seq, size)`
-/// for the verify path.
+/// for the verify path. Whole words compare as `u64`s with early exit;
+/// only a partial tail word compares bytewise.
 pub fn payload_matches(flow: u32, seq: u64, size: usize, data: &[u8]) -> bool {
     if data.len() != size {
         return false;
     }
     let mut state = (u64::from(flow) << 40) ^ seq ^ 0x5EED;
-    for chunk in data.chunks(8) {
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
         state = vpnm_sim::rng::splitmix64(state);
-        if chunk != &state.to_le_bytes()[..chunk.len()] {
+        if u64::from_le_bytes(word.try_into().expect("chunks_exact(8)")) != state {
             return false;
         }
     }
-    true
+    let tail = words.remainder();
+    tail.is_empty() || tail == &vpnm_sim::rng::splitmix64(state).to_le_bytes()[..tail.len()]
 }
 
 /// One TCP segment of a byte stream.
@@ -245,11 +254,41 @@ mod tests {
             assert_eq!(&appended[6..], &canonical[..], "size {size}");
             assert!(payload_matches(9, 1234, size, &canonical));
             assert!(!payload_matches(9, 1235, size.max(1), &payload_bytes(9, 1234, size.max(1))));
-            assert!(!payload_matches(9, 1234, size + 1, &canonical), "length must match");
         }
-        let mut flipped = payload_bytes(3, 7, 64);
-        flipped[63] ^= 1;
-        assert!(!payload_matches(3, 7, 64, &flipped), "last byte is checked");
+    }
+
+    #[test]
+    fn keystream_known_answers() {
+        // Pinned bytes, not self-consistency: every packet-buffer test
+        // compares against `payload_bytes`, so a changed keystream would
+        // otherwise go unnoticed.
+        let hex = |b: Vec<u8>| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        assert_eq!(hex(payload_bytes(9, 1234, 20)), "ddd162068b042ce9f2d1712411ea09e3e4e54e4e");
+        assert_eq!(hex(payload_bytes(0, 0, 9)), "b4a9f0039dfdf109e8");
+    }
+
+    #[test]
+    fn matches_rejects_every_bit_flip_and_every_wrong_length() {
+        for size in [0usize, 1, 7, 8, 9, 63, 64, 65] {
+            let longer = payload_bytes(9, 1234, size + 8);
+            let mut data = longer[..size].to_vec();
+            assert!(payload_matches(9, 1234, size, &data), "size {size}");
+            for i in 0..size {
+                for bit in 0..8 {
+                    data[i] ^= 1 << bit;
+                    assert!(
+                        !payload_matches(9, 1234, size, &data),
+                        "size {size} byte {i} bit {bit}"
+                    );
+                    data[i] ^= 1 << bit;
+                }
+            }
+            // Keystream prefixes: only the length is wrong.
+            for len in (0..=size + 8).filter(|&len| len != size) {
+                assert!(!payload_matches(9, 1234, size, &longer[..len]), "size {size} len {len}");
+                assert!(!payload_matches(9, 1234, len, &data), "size {size} claimed {len}");
+            }
+        }
     }
 
     #[test]
