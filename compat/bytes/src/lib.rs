@@ -7,6 +7,10 @@
 //! `Arc<[u8]>` plus a window, so `clone()` is a reference-count bump — the
 //! property the simulator's zero-allocation data path relies on.
 
+// The raw-view representation needs `unsafe`; each item holding it
+// carries an explicit `allow`.
+#![deny(unsafe_code)]
+
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -36,9 +40,12 @@ pub struct Bytes {
 // SAFETY: `Bytes` is an immutable view whose backing memory is either
 // `'static` or owned by the `Arc` it carries; both are safe to share and
 // send across threads.
+#[allow(unsafe_code)]
 unsafe impl Send for Bytes {}
+#[allow(unsafe_code)]
 unsafe impl Sync for Bytes {}
 
+#[allow(unsafe_code)]
 impl Bytes {
     /// Creates a new empty `Bytes` (no allocation).
     #[inline]
@@ -157,6 +164,7 @@ impl From<&[u8]> for Bytes {
     }
 }
 
+#[allow(unsafe_code)]
 impl From<Box<[u8]>> for Bytes {
     fn from(b: Box<[u8]>) -> Self {
         let owner: Arc<[u8]> = Arc::from(b);

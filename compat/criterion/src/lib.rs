@@ -14,6 +14,8 @@
 //! Environment knobs: `BENCH_MEASURE_MS` (per-benchmark measurement
 //! budget, default 300) and `BENCH_WARMUP_MS` (default 100).
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 

@@ -14,6 +14,8 @@
 //! reported as-is — and no persistence of failure seeds. For a CI gate
 //! that is a reporting-quality difference, not a soundness one.
 
+#![forbid(unsafe_code)]
+
 // Lets this crate's own tests (and macro expansions that spell out
 // `proptest::...`) refer to the crate by its public name.
 extern crate self as proptest;

@@ -8,6 +8,8 @@
 //! [`seq::SliceRandom::shuffle`]. Streams are deterministic per seed, which
 //! is all the simulator requires; no cryptographic claims are made.
 
+#![forbid(unsafe_code)]
+
 /// The core of a random number generator.
 pub trait RngCore {
     /// Returns the next 32 random bits.

@@ -34,6 +34,7 @@
 //!   million-flow table over the fabric-backed packet buffer.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod baselines;
 pub mod engine;

@@ -19,9 +19,11 @@
 //!   pointers are stale while the event list is built. The `in`/`out`
 //!   counters advance at *schedule* time and therefore always agree with
 //!   the admission decision the buffer itself will make.
+//!
+//! The serving loop maps a flow to its slot in one place, one
+//! [`FlowTable::slot_of`] probe per admitted arrival.
 
-use vpnm_core::prefetch_read;
-use vpnm_sim::rng::{splitmix64, splitmix64_batch};
+use vpnm_sim::rng::splitmix64;
 
 /// Flat open-addressed flow table; slot index == packet-buffer queue
 /// index.
@@ -38,15 +40,7 @@ pub struct FlowTable {
     out_counts: Vec<u32>,
     mask: u64,
     len: u64,
-    /// Scratch lanes for [`FlowTable::slots_of_batch`], reused across
-    /// epochs so the batched path allocates nothing at steady state.
-    key_scratch: Vec<u64>,
-    fp_scratch: Vec<u64>,
 }
-
-/// How many probes ahead [`FlowTable::slots_of_batch`] warms home
-/// slots; matches the controller's playback-wheel lookahead.
-const LOOKAHEAD: usize = 8;
 
 impl FlowTable {
     /// Creates a table with `capacity` slots (a power of two ≥ 2).
@@ -66,8 +60,6 @@ impl FlowTable {
             out_counts: vec![0; n],
             mask: u64::from(capacity) - 1,
             len: 0,
-            key_scratch: Vec::new(),
-            fp_scratch: Vec::new(),
         }
     }
 
@@ -95,45 +87,13 @@ impl FlowTable {
     /// Finds the slot for `flow`, inserting it on first sight. Returns
     /// `None` when the flow is new and the table is at capacity (the
     /// caller counts a flow-table drop).
-    pub fn slot_of(&mut self, flow: u64) -> Option<u32> {
-        self.probe_insert(Self::fingerprint(flow))
-    }
-
-    /// Batched [`FlowTable::slot_of`] over a flow-ID slice: fingerprints
-    /// are hashed through the workspace's batched SplitMix64 kernel
-    /// (`splitmix64_batch`, the same AVX2 dispatch layer as
-    /// `HashEngine::hash_batch` — the fingerprint function itself must
-    /// stay SplitMix64 so existing snapshots remain byte-identical),
-    /// home slots are software-prefetched `LOOKAHEAD` (8) probes ahead,
-    /// and `out` receives one dense slot per flow in order.
     ///
-    /// Equivalent to calling `slot_of` per flow in sequence (insertions
-    /// included), pinned by the `batch_equals_per_packet` proptest.
-    pub fn slots_of_batch(&mut self, flows: &[u64], out: &mut Vec<Option<u32>>) {
-        out.clear();
-        out.reserve(flows.len());
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        let mut fps = std::mem::take(&mut self.fp_scratch);
-        keys.clear();
-        keys.extend(flows.iter().map(|&f| f ^ 0xF1D0_F1D0_F1D0_F1D0));
-        fps.resize(keys.len(), 0);
-        splitmix64_batch(&keys, &mut fps);
-        for i in 0..fps.len() {
-            // 0 is the empty-slot sentinel, as in `fingerprint`.
-            let fp = fps[i].max(1);
-            if let Some(&ahead) = fps.get(i + LOOKAHEAD) {
-                prefetch_read(&self.fingerprints[(ahead.max(1) & self.mask) as usize]);
-            }
-            out.push(self.probe_insert(fp));
-        }
-        self.key_scratch = keys;
-        self.fp_scratch = fps;
-    }
-
-    /// Linear probe from `fp`'s home slot, claiming the first empty slot
-    /// for a new fingerprint; `None` after one full wrap (table full).
+    /// A linear probe from the fingerprint's home slot, claiming the
+    /// first empty slot for a new fingerprint; `None` after one full
+    /// wrap.
     #[inline]
-    fn probe_insert(&mut self, fp: u64) -> Option<u32> {
+    pub fn slot_of(&mut self, flow: u64) -> Option<u32> {
+        let fp = Self::fingerprint(flow);
         let mut i = (fp & self.mask) as usize;
         // When full, a missing flow would probe forever: scan only until
         // we either hit the flow or wrap once.
@@ -150,6 +110,14 @@ impl FlowTable {
             i = (i + 1) & self.mask as usize;
         }
         None
+    }
+
+    /// [`FlowTable::slot_of`] over a flow-ID slice, in order: `out`
+    /// receives one slot per flow. The serving loop does not call it;
+    /// it is kept for the repo benchmark's flow-table probe.
+    pub fn slots_of_batch(&mut self, flows: &[u64], out: &mut Vec<Option<u32>>) {
+        out.clear();
+        out.extend(flows.iter().map(|&f| self.slot_of(f)));
     }
 
     /// Packets currently resident in `slot`'s buffer ring, as of the

@@ -278,7 +278,7 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
     let mut rig = IngressRig::spawn(cfg.producers, &cfg.source, plan, cfg.seed);
 
     // Ingress entries carry their flow-table slot, resolved at
-    // admission time (batched when possible). Admission order equals
+    // admission time by one `slot_of` probe. Admission order equals
     // FIFO service order, so hoisting the `slot_of` probe from service
     // to admission preserves the exact probe sequence — and with it the
     // table layout — byte for byte.
@@ -309,12 +309,9 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
     let drain_budget =
         |backlog: u64, delay: u64, epoch_len: u64| (backlog + delay).div_ceil(epoch_len) + 2;
     let mut drain_end: Option<u64> = None;
-    // Reused across epochs: the event lane, the batched-slotting
-    // scratch, and the payload arena — the steady state allocates one
-    // arena per epoch, nothing per packet.
+    // Reused across epochs: the event lane and the payload arena — the
+    // steady state allocates one arena per epoch, nothing per packet.
     let mut events: Vec<(u64, LaneEvent)> = Vec::new();
-    let mut batch_flows: Vec<u64> = Vec::new();
-    let mut slots_lane: Vec<Option<u32>> = Vec::new();
     let mut arena_buf: Vec<u8> = Vec::new();
     loop {
         let (start, end) = if epoch < offered_epochs {
@@ -352,17 +349,6 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
             }
         }
 
-        // When the whole epoch provably fits behind the queue bound, no
-        // arrival can tail-drop, so every flow is resolved upfront in
-        // one batched, prefetched table pass; otherwise fall back to
-        // per-arrival probing at admission (same probe order).
-        let batched = ingress.len() + arrivals.len() <= cfg.queue_depth;
-        if batched && !arrivals.is_empty() {
-            batch_flows.clear();
-            batch_flows.extend(arrivals.iter().map(|a| a.flow));
-            table.slots_of_batch(&batch_flows, &mut slots_lane);
-        }
-
         // Schedule the epoch: one memory operation per cycle, shared
         // between egress (transmit) and admission.
         events.clear();
@@ -371,9 +357,7 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
             while next_arrival < arrivals.len() && arrivals[next_arrival].cycle == c {
                 let a = arrivals[next_arrival];
                 serving.offered += 1;
-                if batched {
-                    ingress.push_back((a.cycle, slots_lane[next_arrival], a.tenant));
-                } else if ingress.len() >= cfg.queue_depth {
+                if ingress.len() >= cfg.queue_depth {
                     serving.ingress_drops += 1;
                     if let Some(t) = tenant_lanes.as_mut() {
                         t.drop_one(a.tenant);

@@ -79,7 +79,6 @@ fn main() {
             addr_bits: 16,
             cell_bytes: 8,
             hash: HashKind::H3,
-            write_buffer_entries: None,
             forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,

@@ -8,6 +8,7 @@
 //! wins, by what rough factor).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod campaign;
 pub mod inspect;

@@ -56,8 +56,6 @@ pub struct VpnmConfig {
     pub cell_bytes: usize,
     /// Which universal hash family randomizes the bank mapping.
     pub hash: HashKind,
-    /// Write buffer entries; `None` = `ceil(Q/2)` per the paper.
-    pub write_buffer_entries: Option<usize>,
     /// Forensic event-ring capacity for the fast engine's observability
     /// layer — the one forensics gate. `0` (the default) records nothing
     /// and costs nothing: the controller then runs the instantiation of
@@ -85,7 +83,6 @@ impl VpnmConfig {
             addr_bits: 32,
             cell_bytes: 64,
             hash: HashKind::H3,
-            write_buffer_entries: None,
             forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,
@@ -111,7 +108,6 @@ impl VpnmConfig {
             addr_bits: 16,
             cell_bytes: 8,
             hash: HashKind::H3,
-            write_buffer_entries: None,
             forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,
@@ -132,7 +128,6 @@ impl VpnmConfig {
             addr_bits: 16,
             cell_bytes: 8,
             hash: HashKind::H3,
-            write_buffer_entries: None,
             forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,
@@ -186,9 +181,9 @@ impl VpnmConfig {
         self.banks.trailing_zeros()
     }
 
-    /// Write buffer capacity: explicit, or `ceil(Q/2)` per the paper.
+    /// Write buffer capacity: `ceil(Q/2)`, the paper's value.
     pub fn write_buffer_capacity(&self) -> usize {
-        self.write_buffer_entries.unwrap_or(self.queue_entries.div_ceil(2))
+        self.queue_entries.div_ceil(2)
     }
 
     /// The smallest safe normalized delay `D`, in interface cycles.
@@ -365,7 +360,6 @@ mod tests {
             addr_bits: 16,
             cell_bytes: 8,
             hash: HashKind::LowBits,
-            write_buffer_entries: None,
             forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,

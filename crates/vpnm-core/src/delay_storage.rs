@@ -172,10 +172,8 @@ impl DelayStorageBuffer {
     }
 
     /// Warms a row ahead of its playback deadline with a hardware
-    /// prefetch ([`crate::prefetch::prefetch_read`], shared with the
-    /// serving layer's batched flow-table probes) — by playback time the
-    /// row was last touched a full bank access ago and has long left the
-    /// cache. Semantically a no-op.
+    /// prefetch — by playback time the row was last touched a full bank
+    /// access ago and has long left the cache. Semantically a no-op.
     #[inline]
     pub fn prefetch_row(&self, row: RowId) {
         crate::prefetch::prefetch_read(&raw const self.rows[row as usize]);

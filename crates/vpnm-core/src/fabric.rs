@@ -431,8 +431,8 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
     /// but executed channel-major: malformed requests are held at the
     /// fabric edge exactly like `tick` holds them (same rejection kind,
     /// same recording cycle), channel selection runs as one batched pass
-    /// over the presented addresses ([`ChannelSelector::route_batch`],
-    /// SIMD-backed for the keyed permutation), admission runs serially in
+    /// over the presented addresses ([`ChannelSelector::route_batch`]),
+    /// admission runs serially in
     /// cycle order, and the survivors scatter into sparse per-channel
     /// lanes that each channel then advances through independently via
     /// [`PipelinedMemory::run_epoch_sparse`] — jumping straight across

@@ -47,6 +47,9 @@
 //! deterministic-latency interface (see `DESIGN.md`, "Fabric layer").
 
 #![warn(missing_docs)]
+// Every `unsafe` site needs an explicit, item-level `allow`: the spsc
+// slot protocol in `ring`, `prefetch`, and `tag_match`.
+#![deny(unsafe_code)]
 
 pub mod access_queue;
 pub mod bank_controller;
@@ -60,12 +63,14 @@ pub mod hash_engine;
 pub mod memory;
 pub mod metrics;
 pub mod pool;
-pub mod prefetch;
+#[allow(unsafe_code)]
+mod prefetch;
 pub mod reference;
 pub mod regulator;
 pub mod request;
 pub mod ring;
 pub mod snapshot;
+#[allow(unsafe_code)]
 mod tag_match;
 pub mod write_buffer;
 
@@ -77,7 +82,6 @@ pub use hash_engine::{HashEngine, HashKind};
 pub use memory::{IdealMemory, PipelinedMemory};
 pub use metrics::ControllerMetrics;
 pub use pool::WorkerPool;
-pub use prefetch::prefetch_read;
 pub use reference::ReferenceController;
 pub use regulator::{QosConfig, Regulator, RegulatorMode, TenantLedger, MAX_TENANTS};
 pub use request::{LineAddr, Request, Response, StallKind, TenantId, TickOutput};

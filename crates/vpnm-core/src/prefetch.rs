@@ -1,11 +1,11 @@
-//! Software prefetch hint shared by the controller's playback wheel and
-//! the serving layer's batched flow-table probes.
+//! Software prefetch hint for the controller's playback wheel
+//! ([`crate::delay_storage::DelayStorageBuffer::prefetch_row`]).
 
 /// Issues a hardware prefetch for `p`'s cache line on targets that have
 /// one; a no-op elsewhere. Fire-and-forget: unlike a dummy load, the
 /// line fill occupies no register and never delays retirement.
 #[inline]
-pub fn prefetch_read<T>(p: *const T) {
+pub(crate) fn prefetch_read<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch is a hint with no memory effects; it is valid
     // for any address, and SSE is baseline on x86_64.

@@ -4,23 +4,25 @@
 //! [`crate::access_queue::BankAccessQueue`] (single-threaded, paper
 //! Figure 3) and the serving front door's producer lanes (lock-free
 //! SPSC) both index a power-of-two slot array with a cached mask and
-//! unchecked, mask-reduced access. This module is that common core:
+//! mask-reduced access. This module is that common core:
 //!
 //! * [`RingSlots`] — the bare slot array + mask, for single-threaded
-//!   FIFOs that keep their own head/len bookkeeping.
+//!   FIFOs that keep their own head/len bookkeeping. Access is
+//!   bounds-checked: unchecked indexing bought no measurable speed.
 //! * [`spsc`] — a bounded single-producer single-consumer channel over
 //!   the same slot discipline, with cache-line-padded head/tail indices
-//!   and spin-then-yield blocking that counts producer parks.
+//!   and spin-then-yield blocking that counts producer parks. Its slot
+//!   hand-off is the module's only `unsafe`.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A power-of-two slot array with a cached index mask and unchecked,
-/// mask-reduced access — the storage half of every ring in the
-/// workspace. Callers keep their own head/tail bookkeeping and promise
-/// to reduce indices by [`RingSlots::mask`] before access.
+/// A power-of-two slot array with a cached index mask — the storage
+/// half of every ring in the workspace. Callers keep their own
+/// head/tail bookkeeping and reduce indices by [`RingSlots::mask`]
+/// before access.
 ///
 /// ```
 /// use vpnm_core::ring::RingSlots;
@@ -69,21 +71,24 @@ impl<T> RingSlots<T> {
         false
     }
 
-    /// Unchecked slot access for mask-reduced indices.
+    /// Slot access for a mask-reduced index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i > mask`.
     #[inline]
     pub fn get(&self, i: u32) -> &T {
-        debug_assert!(i <= self.mask);
-        // SAFETY: callers reduce `i` by `self.mask`, and
-        // `slots.len() == mask + 1` by construction (power of two).
-        unsafe { self.slots.get_unchecked(i as usize) }
+        &self.slots[i as usize]
     }
 
-    /// Unchecked mutable slot access for mask-reduced indices.
+    /// Mutable slot access for a mask-reduced index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i > mask`.
     #[inline]
     pub fn get_mut(&mut self, i: u32) -> &mut T {
-        debug_assert!(i <= self.mask);
-        // SAFETY: as in [`RingSlots::get`].
-        unsafe { self.slots.get_unchecked_mut(i as usize) }
+        &mut self.slots[i as usize]
     }
 }
 
@@ -113,9 +118,12 @@ struct SpscShared<T> {
 // the producer writes a slot strictly before publishing it via `tail`
 // (Release), the consumer reads it strictly after observing that store
 // (Acquire) and returns it via `head` the same way.
+#[allow(unsafe_code)]
 unsafe impl<T: Send> Sync for SpscShared<T> {}
+#[allow(unsafe_code)]
 unsafe impl<T: Send> Send for SpscShared<T> {}
 
+#[allow(unsafe_code)]
 impl<T> Drop for SpscShared<T> {
     fn drop(&mut self) {
         // Sole owner at this point: drop the unreceived items.
@@ -222,6 +230,7 @@ impl<T: Send> SpscSender<T> {
     /// [`TrySendError::Disconnected`] when the receiver is gone; both
     /// hand the value back.
     #[inline]
+    #[allow(unsafe_code)]
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
         let s = &*self.shared;
         if s.disconnected.load(Ordering::Acquire) {
@@ -280,6 +289,7 @@ impl<T: Send> SpscReceiver<T> {
     /// [`RecvError::Disconnected`] when the lane is empty **and** the
     /// producer is gone (queued values are still delivered first).
     #[inline]
+    #[allow(unsafe_code)]
     pub fn try_recv(&mut self) -> Result<T, RecvError> {
         let s = &*self.shared;
         let head = s.head.0.load(Ordering::Relaxed);
@@ -353,6 +363,13 @@ mod tests {
         let mut r = RingSlots::from_fn(2, |_| 0u64);
         *r.get_mut(1) = 9;
         assert_eq!(*r.get(1), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn ring_slots_unreduced_index_rejected() {
+        let r = RingSlots::from_fn(4, |i| i);
+        let _ = r.get(4);
     }
 
     #[test]

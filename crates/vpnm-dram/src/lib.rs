@@ -40,6 +40,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bank;
 pub mod config;

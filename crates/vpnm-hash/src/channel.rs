@@ -163,8 +163,8 @@ impl ChannelSelector {
     /// Batched [`ChannelSelector::route`]: `(channels[i], locals[i]) =
     /// route(addrs[i])`, bit-identical to the scalar path. The
     /// [`ChannelSelect::UniversalHash`] flavour evaluates its affine
-    /// stage through [`AffinePermutation::apply_batch`], so the fabric's
-    /// route pass rides the same SIMD fold as the bank hash.
+    /// stage through [`AffinePermutation::apply_batch`]'s table-major
+    /// byte fold.
     ///
     /// # Panics
     ///

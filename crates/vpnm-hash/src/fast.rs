@@ -4,9 +4,9 @@
 //! and the hasher built on it. The hot data path performs several
 //! `HashMap` operations per simulated cycle (the delay-storage CAM, the
 //! sparse DRAM cell store), and seed derivation plus payload keystreams
-//! use the same mixer — keeping a single implementation here means the
-//! batched ingest path has exactly one integer hash to optimize.
-//! `vpnm-sim` re-exports everything in this module unchanged.
+//! use the same mixer, as does the serving layer's flow-table
+//! fingerprint — one scalar finalizer, no batched or vector variant.
+//! `vpnm-sim` re-exports [`splitmix64`] unchanged.
 //!
 //! Not for adversary-facing state: bank selection uses the keyed
 //! universal families in this crate ([`crate::h3`] and friends), never
@@ -25,29 +25,6 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Batched [`splitmix64`]: `out[i] = splitmix64(inputs[i])`,
-/// bit-identical to the scalar loop on every input.
-///
-/// On an AVX2 host this runs four lanes per iteration (the wrapping
-/// multiplies decompose into 32×32→64 partial products); otherwise it
-/// is the plain scalar loop. The serving layer's
-/// `FlowTable::slots_of_batch` hashes its fingerprints here.
-///
-/// # Panics
-///
-/// Panics if `inputs` and `out` differ in length.
-#[inline]
-pub fn splitmix64_batch(inputs: &[u64], out: &mut [u64]) {
-    assert_eq!(inputs.len(), out.len(), "batch length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::splitmix64_fold(inputs, out) {
-        return;
-    }
-    for (o, &x) in out.iter_mut().zip(inputs) {
-        *o = splitmix64(x);
-    }
 }
 
 /// The bare mixing rounds of [`splitmix64`] without the golden-ratio
@@ -171,26 +148,6 @@ mod tests {
             .collect();
         let low_bits: FastHashSet<u64> = hashes.iter().map(|h| h & 0xFFF).collect();
         assert!(low_bits.len() >= 60, "low bits collide: {}", low_bits.len());
-    }
-
-    #[test]
-    fn batch_matches_scalar_including_tail() {
-        // Lengths straddling the 4-lane vector width and the MIN_LANES
-        // dispatch floor, so both kernel body and scalar tail are hit.
-        for n in [0usize, 1, 3, 4, 7, 8, 9, 31] {
-            let inputs: Vec<u64> =
-                (0..n as u64).map(|i| splitmix64(i ^ 0x5EED).wrapping_mul(i | 1)).collect();
-            let mut out = vec![0u64; n];
-            splitmix64_batch(&inputs, &mut out);
-            let scalar: Vec<u64> = inputs.iter().map(|&x| splitmix64(x)).collect();
-            assert_eq!(out, scalar, "n = {n}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn batch_length_mismatch_rejected() {
-        splitmix64_batch(&[1, 2], &mut [0]);
     }
 
     #[test]

@@ -47,6 +47,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod channel;
 pub mod fast;
@@ -55,6 +56,7 @@ pub mod h3;
 pub mod multiply_shift;
 pub mod permute;
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod simd;
 pub mod tabulation;
 

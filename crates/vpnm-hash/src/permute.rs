@@ -77,19 +77,10 @@ impl ByteTables {
     }
 
     /// Batched fold with the final XOR constant: `out[i] = init ⊕
-    /// M·xs[i]`. AVX2-gathered 4 lanes at a time when available,
-    /// table-major scalar otherwise; bit-identical to `apply` either way.
+    /// M·xs[i]`, table-major so each 2 KiB byte table stays hot in L1
+    /// across the batch; bit-identical to `apply`.
     fn apply_batch(&self, init: u64, xs: &[u64], out: &mut [u64]) {
         debug_assert_eq!(xs.len(), out.len());
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::fold_u64(&self.tabs, init, xs, out) {
-            return;
-        }
-        self.apply_batch_scalar(init, xs, out);
-    }
-
-    /// The table-major scalar form of [`ByteTables::apply_batch`].
-    fn apply_batch_scalar(&self, init: u64, xs: &[u64], out: &mut [u64]) {
         out.fill(init);
         for (c, tab) in self.tabs.iter().enumerate() {
             let shift = 8 * c;
@@ -143,8 +134,7 @@ impl AffinePermutation {
     }
 
     /// Batched [`AffinePermutation::apply`]: `out[i] = apply(xs[i])`,
-    /// bit-identical to the scalar path, vectorized where the host has
-    /// AVX2.
+    /// bit-identical to the per-element path.
     ///
     /// # Panics
     ///
@@ -316,11 +306,9 @@ mod proptests {
             prop_assert_eq!(p.row_of(x), p.apply(x) >> 4);
         }
 
-        /// Three ways bit-identical: per-element `apply`/`bank_of`, the
-        /// table-major scalar batch, and the dispatching batch (AVX2
-        /// where the host has it) — for random keys, widths, and batch
-        /// lengths spanning the 4-lane vector boundary and the scalar
-        /// tail.
+        /// The table-major batches are bit-identical to per-element
+        /// `apply`/`bank_of`, for random keys, widths, and batch
+        /// lengths.
         #[test]
         fn batch_bit_identical_to_scalar(
             seed in any::<u64>(),
@@ -331,9 +319,6 @@ mod proptests {
             let p = AffinePermutation::from_seed(addr_bits, bank_bits, seed);
             let mut out = vec![0u64; xs.len()];
             p.apply_batch(&xs, &mut out);
-            let mut scalar = vec![0u64; xs.len()];
-            p.fwd_tab.apply_batch_scalar(p.offset, &xs, &mut scalar);
-            prop_assert_eq!(&out, &scalar, "dispatching batch vs scalar batch");
             let mut banks = vec![0u32; xs.len()];
             p.bank_of_batch(&xs, &mut banks);
             for (i, &x) in xs.iter().enumerate() {

@@ -25,6 +25,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod calibrate;
 pub mod macros;

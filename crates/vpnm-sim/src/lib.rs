@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod rng;

@@ -8,7 +8,7 @@
 // Canonical implementation lives in vpnm-hash (one mixer for the whole
 // workspace); re-exported here because all historical call sites import
 // it from this module. Bit-identical to the previous in-crate copy.
-pub use vpnm_hash::fast::{splitmix64, splitmix64_batch};
+pub use vpnm_hash::fast::splitmix64;
 
 #[cfg(test)]
 mod tests {

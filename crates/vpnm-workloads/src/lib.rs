@@ -20,6 +20,7 @@
 //! All generators are deterministic given a seed.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod adversary;
 pub mod burst;

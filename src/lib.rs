@@ -38,6 +38,7 @@
 //! binaries that regenerate every table and figure of the paper.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use vpnm_analysis as analysis;
 pub use vpnm_apps as apps;

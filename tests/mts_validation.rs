@@ -49,7 +49,6 @@ fn markov_model_predicts_simulated_queue_stalls() {
         addr_bits: 16,
         cell_bytes: 8,
         hash: HashKind::H3,
-        write_buffer_entries: None,
         forensics_capacity: 0,
         scheduler: SchedulerKind::RoundRobin,
         merging: true,
@@ -77,7 +76,6 @@ fn markov_model_tracks_q_scaling() {
         addr_bits: 16,
         cell_bytes: 8,
         hash: HashKind::H3,
-        write_buffer_entries: None,
         forensics_capacity: 0,
         scheduler: SchedulerKind::RoundRobin,
         merging: true,
@@ -127,7 +125,6 @@ fn storage_dominated_config_stalls_on_storage() {
         addr_bits: 16,
         cell_bytes: 8,
         hash: HashKind::H3,
-        write_buffer_entries: None,
         forensics_capacity: 0,
         scheduler: SchedulerKind::RoundRobin,
         merging: true,
