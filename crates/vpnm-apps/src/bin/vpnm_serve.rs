@@ -42,6 +42,7 @@
 //! (`wall_nanos`, `mpps`, `producer_parks`, and `paced_rate`) are set
 //! aside — see `ServingMetrics::canonical`.
 
+use std::str::FromStr;
 use std::sync::Arc;
 
 use vpnm_apps::serve::{read_trace, run_serve, Arrival, ArrivalSource, FlowMix, ServeConfig};
@@ -58,6 +59,12 @@ fn usage_exit(error: &str) -> ! {
          [--trace PATH] [--seed N] [--no-verify]"
     );
     std::process::exit(2)
+}
+
+/// Parses `v` as the flag's own type, so an out-of-range integer is a
+/// usage error rather than a silent truncation.
+fn parse_num<T: FromStr>(flag: &str, v: String) -> T {
+    v.parse().unwrap_or_else(|_| usage_exit(&format!("{flag} needs a number")))
 }
 
 fn main() {
@@ -87,43 +94,25 @@ fn main() {
         let mut value = |flag: &str| {
             args.next().unwrap_or_else(|| usage_exit(&format!("{flag} needs a value")))
         };
-        let parse_u64 = |flag: &str, v: String| {
-            v.parse::<u64>().unwrap_or_else(|_| usage_exit(&format!("{flag} needs a number")))
-        };
         match arg.as_str() {
-            "--producers" => cfg.producers = parse_u64("--producers", value("--producers")) as u32,
-            "--cycles" => cfg.cycles = parse_u64("--cycles", value("--cycles")),
-            "--epoch" => cfg.epoch_len = parse_u64("--epoch", value("--epoch")),
-            "--load" => {
-                load =
-                    value("--load").parse().unwrap_or_else(|_| usage_exit("--load needs a number"));
-            }
+            "--producers" => cfg.producers = parse_num("--producers", value("--producers")),
+            "--cycles" => cfg.cycles = parse_num("--cycles", value("--cycles")),
+            "--epoch" => cfg.epoch_len = parse_num("--epoch", value("--epoch")),
+            "--load" => load = parse_num("--load", value("--load")),
             "--mix" => mix_name = value("--mix"),
-            "--skew" => {
-                skew =
-                    value("--skew").parse().unwrap_or_else(|_| usage_exit("--skew needs a number"));
-            }
-            "--flows" => flows = parse_u64("--flows", value("--flows")),
+            "--skew" => skew = parse_num("--skew", value("--skew")),
+            "--flows" => flows = parse_num("--flows", value("--flows")),
             "--adversary-pct" => {
-                adversary_pct = parse_u64("--adversary-pct", value("--adversary-pct")) as u32;
+                adversary_pct = parse_num("--adversary-pct", value("--adversary-pct"));
             }
-            "--queue-depth" => {
-                cfg.queue_depth = parse_u64("--queue-depth", value("--queue-depth")) as usize;
-            }
+            "--queue-depth" => cfg.queue_depth = parse_num("--queue-depth", value("--queue-depth")),
             "--cells-per-queue" => {
-                cfg.cells_per_queue = parse_u64("--cells-per-queue", value("--cells-per-queue"));
+                cfg.cells_per_queue = parse_num("--cells-per-queue", value("--cells-per-queue"));
             }
-            "--cell-bytes" => {
-                cfg.cell_bytes = parse_u64("--cell-bytes", value("--cell-bytes")) as usize;
-            }
-            "--rate" => {
-                cfg.pace = match parse_u64("--rate", value("--rate")) {
-                    0 => None,
-                    r => Some(r),
-                };
-            }
+            "--cell-bytes" => cfg.cell_bytes = parse_num("--cell-bytes", value("--cell-bytes")),
+            "--rate" => cfg.pace = Some(parse_num("--rate", value("--rate"))).filter(|&r| r != 0),
             "--trace" => trace_path = Some(value("--trace")),
-            "--seed" => cfg.seed = parse_u64("--seed", value("--seed")),
+            "--seed" => cfg.seed = parse_num("--seed", value("--seed")),
             "--no-verify" => cfg.verify = false,
             other => usage_exit(&format!("unrecognized argument '{other}'")),
         }

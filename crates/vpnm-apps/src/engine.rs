@@ -39,8 +39,8 @@ use vpnm_core::{
 /// Which engine implementation serves each channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The production engine: ready-set scheduling, shared delay wheel,
-    /// event-horizon skipping.
+    /// The production engine: packed scheduling lanes, shared delay
+    /// wheel, idle fast-forward.
     Fast,
     /// The O(B)-per-cycle seed formulation, kept as a differential twin.
     Reference,

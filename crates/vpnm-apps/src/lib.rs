@@ -26,9 +26,8 @@
 //!   inspection" future-work direction): an on-chip Bloom prefilter in
 //!   front of an exact-match verification table in VPNM memory.
 //! * [`engine`] — the shared `--engine/--channels/--select/--workers`
-//!   flag triple that builds any engine/fabric topology; used by the
-//!   serving bins here and re-exported by `vpnm-bench` for the
-//!   measurement bins.
+//!   flag set that builds any engine/fabric topology; used by the
+//!   serving bins here and by the `vpnm-bench` measurement bins.
 //! * [`serve`] — the live serving front-end: concurrent producers,
 //!   bounded ingress queues with backpressure, wall-clock pacing, and a
 //!   million-flow table over the fabric-backed packet buffer.

@@ -105,6 +105,36 @@ impl FlowMix {
         }
     }
 
+    /// Rejects the parameters the mix's generator asserts on
+    /// ([`UniformAddresses::new`], [`HeavyTailFlows::new`],
+    /// [`MultiTenantMix::new`]), so a bad mix is an `Err` from
+    /// [`run_serve`] instead of a panic in every producer thread.
+    fn check(&self) -> Result<(), String> {
+        let invalid = |why: String| Err(format!("invalid flow mix {self:?}: {why}"));
+        match *self {
+            FlowMix::Uniform { space: 0 } => invalid("the flow space is empty".into()),
+            FlowMix::HeavyTail { space, .. } | FlowMix::MultiTenant { space, .. } if space < 2 => {
+                invalid("a heavy-tailed space needs at least 2 flows".into())
+            }
+            FlowMix::HeavyTail { skew, .. } if !(skew > 0.0 && skew.is_finite()) => {
+                invalid("skew must be positive and finite".into())
+            }
+            FlowMix::MultiTenant { tenants: 0, .. } => invalid("no tenants".into()),
+            FlowMix::MultiTenant { adversary_pct: 101.., .. } => {
+                invalid("the adversary share is a percentage".into())
+            }
+            FlowMix::MultiTenant { tenants: 1, adversary_pct: 1.., .. } => {
+                invalid("an adversarial tenant needs a well-behaved victim (tenants >= 2)".into())
+            }
+            FlowMix::MultiTenant { space, banks, adversary_pct: 1.., .. }
+                if banks == 0 || space < banks =>
+            {
+                invalid(format!("the adversary's stride needs 1..={space} banks"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     pub(crate) fn generator(&self, seed: u64) -> Box<dyn TenantFlowGen + Send> {
         match *self {
             FlowMix::Uniform { space } => {
@@ -128,7 +158,7 @@ pub struct ServeConfig {
     pub engine: EngineOpts,
     /// Memory design point each channel runs.
     pub base: VpnmConfig,
-    /// Concurrent producer threads.
+    /// Concurrent producer threads (at least one).
     pub producers: u32,
     /// Offered window in interface cycles.
     pub cycles: u64,
@@ -141,9 +171,10 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Per-flow buffer ring depth in cells.
     pub cells_per_queue: u64,
-    /// Payload bytes per cell.
+    /// Payload bytes per cell, `1..=base.cell_bytes`; the memory stores
+    /// design-point-sized cells, zero-padded past the payload.
     pub cell_bytes: usize,
-    /// Wall-clock pacing in interface cycles per second;
+    /// Wall-clock pacing in interface cycles per second, `1..=1e9`;
     /// `None` = unpaced (as fast as the host allows).
     pub pace: Option<u64>,
     /// Root seed; all simulation-domain output is a pure function of
@@ -246,24 +277,28 @@ impl TenantLanes {
 ///
 /// # Errors
 ///
-/// Returns a message for invalid geometry, or — with
-/// [`ServeConfig::verify`] — for a payload that fails verification on a
-/// stall-free run (which would be a correctness bug, not congestion).
+/// Returns a message for invalid geometry, pacing or flow mix — checked
+/// before any producer thread starts — or, with [`ServeConfig::verify`],
+/// for a payload that fails verification on a stall-free run (which
+/// would be a correctness bug, not congestion).
 pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
-    if cfg.epoch_len == 0 || cfg.cycles == 0 {
-        return Err("cycles and epoch_len must be positive".into());
+    if cfg.epoch_len == 0 || cfg.cycles == 0 || cfg.producers == 0 || cfg.queue_depth == 0 {
+        return Err("cycles, epoch_len, producers and queue_depth must be positive".into());
     }
-    if cfg.queue_depth == 0 {
-        return Err("queue_depth must be positive".into());
-    }
-    if cfg.cell_bytes > cfg.base.cell_bytes {
+    if cfg.cell_bytes == 0 || cfg.cell_bytes > cfg.base.cell_bytes {
         // Larger payloads would be rejected by the memory controller as
         // oversized writes on every single enqueue — catch the
         // misconfiguration here instead of silently dropping the run.
         return Err(format!(
-            "cell_bytes {} exceeds the memory design point's cell size {}",
+            "cell_bytes {} must be in 1..={} (the memory design point's cell size)",
             cfg.cell_bytes, cfg.base.cell_bytes
         ));
+    }
+    if let Some(rate) = cfg.pace.filter(|r| !(1..=1_000_000_000).contains(r)) {
+        return Err(format!("pace {rate} must be in 1..=1e9 interface cycles per second"));
+    }
+    if let ArrivalSource::Synthetic { mix, .. } = &cfg.source {
+        mix.check()?;
     }
     if cfg.epoch_len.saturating_mul(cfg.cell_bytes as u64) > u64::from(u32::MAX) {
         return Err("epoch_len * cell_bytes must fit in 32 bits (payload arena offsets)".into());
@@ -436,7 +471,12 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
                     t.drop_one(front.tenant);
                 }
             };
-            if cfg.verify && !payload_matches(cell.slot, cell.seq, cfg.cell_bytes, &d.cell.data) {
+            // The device returns design-point-sized cells, zero-padded
+            // past the `cell_bytes` the payload filled.
+            let payload = d.cell.data.get(..cfg.cell_bytes);
+            if cfg.verify
+                && !payload.is_some_and(|p| payload_matches(cell.slot, cell.seq, cfg.cell_bytes, p))
+            {
                 if stalls_seen == 0 {
                     return Err(format!(
                         "payload mismatch on stall-free run: flow slot {} seq {}",
@@ -544,6 +584,49 @@ mod tests {
         assert!(s.flows > 900, "uniform over 1024 flows, saw {}", s.flows);
         let snap = report.snapshot.expect("engine exposes metrics");
         assert_eq!(snap.serving.as_ref().unwrap().canonical(), s.canonical());
+    }
+
+    #[test]
+    fn bad_configs_are_errors_not_panics() {
+        let mix =
+            |mix| ServeConfig { source: ArrivalSource::Synthetic { load: 0.45, mix }, ..small() };
+        let tenants = |tenants, adversary_pct, banks| FlowMix::MultiTenant {
+            space: 1 << 10,
+            tenants,
+            adversary_pct,
+            banks,
+        };
+        let cases = [
+            ("no producers", ServeConfig { producers: 0, ..small() }),
+            ("pace above 1e9", ServeConfig { pace: Some(2_000_000_000), ..small() }),
+            ("pace of zero", ServeConfig { pace: Some(0), ..small() }),
+            ("zero-byte cells", ServeConfig { cell_bytes: 0, ..small() }),
+            ("one heavy-tail flow", mix(FlowMix::HeavyTail { space: 1, skew: 1.0 })),
+            ("zero skew", mix(FlowMix::HeavyTail { space: 1 << 10, skew: 0.0 })),
+            ("empty uniform space", mix(FlowMix::Uniform { space: 0 })),
+            ("no tenants", mix(tenants(0, 0, 8))),
+            ("adversary share above 100 %", mix(tenants(4, 101, 8))),
+            ("adversary without a victim", mix(tenants(1, 25, 8))),
+            ("stride wider than the space", mix(tenants(4, 25, 1 << 11))),
+            ("stride over no banks", mix(tenants(4, 25, 0))),
+        ];
+        for (label, cfg) in cases {
+            assert!(run_serve(&cfg).is_err(), "{label}: must be rejected before producers start");
+        }
+        // The edges of each check still run.
+        assert!(run_serve(&mix(FlowMix::Uniform { space: 1 })).is_ok());
+        assert!(run_serve(&mix(tenants(1, 0, 0))).is_ok());
+    }
+
+    #[test]
+    fn cells_smaller_than_the_design_point_verify_their_prefix() {
+        // The device hands back design-point cells zero-padded past the
+        // payload; only the payload's own bytes are compared.
+        let base = VpnmConfig::paper_optimal();
+        let cfg = ServeConfig { cell_bytes: base.cell_bytes / 2, base, cycles: 20_000, ..small() };
+        let s = run_serve(&cfg).unwrap().serving;
+        assert!(s.offered > 8_000, "offered {}", s.offered);
+        assert_eq!(s.transmitted, s.offered, "every packet verifies and is transmitted");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Minimal aligned-table printer for experiment reports.
+//! Minimal aligned-table printer and snapshot writer for experiment
+//! reports.
 
 /// A simple column-aligned text table.
 ///
@@ -85,143 +86,11 @@ impl Table {
     }
 }
 
-/// One benchmark result destined for a machine-readable `BENCH_*.json`
-/// artifact, so perf trajectories can be tracked across commits.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// `group/benchmark` path.
-    pub id: String,
-    /// Mean wall-clock nanoseconds per iteration.
-    pub ns_per_iter: f64,
-    /// Work items (cycles, elements, bytes) per second, when known.
-    pub per_second: Option<f64>,
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Renders benchmark records plus scalar summary metrics as a JSON
-/// document (hand-rolled — the workspace carries no serde dependency).
-///
-/// ```
-/// use vpnm_bench::report::{bench_json, BenchRecord};
-/// let doc = bench_json(
-///     &[BenchRecord { id: "g/x".into(), ns_per_iter: 10.0, per_second: Some(1e8) }],
-///     &[("speedup", 4.0)],
-/// );
-/// assert!(doc.contains("\"g/x\""));
-/// assert!(doc.contains("\"speedup\""));
-/// ```
-pub fn bench_json(records: &[BenchRecord], summary: &[(&str, f64)]) -> String {
-    let mut out = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let per_second = r.per_second.map_or("null".to_string(), json_f64);
-        out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"ns_per_iter\": {}, \"per_second\": {}}}{}\n",
-            json_escape(&r.id),
-            json_f64(r.ns_per_iter),
-            per_second,
-            if i + 1 < records.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]");
-    for (key, value) in summary {
-        out.push_str(&format!(",\n  \"{}\": {}", json_escape(key), json_f64(*value)));
-    }
-    out.push_str("\n}\n");
-    out
-}
-
-fn json_unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            if let Some(n) = chars.next() {
-                out.push(n);
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Parses a document produced by [`bench_json`] back into records and
-/// summary entries. Only that exact shape is supported (the format is
-/// owned by this module); unrecognized lines are ignored.
-pub fn parse_bench_json(doc: &str) -> (Vec<BenchRecord>, Vec<(String, f64)>) {
-    let mut records = Vec::new();
-    let mut summary = Vec::new();
-    for line in doc.lines() {
-        let t = line.trim().trim_end_matches(',');
-        if let Some(rest) = t.strip_prefix("{\"id\": \"") {
-            let Some((id, tail)) = rest.split_once("\", \"ns_per_iter\": ") else { continue };
-            let Some((ns, ps)) = tail.trim_end_matches('}').split_once(", \"per_second\": ") else {
-                continue;
-            };
-            records.push(BenchRecord {
-                id: json_unescape(id),
-                ns_per_iter: ns.parse().unwrap_or(f64::NAN),
-                per_second: ps.parse::<f64>().ok(),
-            });
-        } else if let Some((key, value)) = t.strip_prefix('"').and_then(|r| r.split_once("\": ")) {
-            if let Ok(v) = value.parse::<f64>() {
-                summary.push((json_unescape(key), v));
-            }
-        }
-    }
-    (records, summary)
-}
-
-/// Merges `updates` (and `summary_updates`) into an existing
-/// [`bench_json`] document, replacing entries with matching ids/keys
-/// and appending new ones — so several bench binaries can share one
-/// `BENCH_*.json` artifact without clobbering each other's sections.
-pub fn merge_bench_json(
-    doc: &str,
-    updates: &[BenchRecord],
-    summary_updates: &[(&str, f64)],
-) -> String {
-    let (mut records, mut summary) = parse_bench_json(doc);
-    for u in updates {
-        match records.iter_mut().find(|r| r.id == u.id) {
-            Some(r) => *r = u.clone(),
-            None => records.push(u.clone()),
-        }
-    }
-    for &(key, value) in summary_updates {
-        match summary.iter_mut().find(|(k, _)| k == key) {
-            Some(entry) => entry.1 = value,
-            None => summary.push((key.to_string(), value)),
-        }
-    }
-    let summary_refs: Vec<(&str, f64)> = summary.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    bench_json(&records, &summary_refs)
-}
-
 /// Writes a controller's [`vpnm_core::MetricsSnapshot`] JSON to
-/// `SNAPSHOT_<name>.json` in the working directory (next to the
-/// `BENCH_*.json` artifacts) and announces the path on stdout, so every
-/// experiment binary leaves a machine-readable record of the aggregate
-/// metrics behind its headline numbers. See `docs/OBSERVABILITY.md` for
-/// the schema.
+/// `SNAPSHOT_<name>.json` in the working directory and announces the
+/// path on stdout, so every experiment binary leaves a machine-readable
+/// record of the aggregate metrics behind its headline numbers. See
+/// `docs/OBSERVABILITY.md` for the schema.
 pub fn write_snapshot(name: &str, json: &str) {
     let path = format!("SNAPSHOT_{name}.json");
     match std::fs::write(&path, json) {
@@ -233,70 +102,6 @@ pub fn write_snapshot(name: &str, json: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let doc = bench_json(
-            &[
-                BenchRecord { id: "a/b".into(), ns_per_iter: 1.5, per_second: Some(2e6) },
-                BenchRecord { id: "c\"d".into(), ns_per_iter: 3.0, per_second: None },
-            ],
-            &[("speedup_x", 3.25)],
-        );
-        assert!(doc.contains("\"a/b\""));
-        assert!(doc.contains("c\\\"d"));
-        assert!(doc.contains("\"per_second\": null"));
-        assert!(doc.contains("\"speedup_x\": 3.250"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-    }
-
-    #[test]
-    fn parse_roundtrips_bench_json() {
-        let records = vec![
-            BenchRecord { id: "g/x".into(), ns_per_iter: 12.5, per_second: Some(2e6) },
-            BenchRecord { id: "g/\"q\"".into(), ns_per_iter: 3.0, per_second: None },
-        ];
-        let doc = bench_json(&records, &[("speedup", 4.0)]);
-        let (parsed, summary) = parse_bench_json(&doc);
-        assert_eq!(parsed, records);
-        assert_eq!(summary, vec![("speedup".to_string(), 4.0)]);
-    }
-
-    #[test]
-    fn merge_replaces_matches_and_appends_the_rest() {
-        let doc = bench_json(
-            &[
-                BenchRecord { id: "a".into(), ns_per_iter: 1.0, per_second: Some(1.0) },
-                BenchRecord { id: "b".into(), ns_per_iter: 2.0, per_second: None },
-            ],
-            &[("old", 1.0)],
-        );
-        let merged = merge_bench_json(
-            &doc,
-            &[
-                BenchRecord { id: "b".into(), ns_per_iter: 9.0, per_second: Some(5.0) },
-                BenchRecord { id: "c".into(), ns_per_iter: 3.0, per_second: None },
-            ],
-            &[("old", 2.0), ("new", 7.0)],
-        );
-        let (records, summary) = parse_bench_json(&merged);
-        assert_eq!(records.iter().map(|r| r.id.as_str()).collect::<Vec<_>>(), ["a", "b", "c"]);
-        assert_eq!(records[1].ns_per_iter, 9.0);
-        assert_eq!(records[1].per_second, Some(5.0));
-        assert_eq!(summary, vec![("old".to_string(), 2.0), ("new".to_string(), 7.0)]);
-    }
-
-    #[test]
-    fn merge_into_empty_document_keeps_everything() {
-        let merged = merge_bench_json(
-            "",
-            &[BenchRecord { id: "x".into(), ns_per_iter: 1.5, per_second: None }],
-            &[("k", 0.5)],
-        );
-        let (records, summary) = parse_bench_json(&merged);
-        assert_eq!(records.len(), 1);
-        assert_eq!(summary, vec![("k".to_string(), 0.5)]);
-    }
 
     #[test]
     fn alignment_grows_with_content() {

@@ -10,10 +10,11 @@
 //! most one bank controller can have a playback due on any cycle, so no
 //! coordination between banks is needed — and for the same reason the
 //! playback *timing* wheel lives in the owning controller as one shared
-//! [`CircularDelayBuffer`](crate::delay_line::CircularDelayBuffer) keyed
-//! by `(bank, row)`, instead of `B` per-bank wheels all spinning in
-//! lockstep. The bank controller exposes [`BankController::playback`] for
-//! the owner to call when a scheduled row falls due.
+//! ring of `(bank, row)` slots (the controller's `ring`, with its
+//! occupancy bitset `ring_occ`), instead of `B` per-bank wheels all
+//! spinning in lockstep. The bank controller exposes
+//! [`BankController::playback`] for the owner to call when a scheduled
+//! row falls due.
 
 use crate::access_queue::{AccessEntry, BankAccessQueue};
 use crate::delay_storage::{DelayStorageBuffer, Playback, RowId};

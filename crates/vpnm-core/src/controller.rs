@@ -28,9 +28,10 @@
 //!   cycle, so one ring of `(bank, row)` slots replaces `B` per-bank
 //!   delay lines all spinning in lockstep.
 //! * **Incremental occupancy sampling**: the per-cycle metrics (max queue
-//!   depth, total storage occupancy) are maintained with a bank-depth
-//!   histogram and a live-row counter, updated only at the few points a
-//!   depth can change, instead of O(B) scans per interface cycle.
+//!   depth, total storage occupancy) come from a cached maximum of the
+//!   depth lane (`max_depth_lane`, raised on accept, rescanned only when
+//!   the bank at the maximum retires) and a live-row counter, instead of
+//!   O(B) scans per interface cycle.
 //! * **Zero-allocation data path**: payloads are [`bytes::Bytes`] —
 //!   refcounted views handed from DRAM storage through delay storage to
 //!   [`Response`] without copying; deadline misses reuse one cached zero
@@ -618,7 +619,7 @@ impl VpnmController {
         }
 
         // occupancy sampling for the occupancy distributions — O(1) from
-        // the incrementally maintained histogram and live-row counter.
+        // the cached max depth and the live-row counter.
         // The per-bank storage high-water mark is sampled at the tick
         // boundary (matching the reference engine's end-of-tick scan) and
         // only for the bank that allocated a row this tick — the only

@@ -23,8 +23,9 @@
 //!   workers share no state with the caller. Determinism is then the
 //!   caller's job-construction invariant, not a synchronization property.
 //!
-//! The pool is engine-agnostic (any `Fn(worker, J) -> R`), so the
-//! upcoming serving front-end can reuse it for request-shard workers.
+//! The pool is engine-agnostic (any `Fn(worker, J) -> R`); its one user
+//! is the fabric. The serving front-end's producers hand off through
+//! their own SPSC rings ([`crate::ring::spsc`]) instead.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;

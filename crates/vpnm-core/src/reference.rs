@@ -9,7 +9,7 @@
 //! * the **delay storage buffer is linear**: CAM lookup, free-row search
 //!   and invalidation are all O(K) scans over the rows, exactly as the
 //!   seed's `DelayStorageBuffer` (the rework replaced these with a
-//!   hash-indexed CAM and a free bitset);
+//!   row-indexed tag CAM and a free bitset);
 //! * every bank owns its **own circular delay line**, all advanced in
 //!   lockstep every interface cycle (the rework shares one ring);
 //! * the bus scheduler **scans all `B` banks** every memory cycle;
@@ -21,8 +21,8 @@
 //! It is deliberately naive: the `tests/engine_equivalence.rs` suite
 //! drives it and [`VpnmController`](crate::VpnmController) with identical
 //! request streams and requires cycle-for-cycle, byte-for-byte identical
-//! outputs and metrics, and the `controller_throughput` benchmark uses it
-//! as the baseline the fast engine's speedup is measured against.
+//! outputs and metrics. No benchmark workload runs it: it is a
+//! specification, not a speed baseline.
 //!
 //! The only intentional departure from the seed is request validation:
 //! like the fast engine, malformed requests are rejected gracefully in
