@@ -53,9 +53,19 @@ impl Bytes {
         Bytes { ptr: NonNull::dangling(), len: 0, owner: None }
     }
 
-    /// Creates `Bytes` by copying `data` into a fresh allocation.
+    /// Creates `Bytes` by copying `data` into a fresh allocation: one
+    /// allocation, one copy.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes::from_arc(Arc::from(data))
+    }
+
+    /// Views all of `owner`'s bytes.
+    fn from_arc(owner: Arc<[u8]>) -> Self {
+        // SAFETY: an `Arc<[u8]>`'s data pointer is never null, and the
+        // heap allocation it points into is stable across moves of the
+        // `Arc` handle itself.
+        let ptr = unsafe { NonNull::new_unchecked(owner.as_ptr().cast_mut()) };
+        Bytes { ptr, len: owner.len(), owner: Some(owner) }
     }
 
     /// Creates `Bytes` from a static slice without copying. Clones of the
@@ -154,7 +164,7 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes::from(v.into_boxed_slice())
+        Bytes::from_arc(Arc::from(v))
     }
 }
 
@@ -164,15 +174,9 @@ impl From<&[u8]> for Bytes {
     }
 }
 
-#[allow(unsafe_code)]
 impl From<Box<[u8]>> for Bytes {
     fn from(b: Box<[u8]>) -> Self {
-        let owner: Arc<[u8]> = Arc::from(b);
-        // SAFETY: an `Arc<[u8]>`'s data pointer is never null, and the
-        // heap allocation it points into is stable across moves of the
-        // `Arc` handle itself.
-        let ptr = unsafe { NonNull::new_unchecked(owner.as_ptr().cast_mut()) };
-        Bytes { ptr, len: owner.len(), owner: Some(owner) }
+        Bytes::from_arc(Arc::from(b))
     }
 }
 
@@ -312,6 +316,21 @@ mod tests {
         let s = b.slice(2..5);
         assert_eq!(s, [2u8, 3, 4]);
         assert_eq!(s.slice(1..), [3u8, 4]);
+    }
+
+    #[test]
+    fn copy_from_slice_copies_once_and_clones_share_it() {
+        let data: Vec<u8> = (0..=255).collect();
+        let b = Bytes::copy_from_slice(&data);
+        assert_eq!(b.len(), 256);
+        assert_eq!(b, data);
+        assert_ne!(b.as_slice().as_ptr(), data.as_ptr(), "a copy, not a view of the source");
+        let c = b.clone();
+        assert_eq!(c.as_slice().as_ptr(), b.as_slice().as_ptr(), "clones share one allocation");
+        let owner = b.owner.as_ref().expect("owned");
+        assert_eq!(owner.as_ptr(), b.as_slice().as_ptr(), "the view starts at the allocation");
+        assert_eq!(std::sync::Arc::strong_count(owner), 2);
+        assert_eq!(Bytes::copy_from_slice(&[]), Vec::<u8>::new());
     }
 
     #[test]

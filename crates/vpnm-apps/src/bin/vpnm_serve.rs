@@ -37,6 +37,12 @@
 //!            --no-verify        skip payload verification
 //! ```
 //!
+//! Exits 1 when the run fails, when a packet is unaccounted after the
+//! drain, or when the conservation identity (`ServingMetrics::conserves`)
+//! does not hold — the last two after printing the snapshot, so the
+//! failing run can be inspected — and 2 on a usage error or an
+//! unreadable trace.
+//!
 //! For a fixed seed and config the JSON is byte-identical at any
 //! `--workers` count and `--rate`, once the measurement-domain fields
 //! (`wall_nanos`, `mpps`, `producer_parks`, and `paced_rate`) are set
@@ -182,8 +188,14 @@ fn main() {
         s.mpps,
         s.wall_nanos as f64 / 1e9
     );
+    // `run_serve` checks conservation only in debug builds; the binary
+    // checks it on every run, so a lost packet fails the process.
+    let lost = report.residual > 0 || !s.conserves(report.residual);
     if report.residual > 0 {
-        eprintln!("vpnm-serve: WARNING {} packets unaccounted after drain", report.residual);
+        eprintln!("vpnm-serve: error: {} packets unaccounted after drain", report.residual);
+    }
+    if !s.conserves(report.residual) {
+        eprintln!("vpnm-serve: error: packet conservation broken");
     }
     if let Some(section) = report.snapshot.as_ref().and_then(|s| s.tenants.as_ref()) {
         for (i, t) in section.per_tenant.iter().enumerate() {
@@ -200,5 +212,8 @@ fn main() {
     match report.snapshot {
         Some(snap) => print!("{}", snap.to_json()),
         None => eprintln!("vpnm-serve: engine exposes no metrics snapshot"),
+    }
+    if lost {
+        std::process::exit(1);
     }
 }

@@ -1,6 +1,6 @@
 //! Concurrent ingress: producer threads, bounded hand-off, trace replay.
 //!
-//! N producer threads feed the single-threaded serving loop through
+//! N producer threads feed the serving loop's scheduler thread through
 //! bounded lock-free SPSC rings ([`vpnm_core::ring::spsc`] — one data
 //! lane per producer, two epoch batches deep, with cache-line-padded
 //! head/tail indices), drained in whole-epoch batches. The hand-off is
@@ -253,6 +253,10 @@ pub const TRACE_MAGIC: &[u8; 8] = b"VPNMTRC1";
 /// Magic prefix of the tenant-tagged (V2) arrival-trace format.
 pub const TRACE_MAGIC_V2: &[u8; 8] = b"VPNMTRC2";
 
+/// Header length of both trace formats: magic, offered-cycle count and
+/// record count.
+const TRACE_HEADER_BYTES: u64 = 24;
+
 /// Writes an arrival trace: magic, offered-cycle count, record count,
 /// then the records, all little-endian u64.
 ///
@@ -287,11 +291,14 @@ pub fn write_trace(path: &str, cycles: u64, arrivals: &[Arrival]) -> Result<(), 
 ///
 /// # Errors
 ///
-/// Returns a message for I/O failures, a bad magic, or an out-of-order /
-/// duplicate-cycle record (one arrival per cycle is the format's
-/// invariant — it is what makes producer partitioning exact).
+/// Returns a message for I/O failures, a bad magic, a record count the
+/// file's length does not match (checked before anything is allocated
+/// for the records), or an out-of-order / duplicate-cycle record (one
+/// arrival per cycle is the format's invariant — it is what makes
+/// producer partitioning exact).
 pub fn read_trace(path: &str) -> Result<(u64, Vec<Arrival>), String> {
     let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+    let file_len = file.metadata().map_err(|e| format!("stat {path}: {e}"))?.len();
     let mut r = std::io::BufReader::new(file);
     let io = |e: std::io::Error| format!("read {path}: {e}");
     let mut magic = [0u8; 8];
@@ -306,7 +313,17 @@ pub fn read_trace(path: &str) -> Result<(u64, Vec<Arrival>), String> {
     let cycles = u64::from_le_bytes(word);
     r.read_exact(&mut word).map_err(io)?;
     let count = u64::from_le_bytes(word);
-    let mut arrivals = Vec::with_capacity(count.min(1 << 28) as usize);
+    let record_bytes = if tagged { 24 } else { 16 };
+    let body = file_len.saturating_sub(TRACE_HEADER_BYTES);
+    if count.checked_mul(record_bytes) != Some(body) {
+        return Err(format!(
+            "{path}: header claims {count} records of {record_bytes} bytes, \
+             but {body} bytes follow the header"
+        ));
+    }
+    let count = usize::try_from(count)
+        .map_err(|_| format!("{path}: {count} records do not fit in memory"))?;
+    let mut arrivals = Vec::with_capacity(count);
     let mut prev: Option<u64> = None;
     for i in 0..count {
         r.read_exact(&mut word).map_err(io)?;
@@ -414,6 +431,34 @@ mod tests {
         assert_eq!(read_trace(path).unwrap(), (10, arrivals));
         std::fs::write(path, b"NOTATRACE").unwrap();
         assert!(read_trace(path).unwrap_err().contains("bad magic"));
+    }
+
+    #[test]
+    fn hostile_record_counts_are_one_line_errors() {
+        let dir = std::env::temp_dir().join("vpnm-trace-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hostile.vpnmtrc");
+        let path = path.to_str().unwrap();
+        let arrivals =
+            [Arrival { cycle: 1, flow: 4, tenant: 0 }, Arrival { cycle: 2, flow: 5, tenant: 3 }];
+        write_trace(path, 10, &arrivals).unwrap();
+        let good = std::fs::read(path).unwrap();
+        assert_eq!(good.len(), 24 + 2 * 24, "V2: 24-byte header, 24-byte records");
+
+        let mut huge = good.clone();
+        huge[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        let truncated = good[..good.len() - 1].to_vec();
+        let mut trailing = good.clone();
+        trailing.extend_from_slice(&[0; 8]);
+        for (label, bytes) in
+            [("u64::MAX records", huge), ("truncated", truncated), ("trailing", trailing)]
+        {
+            std::fs::write(path, &bytes).unwrap();
+            let err = read_trace(path).unwrap_err();
+            assert!(err.contains("records of 24 bytes"), "{label}: {err}");
+            assert!(!err.contains('\n'), "{label}: one line");
+        }
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

@@ -7,16 +7,23 @@
 //! loop with the moving parts a deployment has:
 //!
 //! ```text
-//!  producers (N threads)          server thread (one epoch per turn)
-//!  ───────────────────            ─────────────────────────────────────
-//!  Bernoulli(load) / trace   ┌─► bounded ingress queue ──► admit ──┐
-//!  flow IDs from the mix ────┤      (reject: tail drop)            │
-//!  bounded lanes (park) ─────┘                                     ▼
-//!                                  FlowTable slot == buffer queue index
-//!                                                                  │
-//!  egress ◄── deterministic t+D return ◄── VpnmPacketBuffer ◄──────┘
-//!             (latency histogram)          run_epoch_arena → fabric workers
+//!  producers (N threads)      scheduler thread (epoch e+1)       caller's thread (epoch e)
+//!  ───────────────────        ────────────────────────────       ─────────────────────────
+//!  Bernoulli(load) / trace ┌► bounded ingress queue, admit
+//!  flow IDs from the mix ──┤  FlowTable slot == queue index
+//!  bounded lanes (park) ───┘  egress-first schedule,
+//!                             payload bytes ──── work lane ────► freeze arena, VpnmPacketBuffer
+//!                                                                run_epoch_arena → fabric workers
+//!  egress ◄── verify, latency ◄──── report lane (epoch e−1) ◄──── deterministic t+D return
 //! ```
+//!
+//! **Two stages, one epoch in flight.** The scheduler never reads a
+//! response to decide anything: admission and egress run on shadow
+//! occupancy, because every read returns at exactly `t + D`. So it
+//! builds epoch e+1 and retires the report of epoch e−1 while the
+//! calling thread runs epoch e through the memory. Both hand-offs are
+//! `sync_channel(1)` lanes, and the epoch's buffers travel back with its
+//! report.
 //!
 //! **Backpressure is explicit and bounded everywhere.** A packet that
 //! cannot be absorbed is *rejected* at a named, counted boundary — never
@@ -50,6 +57,7 @@ pub use ingress::{
 };
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -59,7 +67,7 @@ use vpnm_workloads::packets::{payload_extend, payload_matches};
 use vpnm_workloads::{HeavyTailFlows, MultiTenantMix, Tagged, TenantFlowGen, UniformAddresses};
 
 use crate::engine::EngineOpts;
-use crate::packet_buffer::{LaneEvent, VpnmPacketBuffer};
+use crate::packet_buffer::{BufferEpochReport, LaneEvent, VpnmPacketBuffer};
 
 /// Flow-ID distribution for synthetic traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -229,6 +237,20 @@ pub struct ServeReport {
     pub residual: u64,
 }
 
+/// One epoch on its way from the scheduler to the memory stage and
+/// back: the scheduled event lane and the payload bytes its enqueues
+/// span. Both buffers return with the epoch's report, so two of these
+/// shuttle between the stages for the whole run.
+#[derive(Default)]
+struct EpochWork {
+    len: u64,
+    events: Vec<(u64, LaneEvent)>,
+    payload: Vec<u8>,
+}
+
+/// What the memory stage hands back for one epoch.
+type EpochDone = (BufferEpochReport, EpochWork);
+
 /// In-flight bookkeeping for one offered packet after admission.
 struct PendingCell {
     arrival: u64,
@@ -267,8 +289,267 @@ impl TenantLanes {
     }
 }
 
+/// The scheduling stage of [`run_serve`]: admission, the egress policy,
+/// payload generation and delivery verification, run on a thread of its
+/// own. It never touches the memory. It sees the memory only through the
+/// epochs it sends and the reports that come back.
+///
+/// Nothing a scheduling pass reads — the ingress queue, the transmit
+/// FIFO, the flow table's shadow occupancy — depends on a response, so
+/// epoch e+1 can be scheduled before epoch e has run. Reports are
+/// absorbed in epoch order, popping `issued` from the front while
+/// scheduling pushes at the back, and every counter either side touches
+/// is a sum; the result is the serial loop's, byte for byte.
+struct Scheduler<'a> {
+    cfg: &'a ServeConfig,
+    table: FlowTable,
+    /// Ingress entries carry their flow-table slot, resolved at
+    /// admission time by one `slot_of` probe. Admission order equals
+    /// FIFO service order, so hoisting the probe from service to
+    /// admission preserves the exact probe sequence — and with it the
+    /// table layout — byte for byte.
+    ingress: VecDeque<(u64, Option<u32>, u16)>,
+    tx_fifo: VecDeque<PendingCell>,
+    issued: VecDeque<PendingCell>,
+    tenant_lanes: Option<TenantLanes>,
+    serving: ServingMetrics,
+    latency: FineHistogram,
+    occupancy: Histogram,
+    stalls_seen: u64,
+}
+
+impl<'a> Scheduler<'a> {
+    fn new(cfg: &'a ServeConfig, capacity: u32) -> Self {
+        Scheduler {
+            cfg,
+            table: FlowTable::new(capacity),
+            ingress: VecDeque::with_capacity(cfg.queue_depth),
+            tx_fifo: VecDeque::new(),
+            issued: VecDeque::new(),
+            tenant_lanes: cfg.engine.qos().map(|q| TenantLanes::new(usize::from(q.tenants.max(1)))),
+            serving: ServingMetrics {
+                producers: cfg.producers,
+                paced_rate: cfg.pace.unwrap_or(0),
+                queue_bound: cfg.queue_depth,
+                ..ServingMetrics::default()
+            },
+            latency: FineHistogram::new(),
+            occupancy: Histogram::new(),
+            stalls_seen: 0,
+        }
+    }
+
+    /// Packets admitted or queued but not yet retired.
+    fn backlog(&self) -> u64 {
+        (self.ingress.len() + self.tx_fifo.len() + self.issued.len()) as u64
+    }
+
+    fn drop_one(&mut self, tenant: u16) {
+        if let Some(t) = self.tenant_lanes.as_mut() {
+            t.drop_one(tenant);
+        }
+    }
+
+    /// The epoch loop: the offered window, then idle drain epochs until
+    /// everything admitted has retired (bounded budget: backlog +
+    /// pipeline delay). Epoch e goes to the memory stage before the
+    /// report for e−1 is absorbed, so the two stages overlap — except
+    /// before the last offered epoch and every drain epoch, whose drain
+    /// budget and `done` test must see every earlier report absorbed.
+    fn run(
+        mut self,
+        delay: u64,
+        started: Instant,
+        work: SyncSender<EpochWork>,
+        done: &Receiver<EpochDone>,
+    ) -> Result<Self, String> {
+        let cfg = self.cfg;
+        let plan = EpochPlan { cycles: cfg.cycles, epoch_len: cfg.epoch_len };
+        let mut rig = IngressRig::spawn(cfg.producers, &cfg.source, plan, cfg.seed);
+        let mut pacer = cfg.pace.map(WallPacer::new);
+        let mut cycles_banked = 0u64;
+        let offered_epochs = plan.epochs();
+        let drain_budget =
+            |backlog: u64, delay: u64, epoch_len: u64| (backlog + delay).div_ceil(epoch_len) + 2;
+        let mut drain_end: Option<u64> = None;
+        let mut spare = EpochWork::default();
+        let mut in_flight = false;
+        for epoch in 0.. {
+            if epoch + 1 >= offered_epochs && in_flight {
+                spare = self.absorb(done)?;
+                in_flight = false;
+            }
+            let (start, end) = if epoch < offered_epochs {
+                plan.window(epoch)
+            } else {
+                let budget_exhausted = drain_end.is_some_and(|e| epoch >= e);
+                if self.backlog() == 0 || budget_exhausted {
+                    break;
+                }
+                let start = cfg.cycles + (epoch - offered_epochs) * cfg.epoch_len;
+                (start, start + cfg.epoch_len)
+            };
+
+            let arrivals: &[Arrival] = if epoch < offered_epochs { rig.next_epoch() } else { &[] };
+            if epoch + 1 == offered_epochs {
+                let backlog = self.backlog() + arrivals.len() as u64 + cfg.epoch_len;
+                drain_end = Some(offered_epochs + drain_budget(backlog, delay, cfg.epoch_len));
+            }
+
+            // Pace: wait until the wall clock has earned `len` more cycles.
+            let len = end - start;
+            if let Some(pacer) = pacer.as_mut() {
+                loop {
+                    let elapsed = started.elapsed().as_nanos() as u64;
+                    cycles_banked += pacer.cycles_due(elapsed);
+                    if cycles_banked >= len {
+                        cycles_banked -= len;
+                        break;
+                    }
+                    let wait = pacer.nanos_until_next(elapsed).max(1);
+                    std::thread::sleep(std::time::Duration::from_nanos(wait.min(5_000_000)));
+                }
+            }
+
+            let mut next = std::mem::take(&mut spare);
+            self.schedule(start, end, arrivals, &mut next);
+            work.send(next).map_err(|_| "the memory stage stopped")?;
+            if in_flight {
+                spare = self.absorb(done)?;
+            }
+            in_flight = true;
+        }
+        // Join first, then take the exact park total: `join` reads the
+        // counters with `Acquire` after every producer thread has exited,
+        // so no in-flight increment is missed at shutdown.
+        self.serving.producer_parks = rig.join();
+        Ok(self)
+    }
+
+    /// Schedules the cycles `[start, end)` into `work`: one memory
+    /// operation per cycle, shared between egress (transmit) and
+    /// admission.
+    fn schedule(&mut self, start: u64, end: u64, arrivals: &[Arrival], work: &mut EpochWork) {
+        let cfg = self.cfg;
+        work.len = end - start;
+        work.events.clear();
+        work.payload.clear();
+        let mut next_arrival = 0usize;
+        for c in start..end {
+            while next_arrival < arrivals.len() && arrivals[next_arrival].cycle == c {
+                let a = arrivals[next_arrival];
+                self.serving.offered += 1;
+                if self.ingress.len() >= cfg.queue_depth {
+                    self.serving.ingress_drops += 1;
+                    self.drop_one(a.tenant);
+                } else {
+                    self.ingress.push_back((a.cycle, self.table.slot_of(a.flow), a.tenant));
+                }
+                next_arrival += 1;
+            }
+            self.occupancy.record(self.ingress.len() as u64);
+
+            let offset = c - start;
+            // Egress-first when the transmit backlog has caught up with
+            // ingress: keeps both sides bounded and the pipe full.
+            if !self.tx_fifo.is_empty() && self.tx_fifo.len() >= self.ingress.len() {
+                let cell = self.tx_fifo.pop_front().expect("non-empty");
+                let seq = self.table.note_dequeue(cell.slot);
+                debug_assert_eq!(seq, cell.seq, "per-flow FIFO order");
+                work.events
+                    .push((offset, LaneEvent::Dequeue { queue: cell.slot, tenant: cell.tenant }));
+                self.issued.push_back(cell);
+            } else if let Some((arrived, slot, tenant)) = self.ingress.pop_front() {
+                match slot {
+                    None => {
+                        self.serving.flow_table_drops += 1;
+                        self.drop_one(tenant);
+                    }
+                    Some(slot) if u64::from(self.table.occupancy(slot)) >= cfg.cells_per_queue => {
+                        self.serving.flow_queue_drops += 1;
+                        self.drop_one(tenant);
+                    }
+                    Some(slot) => {
+                        let seq = self.table.note_enqueue(slot);
+                        let span = work.payload.len() as u32;
+                        payload_extend(slot, seq, cfg.cell_bytes, &mut work.payload);
+                        work.events.push((
+                            offset,
+                            LaneEvent::Enqueue {
+                                queue: slot,
+                                start: span,
+                                end: work.payload.len() as u32,
+                                tenant,
+                            },
+                        ));
+                        self.serving.admitted += 1;
+                        self.tx_fifo.push_back(PendingCell { arrival: arrived, slot, seq, tenant });
+                    }
+                }
+            }
+            self.serving.transmit_backlog_hwm =
+                self.serving.transmit_backlog_hwm.max(self.tx_fifo.len() as u64);
+        }
+    }
+
+    /// Waits for the oldest epoch in flight, retires its deliveries
+    /// (pairing, verification, latency) and returns its buffers.
+    fn absorb(&mut self, done: &Receiver<EpochDone>) -> Result<EpochWork, String> {
+        let cfg = self.cfg;
+        let (report, work) = done.recv().map_err(|_| "the memory stage stopped")?;
+        debug_assert!(report.outcomes.iter().all(Result::is_ok), "shadow occupancy is exact");
+        self.stalls_seen += report.stalled;
+        for d in report.delivered {
+            // A stalled read loses its response; skip (and count) the
+            // orphaned issue-side entries the same way the buffer does.
+            let cell = loop {
+                let front = self.issued.pop_front().ok_or("response without an issued dequeue")?;
+                if front.slot == d.cell.queue {
+                    break front;
+                }
+                self.serving.stall_drops += 1;
+                self.drop_one(front.tenant);
+            };
+            // The device returns design-point-sized cells, zero-padded
+            // past the `cell_bytes` the payload filled.
+            let payload = d.cell.data.get(..cfg.cell_bytes);
+            if cfg.verify
+                && !payload.is_some_and(|p| payload_matches(cell.slot, cell.seq, cfg.cell_bytes, p))
+            {
+                if self.stalls_seen == 0 {
+                    return Err(format!(
+                        "payload mismatch on stall-free run: flow slot {} seq {}",
+                        cell.slot, cell.seq
+                    ));
+                }
+                // A stalled write leaves a hole the read returns garbage
+                // from; the packet was lost to the stall.
+                self.serving.stall_drops += 1;
+                self.drop_one(cell.tenant);
+                continue;
+            }
+            self.serving.transmitted += 1;
+            let waited = d.completed_at.saturating_sub(cell.arrival);
+            self.latency.record(waited);
+            if let Some(t) = self.tenant_lanes.as_mut() {
+                let lane = t.lane(cell.tenant);
+                t.transmitted[lane] += 1;
+                t.latency[lane].record(waited);
+            }
+        }
+        Ok(work)
+    }
+}
+
 /// Runs one serving session end to end: spawn producers, drive the
 /// buffer epoch by epoch (pacing if configured), drain, and account.
+///
+/// Two stages overlap: a scoped scheduler thread owns the producers,
+/// the flow table, the ingress and transmit queues, pacing, payload
+/// generation and verification, and builds epoch e+1 while the calling
+/// thread — which owns the packet buffer and its memory — runs epoch e.
+/// Long-lived memory is allocated on the calling thread: it freezes each
+/// epoch's payload into the arena the device's storage pins.
 ///
 /// On return every offered packet is accounted exactly once:
 /// `offered == transmitted + ingress_drops + flow_queue_drops +
@@ -307,205 +588,39 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
     let capacity = u32::try_from(capacity_u64).map_err(|_| "flow space too large".to_string())?;
     let mem = cfg.engine.build(cfg.base.clone(), cfg.seed)?;
     let mut buf = VpnmPacketBuffer::with_memory(mem, capacity, cfg.cells_per_queue)?;
-    let mut table = FlowTable::new(capacity);
-
-    let plan = EpochPlan { cycles: cfg.cycles, epoch_len: cfg.epoch_len };
-    let mut rig = IngressRig::spawn(cfg.producers, &cfg.source, plan, cfg.seed);
-
-    // Ingress entries carry their flow-table slot, resolved at
-    // admission time by one `slot_of` probe. Admission order equals
-    // FIFO service order, so hoisting the `slot_of` probe from service
-    // to admission preserves the exact probe sequence — and with it the
-    // table layout — byte for byte.
-    let mut ingress: VecDeque<(u64, Option<u32>, u16)> = VecDeque::with_capacity(cfg.queue_depth);
-    let mut tx_fifo: VecDeque<PendingCell> = VecDeque::new();
-    let mut issued: VecDeque<PendingCell> = VecDeque::new();
-    let mut tenant_lanes =
-        cfg.engine.qos().map(|q| TenantLanes::new(usize::from(q.tenants.max(1))));
-
-    let mut serving = ServingMetrics {
-        producers: cfg.producers,
-        paced_rate: cfg.pace.unwrap_or(0),
-        queue_bound: cfg.queue_depth,
-        ..ServingMetrics::default()
-    };
-    let mut latency = FineHistogram::new();
-    let mut occupancy = Histogram::new();
-    let mut stalls_seen = 0u64;
-
-    let mut pacer = cfg.pace.map(WallPacer::new);
-    let mut cycles_banked = 0u64;
+    let scheduler = Scheduler::new(cfg, capacity);
+    let delay = buf.delay();
     let started = Instant::now();
 
-    // The offered window, then idle drain epochs until everything
-    // admitted has retired (bounded budget: backlog + pipeline delay).
-    let offered_epochs = plan.epochs();
-    let mut epoch = 0u64;
-    let drain_budget =
-        |backlog: u64, delay: u64, epoch_len: u64| (backlog + delay).div_ceil(epoch_len) + 2;
-    let mut drain_end: Option<u64> = None;
-    // Reused across epochs: the event lane and the payload arena — the
-    // steady state allocates one arena per epoch, nothing per packet.
-    let mut events: Vec<(u64, LaneEvent)> = Vec::new();
-    let mut arena_buf: Vec<u8> = Vec::new();
-    loop {
-        let (start, end) = if epoch < offered_epochs {
-            plan.window(epoch)
-        } else {
-            let done = ingress.is_empty() && tx_fifo.is_empty() && issued.is_empty();
-            let budget_exhausted = drain_end.is_some_and(|e| epoch >= e);
-            if done || budget_exhausted {
+    // The memory stage. One epoch is in flight at a time on each lane;
+    // the work lane closing (the scheduler returned) ends the loop, and a
+    // closed report lane (the scheduler gave up on an error) stops it.
+    let scheduler = std::thread::scope(|s| {
+        let (work_tx, work_rx) = sync_channel::<EpochWork>(1);
+        let (done_tx, done_rx) = sync_channel::<EpochDone>(1);
+        let stage = s.spawn(move || scheduler.run(delay, started, work_tx, &done_rx));
+        for work in work_rx {
+            // One allocation and one copy per epoch, on this thread; every
+            // enqueue is a zero-copy slice of the arena.
+            let arena = Bytes::copy_from_slice(&work.payload);
+            let report = buf.run_epoch_arena(work.len, &work.events, &arena);
+            if done_tx.send((report, work)).is_err() {
                 break;
             }
-            let start = cfg.cycles + (epoch - offered_epochs) * cfg.epoch_len;
-            (start, start + cfg.epoch_len)
-        };
-        let len = end - start;
-
-        let arrivals: &[Arrival] = if epoch < offered_epochs { rig.next_epoch() } else { &[] };
-        if epoch + 1 == offered_epochs {
-            let backlog = (ingress.len() + tx_fifo.len() + issued.len()) as u64
-                + arrivals.len() as u64
-                + cfg.epoch_len;
-            drain_end = Some(offered_epochs + drain_budget(backlog, buf.delay(), cfg.epoch_len));
         }
-
-        // Pace: wait until the wall clock has earned `len` more cycles.
-        if let Some(pacer) = pacer.as_mut() {
-            loop {
-                let elapsed = started.elapsed().as_nanos() as u64;
-                cycles_banked += pacer.cycles_due(elapsed);
-                if cycles_banked >= len {
-                    cycles_banked -= len;
-                    break;
-                }
-                let wait = pacer.nanos_until_next(elapsed).max(1);
-                std::thread::sleep(std::time::Duration::from_nanos(wait.min(5_000_000)));
-            }
-        }
-
-        // Schedule the epoch: one memory operation per cycle, shared
-        // between egress (transmit) and admission.
-        events.clear();
-        let mut next_arrival = 0usize;
-        for c in start..end {
-            while next_arrival < arrivals.len() && arrivals[next_arrival].cycle == c {
-                let a = arrivals[next_arrival];
-                serving.offered += 1;
-                if ingress.len() >= cfg.queue_depth {
-                    serving.ingress_drops += 1;
-                    if let Some(t) = tenant_lanes.as_mut() {
-                        t.drop_one(a.tenant);
-                    }
-                } else {
-                    ingress.push_back((a.cycle, table.slot_of(a.flow), a.tenant));
-                }
-                next_arrival += 1;
-            }
-            occupancy.record(ingress.len() as u64);
-
-            let offset = c - start;
-            // Egress-first when the transmit backlog has caught up with
-            // ingress: keeps both sides bounded and the pipe full.
-            if !tx_fifo.is_empty() && tx_fifo.len() >= ingress.len() {
-                let cell = tx_fifo.pop_front().expect("non-empty");
-                let seq = table.note_dequeue(cell.slot);
-                debug_assert_eq!(seq, cell.seq, "per-flow FIFO order");
-                events.push((offset, LaneEvent::Dequeue { queue: cell.slot, tenant: cell.tenant }));
-                issued.push_back(cell);
-            } else if let Some(&(arrived, slot, tenant)) = ingress.front() {
-                match slot {
-                    None => {
-                        serving.flow_table_drops += 1;
-                        if let Some(t) = tenant_lanes.as_mut() {
-                            t.drop_one(tenant);
-                        }
-                        ingress.pop_front();
-                    }
-                    Some(slot) if u64::from(table.occupancy(slot)) >= cfg.cells_per_queue => {
-                        serving.flow_queue_drops += 1;
-                        if let Some(t) = tenant_lanes.as_mut() {
-                            t.drop_one(tenant);
-                        }
-                        ingress.pop_front();
-                    }
-                    Some(slot) => {
-                        let seq = table.note_enqueue(slot);
-                        let span = arena_buf.len() as u32;
-                        payload_extend(slot, seq, cfg.cell_bytes, &mut arena_buf);
-                        events.push((
-                            offset,
-                            LaneEvent::Enqueue {
-                                queue: slot,
-                                start: span,
-                                end: arena_buf.len() as u32,
-                                tenant,
-                            },
-                        ));
-                        serving.admitted += 1;
-                        tx_fifo.push_back(PendingCell { arrival: arrived, slot, seq, tenant });
-                        ingress.pop_front();
-                    }
-                }
-            }
-            serving.transmit_backlog_hwm = serving.transmit_backlog_hwm.max(tx_fifo.len() as u64);
-        }
-
-        // One refcounted arena per epoch; every enqueue is a zero-copy
-        // slice of it. Replacing (not taking) keeps the capacity hint.
-        let filled = arena_buf.len();
-        let arena = Bytes::from(std::mem::replace(&mut arena_buf, Vec::with_capacity(filled)));
-        let report = buf.run_epoch_arena(len, &events, &arena);
-        debug_assert!(report.outcomes.iter().all(Result::is_ok), "shadow occupancy is exact");
-        stalls_seen += report.stalled;
-        for d in report.delivered {
-            // A stalled read loses its response; skip (and count) the
-            // orphaned issue-side entries the same way the buffer does.
-            let cell = loop {
-                let front = issued.pop_front().ok_or("response without an issued dequeue")?;
-                if front.slot == d.cell.queue {
-                    break front;
-                }
-                serving.stall_drops += 1;
-                if let Some(t) = tenant_lanes.as_mut() {
-                    t.drop_one(front.tenant);
-                }
-            };
-            // The device returns design-point-sized cells, zero-padded
-            // past the `cell_bytes` the payload filled.
-            let payload = d.cell.data.get(..cfg.cell_bytes);
-            if cfg.verify
-                && !payload.is_some_and(|p| payload_matches(cell.slot, cell.seq, cfg.cell_bytes, p))
-            {
-                if stalls_seen == 0 {
-                    return Err(format!(
-                        "payload mismatch on stall-free run: flow slot {} seq {}",
-                        cell.slot, cell.seq
-                    ));
-                }
-                // A stalled write leaves a hole the read returns garbage
-                // from; the packet was lost to the stall.
-                serving.stall_drops += 1;
-                if let Some(t) = tenant_lanes.as_mut() {
-                    t.drop_one(cell.tenant);
-                }
-                continue;
-            }
-            serving.transmitted += 1;
-            let waited = d.completed_at.saturating_sub(cell.arrival);
-            latency.record(waited);
-            if let Some(t) = tenant_lanes.as_mut() {
-                let lane = t.lane(cell.tenant);
-                t.transmitted[lane] += 1;
-                t.latency[lane].record(waited);
-            }
-        }
-        epoch += 1;
-    }
-    // Join first, then take the exact park total: `join` reads the
-    // counters with `Acquire` after every producer thread has exited,
-    // so no in-flight increment is missed at shutdown.
-    serving.producer_parks = rig.join();
+        stage.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })?;
+    let Scheduler {
+        table,
+        ingress,
+        tx_fifo,
+        issued,
+        mut tenant_lanes,
+        mut serving,
+        latency,
+        occupancy,
+        ..
+    } = scheduler;
 
     // Anything still unpaired after a full drain is an orphan of a
     // stalled (or regulator-deferred) read. The buffer's in-flight FIFO
@@ -520,7 +635,6 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
             t.drop_one(cell.tenant);
         }
     }
-    issued.clear();
 
     serving.flows = table.flows();
     serving.latency = latency;
