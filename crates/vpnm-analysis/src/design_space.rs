@@ -11,8 +11,8 @@ use crate::combine::combined_mts;
 use crate::dsb::{dsb_mts, paper_delay_with_ratio};
 use crate::markov::BankQueueModel;
 use std::collections::HashMap;
-use std::sync::Mutex;
 use vpnm_hw::{estimate, ControllerParams};
+use vpnm_sim::parallel::par_map;
 
 /// One evaluated configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,9 +94,14 @@ impl SweepConfig {
 
 /// Evaluates one configuration.
 pub fn evaluate(banks: u32, q: u64, k: u64, r: f64, l: u64) -> DesignPoint {
+    point(banks, q, k, r, l, BankQueueModel::new(banks, l, q, r).mts_cycles())
+}
+
+/// Everything of [`evaluate`] but the bank-queue Markov solve, whose
+/// result `mts_queue` the caller supplies.
+fn point(banks: u32, q: u64, k: u64, r: f64, l: u64, mts_queue: f64) -> DesignPoint {
     let delay = paper_delay_with_ratio(q, l, r);
     let mts_dsb = dsb_mts(banks, k, delay);
-    let mts_queue = BankQueueModel::new(banks, l, q, r).mts_cycles();
     let mts_total = combined_mts(&[mts_dsb, mts_queue]);
     let params = ControllerParams {
         banks,
@@ -121,9 +126,9 @@ pub fn evaluate(banks: u32, q: u64, k: u64, r: f64, l: u64) -> DesignPoint {
     }
 }
 
-/// Evaluates the full grid, parallelized across bank-queue Markov solves
-/// (the dominant cost). Markov results are memoized on `(B, Q, R)` since
-/// `K` does not enter that model.
+/// Evaluates the full grid. The bank-queue Markov solves (the dominant
+/// cost) run once per distinct `(B, Q, R)`, since `K` does not enter that
+/// model, fanned out over the cores with [`par_map`].
 pub fn sweep(config: &SweepConfig) -> Vec<DesignPoint> {
     // Pre-compute the expensive Markov MTS for each distinct (B, Q, R).
     let mut keys: Vec<(u32, u64, u64)> = Vec::new(); // r stored as milli-units
@@ -137,55 +142,19 @@ pub fn sweep(config: &SweepConfig) -> Vec<DesignPoint> {
     keys.sort_unstable();
     keys.dedup();
 
-    let cache: Mutex<HashMap<(u32, u64, u64), f64>> = Mutex::new(HashMap::new());
-    let workers =
-        std::thread::available_parallelism().map_or(4, |n| n.get()).min(keys.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&(b, q, rm)) = keys.get(i) else { break };
-                let r = rm as f64 / 1000.0;
-                let mts = BankQueueModel::new(b, config.bank_latency, q, r).mts_cycles();
-                cache.lock().expect("no poisoned workers").insert((b, q, rm), mts);
-            });
-        }
+    let solved = par_map(keys.len(), |i| {
+        let (b, q, rm) = keys[i];
+        BankQueueModel::new(b, config.bank_latency, q, rm as f64 / 1000.0).mts_cycles()
     });
-    let cache = cache.into_inner().expect("workers joined");
+    let cache: HashMap<(u32, u64, u64), f64> = keys.into_iter().zip(solved).collect();
 
     let mut out = Vec::with_capacity(config.len());
     for &b in &config.banks {
         for &q in &config.queue_entries {
             for &k in &config.storage_rows {
                 for &r in &config.bus_ratios {
-                    let l = config.bank_latency;
-                    let delay = paper_delay_with_ratio(q, l, r);
-                    let mts_dsb = dsb_mts(b, k, delay);
-                    let rm = (r * 1000.0).round() as u64;
-                    let mts_queue = cache[&(b, q, rm)];
-                    let mts_total = combined_mts(&[mts_dsb, mts_queue]);
-                    let params = ControllerParams {
-                        banks: b,
-                        bank_latency: l,
-                        queue_entries: q,
-                        storage_rows: k,
-                        bus_ratio: r,
-                        ..ControllerParams::paper_default()
-                    };
-                    let hw = estimate(&params);
-                    out.push(DesignPoint {
-                        banks: b,
-                        queue_entries: q,
-                        storage_rows: k,
-                        bus_ratio: r,
-                        delay,
-                        mts_dsb,
-                        mts_queue,
-                        mts_total,
-                        area_mm2: hw.total_area_mm2,
-                        energy_nj: hw.energy_nj,
-                    });
+                    let mts_queue = cache[&(b, q, (r * 1000.0).round() as u64)];
+                    out.push(point(b, q, k, r, config.bank_latency, mts_queue));
                 }
             }
         }

@@ -17,6 +17,7 @@
 use vpnm_apps::EngineOpts;
 use vpnm_bench::Table;
 use vpnm_core::{HashKind, LineAddr, PipelinedMemory, Request, SchedulerKind, VpnmConfig};
+use vpnm_sim::parallel::par_map;
 use vpnm_workloads::generators::{AddressGenerator, RedundantPattern, StrideAddresses};
 use vpnm_workloads::UniformAddresses;
 
@@ -70,7 +71,7 @@ fn main() {
     // Every measurement is an independent (config, seed, generator)
     // triple, so the whole battery shards across cores; results return in
     // job order, keeping the report byte-identical to a sequential run.
-    type Job = Box<dyn FnOnce() -> f64 + Send>;
+    type Job = Box<dyn Fn() -> f64 + Sync>;
     let mut jobs: Vec<Job> = vec![
         Box::new(move || {
             stall_fraction(opts, tight(), 1, &mut RedundantPattern::new(vec![10, 20]))
@@ -115,7 +116,7 @@ fn main() {
             &mut UniformAddresses::new(1 << 24, 40),
         )
     }));
-    let results = vpnm_bench::parallel::run_jobs(jobs);
+    let results = par_map(jobs.len(), |i| jobs[i]());
     let mut results = results.into_iter();
     let mut next = || results.next().expect("one result per job");
 

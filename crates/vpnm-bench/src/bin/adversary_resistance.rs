@@ -27,6 +27,7 @@ use vpnm_apps::EngineOpts;
 use vpnm_bench::Table;
 use vpnm_core::{HashKind, LineAddr, PipelinedMemory, Request, VpnmConfig, VpnmController};
 use vpnm_hash::BankHasher;
+use vpnm_sim::parallel::par_map;
 use vpnm_workloads::generators::{AddressGenerator, RedundantPattern};
 use vpnm_workloads::{OmniscientAdversary, ReplayAdversary, StrideAdversary, UniformAddresses};
 
@@ -93,7 +94,7 @@ fn main() {
     // (the re-key run replays the same adversary after its leaked-key
     // round). Results come back in job order, so the report and the
     // assertions below are identical to a sequential run.
-    type Job = Box<dyn FnOnce() -> Vec<f64> + Send>;
+    type Job = Box<dyn Fn() -> Vec<f64> + Sync>;
     let jobs: Vec<Job> = vec![
         Box::new(move || {
             vec![run(engine(opts, HashKind::H3, 1), &mut UniformAddresses::new(ADDR_SPACE, 10))]
@@ -131,7 +132,7 @@ fn main() {
             vec![leaked, rekeyed]
         }),
     ];
-    let results: Vec<f64> = vpnm_bench::parallel::run_jobs(jobs).into_iter().flatten().collect();
+    let results: Vec<f64> = par_map(jobs.len(), |i| jobs[i]()).into_iter().flatten().collect();
     let [baseline, stride_low, stride_h3, replay, redundant, tab, leaked, rekeyed] = results[..]
     else {
         unreachable!("eight measurements");

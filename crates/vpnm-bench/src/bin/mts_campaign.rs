@@ -22,11 +22,11 @@
 //! delete the checkpoint file to start over. `--workers` drives each
 //! multi-channel shard's epochs across a worker pool; it changes
 //! wall-clock time only, never results, so checkpoints resume freely
-//! across worker counts (defaults to `VPNM_WORKERS`/detected cores).
+//! across worker counts (defaults to the available cores, capped at the
+//! channel count).
 
 use std::path::PathBuf;
 use vpnm_bench::campaign::{run_campaign, CampaignParams};
-use vpnm_bench::parallel::worker_count;
 
 /// Parses a cycle count given either as an integer (`1000000`) or in
 /// scientific notation (`1e9`, `2.5e8`).
@@ -79,9 +79,12 @@ fn main() {
             _ => usage(),
         }
     }
-    // Default per-shard workers: the shared VPNM_WORKERS / detected-cores
-    // policy, capped at the channel count (the fabric clamps again anyway).
-    let workers = workers.unwrap_or_else(|| worker_count(params.channels as usize));
+    // Default per-shard workers: the available cores, capped at the
+    // channel count (the fabric clamps again anyway).
+    let workers = workers.unwrap_or_else(|| {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        cores.min(params.channels.max(1) as usize)
+    });
 
     println!(
         "MTS campaign: {} cycles of full-rate uniform reads on '{}' x{} channel(s) \

@@ -19,6 +19,7 @@ use vpnm_analysis::markov::BankQueueModel;
 use vpnm_apps::EngineOpts;
 use vpnm_bench::Table;
 use vpnm_core::{HashKind, LineAddr, PipelinedMemory, Request, SchedulerKind, VpnmConfig};
+use vpnm_sim::parallel::par_map;
 use vpnm_workloads::generators::AddressGenerator;
 use vpnm_workloads::UniformAddresses;
 
@@ -31,7 +32,7 @@ fn simulated_median(
     // Trials are independent controller instances whose seeds derive only
     // from the trial index, so they shard freely across cores — the
     // median is identical to the sequential run.
-    let mut firsts = vpnm_bench::parallel::run_trials(trials as usize, |t| {
+    let mut firsts = par_map(trials as usize, |t| {
         let trial = t as u64;
         let mut mem = opts.build(config.clone(), 40_000 + trial).expect("valid config");
         let mut gen = UniformAddresses::new(1u64 << config.addr_bits, 17 * trial + 3);

@@ -6,7 +6,7 @@
 //! module splits such a horizon into fixed-size **shards**, each an
 //! independent controller instance whose seeds derive only from the
 //! campaign seed and the shard index. Shards run across all cores via
-//! [`crate::parallel::run_trials_chunked`], driving the dense
+//! [`par_map`], driving the dense
 //! [`PipelinedMemory::issue_batch`] front door, and every
 //! completed shard is appended as one JSON line to a checkpoint file —
 //! kill the process at any point and a rerun resumes from the last
@@ -22,10 +22,10 @@
 //! serde); the checkpoint grammar is one header line plus one flat object
 //! per shard, with histograms serialized *exactly* (bucket counts plus
 //! the integer sum/min/max sidecar) so reloaded shards are bit-identical
-//! to freshly computed ones.
+//! to freshly computed ones. Every line ends with a checksum of the text
+//! before it, so a corrupted shard line is rerun rather than merged.
 
-use crate::parallel::run_trials_chunked;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
@@ -33,6 +33,7 @@ use vpnm_core::{
     ChannelSelect, FabricConfig, LineAddr, PipelinedMemory, Request, VpnmConfig, VpnmController,
     VpnmFabric,
 };
+use vpnm_sim::parallel::par_map;
 use vpnm_sim::rng::splitmix64;
 use vpnm_sim::Histogram;
 use vpnm_workloads::generators::AddressGenerator;
@@ -45,13 +46,14 @@ use vpnm_workloads::UniformAddresses;
 /// (multi-channel fabric campaigns); 3 — fabric shards switched from the
 /// per-tick loop to the epoch-batched path, which changes the
 /// recorded `cycles_skipped` (per-channel idle spans are now skipped), so
-/// v2 fabric shard lines no longer match fresh ones.
+/// v2 fabric shard lines no longer match fresh ones; 4 — every line ends
+/// with a `"ck"` checksum of the text before it.
 ///
 /// The worker count is deliberately **not** part of the grammar: epoch
 /// results are byte-identical for every worker count, so a campaign
 /// checkpointed sequentially resumes under `--workers N` (and vice versa)
 /// without divergence.
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Interface cycles simulated per `issue_batch` call inside a shard — large
 /// enough to amortize batch setup, small enough to keep buffers in cache.
@@ -296,7 +298,8 @@ impl CampaignReport {
 
 /// Runs (or resumes) a campaign, appending one checkpoint line per
 /// completed shard to `checkpoint`. `progress(done, pending)` fires after
-/// each freshly computed shard (resumed shards are not re-reported).
+/// each freshly computed shard is appended (resumed shards are not
+/// re-reported).
 ///
 /// `workers` is the per-shard fabric worker count (see
 /// [`run_shard_with_workers`]); it changes wall-clock time only, never
@@ -304,8 +307,9 @@ impl CampaignReport {
 ///
 /// # Errors
 ///
-/// Returns a message when the checkpoint belongs to different parameters,
-/// cannot be read/written, or the parameters fail validation.
+/// Returns a one-line message when the checkpoint belongs to different
+/// parameters or another version, records two different results for one
+/// shard, cannot be read/written, or the parameters fail validation.
 pub fn run_campaign<P>(
     params: &CampaignParams,
     checkpoint: &Path,
@@ -316,35 +320,47 @@ where
     P: Fn(usize, usize) + Sync,
 {
     params.validate()?;
-    let shards = params.shards();
-    let mut done = load_checkpoint(checkpoint, params)?;
-    if !checkpoint.exists() {
-        std::fs::write(checkpoint, header_line(params))
-            .map_err(|e| format!("cannot create checkpoint {}: {e}", checkpoint.display()))?;
-    }
+    let shown = checkpoint.display();
+    let text = match std::fs::read(checkpoint) {
+        Ok(bytes) => Some(String::from_utf8_lossy(&bytes).into_owned()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => return Err(format!("cannot read checkpoint {shown}: {e}")),
+    };
+    let mut done = match &text {
+        Some(text) => {
+            parse_checkpoint(text, params).map_err(|e| format!("checkpoint {shown}: {e}"))?
+        }
+        None => BTreeMap::new(),
+    };
     let resumed = done.len() as u64;
-    let pending: Vec<u64> = (0..shards).filter(|s| !done.contains_key(s)).collect();
-    let file = Mutex::new(
-        std::fs::OpenOptions::new()
-            .append(true)
-            .open(checkpoint)
-            .map_err(|e| format!("cannot append to checkpoint {}: {e}", checkpoint.display()))?,
-    );
-    let fresh = run_trials_chunked(
-        pending.len(),
-        1,
-        |k| {
-            let result = run_shard_with_workers(params, pending[k], workers);
-            let line = shard_line(&result);
-            let mut f = file.lock().expect("checkpoint file lock");
-            // An append failure must not silently drop the shard from the
-            // checkpoint — better to die loudly and resume later.
-            f.write_all(line.as_bytes()).expect("checkpoint append");
-            f.flush().expect("checkpoint flush");
-            result
-        },
-        progress,
-    );
+    let pending: Vec<u64> = (0..params.shards()).filter(|s| !done.contains_key(s)).collect();
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(checkpoint)
+        .map_err(|e| format!("cannot append to checkpoint {shown}: {e}"))?;
+    let opening = match &text {
+        None => header_line(params),
+        // A kill mid-append leaves a partial last line: end it, so the
+        // next shard starts a line of its own.
+        Some(text) if !text.ends_with('\n') => "\n".into(),
+        Some(_) => String::new(),
+    };
+    file.write_all(opening.as_bytes())
+        .map_err(|e| format!("cannot write checkpoint {shown}: {e}"))?;
+    let log = Mutex::new((file, 0usize));
+    let fresh = par_map(pending.len(), |k| {
+        let result = run_shard_with_workers(params, pending[k], workers);
+        let mut log = log.lock().expect("checkpoint file lock");
+        let (file, appended) = &mut *log;
+        // An append failure must not silently drop the shard from the
+        // checkpoint — better to die loudly and resume later.
+        file.write_all(shard_line(&result).as_bytes()).expect("checkpoint append");
+        file.flush().expect("checkpoint flush");
+        *appended += 1;
+        progress(*appended, pending.len());
+        result
+    });
     for r in fresh {
         done.insert(r.shard, r);
     }
@@ -361,14 +377,23 @@ where
         queue_depth: Histogram::new(),
         storage_occupancy: Histogram::new(),
     };
+    // Checksums catch corruption, not a hand-made line: counters that
+    // would overflow the merged totals are refused, not wrapped.
+    let add = |total: u64, part: u64| {
+        total
+            .checked_add(part)
+            .ok_or_else(|| format!("checkpoint {shown}: shard totals overflow u64"))
+    };
     // BTreeMap iteration gives ascending shard order, so the merge order
     // is fixed regardless of which shards were resumed vs recomputed.
     for r in done.values() {
-        report.cycles += r.cycles;
-        report.cycles_skipped += r.cycles_skipped;
-        report.accepted += r.accepted;
-        report.stalled += r.stalled;
-        report.responses += r.responses;
+        report.cycles = add(report.cycles, r.cycles)?;
+        report.cycles_skipped = add(report.cycles_skipped, r.cycles_skipped)?;
+        report.accepted = add(report.accepted, r.accepted)?;
+        report.stalled = add(report.stalled, r.stalled)?;
+        report.responses = add(report.responses, r.responses)?;
+        add(report.queue_depth.total(), r.queue_depth.total())?;
+        add(report.storage_occupancy.total(), r.storage_occupancy.total())?;
         report.queue_depth.merge(&r.queue_depth);
         report.storage_occupancy.merge(&r.storage_occupancy);
     }
@@ -377,12 +402,37 @@ where
 
 // --- checkpoint serialization -------------------------------------------
 
+/// The per-line checksum: a SplitMix64 chain over the line's bytes. Each
+/// step is a bijection of the running value, so two lines of equal length
+/// that differ in one byte never share a checksum.
+fn checksum(body: &str) -> u64 {
+    body.bytes().fold(0, |h, b| splitmix64(h ^ u64::from(b)))
+}
+
+/// Ends `body` (a JSON object without its closing brace) with its
+/// checksum field, the brace and the newline.
+fn seal(body: String) -> String {
+    let ck = checksum(&body);
+    format!("{body},\"ck\":{ck}}}\n")
+}
+
+/// The body of a sealed line whose checksum holds; `None` for a line that
+/// was cut short, corrupted, or never sealed.
+fn unseal(line: &str) -> Option<&str> {
+    let line = line.strip_suffix('\n').unwrap_or(line);
+    let (body, tail) = line.rsplit_once(",\"ck\":")?;
+    let digits = tail.strip_suffix('}')?;
+    let ck: u64 = digits.parse().ok()?;
+    // `parse` also takes a leading `+`; the grammar has digits only.
+    (digits.bytes().all(|b| b.is_ascii_digit()) && ck == checksum(body)).then_some(body)
+}
+
 fn header_line(params: &CampaignParams) -> String {
-    format!(
+    seal(format!(
         "{{\"campaign\":\"mts_uniform_reads\",\"version\":{CHECKPOINT_VERSION},\
-         \"preset\":\"{}\",\"cycles\":{},\"shard_cycles\":{},\"seed\":{},\"channels\":{}}}\n",
+         \"preset\":\"{}\",\"cycles\":{},\"shard_cycles\":{},\"seed\":{},\"channels\":{}",
         params.preset, params.cycles, params.shard_cycles, params.seed, params.channels
-    )
+    ))
 }
 
 fn hist_fields(prefix: &str, h: &Histogram) -> String {
@@ -399,11 +449,11 @@ fn hist_fields(prefix: &str, h: &Histogram) -> String {
     )
 }
 
-/// One shard as a single JSON checkpoint line (newline-terminated).
+/// One shard as a single sealed JSON checkpoint line (newline-terminated).
 pub fn shard_line(r: &ShardResult) -> String {
-    format!(
+    seal(format!(
         "{{\"shard\":{},\"cycles\":{},\"skipped\":{},\"accepted\":{},\"stalled\":{},\
-         \"responses\":{},\"first_stall\":{},{},{}}}\n",
+         \"responses\":{},\"first_stall\":{},{},{}",
         r.shard,
         r.cycles,
         r.cycles_skipped,
@@ -413,7 +463,7 @@ pub fn shard_line(r: &ShardResult) -> String {
         r.first_stall_at.map_or("null".into(), |v| v.to_string()),
         hist_fields("qh", &r.queue_depth),
         hist_fields("oh", &r.storage_occupancy),
-    )
+    ))
 }
 
 /// Locates the raw value following `"key":` in a flat JSON line.
@@ -477,22 +527,17 @@ fn parse_pairs_field(line: &str, key: &str) -> Option<Vec<(usize, u64)>> {
 
 fn parse_hist(line: &str, prefix: &str) -> Option<Histogram> {
     let pairs = parse_pairs_field(line, &format!("{prefix}_b"))?;
-    if pairs.iter().any(|&(i, _)| i >= 64) {
-        return None;
-    }
     let sum = parse_u64_field(line, &format!("{prefix}_sum"))?;
     let min = parse_opt_u64_field(line, &format!("{prefix}_min"))?;
     let max = parse_opt_u64_field(line, &format!("{prefix}_max"))?;
-    Some(Histogram::from_parts(&pairs, sum, min, max))
+    Histogram::from_parts(&pairs, sum, min, max)
 }
 
-/// Parses one shard checkpoint line; `None` for malformed/truncated lines.
+/// Parses one sealed shard checkpoint line; `None` for a malformed,
+/// truncated or corrupted line (its shard is then treated as not
+/// completed).
 pub fn parse_shard_line(line: &str) -> Option<ShardResult> {
-    // A truncated line (killed mid-append) fails one of these lookups and
-    // is treated as "shard not completed".
-    if !line.trim_end().ends_with('}') {
-        return None;
-    }
+    let line = unseal(line)?;
     Some(ShardResult {
         shard: parse_u64_field(line, "shard")?,
         cycles: parse_u64_field(line, "cycles")?,
@@ -506,51 +551,52 @@ pub fn parse_shard_line(line: &str) -> Option<ShardResult> {
     })
 }
 
-/// Loads completed shards from `checkpoint`. A missing file yields an
-/// empty map (fresh campaign); an existing file must carry a header that
-/// matches `params` exactly. Malformed or truncated shard lines are
-/// skipped — their shards simply rerun.
+/// Parses a checkpoint's text into its completed shards. The header must
+/// carry this [`CHECKPOINT_VERSION`], a valid checksum and exactly
+/// `params`. Shard lines that are cut short or fail their checksum are
+/// skipped — their shards simply rerun — and so are exact duplicates.
 ///
 /// # Errors
 ///
-/// Returns a message when the file exists but is unreadable, has no
-/// parseable header, or records different campaign parameters.
-pub fn load_checkpoint(
-    checkpoint: &Path,
+/// Returns a one-line message for a missing, corrupted or foreign header,
+/// and for two different results recorded for one shard.
+fn parse_checkpoint(
+    text: &str,
     params: &CampaignParams,
 ) -> Result<BTreeMap<u64, ShardResult>, String> {
-    let text = match std::fs::read_to_string(checkpoint) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
-        Err(e) => return Err(format!("cannot read checkpoint {}: {e}", checkpoint.display())),
-    };
     let mut lines = text.lines();
-    let header = lines.next().ok_or("checkpoint file is empty")?;
-    let version = parse_u64_field(header, "version").ok_or("checkpoint header is unparseable")?;
+    let header = lines.next().ok_or("file is empty")?;
+    let version = parse_u64_field(header, "version").ok_or("header is unparseable")?;
     if version != u64::from(CHECKPOINT_VERSION) {
-        return Err(format!("checkpoint version {version} != {CHECKPOINT_VERSION}"));
+        return Err(format!("version {version} != {CHECKPOINT_VERSION}"));
     }
+    let header = unseal(header).ok_or("header fails its checksum")?;
+    let channels = parse_u64_field(header, "channels").ok_or("header missing channels")?;
     let recorded = CampaignParams {
         preset: parse_str_field(header, "preset").ok_or("header missing preset")?.to_string(),
         cycles: parse_u64_field(header, "cycles").ok_or("header missing cycles")?,
         shard_cycles: parse_u64_field(header, "shard_cycles")
             .ok_or("header missing shard_cycles")?,
         seed: parse_u64_field(header, "seed").ok_or("header missing seed")?,
-        channels: parse_u64_field(header, "channels").ok_or("header missing channels")? as u32,
+        channels: u32::try_from(channels)
+            .map_err(|_| format!("header channels {channels} exceed u32"))?,
     };
     if &recorded != params {
         return Err(format!(
-            "checkpoint {} belongs to a different campaign ({recorded:?} != {params:?}); \
-             delete it or match its parameters",
-            checkpoint.display()
+            "belongs to a different campaign ({recorded:?} != {params:?}); \
+             delete it or match its parameters"
         ));
     }
     let shards = params.shards();
     let mut done = BTreeMap::new();
-    for line in lines {
-        if let Some(r) = parse_shard_line(line) {
-            if r.shard < shards {
-                done.insert(r.shard, r);
+    for r in lines.filter_map(parse_shard_line).filter(|r| r.shard < shards) {
+        match done.entry(r.shard) {
+            Entry::Vacant(slot) => {
+                slot.insert(r);
+            }
+            Entry::Occupied(slot) if *slot.get() == r => {}
+            Entry::Occupied(slot) => {
+                return Err(format!("records two different results for shard {}", slot.key()));
             }
         }
     }
@@ -689,6 +735,9 @@ mod tests {
         let mut full_cmp = full.clone();
         full_cmp.resumed = resumed.resumed;
         assert_eq!(resumed, full_cmp);
+        // The rerun shards' lines were not glued to the truncated one.
+        let again = run_campaign(&p, &path, 1, |_, _| {}).expect("second resume");
+        assert_eq!(again.resumed, p.shards(), "every shard line parses now");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -742,6 +791,118 @@ mod tests {
         other.seed = 43;
         let err = run_campaign(&other, &path, 1, |_, _| {}).unwrap_err();
         assert!(err.contains("different campaign"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn corrupted_checkpoints_resume_exactly_or_fail_in_one_line() {
+        // Every single-bit flip, adjacent-line swap, line duplication and
+        // truncation of a 3-shard checkpoint: the resumed report equals
+        // the uninterrupted one, or the run returns a one-line error.
+        let p = CampaignParams { cycles: 150, shard_cycles: 50, ..small_params() };
+        let path = temp_checkpoint("sweep");
+        let full = run_campaign(&p, &path, 1, |_, _| {}).expect("uninterrupted run");
+        let clean = std::fs::read(&path).unwrap();
+        let lines: Vec<&[u8]> = clean.split_inclusive(|&b| b == b'\n').collect();
+        assert_eq!(lines.len(), 4, "header plus three shards");
+
+        let flips = (0..clean.len() * 8).map(|bit| {
+            let mut c = clean.clone();
+            c[bit / 8] ^= 1 << (bit % 8);
+            c
+        });
+        let swaps = (1..lines.len()).map(|i| {
+            let mut l = lines.clone();
+            l.swap(i - 1, i);
+            l.concat()
+        });
+        let dups = (0..lines.len()).map(|i| {
+            let mut l = lines.clone();
+            l.insert(i, lines[i]);
+            l.concat()
+        });
+        let cuts = (0..clean.len()).map(|len| clean[..len].to_vec());
+        let (mut resumed, mut refused) = (0, 0);
+        for (n, case) in flips.chain(swaps).chain(dups).chain(cuts).enumerate() {
+            std::fs::write(&path, &case).unwrap();
+            match run_campaign(&p, &path, 1, |_, _| {}) {
+                Ok(report) => {
+                    assert_eq!(
+                        CampaignReport { resumed: full.resumed, ..report },
+                        full,
+                        "case {n}"
+                    );
+                    resumed += 1;
+                }
+                Err(e) => {
+                    assert!(!e.is_empty() && !e.contains('\n'), "case {n}: {e:?}");
+                    refused += 1;
+                }
+            }
+        }
+        assert!(resumed > 0 && refused > 0, "{resumed} resumed, {refused} refused");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn conflicting_shard_lines_are_refused() {
+        let p = small_params();
+        let path = temp_checkpoint("conflict");
+        run_campaign(&p, &path, 1, |_, _| {}).expect("first run");
+        let mut other = run_shard(&p, 1);
+        other.stalled += 1;
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(&shard_line(&other));
+        std::fs::write(&path, text).unwrap();
+        let err = run_campaign(&p, &path, 1, |_, _| {}).unwrap_err();
+        assert!(err.contains("two different results for shard 1"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn hostile_sealed_lines_are_rerun_or_refused() {
+        // Lines with valid checksums but impossible contents.
+        let p = CampaignParams { cycles: 1_500, shard_cycles: 500, ..small_params() };
+        let path = temp_checkpoint("hostile");
+        let full = run_campaign(&p, &path, 1, |_, _| {}).expect("first run");
+        let header = header_line(&p);
+        let mut huge = run_shard(&p, 0);
+        let overflowing_line =
+            shard_line(&huge).replace("\"qh_b\":[", "\"qh_b\":[[0,18446744073709551615],");
+        let resealed = seal(overflowing_line.rsplit_once(",\"ck\":").unwrap().0.to_string());
+
+        // A bucket count that overflows the histogram rejects the line.
+        std::fs::write(&path, format!("{header}{resealed}")).unwrap();
+        let report = run_campaign(&p, &path, 1, |_, _| {}).expect("line rejected, shard rerun");
+        assert_eq!(CampaignReport { resumed: full.resumed, ..report }, full);
+
+        // Counters that only overflow once merged are refused.
+        huge.cycles = u64::MAX;
+        let mut twin = huge.clone();
+        twin.shard = 1;
+        std::fs::write(&path, format!("{header}{}{}", shard_line(&huge), shard_line(&twin)))
+            .unwrap();
+        let err = run_campaign(&p, &path, 1, |_, _| {}).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
+
+        // A channel count beyond u32 is refused, not truncated to 1.
+        let wide = header.replace("\"channels\":1", &format!("\"channels\":{}", (1u64 << 32) + 1));
+        let wide = seal(wide.rsplit_once(",\"ck\":").unwrap().0.to_string());
+        std::fs::write(&path, wide).unwrap();
+        let err = run_campaign(&p, &path, 1, |_, _| {}).unwrap_err();
+        assert!(err.contains("exceed u32"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn older_checkpoint_versions_are_refused() {
+        let p = small_params();
+        let path = temp_checkpoint("v3");
+        let v3 = "{\"campaign\":\"mts_uniform_reads\",\"version\":3,\"preset\":\"small_test\",\
+                  \"cycles\":20000,\"shard_cycles\":4000,\"seed\":42,\"channels\":1}\n";
+        std::fs::write(&path, v3).unwrap();
+        let err = run_campaign(&p, &path, 1, |_, _| {}).unwrap_err();
+        assert!(err.ends_with("version 3 != 4"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 

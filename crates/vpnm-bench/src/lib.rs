@@ -12,7 +12,6 @@
 
 pub mod campaign;
 pub mod inspect;
-pub mod parallel;
 pub mod report;
 
 pub use report::Table;

@@ -8,7 +8,6 @@
 //! FIFO order) — exactly the encoding the paper describes.
 
 use crate::delay_storage::RowId;
-use crate::ring::RingSlots;
 
 /// One pending bank access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,10 +35,12 @@ pub enum AccessEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BankAccessQueue {
-    /// Power-of-two ring (wrap is a mask, see [`RingSlots`]); `capacity`
-    /// still bounds pushes at the configured `Q`, which need not be a
-    /// power of two.
-    entries: RingSlots<AccessEntry>,
+    /// Power-of-two ring, so wrapping is a mask; `capacity` still bounds
+    /// pushes at the configured `Q`, which need not be a power of two.
+    entries: Box<[AccessEntry]>,
+    /// `entries.len() - 1`, cached so the hot path does not re-derive it
+    /// from the box's fat pointer.
+    mask: u32,
     head: u32,
     len: u32,
     capacity: u32,
@@ -59,17 +60,14 @@ impl BankAccessQueue {
     pub fn new(q: usize) -> Self {
         assert!(q > 0, "bank access queue needs at least one entry");
         assert!(q <= u32::MAX as usize / 2, "bank access queue capacity too large");
+        let slots = q.next_power_of_two();
         BankAccessQueue {
-            entries: RingSlots::from_fn(q, |_| AccessEntry::Write),
+            entries: vec![AccessEntry::Write; slots].into_boxed_slice(),
+            mask: slots as u32 - 1,
             head: 0,
             len: 0,
             capacity: q as u32,
         }
-    }
-
-    #[inline]
-    fn mask(&self) -> u32 {
-        self.entries.mask()
     }
 
     /// Capacity `Q`.
@@ -105,8 +103,8 @@ impl BankAccessQueue {
         if self.is_full() {
             return Err(QueueFull(entry));
         }
-        let tail = (self.head + self.len) & self.mask();
-        *self.entries.get_mut(tail) = entry;
+        let tail = (self.head + self.len) & self.mask;
+        self.entries[tail as usize] = entry;
         self.len += 1;
         Ok(())
     }
@@ -117,8 +115,8 @@ impl BankAccessQueue {
         if self.len == 0 {
             return None;
         }
-        let e = *self.entries.get(self.head);
-        self.head = (self.head + 1) & self.mask();
+        let e = self.entries[self.head as usize];
+        self.head = (self.head + 1) & self.mask;
         self.len -= 1;
         Some(e)
     }
@@ -129,7 +127,7 @@ impl BankAccessQueue {
         if self.len == 0 {
             None
         } else {
-            Some(self.entries.get(self.head))
+            Some(&self.entries[self.head as usize])
         }
     }
 }
@@ -168,6 +166,22 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.front(), Some(&AccessEntry::Write));
         assert_eq!(q.capacity(), 2);
+    }
+
+    #[test]
+    fn ring_wraps_at_a_non_power_of_two_capacity() {
+        // Q = 3 rounds the ring up to 4 slots; pushes still stop at 3.
+        let mut q = BankAccessQueue::new(3);
+        for round in 0..5u32 {
+            for row in 0..3 {
+                q.push(AccessEntry::Read { row: round * 3 + row }).unwrap();
+            }
+            assert!(q.is_full());
+            for row in 0..3 {
+                assert_eq!(q.pop(), Some(AccessEntry::Read { row: round * 3 + row }));
+            }
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -84,7 +84,6 @@ pub use metrics::ControllerMetrics;
 pub use reference::ReferenceController;
 pub use regulator::{QosConfig, Regulator, RegulatorMode, TenantLedger, MAX_TENANTS};
 pub use request::{LineAddr, Request, Response, StallKind, TenantId, TickOutput};
-pub use ring::RingSlots;
 pub use snapshot::{
     MetricsSnapshot, ServingMetrics, TenantSection, TenantStats, SNAPSHOT_SCHEMA_VERSION,
 };

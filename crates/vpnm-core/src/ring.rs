@@ -1,89 +1,13 @@
-//! Power-of-two ring storage and the serving front door's hand-off lane.
+//! The serving front door's hand-off lane.
 //!
-//! * [`RingSlots`] — the bare slot array + mask behind the controller's
-//!   [`crate::access_queue::BankAccessQueue`] (single-threaded, paper
-//!   Figure 3), which keeps its own head/len bookkeeping. Access is
-//!   bounds-checked: unchecked indexing bought no measurable speed.
-//! * [`spsc`] — a bounded lane from one producer thread to one consumer:
-//!   std's `sync_channel` plus a count of the sends that found the lane
-//!   full ("parks"), which the serving layer reports as `producer_parks`.
-//!   A blocked side sleeps in the kernel; it does not spin.
+//! [`spsc`] is a bounded lane from one producer thread to one consumer:
+//! std's `sync_channel` plus a count of the sends that found the lane
+//! full ("parks"), which the serving layer reports as `producer_parks`.
+//! A blocked side sleeps in the kernel; it does not spin.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
-
-/// A power-of-two slot array with a cached index mask. Callers keep their
-/// own head/tail bookkeeping and reduce indices by [`RingSlots::mask`]
-/// before access.
-///
-/// ```
-/// use vpnm_core::ring::RingSlots;
-/// let ring = RingSlots::from_fn(3, |i| i as u32); // rounds up to 4 slots
-/// assert_eq!(ring.mask(), 3);
-/// assert_eq!(*ring.get(5 & ring.mask()), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct RingSlots<T> {
-    slots: Box<[T]>,
-    /// `slots.len() - 1`, cached so hot paths don't re-derive it from
-    /// the box's fat pointer.
-    mask: u32,
-}
-
-impl<T> RingSlots<T> {
-    /// Allocates at least `min_slots` slots, rounded up to a power of
-    /// two, each initialized by `init(slot_index)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_slots == 0` or the rounded size exceeds `u32`
-    /// range.
-    pub fn from_fn(min_slots: usize, init: impl FnMut(usize) -> T) -> Self {
-        assert!(min_slots > 0, "ring needs at least one slot");
-        assert!(min_slots <= u32::MAX as usize / 2, "ring capacity too large");
-        let n = min_slots.next_power_of_two();
-        RingSlots { slots: (0..n).map(init).collect(), mask: n as u32 - 1 }
-    }
-
-    /// The index mask (`slot count - 1`).
-    #[inline]
-    pub fn mask(&self) -> u32 {
-        self.mask
-    }
-
-    /// Number of slots (a power of two, `mask + 1`).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Rings are never empty (the constructor rejects zero slots).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Slot access for a mask-reduced index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i > mask`.
-    #[inline]
-    pub fn get(&self, i: u32) -> &T {
-        &self.slots[i as usize]
-    }
-
-    /// Mutable slot access for a mask-reduced index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i > mask`.
-    #[inline]
-    pub fn get_mut(&mut self, i: u32) -> &mut T {
-        &mut self.slots[i as usize]
-    }
-}
 
 /// Producer half of an [`spsc`] lane.
 #[derive(Debug)]
@@ -167,35 +91,6 @@ impl<T: Send> SpscReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_slots_round_up_and_mask() {
-        let r = RingSlots::from_fn(5, |i| i);
-        assert_eq!(r.len(), 8);
-        assert_eq!(r.mask(), 7);
-        assert_eq!(*r.get(11 & r.mask()), 3);
-        assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn ring_slots_get_mut() {
-        let mut r = RingSlots::from_fn(2, |_| 0u64);
-        *r.get_mut(1) = 9;
-        assert_eq!(*r.get(1), 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn ring_slots_unreduced_index_rejected() {
-        let r = RingSlots::from_fn(4, |i| i);
-        let _ = r.get(4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one slot")]
-    fn ring_slots_zero_rejected() {
-        let _ = RingSlots::from_fn(0, |i| i);
-    }
 
     #[test]
     fn spsc_fifo_and_capacity() {

@@ -173,19 +173,6 @@ impl BankHasher for AffinePermutation {
         (self.apply(addr) & ((1u64 << self.bank_bits) - 1)) as u32
     }
 
-    fn bank_of_batch(&self, addrs: &[u64], out: &mut [u32]) {
-        assert_eq!(addrs.len(), out.len(), "batch slices must match in length");
-        let mask = (1u64 << self.bank_bits) - 1;
-        let mut locs = [0u64; 64];
-        for (addrs, out) in addrs.chunks(64).zip(out.chunks_mut(64)) {
-            let locs = &mut locs[..addrs.len()];
-            self.fwd_tab.apply_batch(self.offset, addrs, locs);
-            for (o, &loc) in out.iter_mut().zip(locs.iter()) {
-                *o = (loc & mask) as u32;
-            }
-        }
-    }
-
     fn latency_cycles(&self) -> u64 {
         // same XOR-tree depth as H3 over addr_bits inputs
         u64::from(32 - (self.addr_bits.max(2) - 1).leading_zeros())
@@ -306,9 +293,9 @@ mod proptests {
             prop_assert_eq!(p.row_of(x), p.apply(x) >> 4);
         }
 
-        /// The table-major batches are bit-identical to per-element
-        /// `apply`/`bank_of`, for random keys, widths, and batch
-        /// lengths.
+        /// The table-major `apply_batch` and the trait's default
+        /// `bank_of_batch` are bit-identical to per-element
+        /// `apply`/`bank_of`, for random keys, widths, and batch lengths.
         #[test]
         fn batch_bit_identical_to_scalar(
             seed in any::<u64>(),

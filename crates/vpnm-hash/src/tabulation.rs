@@ -63,20 +63,6 @@ impl BankHasher for TabulationHash {
         h
     }
 
-    fn bank_of_batch(&self, addrs: &[u64], out: &mut [u32]) {
-        assert_eq!(addrs.len(), out.len(), "batch slices must match in length");
-        // Table-major fold: each 1 KiB character table stays hot in L1
-        // across the whole batch. XOR commutes, so the result is
-        // bit-identical to `bank_of` per element.
-        out.fill(0);
-        for (i, t) in self.tables.iter().enumerate() {
-            let shift = 8 * i;
-            for (o, &a) in out.iter_mut().zip(addrs) {
-                *o ^= t[((a >> shift) & 0xFF) as usize];
-            }
-        }
-    }
-
     fn latency_cycles(&self) -> u64 {
         2
     }
@@ -158,8 +144,8 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// The table-major batch is bit-identical to per-element
-        /// `bank_of`, for random keys and batch lengths.
+        /// The batch (the trait's default loop) is bit-identical to
+        /// per-element `bank_of`, for random keys and batch lengths.
         #[test]
         fn batch_bit_identical_to_scalar(
             seed in any::<u64>(),

@@ -13,6 +13,8 @@
 //!   distributions.
 //! * [`rng`] — the SplitMix64 seed mixer, so every experiment is
 //!   reproducible from a single root seed.
+//! * [`parallel::par_map`] — fans independent, index-seeded simulations
+//!   out over the cores and returns their results in index order.
 //!
 //! # Example
 //!
@@ -39,6 +41,7 @@
 #![forbid(unsafe_code)]
 
 pub mod clock;
+pub mod parallel;
 pub mod rng;
 pub mod stats;
 

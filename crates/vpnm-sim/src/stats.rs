@@ -182,24 +182,24 @@ impl Histogram {
     /// uninterrupted ones. Empty histograms (`min`/`max` of `None`) use
     /// the sentinel encoding automatically.
     ///
-    /// # Panics
-    ///
-    /// Panics if a bucket index is ≥ 64.
+    /// The parts may come from a file, so they are checked: `None` when a
+    /// bucket index is ≥ 64 or the counts overflow `u64`.
     pub fn from_parts(
         bucket_counts: &[(usize, u64)],
         sum: u64,
         min: Option<u64>,
         max: Option<u64>,
-    ) -> Self {
+    ) -> Option<Self> {
         let mut h = Histogram::new();
         for &(i, c) in bucket_counts {
-            h.buckets[i] += c;
-            h.total += c;
+            let bucket = h.buckets.get_mut(i)?;
+            *bucket = bucket.checked_add(c)?;
+            h.total = h.total.checked_add(c)?;
         }
         h.stats.sum = sum;
         h.stats.min = min.unwrap_or(u64::MAX);
         h.stats.max = max.unwrap_or(0);
-        h
+        Some(h)
     }
 
     /// Merges another histogram into this one (used when measurements are
@@ -492,8 +492,17 @@ mod tests {
         let counts: Vec<(usize, u64)> =
             (0..64).filter(|&i| h.bucket_count(i) > 0).map(|i| (i, h.bucket_count(i))).collect();
         let rebuilt = Histogram::from_parts(&counts, h.sum(), h.min(), h.max());
-        assert_eq!(rebuilt, h);
-        assert_eq!(Histogram::from_parts(&[], 0, None, None), Histogram::new());
+        assert_eq!(rebuilt, Some(h));
+        assert_eq!(Histogram::from_parts(&[], 0, None, None), Some(Histogram::new()));
+    }
+
+    #[test]
+    fn from_parts_rejects_hostile_parts() {
+        assert_eq!(Histogram::from_parts(&[(64, 1)], 0, None, None), None, "bucket index");
+        let near_max = [(3, u64::MAX - 1), (3, 2)];
+        assert_eq!(Histogram::from_parts(&near_max, 0, None, None), None, "one bucket overflows");
+        let split = [(3, u64::MAX - 1), (4, 2)];
+        assert_eq!(Histogram::from_parts(&split, 0, None, None), None, "the total overflows");
     }
 
     #[test]
