@@ -21,8 +21,7 @@
 //! verification table is an open-addressed hash table of signature/rule
 //! pairs packed into memory cells.
 
-use std::collections::VecDeque;
-use vpnm_core::{LineAddr, PipelinedMemory, Request};
+use vpnm_core::{LineAddr, Pipeline, PipelinedMemory, Request, Response};
 use vpnm_sim::rng::splitmix64;
 
 /// Length of a signature in bytes (one sliding window).
@@ -95,27 +94,23 @@ fn pack(window: &[u8]) -> u64 {
 /// Content inspection engine: Bloom prefilter + VPNM-resident exact table.
 #[derive(Debug)]
 pub struct InspectionEngine<M> {
-    mem: M,
+    /// Each bucket read carries the suspect it verifies.
+    pipe: Pipeline<M, Suspect>,
     bloom: BloomFilter,
     /// Number of buckets (cells) in the verification table.
     buckets: u64,
     entries_per_cell: usize,
-    /// Suspects whose bucket read is in flight, FIFO (constant latency
-    /// means responses return in exactly this order).
-    in_flight: VecDeque<Suspect>,
-    /// Responses banked during ticks, pending interpretation.
-    ready: VecDeque<vpnm_core::Response>,
-    /// Suspects (fresh or probe-chained) awaiting issue.
-    to_issue: VecDeque<Suspect>,
     matches: Vec<SignatureMatch>,
     /// Prefilter positives (memory lookups issued).
     suspects: u64,
     /// Windows scanned.
     windows: u64,
-    stall_retries: u64,
+    /// Stall retries spent on the table preload, which
+    /// [`InspectionEngine::stall_retries`] leaves out.
+    preload_stalls: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Suspect {
     offset: u64,
     window: u64,
@@ -131,9 +126,12 @@ impl<M: PipelinedMemory> InspectionEngine<M> {
     /// # Panics
     ///
     /// Panics if a signature is not exactly [`SIGNATURE_BYTES`] long, if
-    /// the table overflows (load factor is kept under 50%), or if cells
-    /// cannot hold at least one entry.
-    pub fn new(mut mem: M, signatures: &[(Vec<u8>, u32)], cell_bytes: usize) -> Self {
+    /// the table overflows (load factor is kept under 50%), if cells
+    /// cannot hold at least one entry, if the memory rejects a table write
+    /// (`cell_bytes` larger than its cells, or more buckets than its
+    /// address space holds), or if it breaks `t + D` — the [`Pipeline`]
+    /// checks.
+    pub fn new(mem: M, signatures: &[(Vec<u8>, u32)], cell_bytes: usize) -> Self {
         assert!(cell_bytes >= TABLE_ENTRY_BYTES, "cells must hold at least one entry");
         let entries_per_cell = cell_bytes / TABLE_ENTRY_BYTES;
         let want_entries = (signatures.len().max(1) * 2).next_power_of_two();
@@ -162,6 +160,7 @@ impl<M: PipelinedMemory> InspectionEngine<M> {
         }
 
         // serialize into memory cells
+        let mut pipe = Pipeline::new(mem);
         for (b, bucket) in table.iter().enumerate() {
             let mut data = Vec::with_capacity(cell_bytes);
             for e in 0..entries_per_cell {
@@ -170,26 +169,21 @@ impl<M: PipelinedMemory> InspectionEngine<M> {
                 data.extend_from_slice(&rule.to_le_bytes());
                 data.extend_from_slice(&[0u8; TABLE_ENTRY_BYTES - 12]);
             }
-            loop {
-                let out = mem.tick(Some(Request::write(LineAddr(b as u64), data.clone())));
-                if out.stall.is_none() {
-                    break;
-                }
-            }
+            pipe.push(Request::write(LineAddr(b as u64), data), Suspect::default());
+        }
+        while !pipe.is_idle() {
+            pipe.step();
         }
 
         InspectionEngine {
-            mem,
+            preload_stalls: pipe.stall_retries(),
+            pipe,
             bloom,
             buckets,
             entries_per_cell,
-            in_flight: VecDeque::new(),
-            ready: VecDeque::new(),
-            to_issue: VecDeque::new(),
             matches: Vec::new(),
             suspects: 0,
             windows: 0,
-            stall_retries: 0,
         }
     }
 
@@ -205,72 +199,60 @@ impl<M: PipelinedMemory> InspectionEngine<M> {
 
     /// Interface cycles elapsed.
     pub fn cycles(&self) -> u64 {
-        self.mem.now().as_u64()
+        self.pipe.memory().now().as_u64()
     }
 
     /// Cycles retried on controller stalls.
     pub fn stall_retries(&self) -> u64 {
-        self.stall_retries
+        self.pipe.stall_retries() - self.preload_stalls
     }
 
-    fn bucket_of(&self, window: u64, probe: u32) -> LineAddr {
-        LineAddr((splitmix64(window) + u64::from(probe)) % self.buckets)
+    /// Queues the bucket read that verifies `s`.
+    fn push_suspect(&mut self, s: Suspect) {
+        let bucket = (splitmix64(s.window) + u64::from(s.probe)) % self.buckets;
+        self.pipe.push(Request::read(LineAddr(bucket)), s);
     }
 
-    /// One memory cycle; any due response is banked for interpretation.
-    fn tick_mem(&mut self, req: Option<Request>) -> bool {
-        let out = self.mem.tick(req);
-        if let Some(r) = out.response {
-            self.ready.push_back(r);
-        }
-        out.stall.is_some()
-    }
-
-    /// Interprets banked responses (pure bookkeeping — no ticking, so the
-    /// in-flight FIFO order can never invert).
-    fn resolve_ready(&mut self) {
-        'responses: while let Some(r) = self.ready.pop_front() {
-            let s = self.in_flight.pop_front().expect("response implies in-flight suspect");
-            let mut bucket_full = true;
-            for e in 0..self.entries_per_cell {
-                let off = e * TABLE_ENTRY_BYTES;
-                let w = u64::from_le_bytes(r.data[off..off + 8].try_into().expect("entry"));
-                let rule = u32::from_le_bytes(r.data[off + 8..off + 12].try_into().expect("entry"));
-                if rule == EMPTY_RULE {
-                    bucket_full = false;
-                    continue;
-                }
-                if w == s.window {
-                    self.matches.push(SignatureMatch { offset: s.offset, rule });
-                    continue 'responses;
-                }
-            }
-            // full bucket without a match: the signature may have
-            // overflowed into the next bucket during linear probing —
-            // follow the chain; otherwise it was a Bloom false positive
-            if bucket_full && s.probe + 1 < self.buckets as u32 {
-                self.to_issue.push_back(Suspect { probe: s.probe + 1, ..s });
-            }
+    /// One memory cycle; an answered bucket read is interpreted at once.
+    fn step(&mut self) {
+        if let Some((r, s)) = self.pipe.step() {
+            self.resolve(r, s);
         }
     }
 
-    /// Issues queued bucket reads, retrying stalled cycles.
-    fn pump(&mut self) {
-        while let Some(&s) = self.to_issue.front() {
-            let addr = self.bucket_of(s.window, s.probe);
-            if self.tick_mem(Some(Request::read(addr))) {
-                self.stall_retries += 1;
-            } else {
-                self.in_flight.push_back(s);
-                self.to_issue.pop_front();
+    /// Checks the bucket read for suspect `s`: a match, a Bloom false
+    /// positive, or a full bucket whose probe chain continues.
+    fn resolve(&mut self, r: Response, s: Suspect) {
+        let mut bucket_full = true;
+        for e in 0..self.entries_per_cell {
+            let off = e * TABLE_ENTRY_BYTES;
+            let w = u64::from_le_bytes(r.data[off..off + 8].try_into().expect("entry"));
+            let rule = u32::from_le_bytes(r.data[off + 8..off + 12].try_into().expect("entry"));
+            if rule == EMPTY_RULE {
+                bucket_full = false;
+                continue;
             }
-            self.resolve_ready();
+            if w == s.window {
+                self.matches.push(SignatureMatch { offset: s.offset, rule });
+                return;
+            }
+        }
+        // full bucket without a match: the signature may have overflowed
+        // into the next bucket during linear probing — follow the chain;
+        // otherwise it was a Bloom false positive
+        if bucket_full && s.probe + 1 < self.buckets as u32 {
+            self.push_suspect(Suspect { probe: s.probe + 1, ..s });
         }
     }
 
     /// Scans a byte stream: every [`SIGNATURE_BYTES`]-wide sliding window
     /// is prefiltered on chip; positives are verified through the memory.
     /// Returns the confirmed matches for this stream, in offset order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memory rejects a bucket read or answers one anywhere
+    /// but at `t + D` — the [`Pipeline`] checks.
     pub fn scan(&mut self, stream: &[u8]) -> Vec<SignatureMatch> {
         let start = self.matches.len();
         if stream.len() >= SIGNATURE_BYTES {
@@ -279,26 +261,19 @@ impl<M: PipelinedMemory> InspectionEngine<M> {
                 let window = pack(&stream[offset..offset + SIGNATURE_BYTES]);
                 if self.bloom.contains(window) {
                     self.suspects += 1;
-                    self.to_issue.push_back(Suspect { offset: offset as u64, window, probe: 0 });
-                    self.pump();
-                } else {
-                    // clean windows cost zero memory accesses; the stream
-                    // clock still advances one cycle per window
-                    self.tick_mem(None);
-                    self.resolve_ready();
-                    self.pump();
+                    self.push_suspect(Suspect { offset: offset as u64, window, probe: 0 });
+                }
+                // one cycle per window; clean windows cost zero memory
+                // accesses, suspects are retried until accepted
+                self.step();
+                while self.pipe.queued() > 0 {
+                    self.step();
                 }
             }
         }
         // drain verification reads (chained probes may extend the tail)
-        let budget = (self.mem.outstanding() as u64 + 2) * self.mem.delay() * 4;
-        for _ in 0..budget {
-            if self.in_flight.is_empty() && self.to_issue.is_empty() {
-                break;
-            }
-            self.tick_mem(None);
-            self.resolve_ready();
-            self.pump();
+        while !self.pipe.is_idle() {
+            self.step();
         }
         let mut out = self.matches[start..].to_vec();
         out.sort_by_key(|m| (m.offset, m.rule));
@@ -396,7 +371,7 @@ mod tests {
         assert_eq!(exact, 50, "all aligned repetitions match");
         // misaligned windows (e.g. "VILSIG1E") must NOT match
         assert!(matches.iter().all(|m| m.offset % 8 == 0));
-        let merged = eng.mem.metrics().reads_merged;
+        let merged = eng.pipe.memory().metrics().reads_merged;
         assert!(merged > 0, "redundant suspect lookups should merge");
     }
 
@@ -421,6 +396,15 @@ mod tests {
         for idx in [3usize, 77, 111, 160, 199] {
             assert!(rules.contains(&sigs[idx].1), "rule {} missing", sigs[idx].1);
         }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "exceeds cell size"))]
+    #[cfg_attr(not(debug_assertions), should_panic(expected = "rejected the request to 0x0"))]
+    fn table_cells_wider_than_the_memory_panic_instead_of_spinning() {
+        // 32-byte table cells written into a memory of 8-byte cells.
+        let mem = VpnmController::new(VpnmConfig::small_test(), 77).unwrap();
+        let _ = InspectionEngine::new(mem, &[(sig(b"EVILSIG1"), 1)], 32);
     }
 
     #[test]

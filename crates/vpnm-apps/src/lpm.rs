@@ -19,8 +19,7 @@
 //! The trie layout needs no care at all: nodes are allocated sequentially
 //! and the controller's universal hash scatters them over banks.
 
-use std::collections::VecDeque;
-use vpnm_core::{LineAddr, PipelinedMemory, Request, StallKind};
+use vpnm_core::{LineAddr, Pipeline, PipelinedMemory, Request, Response};
 
 /// Number of 8-bit strides in an IPv4 address.
 pub const LEVELS: usize = 4;
@@ -173,22 +172,17 @@ impl RouteTable {
 /// `n·(FANOUT/entries_per_cell) + e/entries_per_cell`.
 #[derive(Debug)]
 pub struct LpmEngine<M> {
-    mem: M,
-    cell_bytes: usize,
+    /// Each trie read carries the walk it advances.
+    pipe: Pipeline<M, Pending>,
+    entries_per_cell: usize,
     table: RouteTable,
-    /// Issued reads awaiting their responses, in issue order (constant
-    /// latency means responses return in exactly this order).
-    in_flight: VecDeque<Pending>,
-    /// Responses collected from ticks, pending interpretation.
-    ready: VecDeque<vpnm_core::Response>,
-    /// Dependent accesses discovered by completions, awaiting issue.
-    to_issue: VecDeque<(Pending, u32)>,
     results: Vec<Option<Option<u32>>>,
-    stall_retries: u64,
-    accesses: u64,
+    /// Accepts and stall retries spent on the table preload, which the
+    /// lookup counters leave out.
+    preload: (u64, u64),
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Pending {
     lookup: usize,
     addr: u32,
@@ -202,11 +196,15 @@ impl<M: PipelinedMemory> LpmEngine<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the cell size cannot hold at least one entry.
-    pub fn new(mut mem: M, table: RouteTable, cell_bytes: usize) -> Self {
+    /// Panics if the cell size cannot hold at least one entry, if the
+    /// memory rejects a table write (the trie needs more cells than its
+    /// address space holds), or if it breaks `t + D` — the [`Pipeline`]
+    /// checks.
+    pub fn new(mem: M, table: RouteTable, cell_bytes: usize) -> Self {
         assert!(cell_bytes >= ENTRY_BYTES, "cells must hold at least one 8-byte entry");
         let entries_per_cell = cell_bytes / ENTRY_BYTES;
         let cells_per_node = FANOUT / entries_per_cell;
+        let mut pipe = Pipeline::new(mem);
         for (n, node) in table.nodes.iter().enumerate() {
             for c in 0..cells_per_node {
                 let mut data = Vec::with_capacity(cell_bytes);
@@ -220,95 +218,50 @@ impl<M: PipelinedMemory> LpmEngine<M> {
                     data.extend_from_slice(&child_word.to_le_bytes());
                 }
                 let addr = (n * cells_per_node + c) as u64;
-                loop {
-                    let out = mem.tick(Some(Request::write(LineAddr(addr), data.clone())));
-                    if out.stall.is_none() {
-                        break;
-                    }
-                }
+                pipe.push(Request::write(LineAddr(addr), data), Pending::default());
             }
         }
-        LpmEngine {
-            mem,
-            cell_bytes,
-            table,
-            in_flight: VecDeque::new(),
-            ready: VecDeque::new(),
-            to_issue: VecDeque::new(),
-            results: Vec::new(),
-            stall_retries: 0,
-            accesses: 0,
+        while !pipe.is_idle() {
+            pipe.step();
         }
+        let preload = (pipe.accepted(), pipe.stall_retries());
+        LpmEngine { pipe, entries_per_cell, table, results: Vec::new(), preload }
     }
 
     /// Memory accesses issued so far.
     pub fn accesses(&self) -> u64 {
-        self.accesses
+        self.pipe.accepted() - self.preload.0
     }
 
     /// Cycles retried due to controller stalls.
     pub fn stall_retries(&self) -> u64 {
-        self.stall_retries
+        self.pipe.stall_retries() - self.preload.1
     }
 
     /// Interface cycles elapsed.
     pub fn cycles(&self) -> u64 {
-        self.mem.now().as_u64()
+        self.pipe.memory().now().as_u64()
     }
 
-    fn cell_of(&self, node: u32, byte: usize) -> (LineAddr, usize) {
-        let entries_per_cell = self.cell_bytes / ENTRY_BYTES;
-        let cells_per_node = FANOUT / entries_per_cell;
-        let cell = node as usize * cells_per_node + byte / entries_per_cell;
-        (LineAddr(cell as u64), (byte % entries_per_cell) * ENTRY_BYTES)
+    /// Queues the read of the entry that walk `p` consults in `node`.
+    fn push_walk(&mut self, p: Pending, node: u32) {
+        let per_cell = self.entries_per_cell;
+        let cell = node as usize * (FANOUT / per_cell) + stride_byte(p.addr, p.level) / per_cell;
+        self.pipe.push(Request::read(LineAddr(cell as u64)), p);
     }
 
-    /// One memory cycle; any due response is banked for interpretation.
-    fn tick_mem(&mut self, req: Option<Request>) -> Option<StallKind> {
-        let out = self.mem.tick(req);
-        if let Some(r) = out.response {
-            self.ready.push_back(r);
-        }
-        out.stall
-    }
-
-    /// Interprets every banked response (pure bookkeeping — no ticking,
-    /// so the in-flight FIFO order can never invert).
-    fn complete_ready(&mut self) {
-        while let Some(r) = self.ready.pop_front() {
-            let p = self.in_flight.pop_front().expect("response implies in-flight lookup");
-            let byte = stride_byte(p.addr, p.level);
-            let entries_per_cell = self.cell_bytes / ENTRY_BYTES;
-            let off = (byte % entries_per_cell) * ENTRY_BYTES;
-            let nh = u32::from_le_bytes(r.data[off..off + 4].try_into().expect("entry in cell"));
-            let child_word =
-                u32::from_le_bytes(r.data[off + 4..off + 8].try_into().expect("entry in cell"));
-            let best = if nh != NO_NEXT_HOP { Some(nh) } else { p.best };
-            if child_word & CHILD_FLAG != 0 && p.level + 1 < LEVELS {
-                let next = Pending { level: p.level + 1, best, ..p };
-                self.to_issue.push_back((next, child_word & !CHILD_FLAG));
-            } else {
-                self.results[p.lookup] = Some(best);
-            }
-        }
-    }
-
-    /// Issues queued accesses until the issue queue is empty, retrying
-    /// stalled cycles (the clock advances either way, so the controller's
-    /// queues always eventually drain).
-    fn pump_issues(&mut self) {
-        while let Some(&(p, node)) = self.to_issue.front() {
-            let byte = stride_byte(p.addr, p.level);
-            let (cell, _) = self.cell_of(node, byte);
-            match self.tick_mem(Some(Request::read(cell))) {
-                None => {
-                    self.accesses += 1;
-                    self.in_flight.push_back(p);
-                    self.to_issue.pop_front();
-                }
-                Some(_) => self.stall_retries += 1,
-            }
-            self.complete_ready();
+    /// Interprets one answered trie read: the walk either descends a
+    /// level (queueing its next read) or resolves.
+    fn complete(&mut self, r: Response, p: Pending) {
+        let off = (stride_byte(p.addr, p.level) % self.entries_per_cell) * ENTRY_BYTES;
+        let nh = u32::from_le_bytes(r.data[off..off + 4].try_into().expect("entry in cell"));
+        let child_word =
+            u32::from_le_bytes(r.data[off + 4..off + 8].try_into().expect("entry in cell"));
+        let best = if nh != NO_NEXT_HOP { Some(nh) } else { p.best };
+        if child_word & CHILD_FLAG != 0 && p.level + 1 < LEVELS {
+            self.push_walk(Pending { level: p.level + 1, best, ..p }, child_word & !CHILD_FLAG);
+        } else {
+            self.results[p.lookup] = Some(best);
         }
     }
 
@@ -317,29 +270,22 @@ impl<M: PipelinedMemory> LpmEngine<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the pipeline fails to drain within its latency budget,
-    /// which would indicate a broken deterministic-latency invariant.
+    /// Panics if the memory rejects a trie read or answers one anywhere
+    /// but at `t + D` — the [`Pipeline`] checks.
     pub fn lookup_batch(&mut self, addrs: &[u32]) -> Vec<Option<u32>> {
         let base = self.results.len();
         self.results.resize(base + addrs.len(), None);
         for (i, &addr) in addrs.iter().enumerate() {
-            let p = Pending { lookup: base + i, addr, level: 0, best: None };
-            self.to_issue.push_back((p, 0));
+            self.push_walk(Pending { lookup: base + i, addr, level: 0, best: None }, 0);
         }
-        self.pump_issues();
-        // drain the pipeline: each response may spawn one more level
-        let budget = (self.mem.outstanding() as u64 + 2) * self.mem.delay() * LEVELS as u64;
-        for _ in 0..budget {
-            if self.in_flight.is_empty() && self.to_issue.is_empty() {
-                break;
+        while !self.pipe.is_idle() {
+            if let Some((r, p)) = self.pipe.step() {
+                self.complete(r, p);
             }
-            self.tick_mem(None);
-            self.complete_ready();
-            self.pump_issues();
         }
         self.results[base..]
             .iter()
-            .map(|r| r.expect("all lookups resolve within the drain budget"))
+            .map(|r| r.expect("an idle pipeline has resolved every walk"))
             .collect()
     }
 
@@ -435,6 +381,21 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "outside the configured"))]
+    #[cfg_attr(not(debug_assertions), should_panic(expected = "rejected the request to 0x10000"))]
+    fn trie_larger_than_the_memory_panics_instead_of_spinning() {
+        // 1 + 2 + 402 = 405 nodes of 256 one-entry cells: 103 680 cells,
+        // past the 2^16 a `small_test` memory addresses.
+        let routes: Vec<RoutePrefix> = (1..=2u32)
+            .flat_map(|a| (0..=200u32).map(move |b| route((a << 24) | (b << 16), 24, b)))
+            .collect();
+        let table = RouteTable::from_routes(&routes);
+        assert_eq!(table.num_nodes(), 405);
+        let mem = VpnmController::new(VpnmConfig::small_test(), 12).unwrap();
+        let _ = LpmEngine::new(mem, table, 8);
+    }
+
+    #[test]
     fn pipelined_lookups_sustain_near_one_access_per_cycle() {
         let mut eng = engine();
         let mut rng = StdRng::seed_from_u64(45);
@@ -449,7 +410,7 @@ mod tests {
         assert!(accesses >= 500 && accesses <= 500 * LEVELS as u64);
         // amortized: issue phase approaches one access per cycle; the
         // drain tail adds ~LEVELS·D
-        let drain_tail = (LEVELS as u64 + 1) * eng.mem.delay();
+        let drain_tail = (LEVELS as u64 + 1) * eng.pipe.memory().delay();
         assert!(
             issue_cycles <= accesses + drain_tail + 500,
             "cycles {issue_cycles} vs accesses {accesses} + tail {drain_tail}"

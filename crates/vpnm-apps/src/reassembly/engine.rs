@@ -11,8 +11,7 @@
 //! oracle.
 
 use crate::reassembly::hole::HoleBuffer;
-use std::collections::VecDeque;
-use vpnm_core::{LineAddr, PipelinedMemory, Request};
+use vpnm_core::{LineAddr, Pipeline, PipelinedMemory, Request};
 
 /// Accounting for a reassembly run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,13 +42,12 @@ struct FlowState {
 /// paper's configuration; tests use smaller cells for speed.
 #[derive(Debug)]
 pub struct ReassemblyEngine<M> {
-    mem: M,
+    /// Scan reads carry their flow; every other access carries `None`.
+    pipe: Pipeline<M, Option<u32>>,
     chunk_bytes: usize,
     per_flow_chunks: u64,
     flows: Vec<FlowState>,
-    /// `(flow, chunk_index)` of scan reads in flight, FIFO (constant
-    /// latency ⇒ responses return in issue order).
-    scan_in_flight: VecDeque<(u32, u64)>,
+    /// Chunk counters; the access counters live in the pipeline.
     stats: ReassemblyStats,
 }
 
@@ -64,30 +62,37 @@ impl<M: PipelinedMemory> ReassemblyEngine<M> {
     ///
     /// # Panics
     ///
-    /// Panics on zero dimensions.
+    /// Panics on zero dimensions. Every later access goes through a
+    /// [`Pipeline`], so [`submit_segment`](Self::submit_segment) and
+    /// [`drain`](Self::drain) panic if the memory rejects an access
+    /// (`chunk_bytes` larger than its cells, or a layout past its address
+    /// space) or answers a read anywhere but at `t + D`.
     pub fn new(mem: M, num_flows: u32, per_flow_chunks: u64, chunk_bytes: usize) -> Self {
         assert!(num_flows > 0 && per_flow_chunks > 0 && chunk_bytes > 0);
         let flows = (0..num_flows)
             .map(|_| FlowState { hole: HoleBuffer::new(), scanned: Vec::new(), scan_next_chunk: 0 })
             .collect();
         ReassemblyEngine {
-            mem,
+            pipe: Pipeline::new(mem),
             chunk_bytes,
             per_flow_chunks,
             flows,
-            scan_in_flight: VecDeque::new(),
             stats: ReassemblyStats::default(),
         }
     }
 
     /// Run statistics.
-    pub fn stats(&self) -> &ReassemblyStats {
-        &self.stats
+    pub fn stats(&self) -> ReassemblyStats {
+        ReassemblyStats {
+            accesses: self.pipe.accepted(),
+            stall_retries: self.pipe.stall_retries(),
+            ..self.stats
+        }
     }
 
     /// Cycles elapsed on the underlying memory.
     pub fn cycles(&self) -> u64 {
-        self.mem.now().as_u64()
+        self.pipe.memory().now().as_u64()
     }
 
     /// The in-order scanned byte stream of `flow` so far.
@@ -101,7 +106,7 @@ impl<M: PipelinedMemory> ReassemblyEngine<M> {
 
     /// The underlying memory (for metrics).
     pub fn memory(&self) -> &M {
-        &self.mem
+        self.pipe.memory()
     }
 
     fn conn_addr(&self, flow: u32) -> LineAddr {
@@ -117,37 +122,23 @@ impl<M: PipelinedMemory> ReassemblyEngine<M> {
         LineAddr(base + u64::from(flow) * self.per_flow_chunks + chunk % self.per_flow_chunks)
     }
 
-    /// Submits one request, retrying on stalls, collecting any responses
-    /// that come due meanwhile.
-    fn issue(&mut self, request: Request) {
-        loop {
-            let out = self.mem.tick(Some(request.clone()));
-            if let Some(r) = out.response {
-                self.accept_response(r);
-            }
-            if out.stall.is_none() {
-                self.stats.accesses += 1;
-                return;
-            }
-            self.stats.stall_retries += 1;
+    /// Submits one access, stepping until the memory accepts it; a scan
+    /// read names the flow its chunk belongs to.
+    fn issue(&mut self, request: Request, scan_flow: Option<u32>) {
+        self.pipe.push(request, scan_flow);
+        while self.pipe.queued() > 0 {
+            self.step();
         }
     }
 
-    fn accept_response(&mut self, r: vpnm_core::Response) {
-        // Only scan reads target the data region; the conn-record and
-        // hole-buffer reads return state the engine already holds in its
-        // working registers.
-        let data_base = 2 * self.flows.len() as u64;
-        if r.addr.0 < data_base {
-            return;
+    /// One memory cycle; an answered scan read releases its chunk to the
+    /// flow's scanner. The conn-record and hole-buffer reads return state
+    /// the engine already holds in its working registers.
+    fn step(&mut self) {
+        if let Some((r, Some(flow))) = self.pipe.step() {
+            self.flows[flow as usize].scanned.extend_from_slice(&r.data);
+            self.stats.chunks_scanned += 1;
         }
-        let (flow, chunk) = self
-            .scan_in_flight
-            .pop_front()
-            .expect("data-region response implies an in-flight scan read");
-        debug_assert_eq!(r.addr, self.data_addr(flow, chunk));
-        self.flows[flow as usize].scanned.extend_from_slice(&r.data);
-        self.stats.chunks_scanned += 1;
     }
 
     /// Ingests a segment of `flow` at byte `offset`.
@@ -159,8 +150,9 @@ impl<M: PipelinedMemory> ReassemblyEngine<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `flow` is out of range, `offset` is misaligned, or the
-    /// segment overflows the per-flow window.
+    /// Panics if `flow` is out of range, `offset` is misaligned, the
+    /// segment overflows the per-flow window, or the memory rejects an
+    /// access or breaks `t + D` (see [`ReassemblyEngine::new`]).
     pub fn submit_segment(&mut self, flow: u32, offset: u64, data: &[u8]) {
         assert!((flow as usize) < self.flows.len(), "flow {flow} out of range");
         assert_eq!(offset % self.chunk_bytes as u64, 0, "segment offset must be chunk-aligned");
@@ -170,9 +162,9 @@ impl<M: PipelinedMemory> ReassemblyEngine<M> {
         for (i, chunk_data) in data.chunks(self.chunk_bytes).enumerate() {
             let chunk_index = offset / self.chunk_bytes as u64 + i as u64;
             // (1) connection record lookup
-            self.issue(Request::read(self.conn_addr(flow)));
+            self.issue(Request::read(self.conn_addr(flow)), None);
             // (2) hole buffer fetch
-            self.issue(Request::read(self.hole_addr(flow)));
+            self.issue(Request::read(self.hole_addr(flow)), None);
             // engine-side hole update
             let advanced = {
                 let state = &mut self.flows[flow as usize];
@@ -183,12 +175,10 @@ impl<M: PipelinedMemory> ReassemblyEngine<M> {
             };
             // (3) hole buffer write-back (serialized working state)
             let serialized = self.serialize_hole(flow);
-            self.issue(Request::write(self.hole_addr(flow), serialized));
+            self.issue(Request::write(self.hole_addr(flow), serialized), None);
             // (4) packet data write
-            self.issue(Request::write(
-                self.data_addr(flow, chunk_index),
-                bytes::Bytes::copy_from_slice(chunk_data),
-            ));
+            let data = bytes::Bytes::copy_from_slice(chunk_data);
+            self.issue(Request::write(self.data_addr(flow, chunk_index), data), None);
             self.stats.chunks_ingested += 1;
             // (5) in-order scan reads for every chunk the prefix crossed
             if advanced > 0 {
@@ -200,24 +190,17 @@ impl<M: PipelinedMemory> ReassemblyEngine<M> {
                     "segment run overflows the per-flow window"
                 );
                 for c in from..upto_chunk {
-                    self.scan_in_flight.push_back((flow, c));
-                    self.issue(Request::read(self.data_addr(flow, c)));
+                    self.issue(Request::read(self.data_addr(flow, c)), Some(flow));
                 }
                 self.flows[flow as usize].scan_next_chunk = upto_chunk;
             }
         }
     }
 
-    /// Ticks the memory until all in-flight scan reads have returned.
+    /// Steps the memory until every read in flight has returned.
     pub fn drain(&mut self) {
-        let budget = (self.mem.outstanding() as u64 + 2) * self.mem.delay();
-        for _ in 0..budget {
-            if self.mem.outstanding() == 0 {
-                break;
-            }
-            if let Some(r) = self.mem.tick(None).response {
-                self.accept_response(r);
-            }
+        while !self.pipe.is_idle() {
+            self.step();
         }
     }
 
@@ -395,6 +378,17 @@ mod tests {
         let snap = eng.memory().merged_snapshot().expect("fabric keeps metrics");
         assert_eq!(snap.channels, 4);
         assert!(snap.metrics.reads_accepted > 0 && snap.metrics.writes_accepted > 0);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "exceeds cell size"))]
+    #[cfg_attr(not(debug_assertions), should_panic(expected = "write larger than cell"))]
+    fn chunks_wider_than_the_memory_cells_panic_instead_of_spinning() {
+        // 16-byte chunks over a memory of 8-byte cells: the packet data
+        // write is rejected.
+        let mem = VpnmController::new(VpnmConfig::small_test(), 9).unwrap();
+        let mut eng = ReassemblyEngine::new(mem, 2, 4, 16);
+        eng.submit_segment(0, 0, &[7u8; 16]);
     }
 
     #[test]

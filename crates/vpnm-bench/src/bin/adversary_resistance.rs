@@ -7,7 +7,8 @@
 //! a deliberately tightened configuration where differences are visible
 //! within a million requests.
 //!
-//! The universal-hash guarantee is an expectation *over keys*: any one
+//! The universal-hash guarantee is about keys the attacker cannot
+//! choose, and it holds on the typical key, not in expectation: any one
 //! fixed key can be unlucky for a particular blind pattern (H3 is
 //! GF(2)-linear, so a stride whose varying bits align with a
 //! rank-deficient block of the key matrix revisits few banks per

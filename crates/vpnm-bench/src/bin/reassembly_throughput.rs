@@ -42,7 +42,7 @@ fn run(flows: u32, chunks_per_flow: usize, reorder_window: usize) -> (f64, f64, 
         }
     }
     let cycles = engine.cycles();
-    let stats = *engine.stats();
+    let stats = engine.stats();
     engine.drain();
     for (f, stream) in streams.iter().enumerate() {
         assert_eq!(engine.scanned(f as u32), &stream[..], "flow {f} must scan in order");

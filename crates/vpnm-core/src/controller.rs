@@ -61,18 +61,6 @@ use vpnm_sim::{Cycle, DualClock};
 /// live on the stack and stay in L1.
 const HASH_CHUNK: usize = 1024;
 
-/// What to do when a request cannot be accepted this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallPolicy {
-    /// Retry the same request on the next interface cycle (stalls the
-    /// line; paper Section 4: "simply stall the controller, where the
-    /// slowdown would not even be a fraction of a percent").
-    Block,
-    /// Drop the request (paper: "the other alternative is to simply drop
-    /// the packet").
-    Drop,
-}
-
 /// Summary of one batch-door call ([`PipelinedMemory::issue_batch`],
 /// [`PipelinedMemory::run_epoch_sparse`], [`PipelinedMemory::run_epoch`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -993,35 +981,6 @@ impl VpnmController {
         self.hash = new_hash;
         (drained, moved)
     }
-
-    /// Submits a request under the given stall policy, ticking until it is
-    /// accepted (Block) or giving up immediately (Drop). Returns all
-    /// responses that became due while waiting, plus whether the request
-    /// was ultimately accepted.
-    ///
-    /// Malformed requests are rejected immediately under either policy —
-    /// retrying can never make an out-of-range address valid.
-    pub fn submit_with_policy(
-        &mut self,
-        request: Request,
-        policy: StallPolicy,
-    ) -> (Vec<Response>, bool) {
-        let mut responses = Vec::new();
-        let pending = Some(request);
-        loop {
-            let out = self.tick(pending.clone());
-            responses.extend(out.response);
-            match (out.stall, policy) {
-                (None, _) => return (responses, true),
-                (Some(kind), _) if kind.is_rejection() => return (responses, false),
-                (Some(_), StallPolicy::Drop) => return (responses, false),
-                (Some(_), StallPolicy::Block) => {
-                    // keep `pending` and retry next cycle
-                    debug_assert!(pending.is_some());
-                }
-            }
-        }
-    }
 }
 
 /// Convenience constructors for the two request kinds.
@@ -1103,7 +1062,7 @@ impl PipelinedMemory for VpnmController {
 mod tests {
     use super::*;
     use crate::hash_engine::HashKind;
-    use crate::memory::{sparse_of, ticked};
+    use crate::memory::{sparse_of, ticked, Pipeline};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1232,32 +1191,36 @@ mod tests {
 
     #[test]
     fn blocking_policy_eventually_accepts() {
+        // Blocking is the pipeline: a stalled request is retried until
+        // the memory accepts it.
         let cfg = VpnmConfig::small_test().with_hash(HashKind::LowBits);
-        let mut mem = VpnmController::new(cfg, 0).unwrap();
-        let mut accepted = 0;
+        let mut pipe = Pipeline::new(VpnmController::new(cfg, 0).unwrap());
         let mut responses = Vec::new();
         for i in 0..50u64 {
-            let (rs, ok) =
-                mem.submit_with_policy(Request::read(LineAddr(i * 4)), StallPolicy::Block);
-            responses.extend(rs);
-            accepted += u64::from(ok);
+            pipe.push(Request::read(LineAddr(i * 4)), ());
+            while pipe.queued() > 0 {
+                responses.extend(pipe.step());
+            }
         }
-        responses.extend(mem.drain());
-        assert_eq!(accepted, 50);
+        while !pipe.is_idle() {
+            responses.extend(pipe.step());
+        }
+        assert_eq!(pipe.accepted(), 50);
+        assert!(pipe.stall_retries() > 0, "the low-bit stride must stall");
         assert_eq!(responses.len(), 50);
     }
 
     #[test]
     fn drop_policy_loses_requests_but_continues() {
+        // Dropping is a plain tick loop: a stalled request is not retried.
         let cfg = VpnmConfig::small_test().with_hash(HashKind::LowBits);
         let mut mem = VpnmController::new(cfg, 0).unwrap();
         let mut dropped = 0;
         let mut responses = Vec::new();
         for i in 0..100u64 {
-            let (rs, ok) =
-                mem.submit_with_policy(Request::read(LineAddr(i * 4)), StallPolicy::Drop);
-            responses.extend(rs);
-            dropped += u64::from(!ok);
+            let out = mem.tick_read(i * 4);
+            dropped += u64::from(!out.accepted());
+            responses.extend(out.response);
         }
         assert!(dropped > 0);
         responses.extend(mem.drain());
@@ -1441,16 +1404,14 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "outside the configured"))]
+    #[cfg_attr(not(debug_assertions), should_panic(expected = "rejected the request to 0x100000"))]
     fn blocking_policy_gives_up_on_malformed_request() {
-        if cfg!(debug_assertions) {
-            return; // covered by the assertion tests above
-        }
-        let mut mem = small();
-        // Under Block a retryable stall would loop; a rejection must
-        // return immediately instead of spinning forever.
-        let (rs, ok) = mem.submit_with_policy(Request::read(LineAddr(1 << 20)), StallPolicy::Block);
-        assert!(!ok);
-        assert!(rs.is_empty());
+        // A retryable stall is retried; a rejection can never succeed, so
+        // the pipeline panics on it instead of spinning forever.
+        let mut pipe = Pipeline::new(small());
+        pipe.push(Request::read(LineAddr(1 << 20)), ());
+        pipe.step();
     }
 
     #[test]

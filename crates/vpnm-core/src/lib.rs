@@ -75,11 +75,11 @@ mod tag_match;
 pub mod write_buffer;
 
 pub use config::{SchedulerKind, VpnmConfig};
-pub use controller::{RunReport, StallPolicy, VpnmController};
+pub use controller::{RunReport, VpnmController};
 pub use fabric::{ChannelSelect, ChannelSelector, FabricConfig, VpnmFabric};
 pub use forensics::{ForensicEvent, ForensicKind, ForensicRing};
 pub use hash_engine::{HashEngine, HashKind};
-pub use memory::{IdealMemory, PipelinedMemory};
+pub use memory::{IdealMemory, Pipeline, PipelinedMemory};
 pub use metrics::ControllerMetrics;
 pub use reference::ReferenceController;
 pub use regulator::{QosConfig, Regulator, RegulatorMode, TenantLedger, MAX_TENANTS};

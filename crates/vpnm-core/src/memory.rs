@@ -8,6 +8,9 @@
 //! memory, serving as the differential-testing oracle: whenever a
 //! [`crate::VpnmController`] accepts the same request stream without
 //! stalls, its responses must be byte-identical to `IdealMemory`'s.
+//! [`Pipeline`] is how an application drives any of them: a queue of
+//! requests in, each read's response back paired with the caller's
+//! context, stalls retried and counted, the `t + D` contract checked.
 
 use crate::controller::RunReport;
 use crate::metrics::ControllerMetrics;
@@ -272,6 +275,127 @@ impl PipelinedMemory for crate::ReferenceController {
     }
 }
 
+/// One request pipeline over a [`PipelinedMemory`]: the issue, retry and
+/// pairing bookkeeping every application built on the memory needs.
+///
+/// Requests are [`push`](Self::push)ed with a caller context `C` and
+/// presented one per cycle, oldest first. Constant latency means reads
+/// are answered in acceptance order, so each response is paired with its
+/// read's context through a FIFO — and the pairing is checked, not
+/// assumed.
+///
+/// ```
+/// use vpnm_core::{IdealMemory, LineAddr, Pipeline, Request};
+///
+/// let mut pipe = Pipeline::new(IdealMemory::new(4, 8));
+/// pipe.push(Request::write(LineAddr(1), vec![7]), "store");
+/// pipe.push(Request::read(LineAddr(1)), "load");
+/// let mut answers = Vec::new();
+/// while !pipe.is_idle() {
+///     answers.extend(pipe.step());
+/// }
+/// assert_eq!((answers[0].0.data[0], answers[0].1), (7, "load"));
+/// ```
+#[derive(Debug)]
+pub struct Pipeline<M, C> {
+    mem: M,
+    queued: VecDeque<(Request, C)>,
+    /// Accepted reads awaiting their response: `(addr, accept cycle, ctx)`.
+    in_flight: VecDeque<(LineAddr, Cycle, C)>,
+    accepted: u64,
+    stall_retries: u64,
+}
+
+impl<M: PipelinedMemory, C> Pipeline<M, C> {
+    /// Wraps `mem`, which must have no reads outstanding.
+    pub fn new(mem: M) -> Self {
+        Pipeline {
+            mem,
+            queued: VecDeque::new(),
+            in_flight: VecDeque::new(),
+            accepted: 0,
+            stall_retries: 0,
+        }
+    }
+
+    /// Queues `request` behind every request already queued; `ctx` comes
+    /// back with its response if it is a read.
+    pub fn push(&mut self, request: Request, ctx: C) {
+        self.queued.push_back((request, ctx));
+    }
+
+    /// Exactly one [`PipelinedMemory::tick`], presenting the oldest queued
+    /// request (or nothing). A stalled request stays at the head and
+    /// counts one retry; an accepted read's context joins the in-flight
+    /// FIFO (a write's is dropped). Returns the response due this cycle
+    /// with its read's context.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memory *rejects* the request (retrying can never
+    /// succeed; debug builds already assert at the source), if a
+    /// response's address is not its read's, or if a read is unanswered
+    /// at its acceptance cycle `t + D`.
+    pub fn step(&mut self) -> Option<(Response, C)> {
+        let out = self.mem.tick(self.queued.front().map(|(request, _)| request.clone()));
+        let now = self.mem.now();
+        let due = self.mem.delay();
+        let answered = out.response.map(|r| {
+            let (addr, at, ctx) =
+                self.in_flight.pop_front().expect("response with no read in flight");
+            assert!(
+                r.addr == addr && now == at + due,
+                "read of {addr} accepted at cycle {at} answered by {} at cycle {now}, not at t + D",
+                r.addr,
+            );
+            (r, ctx)
+        });
+        match out.stall {
+            Some(kind) if kind.is_rejection() => {
+                panic!("memory rejected the request to {}: {kind}", self.queued[0].0.addr())
+            }
+            Some(_) => self.stall_retries += 1,
+            None => {
+                if let Some((request, ctx)) = self.queued.pop_front() {
+                    self.accepted += 1;
+                    if request.is_read() {
+                        self.in_flight.push_back((request.addr(), now, ctx));
+                    }
+                }
+            }
+        }
+        if let Some((addr, at, _)) = self.in_flight.front() {
+            assert!(*at + due > now, "read of {addr} accepted at cycle {at} unanswered at t + D");
+        }
+        answered
+    }
+
+    /// Requests pushed but not yet accepted.
+    pub fn queued(&self) -> usize {
+        self.queued.len()
+    }
+
+    /// True when nothing is queued and no read is in flight.
+    pub fn is_idle(&self) -> bool {
+        self.queued.is_empty() && self.in_flight.is_empty()
+    }
+
+    /// Requests accepted so far, reads and writes.
+    pub fn accepted(&self) -> u64 {
+        self.accepted
+    }
+
+    /// Cycles on which the head request stalled and stayed queued.
+    pub fn stall_retries(&self) -> u64 {
+        self.stall_retries
+    }
+
+    /// The wrapped memory (clock, metrics).
+    pub fn memory(&self) -> &M {
+        &self.mem
+    }
+}
+
 /// A perfect pipelined memory: flat storage, never stalls, exact `D`-cycle
 /// latency. Used as the golden model in differential tests and as a
 /// drop-in for application development.
@@ -476,6 +600,78 @@ mod tests {
             assert_eq!(v.issued_at, i.issued_at);
             assert_eq!(v.completed_at, i.completed_at);
             assert_eq!(v.data[0], i.data[0], "data mismatch at {}", v.addr);
+        }
+    }
+
+    #[test]
+    fn pipeline_retries_a_bank_zero_stride_and_returns_every_context_in_order() {
+        // Under low-bit banking a stride of 4 lands every read on bank 0:
+        // the memory stalls, the pipeline retries, and every read still
+        // comes back, paired with its own context, in push order.
+        let cfg = VpnmConfig::small_test().with_hash(crate::HashKind::LowBits);
+        let mut pipe = Pipeline::new(VpnmController::new(cfg, 0).unwrap());
+        for i in 0..50u64 {
+            pipe.push(Request::read(LineAddr(i * 4)), i);
+        }
+        let mut answered = Vec::new();
+        while !pipe.is_idle() {
+            answered.extend(pipe.step());
+        }
+        assert!(pipe.stall_retries() > 0, "the stride must stall");
+        assert_eq!(pipe.accepted(), 50);
+        let contexts: Vec<u64> = answered.iter().map(|(_, i)| *i).collect();
+        assert_eq!(contexts, (0..50).collect::<Vec<_>>());
+        assert!(answered.iter().all(|(r, i)| r.addr == LineAddr(i * 4)));
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "exceeds cell size"))]
+    #[cfg_attr(not(debug_assertions), should_panic(expected = "rejected the request to 0x1"))]
+    fn pipeline_panics_on_a_malformed_request_instead_of_spinning() {
+        let mut pipe = Pipeline::new(VpnmController::new(VpnmConfig::small_test(), 0).unwrap());
+        pipe.push(Request::write(LineAddr(1), vec![0u8; 9]), ());
+        while !pipe.is_idle() {
+            pipe.step();
+        }
+    }
+
+    /// An ideal memory that answers its first read one cycle late.
+    struct LateOnce {
+        inner: IdealMemory,
+        held: Option<Response>,
+        late_done: bool,
+    }
+
+    impl PipelinedMemory for LateOnce {
+        fn delay(&self) -> u64 {
+            self.inner.delay()
+        }
+        fn tick(&mut self, request: Option<Request>) -> TickOutput {
+            let mut out = self.inner.tick(request);
+            if let Some(r) = self.held.take() {
+                out.response = Some(r);
+            } else if !self.late_done && out.response.is_some() {
+                self.held = out.response.take();
+                self.late_done = true;
+            }
+            out
+        }
+        fn outstanding(&self) -> usize {
+            self.inner.outstanding() + usize::from(self.held.is_some())
+        }
+        fn now(&self) -> Cycle {
+            self.inner.now()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unanswered at t + D")]
+    fn pipeline_catches_a_response_one_cycle_late() {
+        let late = LateOnce { inner: IdealMemory::new(4, 8), held: None, late_done: false };
+        let mut pipe = Pipeline::new(late);
+        pipe.push(Request::read(LineAddr(3)), ());
+        while !pipe.is_idle() {
+            pipe.step();
         }
     }
 

@@ -202,7 +202,8 @@ impl Response {
 /// bucket refills. The last two are *rejections* of malformed requests
 /// (out-of-range address, oversized payload): retrying the identical
 /// request can never succeed, so they are accounted separately from
-/// stalls and never satisfied by [`StallPolicy::Block`](crate::StallPolicy).
+/// stalls, and a [`Pipeline`](crate::Pipeline) panics on them instead of
+/// retrying.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StallKind {
     /// No free row in the delay storage buffer (`K` exhausted).

@@ -8,9 +8,15 @@
 //!
 //! Against conventional low-bit banking the stride attack wrecks
 //! throughput; against VPNM's keyed universal hash, stride and replay
-//! perform no better than random traffic, and only the (unrealistic)
-//! leaked-key attacker gets through — which is why the paper prescribes
-//! re-keying if repeated stalls are ever observed.
+//! perform no better than random traffic on the typical key, and only
+//! the (unrealistic) leaked-key attacker gets through — which is why the
+//! paper prescribes re-keying if repeated stalls are ever observed.
+//!
+//! The claim is about the typical key: one fixed key can be unlucky
+//! against a blind stride (EXPERIMENTS.md measures how often). Stride
+//! and replay therefore run against the same five-key panels as the
+//! `adversary_resistance` bin: every key's stall count is printed, so an
+//! unlucky key stays visible, and the median key is what is asserted.
 //!
 //! Run with: `cargo run --release --example adversary_resistance`
 
@@ -47,6 +53,24 @@ fn controller(hash: HashKind, seed: u64) -> VpnmController {
     VpnmController::new(config, seed).expect("valid config")
 }
 
+/// Runs a fresh attack stream against each key of `seeds` and prints
+/// every key's stalls; returns the median key's.
+fn run_panel<G: AddressGenerator>(name: &str, seeds: [u64; 5], mk_gen: impl Fn() -> G) -> u64 {
+    let mut stalls: Vec<u64> = seeds
+        .iter()
+        .map(|&seed| {
+            let (s, r) = run(controller(HashKind::H3, seed), &mut mk_gen());
+            println!("{:<34} {:>10} {:>10.5}", format!("{name}, key {seed}"), s, r);
+            s
+        })
+        .collect();
+    stalls.sort_unstable();
+    let median = stalls[stalls.len() / 2];
+    let rate = median as f64 / REQUESTS as f64;
+    println!("{:<34} {:>10} {:>10.5}", format!("{name}, median"), median, rate);
+    median
+}
+
 fn main() {
     println!("{REQUESTS} read requests per scenario; stall fraction reported\n");
     println!("{:<34} {:>10} {:>10}", "scenario", "stalls", "rate");
@@ -61,19 +85,20 @@ fn main() {
     println!("{:<34} {:>10} {:>10.5}", "stride attack / low-bit banking", s, r);
     assert!(s > REQUESTS / 4, "stride must devastate low-bit banking");
 
-    // Stride attack vs. VPNM: no better than random.
-    let (s, r) = run(controller(HashKind::H3, 3), &mut StrideAdversary::new(16, ADDR_SPACE));
-    println!("{:<34} {:>10} {:>10.5}", "stride attack / VPNM (H3)", s, r);
+    // Stride attack vs. VPNM: no better than random on the median key.
+    let s = run_panel("stride attack / VPNM (H3)", [3, 103, 203, 303, 403], || {
+        StrideAdversary::new(16, ADDR_SPACE)
+    });
     assert!(
         s <= baseline * 3 + 30,
-        "stride vs H3 ({s}) must look like random traffic ({baseline})"
+        "stride vs H3, median key ({s}), must look like random traffic ({baseline})"
     );
 
     // Replay attack vs. VPNM: still no better than random.
-    let (s, r) =
-        run(controller(HashKind::H3, 4), &mut ReplayAdversary::new(512, ADDR_SPACE, 8, 12));
-    println!("{:<34} {:>10} {:>10.5}", "replay attack / VPNM (H3)", s, r);
-    assert!(s <= baseline * 3 + 30, "replay vs H3 ({s}) must look random");
+    let s = run_panel("replay attack / VPNM (H3)", [4, 104, 204, 304, 404], || {
+        ReplayAdversary::new(512, ADDR_SPACE, 8, 12)
+    });
+    assert!(s <= baseline * 3 + 30, "replay vs H3, median key ({s}), must look random");
 
     // Leaked key: the omniscient attacker aims everything at bank 0 with
     // distinct addresses (merging can't help) — stalls galore.

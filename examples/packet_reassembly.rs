@@ -64,7 +64,7 @@ fn main() -> Result<(), String> {
     let found = scanned0.windows(signature.len()).any(|w| w == signature);
     assert!(found, "signature must be visible to an in-order scanner");
 
-    let stats = *engine.stats();
+    let stats = engine.stats();
     let cycles = engine.cycles();
     let chunks = stats.chunks_ingested;
     let cycles_per_chunk = cycles as f64 / chunks as f64;
