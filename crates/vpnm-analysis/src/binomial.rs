@@ -30,39 +30,6 @@ pub fn choose(n: u64, k: u64) -> f64 {
     ln_choose(n, k).exp()
 }
 
-/// A memoized `ln_factorial` table for hot loops (design-space sweeps call
-/// the DSB formula hundreds of thousands of times).
-#[derive(Debug, Clone, Default)]
-pub struct LnFactorialTable {
-    table: Vec<f64>,
-}
-
-impl LnFactorialTable {
-    /// Creates an empty table; entries are filled on demand.
-    pub fn new() -> Self {
-        LnFactorialTable { table: vec![0.0, 0.0] }
-    }
-
-    /// `ln(n!)`, extending the memo table as needed.
-    pub fn ln_factorial(&mut self, n: u64) -> f64 {
-        let n = n as usize;
-        while self.table.len() <= n {
-            let i = self.table.len();
-            let prev = self.table[i - 1];
-            self.table.push(prev + (i as f64).ln());
-        }
-        self.table[n]
-    }
-
-    /// `ln C(n, k)` using the memo table.
-    pub fn ln_choose(&mut self, n: u64, k: u64) -> f64 {
-        if k > n {
-            return f64::NEG_INFINITY;
-        }
-        self.ln_factorial(n) - self.ln_factorial(k) - self.ln_factorial(n - k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,17 +66,5 @@ mod tests {
         let v = ln_choose(2000, 128);
         assert!(v.is_finite());
         assert!(v > 0.0);
-    }
-
-    #[test]
-    fn table_matches_direct() {
-        let mut t = LnFactorialTable::new();
-        for n in [0u64, 1, 2, 17, 100, 50] {
-            assert!((t.ln_factorial(n) - ln_factorial(n)).abs() < 1e-9, "n={n}");
-        }
-        for (n, k) in [(10u64, 3u64), (500, 32), (2000, 128)] {
-            assert!((t.ln_choose(n, k) - ln_choose(n, k)).abs() < 1e-7);
-        }
-        assert_eq!(t.ln_choose(3, 9), f64::NEG_INFINITY);
     }
 }

@@ -69,17 +69,6 @@ pub fn dsb_mts(b: u32, k: u64, d: u64) -> f64 {
     mts.min(MTS_CAP)
 }
 
-/// The per-window stall probability `C(D−1, K−1)·(1/B)^(K−1)` itself
-/// (clamped to 1), exposed for validation against simulation.
-pub fn window_stall_probability(b: u32, k: u64, d: u64) -> f64 {
-    assert!(b >= 2 && k >= 1 && d >= 1);
-    if k > d {
-        return 0.0;
-    }
-    let ln_p = ln_choose(d - 1, k - 1) - (k - 1) as f64 * f64::from(b).ln();
-    ln_p.exp().min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,23 +126,11 @@ mod tests {
         // K = 1, D = 1: every window of one access overflows a 1-row
         // buffer only when … C(0,0)·(1/B)^0 = 1 → MTS ≈ D.
         assert!(dsb_mts(8, 1, 1) <= 2.0);
-        assert_eq!(window_stall_probability(8, 100, 50), 0.0);
-        assert_eq!(window_stall_probability(8, 1, 1), 1.0);
     }
 
     #[test]
     fn cap_applies() {
         let mts = dsb_mts(64, 128, 100);
         assert!(mts <= MTS_CAP);
-    }
-
-    #[test]
-    fn probability_consistent_with_mts() {
-        let (b, k, d) = (16, 12, 100);
-        let p = window_stall_probability(b, k, d);
-        let mts = dsb_mts(b, k, d);
-        // MTS ≈ ln2/p for small p
-        let approx = (2f64).ln() / p + d as f64;
-        assert!((mts - approx).abs() / approx < 0.01);
     }
 }

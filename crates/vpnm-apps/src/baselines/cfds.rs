@@ -108,11 +108,6 @@ impl CfdsBuffer {
         self.issued
     }
 
-    /// Current reorder-window occupancy.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
     fn locate(&self, queue: u32, counter: u64) -> (u32, u64) {
         let flat = u64::from(queue) * self.cells_per_queue + counter % self.cells_per_queue;
         // conventional banking: low bits select the bank

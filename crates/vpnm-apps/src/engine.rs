@@ -1,10 +1,10 @@
-//! Shared config→engine construction for the simulation bins.
+//! Config→engine construction for the serving front-end.
 //!
-//! Every measurement bin used to hard-code `VpnmController::new(config,
-//! seed)`. With two engines ([`VpnmController`], [`ReferenceController`])
-//! and the multi-channel [`VpnmFabric`] all presenting the same
-//! [`PipelinedMemory`] interface, the bins instead parse a common flag
-//! triple and build whatever topology was asked for:
+//! With two engines ([`VpnmController`], [`ReferenceController`]) and the
+//! multi-channel [`VpnmFabric`] all presenting the same
+//! [`PipelinedMemory`] interface, `vpnm-serve` parses one flag set and
+//! builds whatever topology was asked for ([`ServeConfig`] carries the
+//! selection):
 //!
 //! ```text
 //! --engine fast|reference     which engine serves each channel (default fast)
@@ -24,12 +24,12 @@
 //! --tenant-burst N            bucket depth in requests (default 16)
 //! ```
 //!
-//! The default triple builds a bare fast controller — byte-identical
-//! behavior (and an identical hot path) to what the bins did before this
-//! helper existed. Bins whose pass/fail assertions encode expectations
-//! about a specific topology document that they target the default.
-//! Any QoS selection (`--tenants > 1` or a regulator) routes through the
-//! fabric even at one channel, because tenant accounting lives there.
+//! The default selection builds a bare fast controller, the same hot path
+//! as calling [`VpnmController::new`] directly. Any QoS selection
+//! (`--tenants > 1` or a regulator) routes through the fabric even at one
+//! channel, because tenant accounting lives there.
+//!
+//! [`ServeConfig`]: crate::serve::ServeConfig
 
 use vpnm_core::{
     ChannelSelect, FabricConfig, PipelinedMemory, QosConfig, ReferenceController, RegulatorMode,
@@ -55,7 +55,7 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// The engine/topology selection shared by the simulation bins.
+/// The engine/topology selection of a serving run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineOpts {
     /// Engine serving each channel.
@@ -188,17 +188,6 @@ impl EngineOpts {
         Ok((opts, rest))
     }
 
-    /// Parses the engine flags from the process arguments, exiting with a
-    /// usage message on error or on any unrecognized argument — for bins
-    /// that take no flags of their own.
-    pub fn from_env() -> Self {
-        match EngineOpts::parse(std::env::args().skip(1)) {
-            Ok((opts, rest)) if rest.is_empty() => opts,
-            Ok((_, rest)) => usage_exit(&format!("unrecognized argument '{}'", rest[0])),
-            Err(e) => usage_exit(&e),
-        }
-    }
-
     /// The QoS section this selection implies: `None` for the
     /// single-tenant default (keeping the pre-QoS snapshot and hot path
     /// byte-identical), a tracking or regulating [`QosConfig`] otherwise.
@@ -272,25 +261,6 @@ impl EngineOpts {
         }
         s
     }
-}
-
-/// The bins' common construction entry point: engine flags from the
-/// process arguments, `base` and `seed` from the bin. Exits with a usage
-/// message on malformed flags or an invalid topology.
-pub fn engine_from_args(base: VpnmConfig, seed: u64) -> Box<dyn PipelinedMemory> {
-    let opts = EngineOpts::from_env();
-    opts.build(base, seed).unwrap_or_else(|e| usage_exit(&e))
-}
-
-fn usage_exit(error: &str) -> ! {
-    eprintln!(
-        "error: {error}\n\
-         engine flags: [--engine fast|reference] [--channels N] \
-         [--select low-bits|high-bits|universal-hash] [--workers N]\n\
-         qos flags: [--tenants N] [--regulator off|global|per-bank] \
-         [--tenant-rate N/D] [--tenant-burst N]"
-    );
-    std::process::exit(2)
 }
 
 #[cfg(test)]

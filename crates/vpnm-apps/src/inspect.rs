@@ -22,7 +22,7 @@
 //! pairs packed into memory cells.
 
 use vpnm_core::{LineAddr, Pipeline, PipelinedMemory, Request, Response};
-use vpnm_sim::rng::splitmix64;
+use vpnm_hash::fast::splitmix64;
 
 /// Length of a signature in bytes (one sliding window).
 pub const SIGNATURE_BYTES: usize = 8;

@@ -25,9 +25,9 @@
 //! * [`inspect`] — signature-based content inspection (the "packet
 //!   inspection" future-work direction): an on-chip Bloom prefilter in
 //!   front of an exact-match verification table in VPNM memory.
-//! * [`engine`] — the shared `--engine/--channels/--select/--workers`
-//!   flag set that builds any engine/fabric topology; used by the
-//!   serving bins here and by the `vpnm-bench` measurement bins.
+//! * [`engine`] — the `--engine/--channels/--select/--workers` and QoS
+//!   flag set that builds any engine/fabric topology for a serving run
+//!   ([`ServeConfig::engine`]); `vpnm-serve` parses it.
 //! * [`serve`] — the live serving front-end: concurrent producers,
 //!   bounded ingress queues with backpressure, wall-clock pacing, and a
 //!   million-flow table over the fabric-backed packet buffer.
@@ -43,7 +43,7 @@ pub mod packet_buffer;
 pub mod reassembly;
 pub mod serve;
 
-pub use engine::{engine_from_args, EngineKind, EngineOpts};
+pub use engine::{EngineKind, EngineOpts};
 pub use inspect::{InspectionEngine, SignatureMatch};
 pub use lpm::{LpmEngine, RoutePrefix, RouteTable};
 pub use packet_buffer::{BufferEvent, PacketBufferStats, VpnmPacketBuffer};

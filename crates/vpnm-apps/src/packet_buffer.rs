@@ -14,8 +14,7 @@ use bytes::Bytes;
 use std::collections::VecDeque;
 use std::fmt;
 use vpnm_core::{
-    FabricConfig, LineAddr, PipelinedMemory, Request, StallKind, TenantId, VpnmConfig,
-    VpnmController, VpnmFabric,
+    LineAddr, PipelinedMemory, Request, StallKind, TenantId, VpnmConfig, VpnmController,
 };
 
 /// One interface event presented to a packet buffer per cell slot.
@@ -164,7 +163,8 @@ struct QueuePointers {
 
 /// A multi-queue packet buffer backed by any [`PipelinedMemory`] engine
 /// (a bare [`VpnmController`] by default, or a multi-channel
-/// [`VpnmFabric`] via [`VpnmPacketBuffer::new_fabric`]).
+/// [`VpnmFabric`](vpnm_core::VpnmFabric) via
+/// [`VpnmPacketBuffer::with_memory`]).
 ///
 /// Queue `q` owns the address region `[q·C, (q+1)·C)` (C =
 /// `cells_per_queue`) used as a ring; only the two pointer counters per
@@ -198,7 +198,11 @@ pub struct VpnmPacketBuffer<M: PipelinedMemory = VpnmController> {
 }
 
 /// Checks that the queue regions fit an `addr_bits`-wide address space.
-fn check_region(num_queues: u32, cells_per_queue: u64, addr_bits: u32) -> Result<(), String> {
+pub(crate) fn check_region(
+    num_queues: u32,
+    cells_per_queue: u64,
+    addr_bits: u32,
+) -> Result<(), String> {
     if num_queues == 0 || cells_per_queue == 0 {
         return Err("need at least one queue and one cell per queue".into());
     }
@@ -208,7 +212,7 @@ fn check_region(num_queues: u32, cells_per_queue: u64, addr_bits: u32) -> Result
     if needed > space {
         return Err(format!(
             "{num_queues} queues × {cells_per_queue} cells needs {needed} addresses, \
-             but the controller has only {space}"
+             but the memory has only {space}"
         ));
     }
     Ok(())
@@ -230,25 +234,6 @@ impl VpnmPacketBuffer {
     ) -> Result<Self, String> {
         check_region(num_queues, cells_per_queue, config.addr_bits)?;
         Self::with_memory(VpnmController::new(config, seed)?, num_queues, cells_per_queue)
-    }
-}
-
-impl VpnmPacketBuffer<VpnmFabric> {
-    /// Creates a buffer striped over a multi-channel [`VpnmFabric`]
-    /// built from `fabric_config`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the fabric config is invalid or the queue
-    /// regions do not fit the fabric's (pre-split) address space.
-    pub fn new_fabric(
-        fabric_config: FabricConfig,
-        num_queues: u32,
-        cells_per_queue: u64,
-        seed: u64,
-    ) -> Result<Self, String> {
-        check_region(num_queues, cells_per_queue, fabric_config.base.addr_bits)?;
-        Self::with_memory(VpnmFabric::new(fabric_config, seed)?, num_queues, cells_per_queue)
     }
 }
 
@@ -585,6 +570,7 @@ fn pack_arena(events: &[(u64, BufferEvent)]) -> (Vec<(u64, LaneEvent)>, Bytes) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpnm_core::{FabricConfig, VpnmFabric};
     use vpnm_workloads::packets::payload_bytes;
 
     fn buffer() -> VpnmPacketBuffer {
@@ -699,7 +685,8 @@ mod tests {
             base: VpnmConfig::test_roomy(),
             qos: None,
         };
-        let mut buf = VpnmPacketBuffer::new_fabric(config, 8, 32, 5).unwrap();
+        let mut buf =
+            VpnmPacketBuffer::with_memory(VpnmFabric::new(config, 5).unwrap(), 8, 32).unwrap();
         assert_eq!(buf.memory().num_channels(), 4);
         for seq in 0..10u64 {
             buf.tick(Some(BufferEvent::Enqueue { queue: 2, cell: payload_bytes(2, seq, 8) }))
@@ -726,9 +713,8 @@ mod tests {
     #[test]
     fn single_channel_fabric_buffer_matches_bare_buffer() {
         let mut bare = buffer();
-        let mut fab =
-            VpnmPacketBuffer::new_fabric(FabricConfig::single(VpnmConfig::test_roomy()), 8, 32, 5)
-                .unwrap();
+        let single = VpnmFabric::new(FabricConfig::single(VpnmConfig::test_roomy()), 5).unwrap();
+        let mut fab = VpnmPacketBuffer::with_memory(single, 8, 32).unwrap();
         for seq in 0..6u64 {
             let ev = BufferEvent::Enqueue { queue: 1, cell: payload_bytes(1, seq, 8) };
             assert_eq!(bare.tick(Some(ev.clone())).unwrap(), fab.tick(Some(ev)).unwrap());
@@ -826,7 +812,8 @@ mod tests {
             base: VpnmConfig::test_roomy(),
             qos: None,
         };
-        let mut buf = VpnmPacketBuffer::new_fabric(config, 8, 32, 5).unwrap();
+        let mut buf =
+            VpnmPacketBuffer::with_memory(VpnmFabric::new(config, 5).unwrap(), 8, 32).unwrap();
         let mut events = Vec::new();
         for seq in 0..16u64 {
             events.push((seq, BufferEvent::Enqueue { queue: 5, cell: payload_bytes(5, seq, 8) }));

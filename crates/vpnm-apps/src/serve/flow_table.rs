@@ -23,7 +23,7 @@
 //! The serving loop maps a flow to its slot in one place, one
 //! [`FlowTable::slot_of`] probe per admitted arrival.
 
-use vpnm_sim::rng::splitmix64;
+use vpnm_hash::fast::splitmix64;
 
 /// Flat open-addressed flow table; slot index == packet-buffer queue
 /// index.

@@ -30,7 +30,7 @@ use std::thread::JoinHandle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vpnm_core::ring::{spsc, SpscReceiver, SpscSender};
-use vpnm_sim::rng::splitmix64;
+use vpnm_hash::fast::splitmix64;
 
 use super::FlowMix;
 

@@ -61,13 +61,13 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 
 use bytes::Bytes;
-use vpnm_core::{MetricsSnapshot, PipelinedMemory, ServingMetrics, VpnmConfig};
+use vpnm_core::{MetricsSnapshot, PipelinedMemory, ServingMetrics, TenantStats, VpnmConfig};
 use vpnm_sim::{FineHistogram, Histogram, WallPacer};
 use vpnm_workloads::packets::{payload_extend, payload_matches};
 use vpnm_workloads::{HeavyTailFlows, MultiTenantMix, Tagged, TenantFlowGen, UniformAddresses};
 
 use crate::engine::EngineOpts;
-use crate::packet_buffer::{BufferEpochReport, LaneEvent, VpnmPacketBuffer};
+use crate::packet_buffer::{check_region, BufferEpochReport, LaneEvent, VpnmPacketBuffer};
 
 /// Flow-ID distribution for synthetic traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -259,34 +259,14 @@ struct PendingCell {
     tenant: u16,
 }
 
-/// Serve-side per-tenant accounting, folded into the snapshot's
-/// [`TenantSection`](vpnm_core::TenantSection) on return. Allocated only
-/// when the engine selection is QoS-tracked.
-struct TenantLanes {
-    dropped: Vec<u64>,
-    transmitted: Vec<u64>,
-    latency: Vec<FineHistogram>,
-}
-
-impl TenantLanes {
-    fn new(tenants: usize) -> Self {
-        TenantLanes {
-            dropped: vec![0; tenants],
-            transmitted: vec![0; tenants],
-            latency: vec![FineHistogram::new(); tenants],
-        }
-    }
-
-    #[inline]
-    fn lane(&self, tenant: u16) -> usize {
-        usize::from(tenant).min(self.dropped.len() - 1)
-    }
-
-    #[inline]
-    fn drop_one(&mut self, tenant: u16) {
-        let lane = self.lane(tenant);
-        self.dropped[lane] += 1;
-    }
+/// Serve-side per-tenant accounting: the lane of `tenant` (out-of-range
+/// IDs share the last lane). Only the drop, delivery and latency fields
+/// are filled; they are folded into the snapshot's
+/// [`TenantSection`](vpnm_core::TenantSection) on return.
+#[inline]
+fn tenant_lane(lanes: &mut [TenantStats], tenant: u16) -> &mut TenantStats {
+    let last = lanes.len() - 1;
+    &mut lanes[usize::from(tenant).min(last)]
 }
 
 /// The scheduling stage of [`run_serve`]: admission, the egress policy,
@@ -311,7 +291,9 @@ struct Scheduler<'a> {
     ingress: VecDeque<(u64, Option<u32>, u16)>,
     tx_fifo: VecDeque<PendingCell>,
     issued: VecDeque<PendingCell>,
-    tenant_lanes: Option<TenantLanes>,
+    /// Per-tenant lanes, allocated only when the engine selection is
+    /// QoS-tracked.
+    tenant_lanes: Option<Vec<TenantStats>>,
     serving: ServingMetrics,
     latency: FineHistogram,
     occupancy: Histogram,
@@ -326,7 +308,10 @@ impl<'a> Scheduler<'a> {
             ingress: VecDeque::with_capacity(cfg.queue_depth),
             tx_fifo: VecDeque::new(),
             issued: VecDeque::new(),
-            tenant_lanes: cfg.engine.qos().map(|q| TenantLanes::new(usize::from(q.tenants.max(1)))),
+            tenant_lanes: cfg
+                .engine
+                .qos()
+                .map(|q| vec![TenantStats::default(); usize::from(q.tenants.max(1))]),
             serving: ServingMetrics {
                 producers: cfg.producers,
                 paced_rate: cfg.pace.unwrap_or(0),
@@ -345,8 +330,8 @@ impl<'a> Scheduler<'a> {
     }
 
     fn drop_one(&mut self, tenant: u16) {
-        if let Some(t) = self.tenant_lanes.as_mut() {
-            t.drop_one(tenant);
+        if let Some(lanes) = self.tenant_lanes.as_mut() {
+            tenant_lane(lanes, tenant).dropped += 1;
         }
     }
 
@@ -531,10 +516,10 @@ impl<'a> Scheduler<'a> {
             self.serving.transmitted += 1;
             let waited = d.completed_at.saturating_sub(cell.arrival);
             self.latency.record(waited);
-            if let Some(t) = self.tenant_lanes.as_mut() {
-                let lane = t.lane(cell.tenant);
-                t.transmitted[lane] += 1;
-                t.latency[lane].record(waited);
+            if let Some(lanes) = self.tenant_lanes.as_mut() {
+                let lane = tenant_lane(lanes, cell.tenant);
+                lane.transmitted += 1;
+                lane.latency.record(waited);
             }
         }
         Ok(work)
@@ -586,6 +571,10 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
     }
     let capacity_u64 = cfg.flow_space().next_power_of_two().max(2);
     let capacity = u32::try_from(capacity_u64).map_err(|_| "flow space too large".to_string())?;
+    // `with_memory` cannot see the memory's address width; a region
+    // larger than the memory would surface as rejected enqueues booked
+    // as stall drops.
+    check_region(capacity, cfg.cells_per_queue, cfg.base.addr_bits)?;
     let mem = cfg.engine.build(cfg.base.clone(), cfg.seed)?;
     let mut buf = VpnmPacketBuffer::with_memory(mem, capacity, cfg.cells_per_queue)?;
     let scheduler = Scheduler::new(cfg, capacity);
@@ -630,9 +619,9 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
     let orphans = buf.reconcile_lost();
     debug_assert_eq!(orphans, issued.len() as u64, "both FIFOs mirror the same dequeues");
     serving.stall_drops += issued.len() as u64;
-    if let Some(t) = tenant_lanes.as_mut() {
+    if let Some(lanes) = tenant_lanes.as_mut() {
         for cell in &issued {
-            t.drop_one(cell.tenant);
+            tenant_lane(lanes, cell.tenant).dropped += 1;
         }
     }
 
@@ -651,12 +640,8 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
         // into the fabric's tenant section, which already carries the
         // regulator-side issued/deferred counts.
         if let (Some(section), Some(lanes)) = (s.tenants.as_mut(), tenant_lanes.as_ref()) {
-            for (i, stats) in section.per_tenant.iter_mut().enumerate() {
-                if i < lanes.dropped.len() {
-                    stats.dropped += lanes.dropped[i];
-                    stats.transmitted += lanes.transmitted[i];
-                    stats.latency.merge(&lanes.latency[i]);
-                }
+            for (stats, lane) in section.per_tenant.iter_mut().zip(lanes) {
+                stats.merge_from(lane);
             }
         }
         s.with_serving(serving.clone())
@@ -723,6 +708,7 @@ mod tests {
             ("adversary without a victim", mix(tenants(1, 25, 8))),
             ("stride wider than the space", mix(tenants(4, 25, 1 << 11))),
             ("stride over no banks", mix(tenants(4, 25, 0))),
+            ("buffer larger than the memory", ServeConfig { cells_per_queue: 128, ..small() }),
         ];
         for (label, cfg) in cases {
             assert!(run_serve(&cfg).is_err(), "{label}: must be rejected before producers start");
@@ -730,6 +716,7 @@ mod tests {
         // The edges of each check still run.
         assert!(run_serve(&mix(FlowMix::Uniform { space: 1 })).is_ok());
         assert!(run_serve(&mix(tenants(1, 0, 0))).is_ok());
+        assert!(run_serve(&ServeConfig { cells_per_queue: 64, ..small() }).is_ok());
     }
 
     #[test]

@@ -11,32 +11,32 @@
 //!    slot-reclaim variant it alludes to.
 //!
 //! Run: `cargo run --release -p vpnm-bench --bin ablations`
-//! (engine flags: `--engine fast|reference --channels N --select …`; the
-//! pass/fail assertions target the default single-channel topology)
 
-use vpnm_apps::EngineOpts;
 use vpnm_bench::Table;
-use vpnm_core::{HashKind, LineAddr, PipelinedMemory, Request, SchedulerKind, VpnmConfig};
+use vpnm_core::{
+    HashKind, LineAddr, MetricsSnapshot, Request, SchedulerKind, VpnmConfig, VpnmController,
+};
 use vpnm_sim::parallel::par_map;
 use vpnm_workloads::generators::{AddressGenerator, RedundantPattern, StrideAddresses};
 use vpnm_workloads::UniformAddresses;
 
 const REQUESTS: u64 = 100_000;
 
+/// Drives `REQUESTS` reads from `gen` through a fresh controller and
+/// returns the stall fraction with the controller's final metrics.
 fn stall_fraction(
-    opts: EngineOpts,
     config: VpnmConfig,
     seed: u64,
     gen: &mut dyn AddressGenerator,
-) -> f64 {
-    let mut mem = opts.build(config, seed).expect("valid config");
+) -> (f64, MetricsSnapshot) {
+    let mut mem = VpnmController::new(config, seed).expect("valid config");
     let mut stalls = 0u64;
     for _ in 0..REQUESTS {
         if !mem.tick(Some(Request::read(LineAddr(gen.next_addr())))).accepted() {
             stalls += 1;
         }
     }
-    stalls as f64 / REQUESTS as f64
+    (stalls as f64 / REQUESTS as f64, mem.snapshot())
 }
 
 fn tight() -> VpnmConfig {
@@ -61,24 +61,19 @@ const HASH_KINDS: [HashKind; 5] = [
 const RATIOS: [f64; 6] = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5];
 
 fn main() {
-    let opts = EngineOpts::from_env();
     println!(
         "Ablations on a tightened configuration (B=16, L=10, Q=8, K=16), {REQUESTS} reads \
-         each, engine {}\n",
-        opts.describe()
+         each\n"
     );
 
     // Every measurement is an independent (config, seed, generator)
     // triple, so the whole battery shards across cores; results return in
     // job order, keeping the report byte-identical to a sequential run.
-    type Job = Box<dyn Fn() -> f64 + Sync>;
+    type Job = Box<dyn Fn() -> (f64, MetricsSnapshot) + Sync>;
     let mut jobs: Vec<Job> = vec![
-        Box::new(move || {
-            stall_fraction(opts, tight(), 1, &mut RedundantPattern::new(vec![10, 20]))
-        }),
-        Box::new(move || {
+        Box::new(|| stall_fraction(tight(), 1, &mut RedundantPattern::new(vec![10, 20]))),
+        Box::new(|| {
             stall_fraction(
-                opts,
                 VpnmConfig { merging: false, ..tight() },
                 1,
                 &mut RedundantPattern::new(vec![10, 20]),
@@ -87,30 +82,17 @@ fn main() {
     ];
     for kind in HASH_KINDS {
         jobs.push(Box::new(move || {
-            stall_fraction(
-                opts,
-                tight().with_hash(kind),
-                2,
-                &mut StrideAddresses::new(0, 16, 1 << 24),
-            )
+            stall_fraction(tight().with_hash(kind), 2, &mut StrideAddresses::new(0, 16, 1 << 24))
         }));
     }
     for r in RATIOS {
         jobs.push(Box::new(move || {
-            stall_fraction(
-                opts,
-                tight().with_bus_ratio(r),
-                3,
-                &mut UniformAddresses::new(1 << 24, 30),
-            )
+            stall_fraction(tight().with_bus_ratio(r), 3, &mut UniformAddresses::new(1 << 24, 30))
         }));
     }
-    jobs.push(Box::new(move || {
-        stall_fraction(opts, tight(), 4, &mut UniformAddresses::new(1 << 24, 40))
-    }));
-    jobs.push(Box::new(move || {
+    jobs.push(Box::new(|| stall_fraction(tight(), 4, &mut UniformAddresses::new(1 << 24, 40))));
+    jobs.push(Box::new(|| {
         stall_fraction(
-            opts,
             VpnmConfig { scheduler: SchedulerKind::WorkConserving, ..tight() },
             4,
             &mut UniformAddresses::new(1 << 24, 40),
@@ -123,8 +105,8 @@ fn main() {
     // 1. merging
     println!("1. redundant-request merging (A,B,A,B flood):");
     let mut t = Table::new(vec!["variant", "stall fraction"]);
-    let on = next();
-    let off = next();
+    let on = next().0;
+    let off = next().0;
     t.row(vec!["merging on (paper)".into(), format!("{on:.5}")]);
     t.row(vec!["merging off".into(), format!("{off:.5}")]);
     t.print();
@@ -134,7 +116,7 @@ fn main() {
     println!("\n2. bank mapping under a stride-by-B attack:");
     let mut t = Table::new(vec!["mapping", "stall fraction"]);
     for kind in HASH_KINDS {
-        t.row(vec![kind.to_string(), format!("{:.5}", next())]);
+        t.row(vec![kind.to_string(), format!("{:.5}", next().0)]);
     }
     t.print();
 
@@ -143,7 +125,7 @@ fn main() {
     let mut t = Table::new(vec!["R", "stall fraction"]);
     let mut prev = f64::INFINITY;
     for r in RATIOS {
-        let f = next();
+        let f = next().0;
         t.row(vec![format!("{r}"), format!("{f:.5}")]);
         assert!(f <= prev + 0.01, "stalls must (weakly) fall with R");
         prev = f;
@@ -153,23 +135,17 @@ fn main() {
     // 4. scheduler
     println!("\n4. bus scheduler under uniform load:");
     let mut t = Table::new(vec!["scheduler", "stall fraction"]);
-    let rr = next();
-    let wc = next();
+    let (rr, baseline) = next();
+    let wc = next().0;
     t.row(vec!["round-robin (paper)".into(), format!("{rr:.5}")]);
     t.row(vec!["work-conserving".into(), format!("{wc:.5}")]);
     t.print();
     assert!(wc <= rr + 1e-9, "reclaimed slots must not hurt");
 
-    // Re-run the scheduler baseline (tight config, seed 4, uniform load)
-    // sequentially and leave its aggregate metrics behind as a
-    // machine-readable record of the battery's reference operating point.
-    let mut mem = opts.build(tight(), 4).expect("valid config");
-    let mut gen = UniformAddresses::new(1 << 24, 40);
-    for _ in 0..REQUESTS {
-        mem.tick(Some(Request::read(LineAddr(gen.next_addr()))));
-    }
-    let snapshot = mem.snapshot().expect("engines keep metrics");
-    vpnm_bench::report::write_snapshot("ablations", &snapshot.to_json());
+    // The scheduler baseline (tight config, seed 4, uniform load) is the
+    // battery's reference operating point; its aggregate metrics are the
+    // machine-readable record.
+    vpnm_bench::report::write_snapshot("ablations", &baseline.to_json());
 
     println!("\nall ablation checks passed ✓");
 }

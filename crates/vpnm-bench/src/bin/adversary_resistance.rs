@@ -19,14 +19,9 @@
 //! leaked-key/re-key pair below.
 //!
 //! Run: `cargo run --release -p vpnm-bench --bin adversary_resistance`
-//! (engine flags: `--engine fast|reference --channels N --select …` steer
-//! the blind attacks; the omniscient pair needs the concrete fast engine
-//! for its leaked key, and the claim assertions target the default
-//! single-channel topology)
 
-use vpnm_apps::EngineOpts;
 use vpnm_bench::Table;
-use vpnm_core::{HashKind, LineAddr, PipelinedMemory, Request, VpnmConfig, VpnmController};
+use vpnm_core::{HashKind, LineAddr, MetricsSnapshot, Request, VpnmConfig, VpnmController};
 use vpnm_hash::BankHasher;
 use vpnm_sim::parallel::par_map;
 use vpnm_workloads::generators::{AddressGenerator, RedundantPattern};
@@ -35,91 +30,81 @@ use vpnm_workloads::{OmniscientAdversary, ReplayAdversary, StrideAdversary, Unif
 const REQUESTS: u64 = 200_000;
 const ADDR_SPACE: u64 = 1 << 24;
 
-fn tight_config(hash: HashKind) -> VpnmConfig {
-    VpnmConfig {
-        banks: 16,
-        bank_latency: 10,
-        queue_entries: 8,
-        storage_rows: 16,
-        bus_ratio: 1.2,
-        addr_bits: 24,
-        ..VpnmConfig::paper_optimal()
-    }
-    .with_hash(hash)
-}
-
-/// The omniscient pair inspects the controller's keyed hash, which only
-/// the concrete engine exposes — it stays off the generic path.
 fn controller(hash: HashKind, seed: u64) -> VpnmController {
-    VpnmController::new(tight_config(hash), seed).expect("valid config")
+    VpnmController::new(
+        VpnmConfig {
+            banks: 16,
+            bank_latency: 10,
+            queue_entries: 8,
+            storage_rows: 16,
+            bus_ratio: 1.2,
+            addr_bits: 24,
+            ..VpnmConfig::paper_optimal()
+        }
+        .with_hash(hash),
+        seed,
+    )
+    .expect("valid config")
 }
 
-fn engine(opts: EngineOpts, hash: HashKind, seed: u64) -> Box<dyn PipelinedMemory> {
-    opts.build(tight_config(hash), seed).expect("valid config")
-}
-
-fn run(mut mem: impl PipelinedMemory, gen: &mut dyn AddressGenerator) -> f64 {
+/// Drives `REQUESTS` reads from `gen` and returns the stall fraction with
+/// the controller's final metrics.
+fn run(mut mem: VpnmController, gen: &mut dyn AddressGenerator) -> (f64, MetricsSnapshot) {
     let mut stalls = 0u64;
     for _ in 0..REQUESTS {
         if !mem.tick(Some(Request::read(LineAddr(gen.next_addr())))).accepted() {
             stalls += 1;
         }
     }
-    stalls as f64 / REQUESTS as f64
+    (stalls as f64 / REQUESTS as f64, mem.snapshot())
 }
 
-/// Stall fraction a blind attacker typically achieves: the median over a
-/// panel of independently keyed controllers, each replaying the same
-/// attack stream from scratch.
+/// The run a blind attacker typically achieves: the median stall
+/// fraction over a panel of independently keyed controllers, each
+/// replaying the same attack stream from scratch.
 fn run_median<G: AddressGenerator>(
-    opts: EngineOpts,
     hash: HashKind,
     seeds: [u64; 5],
     mk_gen: impl Fn() -> G,
-) -> f64 {
-    let mut rates: Vec<f64> =
-        seeds.iter().map(|&s| run(engine(opts, hash, s), &mut mk_gen())).collect();
-    rates.sort_by(|a, b| a.partial_cmp(b).expect("stall rates are finite"));
-    rates[rates.len() / 2]
+) -> (f64, MetricsSnapshot) {
+    let mut runs: Vec<_> = seeds.iter().map(|&s| run(controller(hash, s), &mut mk_gen())).collect();
+    runs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("stall rates are finite"));
+    runs.swap_remove(runs.len() / 2)
 }
 
 fn main() {
-    let opts = EngineOpts::from_env();
-    println!(
-        "Adversarial resistance: stall fraction over {REQUESTS} reads, engine {}\n",
-        opts.describe()
-    );
+    println!("Adversarial resistance: stall fraction over {REQUESTS} reads\n");
 
     // Each attack drives its own independently-seeded controller, so the
     // battery shards across cores; only the omniscient pair stays one job
     // (the re-key run replays the same adversary after its leaked-key
     // round). Results come back in job order, so the report and the
     // assertions below are identical to a sequential run.
-    type Job = Box<dyn Fn() -> Vec<f64> + Sync>;
+    type Job = Box<dyn Fn() -> Vec<(f64, MetricsSnapshot)> + Sync>;
     let jobs: Vec<Job> = vec![
-        Box::new(move || {
-            vec![run(engine(opts, HashKind::H3, 1), &mut UniformAddresses::new(ADDR_SPACE, 10))]
+        Box::new(|| {
+            vec![run(controller(HashKind::H3, 1), &mut UniformAddresses::new(ADDR_SPACE, 10))]
         }),
-        Box::new(move || {
-            vec![run(engine(opts, HashKind::LowBits, 2), &mut StrideAdversary::new(16, ADDR_SPACE))]
+        Box::new(|| {
+            vec![run(controller(HashKind::LowBits, 2), &mut StrideAdversary::new(16, ADDR_SPACE))]
         }),
-        Box::new(move || {
-            vec![run_median(opts, HashKind::H3, [3, 103, 203, 303, 403], || {
+        Box::new(|| {
+            vec![run_median(HashKind::H3, [3, 103, 203, 303, 403], || {
                 StrideAdversary::new(16, ADDR_SPACE)
             })]
         }),
-        Box::new(move || {
-            vec![run_median(opts, HashKind::H3, [4, 104, 204, 304, 404], || {
+        Box::new(|| {
+            vec![run_median(HashKind::H3, [4, 104, 204, 304, 404], || {
                 ReplayAdversary::new(1024, ADDR_SPACE, 16, 11)
             })]
         }),
-        Box::new(move || {
-            vec![run_median(opts, HashKind::H3, [5, 105, 205, 305, 405], || {
+        Box::new(|| {
+            vec![run_median(HashKind::H3, [5, 105, 205, 305, 405], || {
                 RedundantPattern::new(vec![1, 2])
             })]
         }),
-        Box::new(move || {
-            vec![run_median(opts, HashKind::Tabulation, [6, 106, 206, 306, 406], || {
+        Box::new(|| {
+            vec![run_median(HashKind::Tabulation, [6, 106, 206, 306, 406], || {
                 StrideAdversary::new(16, ADDR_SPACE)
             })]
         }),
@@ -133,8 +118,10 @@ fn main() {
             vec![leaked, rekeyed]
         }),
     ];
-    let results: Vec<f64> = par_map(jobs.len(), |i| jobs[i]()).into_iter().flatten().collect();
-    let [baseline, stride_low, stride_h3, replay, redundant, tab, leaked, rekeyed] = results[..]
+    let runs: Vec<(f64, MetricsSnapshot)> =
+        par_map(jobs.len(), |i| jobs[i]()).into_iter().flatten().collect();
+    let rates: Vec<f64> = runs.iter().map(|r| r.0).collect();
+    let [baseline, stride_low, stride_h3, replay, redundant, tab, leaked, rekeyed] = rates[..]
     else {
         unreachable!("eight measurements");
     };
@@ -172,16 +159,10 @@ fn main() {
     println!("  …and re-keying neutralizes it: {rekeyed:.6}");
     assert!(rekeyed <= baseline * 3.0 + 50.0 / REQUESTS as f64);
 
-    // Re-run the no-attack baseline and emit its aggregate metrics; the
-    // snapshot's stall counters and per-bank high-water marks corroborate
-    // the table's first row.
-    let mut mem = engine(opts, HashKind::H3, 1);
-    let mut gen = UniformAddresses::new(ADDR_SPACE, 10);
-    for _ in 0..REQUESTS {
-        mem.tick(Some(Request::read(LineAddr(gen.next_addr()))));
-    }
-    let snapshot = mem.snapshot().expect("engines keep metrics");
-    vpnm_bench::report::write_snapshot("adversary_resistance", &snapshot.to_json());
+    // The no-attack run's aggregate metrics: the snapshot's stall
+    // counters and per-bank high-water marks corroborate the table's
+    // first row.
+    vpnm_bench::report::write_snapshot("adversary_resistance", &runs[0].1.to_json());
 
     println!("\nall adversarial claims hold ✓");
 }

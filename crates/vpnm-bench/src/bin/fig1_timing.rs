@@ -10,16 +10,11 @@
 //! `S`=stalled.
 //!
 //! Run: `cargo run --release -p vpnm-bench --bin fig1_timing`
-//! (engine flags: `--engine fast|reference --channels N --select …` apply
-//! to the full-controller rendition; the figure's steering assumes one
-//! channel — extra channels spread the overload, which is the fix the
-//! fabric exists to provide)
 
-use vpnm_apps::EngineOpts;
 use vpnm_core::bank_controller::{Accepted, BankController, BankEvent};
 use vpnm_core::delay_line::CircularDelayBuffer;
 use vpnm_core::request::LineAddr;
-use vpnm_core::{HashKind, PipelinedMemory, Request, VpnmConfig};
+use vpnm_core::{HashKind, Request, VpnmConfig, VpnmController};
 use vpnm_dram::{DramConfig, DramDevice};
 use vpnm_sim::Cycle;
 
@@ -175,7 +170,7 @@ fn main() {
         ..VpnmConfig::paper_optimal()
     }
     .with_hash(HashKind::LowBits);
-    let mut mem = EngineOpts::from_env().build(config, 0).expect("valid config");
+    let mut mem = VpnmController::new(config, 0).expect("valid config");
     let submissions = [(0u64, 0x14u64), (10, 0x16), (20, 0x18), (25, 0x1A), (30, 0x1C)];
     for t in 0..submissions.last().expect("non-empty").0 + D + 2 * L + 2 {
         let req = submissions
@@ -185,8 +180,7 @@ fn main() {
         mem.tick(req);
     }
     mem.drain();
-    let snapshot = mem.snapshot().expect("engines keep metrics");
-    vpnm_bench::report::write_snapshot("fig1_timing", &snapshot.to_json());
+    vpnm_bench::report::write_snapshot("fig1_timing", &mem.snapshot().to_json());
 
     println!("Every completed request shows C exactly {D} cycles after its a/m marker;");
     println!("redundant requests (m) trigger no bank access; overload (more than Q = {} in", D / L);

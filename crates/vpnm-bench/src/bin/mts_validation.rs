@@ -11,30 +11,21 @@
 //! `1 − 0.5^(1/B)`.
 //!
 //! Run: `cargo run --release -p vpnm-bench --bin mts_validation`
-//! (engine flags: `--engine fast|reference --channels N --select …`; the
-//! Markov model describes a single channel, so the agreement assertions
-//! target the default single-channel topology)
 
 use vpnm_analysis::markov::BankQueueModel;
-use vpnm_apps::EngineOpts;
 use vpnm_bench::Table;
-use vpnm_core::{HashKind, LineAddr, PipelinedMemory, Request, SchedulerKind, VpnmConfig};
+use vpnm_core::{HashKind, LineAddr, Request, SchedulerKind, VpnmConfig, VpnmController};
 use vpnm_sim::parallel::par_map;
 use vpnm_workloads::generators::AddressGenerator;
 use vpnm_workloads::UniformAddresses;
 
-fn simulated_median(
-    opts: EngineOpts,
-    config: &VpnmConfig,
-    trials: u64,
-    horizon: u64,
-) -> (f64, u64) {
+fn simulated_median(config: &VpnmConfig, trials: u64, horizon: u64) -> (f64, u64) {
     // Trials are independent controller instances whose seeds derive only
     // from the trial index, so they shard freely across cores — the
     // median is identical to the sequential run.
     let mut firsts = par_map(trials as usize, |t| {
         let trial = t as u64;
-        let mut mem = opts.build(config.clone(), 40_000 + trial).expect("valid config");
+        let mut mem = VpnmController::new(config.clone(), 40_000 + trial).expect("valid config");
         let mut gen = UniformAddresses::new(1u64 << config.addr_bits, 17 * trial + 3);
         let mut first = horizon;
         for t in 0..horizon {
@@ -51,12 +42,7 @@ fn simulated_median(
 }
 
 fn main() {
-    let opts = EngineOpts::from_env();
-    println!(
-        "MTS validation: simulated median time to first stall vs. Markov prediction \
-         (engine {})",
-        opts.describe()
-    );
+    println!("MTS validation: simulated median time to first stall vs. Markov prediction");
     println!("(L = B so the model's service step equals the bus-grant period; R = 1.5;");
     println!(" predictions race-corrected across the B independent bank chains)\n");
 
@@ -93,7 +79,7 @@ fn main() {
             .time_to_absorption_probability(target, 10_000_000)
             .expect("reachable within horizon");
         let predicted = predicted_mem as f64 / 1.5; // interface cycles
-        let (simulated, censored) = simulated_median(opts, &config, trials, horizon);
+        let (simulated, censored) = simulated_median(&config, trials, horizon);
         let ratio = simulated / predicted;
         ratios.push((b, q, ratio));
         t.row(vec![
@@ -119,13 +105,12 @@ fn main() {
     // first (tightest) configuration, trial 0, run to its first stall.
     // The snapshot's `first_stall_at` is exactly the trial's MTS sample.
     let config = representative.expect("at least one configuration ran");
-    let mut mem = opts.build(config.clone(), 40_000).expect("valid config");
+    let mut mem = VpnmController::new(config.clone(), 40_000).expect("valid config");
     let mut gen = UniformAddresses::new(1u64 << config.addr_bits, 3);
     for _ in 0..100_000u64 {
         if !mem.tick(Some(Request::read(LineAddr(gen.next_addr())))).accepted() {
             break;
         }
     }
-    let snapshot = mem.snapshot().expect("engines keep metrics");
-    vpnm_bench::report::write_snapshot("mts_validation", &snapshot.to_json());
+    vpnm_bench::report::write_snapshot("mts_validation", &mem.snapshot().to_json());
 }

@@ -33,8 +33,10 @@ const TENANTS: u16 = 4;
 const ADVERSARY_PCT: u32 = 40;
 const CHANNELS: u32 = 2;
 
+/// The roomy test design point, widened to 2^18 lines so the buffer's
+/// 2^14 flow queues × 16 cells fit the memory.
 fn base_config() -> VpnmConfig {
-    VpnmConfig::test_roomy()
+    VpnmConfig { addr_bits: 18, ..VpnmConfig::test_roomy() }
 }
 
 fn serve_config(cycles: u64, regulator: RegulatorMode, rate_den: u32) -> ServeConfig {
@@ -180,10 +182,10 @@ fn main() {
     println!("\n{}", table.render());
     println!(
         "Reading the front: the virtual pipeline keeps victim p99 flat at every \
-         budget — isolation shows up in shares, never in latency. Loose \
-         budgets never bind; at the knee every deferral lands on the greedy \
-         tenant and aggregate deliveries hold; past it the per-bank buckets \
-         start throttling the victims' own hot flows and everyone pays."
+         budget — isolation shows up in shares, never in latency. At the knee \
+         every deferral lands on the greedy tenant and aggregate deliveries \
+         hold; past it the per-bank buckets start throttling the victims' own \
+         hot flows and everyone pays."
     );
 
     // Three claims the sweep must keep honoring:

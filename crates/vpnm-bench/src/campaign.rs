@@ -33,8 +33,8 @@ use vpnm_core::{
     ChannelSelect, FabricConfig, LineAddr, PipelinedMemory, Request, VpnmConfig, VpnmController,
     VpnmFabric,
 };
+use vpnm_hash::fast::splitmix64;
 use vpnm_sim::parallel::par_map;
-use vpnm_sim::rng::splitmix64;
 use vpnm_sim::Histogram;
 use vpnm_workloads::generators::AddressGenerator;
 use vpnm_workloads::UniformAddresses;

@@ -318,11 +318,6 @@ impl DramDevice {
         self.storage.write(idx, data);
     }
 
-    /// Per-bank access counts (for balance checks).
-    pub fn bank_access_counts(&self) -> Vec<u64> {
-        self.banks.iter().map(Bank::accesses).collect()
-    }
-
     /// Lists every populated `(bank, offset)` cell, in arbitrary order —
     /// the walk a re-keying data migration performs.
     pub fn populated(&self) -> Vec<(u32, u64)> {

@@ -6,13 +6,12 @@
 //! sparse DRAM cell store), and seed derivation plus payload keystreams
 //! use the same mixer, as does the serving layer's flow-table
 //! fingerprint — one scalar finalizer, no batched or vector variant.
-//! `vpnm-sim` re-exports [`splitmix64`] unchanged.
 //!
 //! Not for adversary-facing state: bank selection uses the keyed
 //! universal families in this crate ([`crate::h3`] and friends), never
 //! this.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// SplitMix64 finalizer: a high-quality 64-bit mixing function.
@@ -95,9 +94,6 @@ impl Hasher for FastHasher {
 /// `HashMap` with [`FastHasher`] — drop-in for simulator-internal maps.
 pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
-/// `HashSet` with [`FastHasher`].
-pub type FastHashSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +142,7 @@ mod tests {
                 h.finish()
             })
             .collect();
-        let low_bits: FastHashSet<u64> = hashes.iter().map(|h| h & 0xFFF).collect();
+        let low_bits: std::collections::HashSet<u64> = hashes.iter().map(|h| h & 0xFFF).collect();
         assert!(low_bits.len() >= 60, "low bits collide: {}", low_bits.len());
     }
 

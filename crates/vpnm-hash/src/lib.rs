@@ -61,7 +61,7 @@ mod simd;
 pub mod tabulation;
 
 pub use channel::{ChannelSelect, ChannelSelector};
-pub use fast::{splitmix64, FastHashMap, FastHashSet, FastHasher};
+pub use fast::{splitmix64, FastHashMap, FastHasher};
 pub use gf2::BitMatrix;
 pub use h3::H3Hash;
 pub use multiply_shift::MultiplyShiftHash;

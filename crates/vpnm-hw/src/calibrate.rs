@@ -2,9 +2,9 @@
 //! published reference points.
 //!
 //! The paper reports five area points (one standalone controller plus the
-//! four Table 2 rows at R = 1.3) and four energy points. We fit
-//! `value = a + b·sram_bits + c·cam_bits` (per bank controller) to those
-//! points with ordinary least squares. This substitutes for Cacti 3.0 +
+//! four Table 2 rows at R = 1.3) and four energy points. We fit a
+//! quadratic in the weighted storage bits of one bank controller (see
+//! [`Calibration`]) to those points with ordinary least squares. This substitutes for Cacti 3.0 +
 //! Synopsys synthesis, which are unavailable; the fit reproduces every
 //! published point to within ~10% and preserves the linear
 //! resources-vs-area scaling the paper's Figure 7 depends on.

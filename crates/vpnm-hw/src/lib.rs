@@ -10,7 +10,9 @@
 //! points** (the 0.15 mm² single-controller example and the Table 2 rows).
 //! The calibration reproduces the paper's numbers closely and — more
 //! importantly — preserves the *shape* of the area/MTS trade-off that the
-//! design-space conclusions (Figure 7, Table 2) rest on.
+//! design-space conclusions (Figure 7, Table 2) rest on. It is the crate's
+//! one area/energy model: [`estimate`] evaluates it for any
+//! [`ControllerParams`], and there is no separate per-macro model.
 //!
 //! # Example
 //!
@@ -28,9 +30,7 @@
 #![forbid(unsafe_code)]
 
 pub mod calibrate;
-pub mod macros;
 pub mod params;
 
 pub use calibrate::CALIBRATION_013UM;
-pub use macros::{CamMacro, SramMacro};
 pub use params::{estimate, ControllerParams, HwEstimate};

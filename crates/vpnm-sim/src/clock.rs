@@ -94,47 +94,6 @@ impl Sub<Cycle> for Cycle {
     }
 }
 
-/// A single monotonically advancing clock.
-///
-/// ```
-/// use vpnm_sim::Clock;
-/// let mut clk = Clock::new();
-/// assert_eq!(clk.now().as_u64(), 0);
-/// clk.tick();
-/// clk.advance(9);
-/// assert_eq!(clk.now().as_u64(), 10);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Clock {
-    now: Cycle,
-}
-
-impl Clock {
-    /// Creates a clock at cycle zero.
-    pub fn new() -> Self {
-        Clock { now: Cycle::ZERO }
-    }
-
-    /// The current cycle.
-    #[inline]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Advances the clock by one cycle and returns the new time.
-    #[inline]
-    pub fn tick(&mut self) -> Cycle {
-        self.now += 1;
-        self.now
-    }
-
-    /// Advances the clock by `n` cycles.
-    #[inline]
-    pub fn advance(&mut self, n: u64) {
-        self.now += n;
-    }
-}
-
 /// What happened on one memory-clock tick of a [`DualClock`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryTick {
@@ -174,8 +133,8 @@ pub struct DualClock {
     /// Accumulator for the Bresenham schedule, in units of `1/den` memory
     /// cycles. An interface edge fires whenever `acc >= num`.
     acc: u64,
-    memory: Clock,
-    interface: Clock,
+    memory: Cycle,
+    interface: Cycle,
 }
 
 impl DualClock {
@@ -199,8 +158,8 @@ impl DualClock {
             num: num / g,
             den: den / g,
             acc: 0,
-            memory: Clock::new(),
-            interface: Clock::new(),
+            memory: Cycle::ZERO,
+            interface: Cycle::ZERO,
         }
     }
 
@@ -225,8 +184,8 @@ impl DualClock {
             num: num / g,
             den: den / g,
             acc: 0,
-            memory: Clock::new(),
-            interface: Clock::new(),
+            memory: Cycle::ZERO,
+            interface: Cycle::ZERO,
         }
     }
 
@@ -239,18 +198,14 @@ impl DualClock {
     /// interface edge fell on this cycle.
     #[inline]
     pub fn tick_memory(&mut self) -> MemoryTick {
-        self.memory.tick();
+        self.memory += 1;
         self.acc += self.den;
         let interface_tick = self.acc >= self.num;
         if interface_tick {
             self.acc -= self.num;
-            self.interface.tick();
+            self.interface += 1;
         }
-        MemoryTick {
-            memory_cycle: self.memory.now(),
-            interface_tick,
-            interface_cycle: self.interface.now(),
-        }
+        MemoryTick { memory_cycle: self.memory, interface_tick, interface_cycle: self.interface }
     }
 
     /// Advances the memory clock directly to the next interface edge,
@@ -286,8 +241,8 @@ impl DualClock {
         let d = self.num - self.acc;
         let m = d.div_ceil(self.den);
         self.acc = (self.den - d % self.den) % self.den;
-        self.memory.advance(m);
-        self.interface.tick();
+        self.memory += m;
+        self.interface += 1;
         m
     }
 
@@ -332,8 +287,8 @@ impl DualClock {
                 d.div_ceil(den) as u64
             }
         };
-        self.memory.advance(m);
-        self.interface.advance(n);
+        self.memory += m;
+        self.interface += n;
         m
     }
 
@@ -361,12 +316,12 @@ impl DualClock {
 
     /// Current memory-domain time.
     pub fn memory_now(&self) -> Cycle {
-        self.memory.now()
+        self.memory
     }
 
     /// Current interface-domain time.
     pub fn interface_now(&self) -> Cycle {
-        self.interface.now()
+        self.interface
     }
 }
 
@@ -489,15 +444,6 @@ mod tests {
     #[cfg(debug_assertions)]
     fn cycle_sub_underflow_panics_in_debug() {
         let _ = Cycle::new(1) - Cycle::new(2);
-    }
-
-    #[test]
-    fn clock_ticks_and_advances() {
-        let mut c = Clock::new();
-        assert_eq!(c.now(), Cycle::ZERO);
-        assert_eq!(c.tick(), Cycle::new(1));
-        c.advance(10);
-        assert_eq!(c.now(), Cycle::new(11));
     }
 
     #[test]

@@ -63,33 +63,6 @@ impl AddressGenerator for UniformAddresses {
     }
 }
 
-/// Sequential addresses `start, start+1, …` wrapping at `space`.
-#[derive(Debug, Clone)]
-pub struct SequentialAddresses {
-    next: u64,
-    space: u64,
-}
-
-impl SequentialAddresses {
-    /// Creates a wrap-around sequential stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `space == 0`.
-    pub fn new(start: u64, space: u64) -> Self {
-        assert!(space > 0);
-        SequentialAddresses { next: start % space, space }
-    }
-}
-
-impl AddressGenerator for SequentialAddresses {
-    fn next_addr(&mut self) -> u64 {
-        let a = self.next;
-        self.next = (self.next + 1) % self.space;
-        a
-    }
-}
-
 /// Constant-stride addresses `start, start+s, start+2s, …` (mod space) —
 /// the classic bank-conflict killer for power-of-two banking (stride `B`
 /// puts every access in one bank under low-bit selection).
@@ -120,48 +93,9 @@ impl AddressGenerator for StrideAddresses {
     }
 }
 
-/// Zipf-distributed addresses over `[0, space)` with exponent `s` —
-/// models skewed flow popularity (a few prefixes take most lookups).
-#[derive(Debug, Clone)]
-pub struct ZipfAddresses {
-    cdf: Vec<f64>,
-    rng: StdRng,
-}
-
-impl ZipfAddresses {
-    /// Creates a Zipf(`s`) stream over `space` distinct addresses. The
-    /// CDF is precomputed, so `space` should stay modest (≤ ~1e6).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `space == 0` or `s < 0`.
-    pub fn new(space: u64, s: f64, seed: u64) -> Self {
-        assert!(space > 0, "address space must be non-empty");
-        assert!(s >= 0.0 && s.is_finite(), "exponent must be non-negative");
-        let mut cdf = Vec::with_capacity(space as usize);
-        let mut acc = 0.0;
-        for rank in 1..=space {
-            acc += 1.0 / (rank as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
-        ZipfAddresses { cdf, rng: StdRng::seed_from_u64(seed) }
-    }
-}
-
-impl AddressGenerator for ZipfAddresses {
-    fn next_addr(&mut self) -> u64 {
-        let u: f64 = self.rng.gen();
-        self.cdf.partition_point(|&c| c < u) as u64
-    }
-}
-
 /// Heavy-tailed (approximately Zipf `s = 1`) flow IDs over arbitrarily
-/// large spaces in O(1) memory — the million-flow companion to
-/// [`ZipfAddresses`], whose precomputed CDF caps it at ~1e6 ranks.
+/// large spaces in O(1) memory — no precomputed CDF, so million-flow
+/// spaces cost nothing to set up.
 ///
 /// Samples are log-uniform: `flow = floor(space^(u^skew)) - 1` for
 /// `u ~ U[0,1)`, so `P(flow < x) = ln(x)/ln(space)` at `skew = 1` and the
@@ -212,40 +146,6 @@ impl AddressGenerator for HeavyTailFlows {
         let flow = (shaped * self.ln_space).exp() as u64;
         // exp(·) lands in [1, space); the clamp guards the u → 1 edge.
         flow.saturating_sub(1).min(self.space - 1)
-    }
-}
-
-/// A two-population hotspot: with probability `hot_fraction` draw from a
-/// small hot set, otherwise uniform over the full space.
-#[derive(Debug, Clone)]
-pub struct HotspotAddresses {
-    hot_set: u64,
-    space: u64,
-    hot_fraction: f64,
-    rng: StdRng,
-}
-
-impl HotspotAddresses {
-    /// Creates a hotspot stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < hot_set <= space` and
-    /// `hot_fraction ∈ [0, 1]`.
-    pub fn new(hot_set: u64, space: u64, hot_fraction: f64, seed: u64) -> Self {
-        assert!(hot_set > 0 && hot_set <= space, "hot set must fit the space");
-        assert!((0.0..=1.0).contains(&hot_fraction));
-        HotspotAddresses { hot_set, space, hot_fraction, rng: StdRng::seed_from_u64(seed) }
-    }
-}
-
-impl AddressGenerator for HotspotAddresses {
-    fn next_addr(&mut self) -> u64 {
-        if self.rng.gen_bool(self.hot_fraction) {
-            self.rng.gen_range(0..self.hot_set)
-        } else {
-            self.rng.gen_range(0..self.space)
-        }
     }
 }
 
@@ -303,35 +203,9 @@ mod tests {
     }
 
     #[test]
-    fn sequential_wraps() {
-        let mut g = SequentialAddresses::new(2, 4);
-        assert_eq!(take(&mut g, 6), vec![2, 3, 0, 1, 2, 3]);
-    }
-
-    #[test]
     fn stride_pattern() {
         let mut g = StrideAddresses::new(0, 32, 128);
         assert_eq!(take(&mut g, 5), vec![0, 32, 64, 96, 0]);
-    }
-
-    #[test]
-    fn zipf_is_skewed() {
-        let mut g = ZipfAddresses::new(1000, 1.0, 3);
-        let v = take(&mut g, 10_000);
-        let top = v.iter().filter(|&&a| a == 0).count();
-        let mid = v.iter().filter(|&&a| a == 500).count();
-        assert!(top > 10 * (mid + 1), "rank 0 ({top}) must dominate rank 500 ({mid})");
-        assert!(v.iter().all(|&a| a < 1000));
-    }
-
-    #[test]
-    fn zipf_zero_exponent_is_uniformish() {
-        let mut g = ZipfAddresses::new(10, 0.0, 4);
-        let v = take(&mut g, 10_000);
-        for target in 0..10u64 {
-            let c = v.iter().filter(|&&a| a == target).count();
-            assert!((700..1300).contains(&c), "addr {target} count {c}");
-        }
     }
 
     #[test]
@@ -388,14 +262,6 @@ mod tests {
             take(&mut g, 20_000).iter().filter(|&&f| f < 16).count()
         };
         assert!(head(2.0) > 2 * head(1.0), "skew=2 must beat skew=1 on the head");
-    }
-
-    #[test]
-    fn hotspot_prefers_hot_set() {
-        let mut g = HotspotAddresses::new(10, 10_000, 0.9, 5);
-        let v = take(&mut g, 10_000);
-        let hot = v.iter().filter(|&&a| a < 10).count();
-        assert!(hot > 8500, "hot fraction was {hot}/10000");
     }
 
     #[test]

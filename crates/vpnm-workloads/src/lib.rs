@@ -4,8 +4,8 @@
 //! including adversarial ones*. This crate provides the pattern families
 //! the experiments exercise:
 //!
-//! * [`generators`] — address streams: uniform, strided, Zipf-skewed,
-//!   hotspot, and the paper's redundant patterns ("A,A,A,…" and
+//! * [`generators`] — address streams: uniform, strided, heavy-tailed
+//!   flow IDs, and the paper's redundant patterns ("A,A,A,…" and
 //!   "A,B,A,B,…", Section 3.4).
 //! * [`mix`] — turning address streams into read/write request streams.
 //! * [`burst`] — on/off burst shaping of any request stream.
@@ -31,8 +31,7 @@ pub mod tenants;
 
 pub use adversary::{OmniscientAdversary, ReplayAdversary, StrideAdversary};
 pub use generators::{
-    AddressGenerator, HeavyTailFlows, HotspotAddresses, RedundantPattern, SequentialAddresses,
-    StrideAddresses, UniformAddresses, ZipfAddresses,
+    AddressGenerator, HeavyTailFlows, RedundantPattern, StrideAddresses, UniformAddresses,
 };
 pub use mix::{RequestKind, RequestMix, RequestStream};
 pub use packets::{OutOfOrderSegments, PacketTrace, PacketTraceConfig, Segment, SizeDistribution};

@@ -39,19 +39,6 @@ pub struct RequestMix {
     pub write_bytes: usize,
 }
 
-impl RequestMix {
-    /// A read-only mix.
-    pub fn read_only() -> Self {
-        RequestMix { read_fraction: 1.0, write_bytes: 0 }
-    }
-
-    /// The packet-buffer mix: alternating write and read (one cell in, one
-    /// cell out per slot), expressed probabilistically.
-    pub fn half_and_half(write_bytes: usize) -> Self {
-        RequestMix { read_fraction: 0.5, write_bytes }
-    }
-}
-
 /// An infinite request stream: an address generator plus a mixing policy.
 ///
 /// Write payloads are derived deterministically from the address so any
@@ -83,19 +70,6 @@ impl<G: AddressGenerator> RequestStream<G> {
             RequestKind::Write { addr, data: payload_for(addr, self.mix.write_bytes) }
         }
     }
-
-    /// Clears `out` and refills it with the next `n` requests — identical,
-    /// element for element, to `n` [`RequestStream::next_request`] calls.
-    /// The batch front door for benchmark loops and campaign shards; the
-    /// buffer is reused across calls so steady-state refills allocate
-    /// nothing.
-    pub fn fill_batch(&mut self, out: &mut Vec<RequestKind>, n: usize) {
-        out.clear();
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(self.next_request());
-        }
-    }
 }
 
 /// The canonical deterministic payload for a cell address: a SplitMix64
@@ -105,7 +79,7 @@ pub fn payload_for(addr: u64, bytes: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(bytes);
     let mut state = addr;
     while out.len() < bytes {
-        state = vpnm_sim::rng::splitmix64(state);
+        state = vpnm_hash::fast::splitmix64(state);
         out.extend_from_slice(&state.to_le_bytes());
     }
     out.truncate(bytes);
@@ -115,12 +89,12 @@ pub fn payload_for(addr: u64, bytes: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::SequentialAddresses;
+    use crate::generators::StrideAddresses;
 
     #[test]
     fn read_only_mix_never_writes() {
-        let mut s =
-            RequestStream::new(SequentialAddresses::new(0, 100), RequestMix::read_only(), 1);
+        let read_only = RequestMix { read_fraction: 1.0, write_bytes: 0 };
+        let mut s = RequestStream::new(StrideAddresses::new(0, 1, 100), read_only, 1);
         for _ in 0..100 {
             assert!(matches!(s.next_request(), RequestKind::Read { .. }));
         }
@@ -128,8 +102,8 @@ mod tests {
 
     #[test]
     fn half_mix_roughly_balanced() {
-        let mut s =
-            RequestStream::new(SequentialAddresses::new(0, 1000), RequestMix::half_and_half(8), 2);
+        let half = RequestMix { read_fraction: 0.5, write_bytes: 8 };
+        let mut s = RequestStream::new(StrideAddresses::new(0, 1, 1000), half, 2);
         let reads =
             (0..1000).filter(|_| matches!(s.next_request(), RequestKind::Read { .. })).count();
         assert!((350..650).contains(&reads), "reads {reads}");
@@ -146,7 +120,7 @@ mod tests {
     #[test]
     fn write_payload_matches_canonical() {
         let mut s = RequestStream::new(
-            SequentialAddresses::new(7, 100),
+            StrideAddresses::new(7, 1, 100),
             RequestMix { read_fraction: 0.0, write_bytes: 16 },
             3,
         );
@@ -157,21 +131,6 @@ mod tests {
             }
             other => panic!("expected write, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn fill_batch_matches_next_request_sequence() {
-        let mk = || {
-            RequestStream::new(SequentialAddresses::new(0, 1000), RequestMix::half_and_half(8), 17)
-        };
-        let mut a = mk();
-        let expect: Vec<RequestKind> = (0..300).map(|_| a.next_request()).collect();
-        let mut b = mk();
-        let mut buf = Vec::new();
-        b.fill_batch(&mut buf, 200);
-        assert_eq!(buf, expect[..200]);
-        b.fill_batch(&mut buf, 100);
-        assert_eq!(buf, expect[200..]);
     }
 
     #[test]

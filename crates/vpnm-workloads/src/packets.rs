@@ -128,12 +128,12 @@ pub fn payload_extend(flow: u32, seq: u64, size: usize, out: &mut Vec<u8>) {
     out.reserve(size);
     let mut state = (u64::from(flow) << 40) ^ seq ^ 0x5EED;
     for _ in 0..size / 8 {
-        state = vpnm_sim::rng::splitmix64(state);
+        state = vpnm_hash::fast::splitmix64(state);
         out.extend_from_slice(&state.to_le_bytes());
     }
     let tail = size % 8;
     if tail != 0 {
-        state = vpnm_sim::rng::splitmix64(state);
+        state = vpnm_hash::fast::splitmix64(state);
         out.extend_from_slice(&state.to_le_bytes()[..tail]);
     }
 }
@@ -149,13 +149,13 @@ pub fn payload_matches(flow: u32, seq: u64, size: usize, data: &[u8]) -> bool {
     let mut state = (u64::from(flow) << 40) ^ seq ^ 0x5EED;
     let mut words = data.chunks_exact(8);
     for word in &mut words {
-        state = vpnm_sim::rng::splitmix64(state);
+        state = vpnm_hash::fast::splitmix64(state);
         if u64::from_le_bytes(word.try_into().expect("chunks_exact(8)")) != state {
             return false;
         }
     }
     let tail = words.remainder();
-    tail.is_empty() || tail == &vpnm_sim::rng::splitmix64(state).to_le_bytes()[..tail.len()]
+    tail.is_empty() || tail == &vpnm_hash::fast::splitmix64(state).to_le_bytes()[..tail.len()]
 }
 
 /// One TCP segment of a byte stream.

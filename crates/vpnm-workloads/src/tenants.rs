@@ -135,7 +135,7 @@ mod tests {
 
     #[test]
     fn tagged_wraps_legacy_generators() {
-        let mut gen = Tagged::new(3, crate::generators::SequentialAddresses::new(0, 8));
+        let mut gen = Tagged::new(3, crate::generators::StrideAddresses::new(0, 1, 8));
         assert_eq!(gen.next_tagged(), (3, 0));
         assert_eq!(gen.next_tagged(), (3, 1));
     }
