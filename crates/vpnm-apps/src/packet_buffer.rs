@@ -9,6 +9,14 @@
 //! queue's tail address, every read to its head address, and the
 //! controller's universal hash spreads those addresses over banks
 //! regardless of the queue access pattern.
+//!
+//! **A dequeue frees its cell.** A cell behind the head pointer is dead,
+//! so every dequeue is a consuming read ([`Request::take_as`]): the
+//! memory drops the cell once the bank read is granted and still
+//! delivers it `D` cycles after the dequeue. The simulated DRAM then
+//! holds only the queued cells — the backlog the paper sizes the buffer
+//! by — instead of every cell ever written. Responses are unchanged: a
+//! slot is read once per write, and bank queues are FIFO.
 
 use bytes::Bytes;
 use std::collections::VecDeque;
@@ -338,7 +346,7 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
                     return Err(BufferError::QueueEmpty);
                 }
                 let addr = self.cell_addr(queue, q.head);
-                (Some(Request::read(addr)), Action::Dequeue(queue))
+                (Some(Request::take_as(TenantId::HOST, addr)), Action::Dequeue(queue))
             }
         };
         match self.pump(request) {
@@ -409,7 +417,8 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
     /// a memory stall inside the epoch is a lost event rather than a
     /// retry (a stalled read surfaces in
     /// [`PacketBufferStats::lost_reads`] when its orphan in-flight entry
-    /// is skipped, a stalled write as a cell that reads back empty).
+    /// is skipped, a stalled write as a slot whose dequeue delivers the
+    /// zero cell: the dequeue of the slot's previous cell freed it).
     /// Stall-free epochs — the designed-for regime at line rate — are
     /// byte-equivalent to driving [`VpnmPacketBuffer::tick`] cycle by
     /// cycle.
@@ -447,7 +456,7 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
                     })
                 }
                 LaneEvent::Dequeue { queue, tenant } => self.admit_dequeue(queue).map(|addr| {
-                    sparse.push((offset, Request::read_as(TenantId(tenant), addr)));
+                    sparse.push((offset, Request::take_as(TenantId(tenant), addr)));
                 }),
             };
             if outcome.is_err() {
@@ -570,7 +579,7 @@ fn pack_arena(events: &[(u64, BufferEvent)]) -> (Vec<(u64, LaneEvent)>, Bytes) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpnm_core::{FabricConfig, VpnmFabric};
+    use vpnm_core::{FabricConfig, IdealMemory, VpnmFabric};
     use vpnm_workloads::packets::payload_bytes;
 
     fn buffer() -> VpnmPacketBuffer {
@@ -789,6 +798,75 @@ mod tests {
         assert_eq!(epoch_buf.stats().lost_reads, 0);
         assert_eq!(epoch_buf.in_flight(), 0);
         assert_eq!(epoch_buf.reconcile_lost(), 0);
+    }
+
+    #[test]
+    fn dequeues_leave_no_cell_behind() {
+        // On the ideal memory every dequeued address reads back as the
+        // zero cell after a drain, through both doors; cells still queued
+        // stay stored.
+        let d = 8;
+        let mut buf = VpnmPacketBuffer::with_memory(IdealMemory::new(d, 8), 4, 8).unwrap();
+        for seq in 0..6u64 {
+            let cell = payload_bytes(1, seq, 8);
+            buf.tick(Some(BufferEvent::Enqueue { queue: 1, cell })).unwrap();
+        }
+        for _ in 0..3 {
+            buf.tick(Some(BufferEvent::Dequeue { queue: 1 })).unwrap();
+        }
+        let events: Vec<(u64, BufferEvent)> =
+            (0..2).map(|i| (i, BufferEvent::Dequeue { queue: 1 })).collect();
+        let (lane, arena) = pack_arena(&events);
+        buf.run_epoch_arena(2, &lane, &arena);
+        assert_eq!(buf.drain().len(), 5);
+        assert_eq!(buf.stats().delivered, 5);
+        for slot in 0..8u64 {
+            let cell = buf.memory().peek(LineAddr(8 + slot));
+            let want = if slot == 5 { payload_bytes(1, 5, 8) } else { vec![0; 8] };
+            assert_eq!(cell, want, "slot {slot}");
+        }
+    }
+
+    #[test]
+    fn stalled_epoch_write_dequeues_as_the_zero_cell() {
+        // Q = 2 leaves a one-cell write buffer, so a burst of enqueues at
+        // line rate stalls some writes. The epoch path has already moved
+        // the tail, so the slot is later dequeued: it must read back as
+        // the zero cell, not as the dead cell of the slot's previous lap.
+        let cells = 16u64;
+        let mut buf =
+            VpnmPacketBuffer::new(VpnmConfig::small_test().with_queue(2), 1, cells, 3).unwrap();
+        let enqueue = |seq: u64| BufferEvent::Enqueue { queue: 0, cell: payload_bytes(0, seq, 8) };
+        let dequeue = BufferEvent::Dequeue { queue: 0 };
+        // Lap 1, spaced out so nothing stalls: every slot written and read.
+        let lap: Vec<(u64, BufferEvent)> = (0..cells)
+            .flat_map(|s| [(40 * s, enqueue(s)), (40 * s + 20, dequeue.clone())])
+            .collect();
+        let (lane, arena) = pack_arena(&lap);
+        assert_eq!(buf.run_epoch_arena(40 * cells, &lane, &arena).stalled, 0);
+        buf.drain();
+        assert_eq!(buf.stats().delivered, cells);
+        // Lap 2: the enqueues back to back, then spaced dequeues.
+        let mut lap: Vec<(u64, BufferEvent)> =
+            (0..cells).map(|s| (s, enqueue(cells + s))).collect();
+        lap.extend((0..cells).map(|s| (2 * cells + 20 * s, dequeue.clone())));
+        let (lane, arena) = pack_arena(&lap);
+        let report = buf.run_epoch_arena(2 * cells + 20 * cells, &lane, &arena);
+        let metrics = buf.memory().metrics();
+        assert!(report.stalled > 0, "the burst must overflow the write buffer");
+        assert_eq!(metrics.write_buffer_stalls, report.stalled, "only writes stall");
+        let mut got: Vec<Bytes> = report.delivered.into_iter().map(|d| d.cell.data).collect();
+        got.extend(buf.drain().into_iter().map(|c| c.data));
+        assert_eq!(got.len() as u64, cells, "no dequeue is lost");
+        let mut holes = 0;
+        for (s, cell) in (0..cells).zip(&got) {
+            if cell == &vec![0u8; 8] {
+                holes += 1;
+            } else {
+                assert_eq!(cell, &payload_bytes(0, cells + s, 8), "slot {s}");
+            }
+        }
+        assert_eq!(holes, report.stalled, "each stalled write is one zero cell");
     }
 
     #[test]

@@ -507,8 +507,10 @@ impl<'a> Scheduler<'a> {
                         cell.slot, cell.seq
                     ));
                 }
-                // A stalled write leaves a hole the read returns garbage
-                // from; the packet was lost to the stall.
+                // A stalled write leaves a hole: the dequeue of its slot
+                // reads the zero cell, because the dequeue of the slot's
+                // previous cell freed it. The packet was lost to the
+                // stall.
                 self.serving.stall_drops += 1;
                 self.drop_one(cell.tenant);
                 continue;
@@ -717,6 +719,29 @@ mod tests {
         assert!(run_serve(&mix(FlowMix::Uniform { space: 1 })).is_ok());
         assert!(run_serve(&mix(tenants(1, 0, 0))).is_ok());
         assert!(run_serve(&ServeConfig { cells_per_queue: 64, ..small() }).is_ok());
+    }
+
+    #[test]
+    fn stalled_writes_are_stall_drops_not_payload_errors() {
+        // The small geometry with Q = 8 (a four-cell write buffer) stalls
+        // reads and writes at load 0.45. A stalled read orphans its
+        // dequeue: one stall drop per read stall at most, and reads stall
+        // only on the access queue or the delay storage. Every drop past
+        // those is a stalled write whose slot was still dequeued, read
+        // back as the zero cell, and booked by verification as a stall
+        // drop instead of failing the run.
+        let cfg = ServeConfig {
+            base: VpnmConfig::small_test().with_queue(8).with_storage_rows(16),
+            ..small()
+        };
+        let report = run_serve(&cfg).expect("stalls are congestion, not a correctness bug");
+        let s = &report.serving;
+        let metrics = &report.snapshot.expect("engine exposes metrics").metrics;
+        assert!(metrics.write_buffer_stalls > 0, "the config must stall writes");
+        let read_stalls_at_most = metrics.access_queue_stalls + metrics.delay_storage_stalls;
+        assert!(s.stall_drops > read_stalls_at_most, "{} drops", s.stall_drops);
+        assert!(s.conserves(report.residual));
+        assert_eq!(report.residual, 0);
     }
 
     #[test]

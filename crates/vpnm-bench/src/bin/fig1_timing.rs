@@ -108,7 +108,7 @@ fn run_scenario(title: &str, submissions: &[(u64, u64, u64)]) {
         // interface side: submit if scheduled for this cycle
         let mut incoming = None;
         if let Some(&(_, id, addr)) = submissions.iter().find(|&&(st, _, _)| st == t) {
-            match bc.submit(BankEvent::Read { addr: LineAddr(addr) }) {
+            match bc.submit(BankEvent::Read { addr: LineAddr(addr), take: false }) {
                 Ok(Accepted::ReadQueued(row)) => {
                     trace.push((t, id, 'a'));
                     scheduled.push_back(id);

@@ -5,7 +5,9 @@
 //! bank. To avoid keeping `Q` copies of address and data, a read entry is
 //! just the index of its row in the delay storage buffer, and a write entry
 //! carries nothing (write address/data are popped from the write buffer in
-//! FIFO order) — exactly the encoding the paper describes.
+//! FIFO order) — exactly the encoding the paper describes. A read entry
+//! also carries one flag: whether the grant frees the cell after reading
+//! it (a consuming read, the packet buffer's dequeue).
 
 use crate::delay_storage::RowId;
 
@@ -16,6 +18,8 @@ pub enum AccessEntry {
     Read {
         /// Delay storage buffer row to fill.
         row: RowId,
+        /// Free the DRAM cell once the read is issued (a consuming read).
+        take: bool,
     },
     /// A write; address and data are at the head of the write buffer.
     Write,
@@ -28,10 +32,10 @@ pub enum AccessEntry {
 /// ```
 /// use vpnm_core::access_queue::{AccessEntry, BankAccessQueue};
 /// let mut q = BankAccessQueue::new(2);
-/// q.push(AccessEntry::Read { row: 0 }).unwrap();
+/// q.push(AccessEntry::Read { row: 0, take: false }).unwrap();
 /// q.push(AccessEntry::Write).unwrap();
 /// assert!(q.push(AccessEntry::Write).is_err(), "Q exhausted");
-/// assert_eq!(q.pop(), Some(AccessEntry::Read { row: 0 }));
+/// assert_eq!(q.pop(), Some(AccessEntry::Read { row: 0, take: false }));
 /// ```
 #[derive(Debug, Clone)]
 pub struct BankAccessQueue {
@@ -139,12 +143,12 @@ mod tests {
     #[test]
     fn fifo_order_preserved() {
         let mut q = BankAccessQueue::new(4);
-        q.push(AccessEntry::Read { row: 1 }).unwrap();
+        q.push(AccessEntry::Read { row: 1, take: false }).unwrap();
         q.push(AccessEntry::Write).unwrap();
-        q.push(AccessEntry::Read { row: 2 }).unwrap();
-        assert_eq!(q.pop(), Some(AccessEntry::Read { row: 1 }));
+        q.push(AccessEntry::Read { row: 2, take: false }).unwrap();
+        assert_eq!(q.pop(), Some(AccessEntry::Read { row: 1, take: false }));
         assert_eq!(q.pop(), Some(AccessEntry::Write));
-        assert_eq!(q.pop(), Some(AccessEntry::Read { row: 2 }));
+        assert_eq!(q.pop(), Some(AccessEntry::Read { row: 2, take: false }));
         assert_eq!(q.pop(), None);
     }
 
@@ -152,8 +156,8 @@ mod tests {
     fn overflow_returns_entry() {
         let mut q = BankAccessQueue::new(1);
         q.push(AccessEntry::Write).unwrap();
-        let err = q.push(AccessEntry::Read { row: 7 }).unwrap_err();
-        assert_eq!(err.0, AccessEntry::Read { row: 7 });
+        let err = q.push(AccessEntry::Read { row: 7, take: false }).unwrap_err();
+        assert_eq!(err.0, AccessEntry::Read { row: 7, take: false });
         assert!(q.is_full());
     }
 
@@ -174,11 +178,11 @@ mod tests {
         let mut q = BankAccessQueue::new(3);
         for round in 0..5u32 {
             for row in 0..3 {
-                q.push(AccessEntry::Read { row: round * 3 + row }).unwrap();
+                q.push(AccessEntry::Read { row: round * 3 + row, take: false }).unwrap();
             }
             assert!(q.is_full());
             for row in 0..3 {
-                assert_eq!(q.pop(), Some(AccessEntry::Read { row: round * 3 + row }));
+                assert_eq!(q.pop(), Some(AccessEntry::Read { row: round * 3 + row, take: false }));
             }
         }
         assert!(q.is_empty());

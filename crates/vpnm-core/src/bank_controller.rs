@@ -31,6 +31,11 @@ pub enum BankEvent {
     Read {
         /// Cell address.
         addr: LineAddr,
+        /// Free the cell once the bank read is granted (a consuming read,
+        /// [`Request::take_as`](crate::Request::take_as)). Meaningful only
+        /// when the read allocates a row: merged into a live row, it
+        /// frees nothing.
+        take: bool,
     },
     /// A write of `data` to `addr`.
     Write {
@@ -127,11 +132,15 @@ impl BankController {
     #[inline]
     pub fn submit(&mut self, event: BankEvent) -> Result<Accepted, StallKind> {
         match event {
-            BankEvent::Read { addr } => {
+            BankEvent::Read { addr, take } => {
                 if self.merging {
                     if let Some(row) = self.storage.lookup(addr) {
                         // Redundant access: merge, no bank access needed
-                        // (paper Figure 1, middle graph).
+                        // (paper Figure 1, middle graph). The row's own
+                        // access decides whether the cell is freed, so a
+                        // consuming read merged into a plain read's row
+                        // leaves a dead cell behind — harmless: the next
+                        // write to the address replaces it.
                         self.storage.merge(row);
                         return Ok(Accepted::ReadMerged(row));
                     }
@@ -144,7 +153,7 @@ impl BankController {
                 let Some(row) = self.storage.allocate(addr) else {
                     return Err(StallKind::DelayStorage);
                 };
-                self.queue.push(AccessEntry::Read { row }).expect("checked for space above");
+                self.queue.push(AccessEntry::Read { row, take }).expect("checked for space above");
                 Ok(Accepted::ReadQueued(row))
             }
             BankEvent::Write { addr, data } => {
@@ -211,13 +220,20 @@ impl BankController {
         // bank still leaves the buffer untouched.
         let busy_until = match self.queue.front().copied() {
             None => 0,
-            Some(AccessEntry::Read { row }) => {
+            Some(AccessEntry::Read { row, take }) => {
                 let addr = self.storage.row_addr(row);
                 match dram
                     .try_issue_read(self.bank, addr.0, now_mem)
                     .unwrap_or_else(|e| panic!("unexpected DRAM error: {e}"))
                 {
                     Some(grant) => {
+                        // A consuming read drops the cell now that the row
+                        // holds it: bank queues are FIFO and an address
+                        // lives in one bank, so no later access of this
+                        // address can have been issued before it.
+                        if take {
+                            dram.take(self.bank, addr.0);
+                        }
                         self.storage.fill(row, grant.data);
                         self.in_service_until = Some(grant.data_ready_at);
                         grant.data_ready_at.as_u64()
@@ -309,6 +325,14 @@ mod tests {
         BankController::new(1, 4, 4, 2)
     }
 
+    fn read(addr: u64) -> BankEvent {
+        BankEvent::Read { addr: LineAddr(addr), take: false }
+    }
+
+    fn take(addr: u64) -> BankEvent {
+        BankEvent::Read { addr: LineAddr(addr), take: true }
+    }
+
     /// Test harness pairing one bank controller with its own delay wheel,
     /// as the pre-refactor BankController embedded (the production
     /// controller shares one wheel across banks; with a single bank the
@@ -344,7 +368,7 @@ mod tests {
         let mut d = dram();
         d.poke(1, 5, vec![0xAB]);
 
-        let acc = h.bc.submit(BankEvent::Read { addr: LineAddr(5) }).unwrap();
+        let acc = h.bc.submit(read(5)).unwrap();
         let Accepted::ReadQueued(row) = acc else { panic!("expected fresh read") };
 
         // schedule into delay line at t0; grant the bank before the
@@ -368,14 +392,9 @@ mod tests {
         let mut d = dram();
         d.poke(1, 7, vec![0x11]);
 
-        let Accepted::ReadQueued(row) = h.bc.submit(BankEvent::Read { addr: LineAddr(7) }).unwrap()
-        else {
-            panic!()
-        };
+        let Accepted::ReadQueued(row) = h.bc.submit(read(7)).unwrap() else { panic!() };
         h.advance(Some(row));
-        let Accepted::ReadMerged(row2) =
-            h.bc.submit(BankEvent::Read { addr: LineAddr(7) }).unwrap()
-        else {
+        let Accepted::ReadMerged(row2) = h.bc.submit(read(7)).unwrap() else {
             panic!("second read of same addr must merge")
         };
         assert_eq!(row, row2);
@@ -393,26 +412,43 @@ mod tests {
     }
 
     #[test]
+    fn consuming_read_frees_the_cell_at_its_grant_not_before() {
+        let mut h = Harness::new(controller(), D);
+        let mut d = dram();
+        d.poke(1, 5, vec![0xAB]);
+        let Accepted::ReadQueued(row) = h.bc.submit(take(5)).unwrap() else {
+            panic!("expected fresh read")
+        };
+        h.advance(Some(row));
+        // Occupy the bank behind the controller's back: the wasted grant
+        // issues nothing and frees nothing.
+        let free_at = d.issue_read(1, 0, Cycle::new(1)).unwrap().data_ready_at;
+        assert!(!h.bc.on_bus_grant(&mut d, Cycle::new(1)).issued);
+        assert_eq!(d.populated(), [(1, 5)], "a wasted grant leaves the cell");
+        assert!(h.bc.on_bus_grant(&mut d, free_at).issued);
+        assert!(d.populated().is_empty(), "the issued read freed the cell");
+        let pb = h.advance_until_due();
+        assert_eq!(pb.data.as_deref().map(|d| d[0]), Some(0xAB), "and still delivers it");
+    }
+
+    #[test]
     fn queue_stall_when_q_exhausted() {
         let mut bc = BankController::new(0, 8, 2, 2);
-        bc.submit(BankEvent::Read { addr: LineAddr(1) }).unwrap();
-        bc.submit(BankEvent::Read { addr: LineAddr(2) }).unwrap();
-        let err = bc.submit(BankEvent::Read { addr: LineAddr(3) }).unwrap_err();
+        bc.submit(read(1)).unwrap();
+        bc.submit(read(2)).unwrap();
+        let err = bc.submit(read(3)).unwrap_err();
         assert_eq!(err, StallKind::AccessQueue);
         // but a merge of an in-flight address still works
-        assert!(matches!(
-            bc.submit(BankEvent::Read { addr: LineAddr(1) }),
-            Ok(Accepted::ReadMerged(_))
-        ));
+        assert!(matches!(bc.submit(read(1)), Ok(Accepted::ReadMerged(_))));
     }
 
     #[test]
     fn storage_stall_when_k_exhausted() {
         // K = 2, Q = 8: storage fills first
         let mut bc = BankController::new(0, 2, 8, 2);
-        bc.submit(BankEvent::Read { addr: LineAddr(1) }).unwrap();
-        bc.submit(BankEvent::Read { addr: LineAddr(2) }).unwrap();
-        let err = bc.submit(BankEvent::Read { addr: LineAddr(3) }).unwrap_err();
+        bc.submit(read(1)).unwrap();
+        bc.submit(read(2)).unwrap();
+        let err = bc.submit(read(3)).unwrap_err();
         assert_eq!(err, StallKind::DelayStorage);
     }
 
@@ -433,8 +469,7 @@ mod tests {
 
         h.bc.submit(BankEvent::Write { addr: LineAddr(3), data: vec![0x02].into() }).unwrap();
         h.advance(None);
-        let Accepted::ReadQueued(row) = h.bc.submit(BankEvent::Read { addr: LineAddr(3) }).unwrap()
-        else {
+        let Accepted::ReadQueued(row) = h.bc.submit(read(3)).unwrap() else {
             panic!("read after write must not merge with stale data")
         };
         h.advance(Some(row));
@@ -458,10 +493,7 @@ mod tests {
         let mut d = dram();
         d.poke(1, 9, vec![0xAA]);
 
-        let Accepted::ReadQueued(row) = h.bc.submit(BankEvent::Read { addr: LineAddr(9) }).unwrap()
-        else {
-            panic!()
-        };
+        let Accepted::ReadQueued(row) = h.bc.submit(read(9)).unwrap() else { panic!() };
         h.advance(Some(row));
         h.bc.submit(BankEvent::Write { addr: LineAddr(9), data: vec![0xBB].into() }).unwrap();
         h.advance(None);
@@ -485,8 +517,8 @@ mod tests {
     fn busy_bank_defers_grant_and_slots_free_on_completion() {
         let mut bc = controller();
         let mut d = dram();
-        bc.submit(BankEvent::Read { addr: LineAddr(1) }).unwrap();
-        bc.submit(BankEvent::Read { addr: LineAddr(2) }).unwrap();
+        bc.submit(read(1)).unwrap();
+        bc.submit(read(2)).unwrap();
         assert!(bc.on_bus_grant(&mut d, Cycle::new(0)).issued);
         // bank busy until cycle 3 (L = 3); the in-service access keeps its
         // queue slot so Q bounds *overlapping* accesses
@@ -529,10 +561,7 @@ mod tests {
     #[test]
     fn deadline_miss_reports_none_data() {
         let mut h = Harness::new(BankController::new(0, 2, 2, 1), 2); // absurdly small D
-        let Accepted::ReadQueued(row) = h.bc.submit(BankEvent::Read { addr: LineAddr(1) }).unwrap()
-        else {
-            panic!()
-        };
+        let Accepted::ReadQueued(row) = h.bc.submit(read(1)).unwrap() else { panic!() };
         h.advance(Some(row));
         h.advance(None);
         // D = 2 elapses without any bus grant
@@ -549,10 +578,7 @@ mod tests {
         let mut h = Harness::new(BankController::new(0, 2, 2, 1), 2);
         let mut d = dram();
         d.poke(0, 1, vec![0x5A]);
-        let Accepted::ReadQueued(row) = h.bc.submit(BankEvent::Read { addr: LineAddr(1) }).unwrap()
-        else {
-            panic!()
-        };
+        let Accepted::ReadQueued(row) = h.bc.submit(read(1)).unwrap() else { panic!() };
         h.advance(Some(row));
         h.advance(None);
         assert_eq!(h.advance(None).unwrap().data, None, "miss frees the row unfilled");
@@ -560,11 +586,7 @@ mod tests {
         // The stale access issues now and fills the free row …
         assert!(h.bc.on_bus_grant(&mut d, Cycle::new(3)).issued);
         // … which the next read of another address claims.
-        let Accepted::ReadQueued(reused) =
-            h.bc.submit(BankEvent::Read { addr: LineAddr(2) }).unwrap()
-        else {
-            panic!()
-        };
+        let Accepted::ReadQueued(reused) = h.bc.submit(read(2)).unwrap() else { panic!() };
         assert_eq!(reused, row, "lowest free row is reused");
         h.advance(Some(reused));
         h.advance(None);
@@ -578,19 +600,13 @@ mod tests {
     #[test]
     fn merging_disabled_queues_every_read() {
         let mut bc = BankController::new(0, 8, 2, 1).with_merging(false);
-        assert!(matches!(
-            bc.submit(BankEvent::Read { addr: LineAddr(1) }),
-            Ok(Accepted::ReadQueued(_))
-        ));
+        assert!(matches!(bc.submit(read(1)), Ok(Accepted::ReadQueued(_))));
         assert!(
-            matches!(bc.submit(BankEvent::Read { addr: LineAddr(1) }), Ok(Accepted::ReadQueued(_)),),
+            matches!(bc.submit(read(1)), Ok(Accepted::ReadQueued(_)),),
             "same address must NOT merge when disabled"
         );
         // Q = 2 exhausted by the duplicate
-        assert_eq!(
-            bc.submit(BankEvent::Read { addr: LineAddr(1) }).unwrap_err(),
-            StallKind::AccessQueue
-        );
+        assert_eq!(bc.submit(read(1)).unwrap_err(), StallKind::AccessQueue);
     }
 
     #[test]
@@ -598,12 +614,12 @@ mod tests {
         let mut bc = controller();
         let mut d = dram();
         assert!(!bc.wants_grant(Cycle::ZERO), "empty queue wants nothing");
-        bc.submit(BankEvent::Read { addr: LineAddr(1) }).unwrap();
+        bc.submit(read(1)).unwrap();
         assert!(bc.wants_grant(Cycle::ZERO));
         bc.on_bus_grant(&mut d, Cycle::ZERO);
         // in service, nothing else queued: no useful grant until more work
         assert!(!bc.wants_grant(Cycle::new(1)));
-        bc.submit(BankEvent::Read { addr: LineAddr(2) }).unwrap();
+        bc.submit(read(2)).unwrap();
         assert!(!bc.wants_grant(Cycle::new(1)), "bank still busy");
         assert!(bc.wants_grant(Cycle::new(3)), "completion frees the bank");
     }
@@ -611,7 +627,7 @@ mod tests {
     #[test]
     fn occupancy_queries() {
         let mut bc = controller();
-        bc.submit(BankEvent::Read { addr: LineAddr(1) }).unwrap();
+        bc.submit(read(1)).unwrap();
         bc.submit(BankEvent::Write { addr: LineAddr(2), data: Bytes::new() }).unwrap();
         assert_eq!(bc.storage_occupancy(), 1);
         assert_eq!(bc.queue_depth(), 2);

@@ -458,7 +458,7 @@ impl VpnmController {
                 let addr = req.addr();
                 let tenant = req.tenant();
                 let event = match req {
-                    Request::Read { addr, .. } => BankEvent::Read { addr },
+                    Request::Read { addr, take, .. } => BankEvent::Read { addr, take },
                     Request::Write { addr, data, .. } => BankEvent::Write { addr, data },
                 };
                 match self.banks[bank].submit(event) {
@@ -1311,6 +1311,97 @@ mod tests {
         }
     }
 
+    /// Ticks `stream` into `mem`, drains it, and returns the first byte of
+    /// every response in delivery order.
+    fn first_bytes<M: PipelinedMemory>(mem: &mut M, stream: &[Option<Request>]) -> Vec<u8> {
+        let mut responses = ticked(mem, stream).responses;
+        responses.extend(mem.drain());
+        responses.iter().map(|r| r.data[0]).collect()
+    }
+
+    #[test]
+    fn consuming_reads_free_the_cell_unless_merged_into_a_plain_row() {
+        let cfg = VpnmConfig::small_test();
+        let d = small().delay() as usize;
+        // A gap of D lets the consuming read's row play back and free, so
+        // the next read of the address allocates a row of its own.
+        let gap = vec![None; d];
+        // (case, stream, first bytes delivered, reads merged, whether the
+        // ideal memory delivers the same)
+        type Case = (&'static str, Vec<Option<Request>>, &'static [u8], u64, bool);
+        let cases: [Case; 4] = [
+            (
+                "a later plain read sees the zero cell",
+                [vec![write(5, 0xA1), take(5)], gap.clone(), vec![read(5)]].concat(),
+                &[0xA1, 0],
+                0,
+                true,
+            ),
+            (
+                "a write between the two is what the later read sees",
+                vec![write(5, 0xA1), take(5), write(5, 0xB2), read(5)],
+                &[0xA1, 0xB2],
+                0,
+                true,
+            ),
+            (
+                "a plain read merged into a consuming read's row gets the data",
+                [vec![write(5, 0xA1), take(5), read(5)], gap.clone(), vec![read(5)]].concat(),
+                &[0xA1, 0xA1, 0],
+                1,
+                false,
+            ),
+            (
+                "a consuming read merged into a plain read's row leaves the cell stored",
+                [vec![write(5, 0xA1), read(5), take(5)], gap.clone(), vec![read(5)]].concat(),
+                &[0xA1, 0xA1, 0xA1],
+                1,
+                false,
+            ),
+        ];
+        for (case, stream, want, merged, ideal_agrees) in cases {
+            let mut fast = VpnmController::new(cfg.clone(), 1).unwrap();
+            let mut reference = crate::ReferenceController::new(cfg.clone(), 1).unwrap();
+            assert_eq!(first_bytes(&mut fast, &stream), want, "{case}: fast engine");
+            assert_eq!(first_bytes(&mut reference, &stream), want, "{case}: reference engine");
+            assert_eq!(fast.metrics().reads_merged, merged, "{case}");
+            assert_eq!(fast.metrics(), reference.metrics(), "{case}");
+            // The ideal memory frees at accept, so it parts from the
+            // controller exactly when another read of the address is in
+            // flight with the consuming one.
+            let mut ideal = crate::IdealMemory::new(fast.delay(), cfg.cell_bytes);
+            assert_eq!(first_bytes(&mut ideal, &stream) == want, ideal_agrees, "{case}: ideal");
+        }
+    }
+
+    #[test]
+    fn consuming_reads_leave_nothing_for_rekey_to_migrate() {
+        // N writes then N reads of the same cells, drained: plain reads
+        // leave every cell stored, so each one the new key maps to another
+        // bank migrates; consuming reads leave the store empty.
+        let n = 64u64;
+        let migrated = |read: fn(LineAddr) -> Request| {
+            let mut mem = VpnmController::new(VpnmConfig::test_roomy(), 50).unwrap();
+            for a in 0..n {
+                assert!(mem.tick_write(a, vec![a as u8 + 1]).accepted());
+            }
+            let mut responses = Vec::new();
+            for a in 0..n {
+                let out = mem.tick(Some(read(LineAddr(a))));
+                assert!(out.accepted());
+                responses.extend(out.response);
+            }
+            responses.extend(mem.drain());
+            assert_eq!(responses.len() as u64, n);
+            for r in responses {
+                assert_eq!(r.data[0], r.addr.0 as u8 + 1, "{}", r.addr);
+            }
+            mem.rekey(51).1
+        };
+        assert!(migrated(Request::read) > 0, "plain reads keep every cell");
+        assert_eq!(migrated(|a| Request::take_as(TenantId::HOST, a)), 0, "store emptied");
+    }
+
     #[test]
     fn work_conserving_scheduler_upholds_invariants() {
         let cfg = VpnmConfig {
@@ -1491,6 +1582,10 @@ mod tests {
         Some(Request::write(LineAddr(a), vec![v]))
     }
 
+    fn take(a: u64) -> Option<Request> {
+        Some(Request::take_as(TenantId::HOST, LineAddr(a)))
+    }
+
     #[test]
     fn doors_match_ticks_on_a_dense_stream() {
         // Every cycle presents a request — reads, writes, repeats that
@@ -1667,7 +1762,8 @@ mod tests {
 
     proptest! {
         /// Batch door ≡ `tick` sequence over arbitrary streams — reads,
-        /// writes that merge and forward, colliding strides that stall,
+        /// consuming reads of the written cells, writes that merge and
+        /// forward, colliding strides that stall,
         /// idle runs long enough to trigger event-horizon skips, and an
         /// idle budget tail — in all three encodings: the stream itself
         /// through the option-dense and sparse doors, and its gap-free
@@ -1678,6 +1774,7 @@ mod tests {
                 prop_oneof![
                     4 => (0u64..1 << 16).prop_map(|a| vec![read(a)]),
                     1 => (0u64..64u64, any::<u8>()).prop_map(|(a, v)| vec![write(a, v)]),
+                    1 => (0u64..64u64).prop_map(|a| vec![take(a)]),
                     // Colliding reads: a stride the low-bits baseline
                     // would funnel into one bank, to exercise stalls.
                     1 => (0u64..256u64).prop_map(|a| vec![read(a * 64)]),
@@ -1785,7 +1882,7 @@ mod tests {
         for (bank, depth) in [(0usize, 2usize), (2, 3), (3, 3)] {
             for i in 0..depth {
                 let addr = LineAddr((bank * 1000 + i) as u64);
-                mem.banks[bank].submit(BankEvent::Read { addr }).unwrap();
+                mem.banks[bank].submit(BankEvent::Read { addr, take: false }).unwrap();
             }
         }
         let t = Cycle::ZERO;
@@ -1814,7 +1911,7 @@ mod tests {
         let mut mem = small();
         let t = Cycle::ZERO;
         assert_eq!(probe_grant(&mut mem, 0, t), None, "no work anywhere");
-        mem.banks[2].submit(BankEvent::Read { addr: LineAddr(1) }).unwrap();
+        mem.banks[2].submit(BankEvent::Read { addr: LineAddr(1), take: false }).unwrap();
         assert_eq!(probe_grant(&mut mem, 2, t), Some(2));
         assert_eq!(probe_grant(&mut mem, 1, t), None, "strict round-robin never reassigns");
     }

@@ -201,7 +201,9 @@ fn channel_seed(seed: u64, channel: u32) -> u64 {
 /// tenant kept).
 fn localized(req: &Request, local: u64) -> Request {
     match req {
-        Request::Read { tenant, .. } => Request::Read { addr: LineAddr(local), tenant: *tenant },
+        Request::Read { tenant, take, .. } => {
+            Request::Read { addr: LineAddr(local), tenant: *tenant, take: *take }
+        }
         Request::Write { data, tenant, .. } => {
             Request::Write { addr: LineAddr(local), data: data.clone(), tenant: *tenant }
         }
@@ -782,6 +784,34 @@ mod tests {
                 (i.addr, &i.data, i.issued_at, i.completed_at)
             );
         }
+    }
+
+    #[test]
+    fn consuming_reads_free_their_cells_on_every_channel() {
+        // Write 64 cells, consume them, then read them again: every
+        // channel must have freed its share, on the tick path and on the
+        // pooled epoch path alike.
+        let d = VpnmController::new(VpnmConfig::small_test(), 0).unwrap().delay() as usize;
+        let addrs = 0..64u64;
+        let mut stream: Vec<Option<Request>> =
+            addrs.clone().map(|a| Some(Request::write(LineAddr(a), vec![a as u8 + 1]))).collect();
+        stream
+            .extend(addrs.clone().map(|a| Some(Request::take_as(crate::TenantId(1), LineAddr(a)))));
+        stream.extend(std::iter::repeat_n(None, d + 1));
+        stream.extend(addrs.map(|a| Some(Request::read(LineAddr(a)))));
+        let config = fabric_config(4, ChannelSelect::UniversalHash);
+        let mut ticked_fab = VpnmFabric::new(config.clone(), 7).unwrap();
+        let mut want = ticked(&mut ticked_fab, &stream);
+        assert_eq!(want.accepted, 128 + 64, "no stalls, so nothing merges");
+        want.responses.extend(PipelinedMemory::drain(&mut ticked_fab));
+        let data: Vec<u8> = want.responses.iter().map(|r| r.data[0]).collect();
+        let consumed: Vec<u8> = (1..=64).collect();
+        assert_eq!(data, [consumed, vec![0; 64]].concat());
+        let mut pooled = VpnmFabric::new(config, 7).unwrap();
+        pooled.set_workers(2);
+        let mut got = pooled.run_epoch(&stream);
+        got.responses.extend(PipelinedMemory::drain(&mut pooled));
+        assert_eq!(got, want);
     }
 
     #[test]

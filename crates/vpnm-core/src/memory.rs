@@ -469,11 +469,18 @@ impl PipelinedMemory for IdealMemory {
         self.now += 1;
         if let Some(req) = request {
             match req {
-                Request::Read { addr, tenant } => {
+                Request::Read { addr, tenant, take } => {
                     // Data is snapshotted at accept time: in-flight reads
                     // are not affected by later writes, matching the
-                    // VPNM row-invalidation semantics.
-                    let data = self.peek(addr);
+                    // VPNM row-invalidation semantics. A consuming read
+                    // frees the cell right here, where the controller
+                    // frees it at its bank grant — the two agree unless
+                    // another read of the address is in flight with it.
+                    let data = if take {
+                        self.store.remove(&addr).unwrap_or_else(|| self.zero.clone())
+                    } else {
+                        self.peek(addr)
+                    };
                     self.in_flight.push_back(PendingRead {
                         addr,
                         data,
@@ -563,6 +570,21 @@ mod tests {
         assert_eq!(responses.len(), 1);
         assert_eq!(responses[0].data[0], 1);
         assert_eq!(m.peek(LineAddr(1))[0], 2);
+    }
+
+    #[test]
+    fn ideal_memory_consuming_read_frees_at_accept() {
+        let mut m = IdealMemory::new(3, 1);
+        m.tick(Some(Request::write(LineAddr(1), vec![1])));
+        m.tick(Some(Request::take_as(crate::TenantId::HOST, LineAddr(1))));
+        assert_eq!(m.peek(LineAddr(1))[0], 0, "freed while the read is in flight");
+        m.tick(Some(Request::read(LineAddr(1))));
+        let mut responses = Vec::new();
+        for _ in 0..4 {
+            responses.extend(m.tick(None).response);
+        }
+        let data: Vec<u8> = responses.iter().map(|r| r.data[0]).collect();
+        assert_eq!(data, [1, 0], "the consuming read keeps its snapshot");
     }
 
     /// The core abstraction claim of the paper, checked differentially:

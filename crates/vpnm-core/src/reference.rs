@@ -168,7 +168,7 @@ impl SeedBank {
 
     fn submit(&mut self, event: BankEvent) -> Result<Accepted, StallKind> {
         match event {
-            BankEvent::Read { addr } => {
+            BankEvent::Read { addr, take } => {
                 if self.merging {
                     if let Some(row) = self.storage.lookup(addr) {
                         self.storage.merge(row);
@@ -181,7 +181,7 @@ impl SeedBank {
                 let Some(row) = self.storage.allocate(addr) else {
                     return Err(StallKind::DelayStorage);
                 };
-                self.queue.push(AccessEntry::Read { row }).expect("checked for space above");
+                self.queue.push(AccessEntry::Read { row, take }).expect("checked for space above");
                 Ok(Accepted::ReadQueued(row))
             }
             BankEvent::Write { addr, data } => {
@@ -222,10 +222,13 @@ impl SeedBank {
             Err(e) => panic!("unexpected DRAM error on readiness: {e}"),
         }
         match front {
-            AccessEntry::Read { row } => {
+            AccessEntry::Read { row, take } => {
                 let addr = self.storage.row_addr(row);
                 let grant =
                     dram.issue_read(self.bank, addr.0, now_mem).expect("bank checked ready");
+                if take {
+                    dram.take(self.bank, addr.0);
+                }
                 self.storage.fill(row, grant.data);
                 self.in_service_until = Some(grant.data_ready_at);
                 true
@@ -415,7 +418,7 @@ impl ReferenceController {
                 let bank = self.hash.bank_of(req.addr().0) as usize;
                 let tenant = req.tenant();
                 let event = match req {
-                    Request::Read { addr, .. } => BankEvent::Read { addr },
+                    Request::Read { addr, take, .. } => BankEvent::Read { addr, take },
                     Request::Write { addr, data, .. } => BankEvent::Write { addr, data },
                 };
                 match self.banks[bank].submit(event) {

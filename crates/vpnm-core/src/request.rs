@@ -80,6 +80,11 @@ pub enum Request {
         addr: LineAddr,
         /// Issuing tenant ([`TenantId::HOST`] for single-tenant callers).
         tenant: TenantId,
+        /// Free the cell once its bank read is granted (a *consuming*
+        /// read, [`Request::take_as`]): later reads of `addr` see the zero
+        /// cell until the next write. A consuming read that merges into a
+        /// row another read allocated frees nothing.
+        take: bool,
     },
     /// Write `data` to the cell at `addr`; fire-and-forget (the paper:
     /// "unlike read requests, we need not wait for the write requests to
@@ -99,13 +104,22 @@ impl Request {
     /// Convenience constructor for a host-tenant read.
     #[inline]
     pub fn read(addr: LineAddr) -> Self {
-        Request::Read { addr, tenant: TenantId::HOST }
+        Request::Read { addr, tenant: TenantId::HOST, take: false }
     }
 
     /// Convenience constructor for a read on behalf of `tenant`.
     #[inline]
     pub fn read_as(tenant: TenantId, addr: LineAddr) -> Self {
-        Request::Read { addr, tenant }
+        Request::Read { addr, tenant, take: false }
+    }
+
+    /// A *consuming* read on behalf of `tenant`: an ordinary read whose
+    /// cell the memory frees once the bank read is granted — a packet
+    /// buffer's dequeue, where the cell behind the head pointer is dead.
+    /// The response carries the cell as a plain read's would.
+    #[inline]
+    pub fn take_as(tenant: TenantId, addr: LineAddr) -> Self {
+        Request::Read { addr, tenant, take: true }
     }
 
     /// Convenience constructor for a host-tenant write carrying any
@@ -274,12 +288,18 @@ mod tests {
     fn request_accessors() {
         let r = Request::read(LineAddr(5));
         let w = Request::write(LineAddr(6), vec![1]);
+        let t = Request::take_as(TenantId(2), LineAddr(9));
         assert!(r.is_read());
         assert!(!w.is_read());
+        assert!(t.is_read(), "a consuming read is a read");
         assert_eq!(r.addr(), LineAddr(5));
         assert_eq!(w.addr(), LineAddr(6));
+        assert_eq!(t.addr(), LineAddr(9));
         assert_eq!(r.tenant(), TenantId::HOST);
         assert_eq!(w.tenant(), TenantId::HOST);
+        assert_eq!(t.tenant(), TenantId(2));
+        assert!(matches!(r, Request::Read { take: false, .. }));
+        assert!(matches!(t, Request::Read { take: true, .. }));
     }
 
     #[test]

@@ -328,8 +328,10 @@ impl DramDevice {
             .collect()
     }
 
-    /// Zero-time backdoor removal of a cell (re-keying migration).
-    /// Returns the previous contents if the cell was populated.
+    /// Zero-time removal of a cell: the re-keying migration's backdoor,
+    /// and how a controller frees the cell of a granted consuming read.
+    /// Later reads see the zero cell. Returns the previous contents if the
+    /// cell was populated.
     pub fn take(&mut self, bank: u32, offset: u64) -> Option<Bytes> {
         let idx = self.cell_index(bank, offset);
         self.storage.take(idx)
@@ -386,6 +388,22 @@ mod tests {
         d.poke(2, 5, vec![1, 2, 3]);
         assert_eq!(&d.peek(2, 5)[..3], &[1, 2, 3]);
         assert_eq!(d.stats().accesses(), 0);
+    }
+
+    #[test]
+    fn take_after_a_read_frees_the_cell_but_not_the_grant() {
+        let mut d = tiny();
+        let done = d.issue_write(2, 4, vec![5, 6], Cycle::ZERO).unwrap();
+        let g = d.issue_read(2, 4, done).unwrap();
+        assert_eq!(d.take(2, 4).as_deref(), Some(&[5, 6, 0, 0, 0, 0, 0, 0][..]));
+        assert_eq!(g.data, [5, 6, 0, 0, 0, 0, 0, 0], "the granted data outlives the cell");
+        assert!(d.populated().is_empty());
+        assert_eq!(d.take(2, 4), None);
+        let g = d.issue_read(2, 4, g.data_ready_at).unwrap();
+        assert_eq!(g.data, [0u8; 8], "a freed cell reads as zero");
+        assert_eq!((d.stats().reads, d.stats().writes), (2, 1), "take is not an access");
+        d.issue_write(2, 4, vec![7], g.data_ready_at).unwrap();
+        assert_eq!(d.peek(2, 4)[0], 7, "a freed cell can be written again");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! (including the per-cycle occupancy distributions), the DRAM statistics
 //! and the drain behaviour are compared on:
 //!
-//! * property-based request streams (reads/writes/idle, narrow and wide
-//!   address ranges),
+//! * property-based request streams (reads, consuming reads, writes and
+//!   idle slots over narrow and wide address ranges),
 //! * both scheduler kinds, merging on and off,
 //! * integral and fractional memory/interface clock ratios,
 //! * an adversarial single-bank flood under the degenerate low-bits hash
@@ -26,28 +26,36 @@
 use proptest::prelude::*;
 use vpnm::core::fabric::{ChannelSelect, FabricConfig};
 use vpnm::core::{
-    LineAddr, PipelinedMemory, ReferenceController, Request, SchedulerKind, VpnmConfig,
+    LineAddr, PipelinedMemory, ReferenceController, Request, SchedulerKind, TenantId, VpnmConfig,
     VpnmController, VpnmFabric,
 };
 
 #[derive(Debug, Clone)]
 enum Op {
     Read(u16),
+    /// A consuming read: frees the cell once its bank read is granted.
+    Take(u16),
     Write(u16, u8),
     Idle,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => any::<u16>().prop_map(Op::Read),
+        3 => any::<u16>().prop_map(Op::Read),
+        1 => any::<u16>().prop_map(Op::Take),
         2 => (any::<u16>(), any::<u8>()).prop_map(|(a, v)| Op::Write(a, v)),
         1 => Just(Op::Idle),
     ]
 }
 
+fn take(addr: u64) -> Request {
+    Request::take_as(TenantId::HOST, LineAddr(addr))
+}
+
 fn to_request(op: &Op, addr_mask: u64) -> Option<Request> {
     match op {
         Op::Read(a) => Some(Request::read(LineAddr(u64::from(*a) & addr_mask))),
+        Op::Take(a) => Some(take(u64::from(*a) & addr_mask)),
         Op::Write(a, v) => Some(Request::write(LineAddr(u64::from(*a) & addr_mask), vec![*v])),
         Op::Idle => None,
     }
@@ -181,8 +189,8 @@ fn engines_agree_across_long_idle_gaps() {
     }
 }
 
-/// A deterministic mixed read/write/idle stream for the fabric suites
-/// (an LCG so the tests need no proptest machinery).
+/// A deterministic mixed read/consuming-read/write/idle stream for the
+/// fabric suites (an LCG so the tests need no proptest machinery).
 fn mixed_stream(n: u64, addr_mask: u64) -> Vec<Option<Request>> {
     let mut state = 0x2545_F491_4F6C_DD1Du64;
     (0..n)
@@ -192,6 +200,7 @@ fn mixed_stream(n: u64, addr_mask: u64) -> Vec<Option<Request>> {
             match i % 7 {
                 6 => None,
                 0 | 3 => Some(Request::write(addr, vec![i as u8])),
+                5 => Some(take(addr.0)),
                 _ => Some(Request::read(addr)),
             }
         })
