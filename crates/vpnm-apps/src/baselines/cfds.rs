@@ -243,7 +243,6 @@ impl CfdsBuffer {
     /// Worst-case delay: a request can wait behind the whole window at
     /// one issue per `b` cycles, plus the bank access itself.
     pub fn worst_case_delay_cycles(&self) -> u64 {
-        use vpnm_dram::timing::TimingPolicy;
         self.window_cap as u64 * self.issue_interval + self.dram.config().timing.l_ratio()
     }
 }

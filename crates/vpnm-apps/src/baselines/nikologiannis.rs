@@ -255,7 +255,6 @@ impl NikologiannisBuffer {
 
     /// Worst case the pool drains serially through one bank.
     pub fn worst_case_delay_cycles(&self) -> u64 {
-        use vpnm_dram::timing::TimingPolicy;
         self.pool_cap as u64 * self.dram.config().timing.l_ratio()
     }
 }

@@ -22,7 +22,6 @@
 
 use vpnm_bench::Table;
 use vpnm_core::{HashKind, LineAddr, MetricsSnapshot, Request, VpnmConfig, VpnmController};
-use vpnm_hash::BankHasher;
 use vpnm_sim::parallel::par_map;
 use vpnm_workloads::generators::{AddressGenerator, RedundantPattern};
 use vpnm_workloads::{OmniscientAdversary, ReplayAdversary, StrideAdversary, UniformAddresses};

@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vpnm_bench::Table;
-use vpnm_dram::timing::{OpenPageTiming, TimingModel};
+use vpnm_dram::timing::TimingModel;
 use vpnm_dram::{DramConfig, DramDevice};
 use vpnm_sim::Cycle;
 
@@ -63,7 +63,7 @@ fn main() {
         rows_per_bank: 1 << 12,
         cells_per_row: 64,
         cell_bytes: 64,
-        timing: TimingModel::OpenPage(OpenPageTiming::sdram_pc133()),
+        timing: TimingModel::sdram_pc133(),
     };
     let rdram32 = DramConfig::paper_rdram();
     let rdram512 = DramConfig { num_banks: 512, ..DramConfig::paper_rdram() };

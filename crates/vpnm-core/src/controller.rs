@@ -52,7 +52,6 @@ use crate::request::{LineAddr, Request, Response, StallKind, TenantId, TickOutpu
 use crate::snapshot::MetricsSnapshot;
 use bytes::Bytes;
 use vpnm_dram::{DramConfig, DramDevice, DramStats};
-use vpnm_hash::BankHasher;
 use vpnm_sim::{Cycle, DualClock};
 
 /// Requests bank-hashed per [`HashEngine::hash_batch`] call inside the
@@ -1286,7 +1285,6 @@ mod tests {
 
     #[test]
     fn rekey_preserves_data_and_changes_mapping() {
-        use vpnm_hash::BankHasher;
         let mut mem = VpnmController::new(VpnmConfig::test_roomy(), 50).unwrap();
         for a in 0..64u64 {
             assert!(mem.tick_write(a, vec![a as u8]).accepted());

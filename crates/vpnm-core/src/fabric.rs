@@ -36,7 +36,7 @@ use crate::controller::RunReport;
 use crate::memory::PipelinedMemory;
 use crate::metrics::ControllerMetrics;
 use crate::pool::WorkerPool;
-use crate::regulator::{QosConfig, Regulator, RegulatorMode, TenantLedger};
+use crate::regulator::{QosConfig, Regulator, RegulatorMode};
 use crate::request::{LineAddr, Request, Response, StallKind, TickOutput};
 use crate::snapshot::{MetricsSnapshot, TenantSection};
 use vpnm_sim::Cycle;
@@ -184,9 +184,10 @@ pub struct VpnmFabric<M: PipelinedMemory = crate::VpnmController> {
     /// (tick order), so regulated runs stay byte-identical across
     /// `--workers` counts.
     regulator: Option<Regulator>,
-    /// Per-tenant issue/deferral counts; present exactly when
-    /// [`FabricConfig::qos`] is, independent of the mode.
-    ledger: Option<TenantLedger>,
+    /// The snapshot's tenant section, counting issued and deferred
+    /// requests per tenant; present exactly when [`FabricConfig::qos`]
+    /// is, independent of the mode.
+    tenants: Option<TenantSection>,
 }
 
 /// Per-channel seed derivation: channel 0 keeps the fabric seed verbatim
@@ -236,11 +237,16 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
             .map(|c| build(c, channel_config.clone(), channel_seed(seed, c)))
             .collect::<Result<Vec<M>, String>>()?;
         let delay = config.fabric_delay();
-        let (regulator, ledger) = match &config.qos {
+        let (regulator, tenants) = match &config.qos {
             Some(q) => (
                 (q.mode != RegulatorMode::Off)
                     .then(|| Regulator::new(q, config.channels * config.base.banks)),
-                Some(TenantLedger::new(q.tenants)),
+                Some(TenantSection::new(
+                    q.mode,
+                    (q.rate_num, q.rate_den),
+                    q.burst,
+                    usize::from(q.tenants),
+                )),
             ),
             None => (None, None),
         };
@@ -253,7 +259,7 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
             fabric_metrics: ControllerMetrics::new(),
             pool: None,
             regulator,
-            ledger,
+            tenants,
         })
     }
 
@@ -298,20 +304,14 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
         self.fabric_metrics.malformed_rejections
     }
 
-    /// The per-tenant ingress ledger — `None` unless the fabric was built
-    /// with a [`FabricConfig::qos`] section.
-    pub fn tenant_ledger(&self) -> Option<&TenantLedger> {
-        self.ledger.as_ref()
-    }
-
-    /// Regulator admission plus ledger accounting for one request routed
+    /// Regulator admission plus per-tenant accounting for one request routed
     /// to `(ch, local)` and presented at fabric cycle `at`. Always true
     /// (and free) when no QoS is configured. Deferral spends no tokens —
     /// the tenant may retry the very next cycle.
     fn admit(&mut self, req: &Request, ch: u32, local: u64, at: u64) -> bool {
-        let Some(ledger) = &mut self.ledger else { return true };
+        let Some(section) = &mut self.tenants else { return true };
         let tenant = req.tenant();
-        let slot = self.config.qos.as_ref().expect("ledger implies qos").clamp(tenant);
+        let slot = self.config.qos.as_ref().expect("tenant section implies qos").clamp(tenant);
         let ok = match &mut self.regulator {
             Some(reg) => {
                 // Fabric-global bank index: channels each own `base.banks`
@@ -324,10 +324,11 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
             }
             None => true,
         };
+        let stats = &mut section.per_tenant[slot];
         if ok {
-            ledger.issued[slot] += 1;
+            stats.issued += 1;
         } else {
-            ledger.deferred[slot] += 1;
+            stats.deferred += 1;
         }
         ok
     }
@@ -351,7 +352,7 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
                 } else {
                     // Deferred, not dropped: the channels still advance
                     // this cycle (lockstep), the request just never
-                    // reaches one. Accounted in the tenant ledger only.
+                    // reaches one. Accounted in the tenant section only.
                     stall = Some(StallKind::Throttled);
                 }
             }
@@ -449,7 +450,7 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
     /// overhead, and the door passes its span to the engine in the
     /// encoding it arrived in. Only a well-formed, QoS-less span bypasses
     /// — malformed requests must be rejected *at the fabric*, and
-    /// per-request admission and ledger accounting live in the routed
+    /// per-request admission and tenant accounting live in the routed
     /// path.
     fn route<'a>(
         &mut self,
@@ -468,7 +469,7 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
         }
         let (addr_bits, cell_bytes) = (self.config.base.addr_bits, self.config.base.cell_bytes);
         if self.channels.len() == 1
-            && self.ledger.is_none()
+            && self.tenants.is_none()
             && (0..count).all(|k| at(k).1.malformed(addr_bits, cell_bytes).is_none())
         {
             self.now += len;
@@ -592,18 +593,8 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
         debug_assert!(merged.is_ok(), "lockstep channels cannot disagree: {merged:?}");
         let mut merged = merged.ok()?;
         merged.metrics.merge_from(&self.fabric_metrics);
-        if let (Some(q), Some(ledger)) = (&self.config.qos, &self.ledger) {
-            let mut section = TenantSection::new(
-                q.mode,
-                (q.rate_num, q.rate_den),
-                q.burst,
-                usize::from(q.tenants),
-            );
-            for (t, stats) in section.per_tenant.iter_mut().enumerate() {
-                stats.issued = ledger.issued[t];
-                stats.deferred = ledger.deferred[t];
-            }
-            merged = merged.with_tenants(section);
+        if let Some(section) = &self.tenants {
+            merged = merged.with_tenants(section.clone());
         }
         Some(merged)
     }
@@ -909,7 +900,7 @@ mod tests {
     /// option-dense, sparse, and dense when no slot is idle — on fabrics
     /// built by `mk`, demanding identical reports, clock, drain and
     /// snapshot (modulo `cycles_skipped`; the snapshot's tenant section
-    /// carries the regulator's per-tenant issued/deferred ledger).
+    /// carries the regulator's per-tenant issued/deferred counts).
     fn assert_doors_match_ticks<F: PipelinedMemory>(
         mk: impl Fn() -> F,
         stream: &[Option<Request>],
@@ -1040,10 +1031,11 @@ mod tests {
             assert_ne!(out.stall, Some(StallKind::Throttled), "tracking never throttles");
         }
         PipelinedMemory::drain(&mut fab);
-        let ledger = fab.tenant_ledger().unwrap();
-        assert_eq!(ledger.issued, [30, 10]);
-        assert_eq!(ledger.deferred, [0, 0]);
-        let json = fab.merged_snapshot().unwrap().to_json();
+        let snap = fab.merged_snapshot().unwrap();
+        let tenants = &snap.tenants.as_ref().unwrap().per_tenant;
+        assert_eq!(tenants.iter().map(|t| t.issued).collect::<Vec<_>>(), [30, 10]);
+        assert_eq!(tenants.iter().map(|t| t.deferred).collect::<Vec<_>>(), [0, 0]);
+        let json = snap.to_json();
         assert!(json.contains("\"tenants\": {"), "{json}");
         assert!(json.contains("\"mode\": \"off\""), "{json}");
         assert!(json.contains("\"issued\": 30"), "{json}");
@@ -1070,15 +1062,15 @@ mod tests {
             }
         }
         PipelinedMemory::drain(&mut fab);
-        let ledger = fab.tenant_ledger().unwrap().clone();
+        let tenants = fab.merged_snapshot().unwrap().tenants.unwrap().per_tenant;
         assert_eq!(victim_stalled, 0, "the in-budget tenant is never deferred");
-        assert_eq!(ledger.deferred[0], 0);
-        assert_eq!(ledger.issued[0], 100);
-        assert!(ledger.deferred[1] > 400, "greedy tenant deferred: {:?}", ledger.deferred);
+        assert_eq!(tenants[0].deferred, 0);
+        assert_eq!(tenants[0].issued, 100);
+        assert!(tenants[1].deferred > 400, "greedy tenant deferred: {}", tenants[1].deferred);
         // The greedy tenant lands at its budgeted 1/4 rate: the bucket
         // refills 800/4 = 200 tokens over the run and starts with
         // burst = 2, so 202 is the hard ceiling.
-        let issued = ledger.issued[1];
+        let issued = tenants[1].issued;
         assert!((190..=202).contains(&issued), "issued {issued}");
     }
 

@@ -82,7 +82,7 @@ pub use hash_engine::{HashEngine, HashKind};
 pub use memory::{IdealMemory, Pipeline, PipelinedMemory};
 pub use metrics::ControllerMetrics;
 pub use reference::ReferenceController;
-pub use regulator::{QosConfig, Regulator, RegulatorMode, TenantLedger, MAX_TENANTS};
+pub use regulator::{QosConfig, Regulator, RegulatorMode, MAX_TENANTS};
 pub use request::{LineAddr, Request, Response, StallKind, TenantId, TickOutput};
 pub use snapshot::{
     MetricsSnapshot, ServingMetrics, TenantSection, TenantStats, SNAPSHOT_SCHEMA_VERSION,

@@ -41,7 +41,6 @@ use crate::snapshot::MetricsSnapshot;
 use crate::write_buffer::WriteBuffer;
 use bytes::Bytes;
 use vpnm_dram::{DramConfig, DramDevice, DramStats};
-use vpnm_hash::BankHasher;
 use vpnm_sim::{Cycle, DualClock};
 
 #[derive(Debug, Clone, Default)]

@@ -26,7 +26,8 @@
 //! [`StallKind::Throttled`](crate::StallKind::Throttled) and the caller
 //! decides (retry next cycle, or — in the serving layer — account the
 //! packet as a QoS drop). Deferrals are recorded in the fabric's
-//! [`TenantLedger`], never in a channel's stall counters, so the
+//! per-tenant [`TenantSection`](crate::TenantSection), never in a
+//! channel's stall counters, so the
 //! regulation-off snapshot stays byte-identical to the pre-QoS schema.
 
 use crate::request::TenantId;
@@ -37,7 +38,7 @@ pub const MAX_TENANTS: u16 = 4096;
 /// Which token-bucket topology regulates the fabric ingress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RegulatorMode {
-    /// No regulation: tenants are tracked (ledger, snapshot section) but
+    /// No regulation: tenants are tracked (snapshot tenant section) but
     /// never deferred.
     #[default]
     Off,
@@ -222,29 +223,6 @@ impl Regulator {
     }
 }
 
-/// Per-tenant accounting the fabric keeps at its ingress: how many
-/// requests each tenant got past the regulator and how many were
-/// deferred. The serving layer adds drop/latency attribution on top when
-/// it builds the snapshot's tenant section.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TenantLedger {
-    /// Requests admitted past the regulator, per tenant.
-    pub issued: Vec<u64>,
-    /// Requests deferred ([`StallKind::Throttled`](crate::StallKind::Throttled)),
-    /// per tenant.
-    pub deferred: Vec<u64>,
-}
-
-impl TenantLedger {
-    /// A zeroed ledger for `tenants` tenants.
-    pub fn new(tenants: u16) -> Self {
-        TenantLedger {
-            issued: vec![0; usize::from(tenants)],
-            deferred: vec![0; usize::from(tenants)],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,12 +313,5 @@ mod tests {
         let mut reg = Regulator::new(&cfg(RegulatorMode::Global, u32::MAX, 1, u32::MAX), 1);
         assert!(reg.admit(TenantId(0), 0, u64::MAX));
         assert!(reg.admit(TenantId(0), 0, u64::MAX));
-    }
-
-    #[test]
-    fn ledger_starts_zeroed() {
-        let l = TenantLedger::new(3);
-        assert_eq!(l.issued, [0, 0, 0]);
-        assert_eq!(l.deferred, [0, 0, 0]);
     }
 }

@@ -48,9 +48,10 @@ pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
 /// Per-tenant counters carried in a snapshot's [`TenantSection`], one
 /// entry per tenant id in `0..tenants`.
 ///
-/// `issued`/`deferred` are filled by the fabric's ingress ledger (see
-/// [`crate::regulator::TenantLedger`]): every request that reached the
-/// regulator either entered the pipeline or was deferred a cycle.
+/// `issued`/`deferred` are counted by the fabric at its ingress, in the
+/// section it keeps and clones into each merged snapshot: every request
+/// that reached the regulator either entered the pipeline or was
+/// deferred a cycle.
 /// `dropped`, `transmitted` and `latency` are filled by the serving
 /// front-end, which is the only layer that can attribute losses and
 /// end-to-end latency to an individual tenant.
@@ -334,9 +335,9 @@ impl MetricsSnapshot {
             // survive the identity (single-part) merge. The serving
             // layer attaches its section *after* merging its fabric.
             serving: if parts.len() == 1 { first.serving.clone() } else { None },
-            // Same story for the tenant section: the ledger lives at the
-            // fabric ingress, above the channels, so the fabric attaches
-            // it after merging its per-channel snapshots.
+            // Same story for the tenant section: the fabric counts it at
+            // its ingress, above the channels, and attaches it after
+            // merging its per-channel snapshots.
             tenants: if parts.len() == 1 { first.tenants.clone() } else { None },
         };
         for (i, p) in parts.iter().enumerate() {
@@ -745,7 +746,7 @@ mod tests {
         assert!(json.contains("\"mts\": 2.000000"), "{json}");
         assert!(json.ends_with("  }\n}\n"), "{json}");
         // Identity merge keeps the section; a real merge drops it (the
-        // fabric re-attaches its ledger afterwards).
+        // fabric re-attaches its section afterwards).
         let one = MetricsSnapshot::merge(std::slice::from_ref(&snap)).unwrap();
         assert_eq!(one, snap);
         let two = MetricsSnapshot::merge(&[snap.clone(), snap]).unwrap();

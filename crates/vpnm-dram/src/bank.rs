@@ -1,6 +1,6 @@
 //! Per-bank busy/row-buffer state machine.
 
-use crate::timing::TimingPolicy;
+use crate::timing::TimingModel;
 use vpnm_sim::Cycle;
 
 /// Read or write — banks treat both as an `L`-cycle occupation in the
@@ -22,11 +22,11 @@ pub enum AccessKind {
 ///
 /// ```
 /// use vpnm_dram::{Bank, AccessKind};
-/// use vpnm_dram::timing::SimpleTiming;
+/// use vpnm_dram::timing::TimingModel;
 /// use vpnm_sim::Cycle;
 ///
 /// let mut bank = Bank::new();
-/// let t = SimpleTiming::new(10);
+/// let t = TimingModel::simple(10);
 /// let done = bank.start_access(&t, AccessKind::Read, 5, Cycle::new(0)).unwrap();
 /// assert_eq!(done, Cycle::new(10));
 /// assert!(bank.is_busy(Cycle::new(9)));
@@ -67,9 +67,9 @@ impl Bank {
     ///
     /// Returns the cycle the bank frees up if it is still busy (a bank
     /// conflict).
-    pub fn start_access<T: TimingPolicy>(
+    pub fn start_access(
         &mut self,
-        timing: &T,
+        timing: &TimingModel,
         _kind: AccessKind,
         row: u64,
         now: Cycle,
@@ -104,12 +104,11 @@ impl Bank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::{OpenPageTiming, SimpleTiming};
 
     #[test]
     fn access_occupies_bank_for_l_cycles() {
         let mut b = Bank::new();
-        let t = SimpleTiming::new(4);
+        let t = TimingModel::simple(4);
         let done = b.start_access(&t, AccessKind::Read, 0, Cycle::new(10)).unwrap();
         assert_eq!(done, Cycle::new(14));
         for c in 10..14 {
@@ -121,7 +120,7 @@ mod tests {
     #[test]
     fn conflict_reports_free_time() {
         let mut b = Bank::new();
-        let t = SimpleTiming::new(5);
+        let t = TimingModel::simple(5);
         b.start_access(&t, AccessKind::Write, 1, Cycle::new(0)).unwrap();
         let err = b.start_access(&t, AccessKind::Read, 2, Cycle::new(3)).unwrap_err();
         assert_eq!(err, Cycle::new(5));
@@ -133,7 +132,7 @@ mod tests {
     #[test]
     fn open_page_row_hits_tracked() {
         let mut b = Bank::new();
-        let t = OpenPageTiming::sdram_pc133();
+        let t = TimingModel::sdram_pc133();
         let d1 = b.start_access(&t, AccessKind::Read, 7, Cycle::new(0)).unwrap();
         let d2 = b.start_access(&t, AccessKind::Read, 7, d1).unwrap();
         assert_eq!(d2 - d1, 3); // CAS-only

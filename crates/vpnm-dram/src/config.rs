@@ -1,6 +1,6 @@
 //! DRAM geometry and timing configuration.
 
-use crate::timing::{OpenPageTiming, TimingModel};
+use crate::timing::TimingModel;
 
 /// Configuration of a simulated DRAM subsystem.
 ///
@@ -11,7 +11,6 @@ use crate::timing::{OpenPageTiming, TimingModel};
 ///
 /// ```
 /// use vpnm_dram::DramConfig;
-/// use vpnm_dram::timing::TimingPolicy;
 /// let cfg = DramConfig::paper_rdram();
 /// assert_eq!(cfg.num_banks, 32);
 /// assert_eq!(cfg.timing.l_ratio(), 20);
@@ -42,19 +41,6 @@ impl DramConfig {
             cells_per_row: 32,
             cell_bytes: 64,
             timing: TimingModel::simple(20),
-        }
-    }
-
-    /// An SDRAM-class part with few banks — the paper argues such parts
-    /// cannot reach a useful MTS (Section 5.2: "an SDRAM with its small
-    /// number of banks cannot achieve a reasonable MTS").
-    pub fn sdram_4bank() -> Self {
-        DramConfig {
-            num_banks: 4,
-            rows_per_bank: 1 << 14,
-            cells_per_row: 64,
-            cell_bytes: 64,
-            timing: TimingModel::OpenPage(OpenPageTiming::sdram_pc133()),
         }
     }
 
@@ -109,6 +95,9 @@ impl DramConfig {
         if self.cell_bytes == 0 {
             return Err("cell_bytes must be positive".into());
         }
+        if self.timing.l_ratio() == 0 {
+            return Err("timing must keep a bank busy for at least one cycle".into());
+        }
         Ok(())
     }
 }
@@ -122,12 +111,10 @@ impl Default for DramConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::TimingPolicy;
 
     #[test]
     fn presets_validate() {
         DramConfig::paper_rdram().validate().unwrap();
-        DramConfig::sdram_4bank().validate().unwrap();
         DramConfig::tiny_test().validate().unwrap();
     }
 
@@ -162,6 +149,8 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = DramConfig::tiny_test();
         c.rows_per_bank = 0;
+        assert!(c.validate().is_err());
+        let c = DramConfig::tiny_test().with_timing(TimingModel::Simple { access: 0 });
         assert!(c.validate().is_err());
     }
 

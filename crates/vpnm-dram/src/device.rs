@@ -4,7 +4,6 @@ use crate::bank::{AccessKind, Bank};
 use crate::config::DramConfig;
 use crate::stats::DramStats;
 use crate::storage::SparseStorage;
-use crate::timing::TimingPolicy;
 use bytes::Bytes;
 use std::fmt;
 use vpnm_sim::Cycle;
@@ -428,8 +427,7 @@ mod tests {
 
     #[test]
     fn open_page_stats_count_row_hits() {
-        let cfg = DramConfig::tiny_test()
-            .with_timing(TimingModel::OpenPage(crate::timing::OpenPageTiming::sdram_pc133()));
+        let cfg = DramConfig::tiny_test().with_timing(TimingModel::sdram_pc133());
         let mut d = DramDevice::new(cfg);
         let t1 = d.issue_read(0, 0, Cycle::ZERO).unwrap().data_ready_at;
         let t2 = d.issue_read(0, 1, t1).unwrap().data_ready_at; // same row (4 cells/row)

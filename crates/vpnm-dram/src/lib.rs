@@ -8,10 +8,10 @@
 //! for RDRAM-class parts). This crate models:
 //!
 //! * [`DramConfig`] — geometry (banks, rows, row width, cell size) and
-//!   timing; presets for the parts the paper references (RDRAM with many
-//!   banks, SDRAM with few).
-//! * [`timing`] — the paper's simple `L`-cycle bank model plus a more
-//!   detailed row-buffer (open-page) model with `tRCD/tCAS/tRP` components.
+//!   timing; the paper's RDRAM-class preset.
+//! * [`TimingModel`] — one enum of timing models: the paper's simple
+//!   `L`-cycle bank model and a row-buffer (open-page) model with
+//!   `tRCD/tCAS/tRP` components.
 //! * [`Bank`] — per-bank busy/row-buffer state machine.
 //! * [`DramDevice`] — banks + shared data bus + backing cell storage with
 //!   full stats (conflicts, row hits, bus utilization).
@@ -54,4 +54,4 @@ pub use config::DramConfig;
 pub use device::{DramDevice, DramError, ReadGrant};
 pub use stats::DramStats;
 pub use storage::SparseStorage;
-pub use timing::{SimpleTiming, TimingModel, TimingPolicy};
+pub use timing::TimingModel;

@@ -22,8 +22,7 @@
 //!
 //! All three are combinational in the model: like the bank hash `HU`
 //! block, a hardware realization is fully pipelined and adds a constant
-//! to the normalized delay `D` but no throughput cost
-//! ([`ChannelSelector::latency_cycles`]).
+//! to the normalized delay `D` but no throughput cost.
 
 use crate::permute::AffinePermutation;
 use std::fmt;
@@ -221,16 +220,6 @@ impl ChannelSelector {
             }
         }
     }
-
-    /// Pipeline latency of a hardware realization, in interface cycles:
-    /// zero for the wire-only bit selects, the XOR-tree depth of the
-    /// affine stage for [`ChannelSelect::UniversalHash`].
-    pub fn latency_cycles(&self) -> u64 {
-        match &self.perm {
-            Some(_) => u64::from(32 - (self.addr_bits.max(2) - 1).leading_zeros()),
-            None => 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -266,7 +255,6 @@ mod tests {
                 assert_eq!(sel.unroute(0, addr), addr, "{kind}");
             }
             assert_eq!(sel.channels(), 1);
-            assert_eq!(sel.latency_cycles(), 0, "{kind}: no keyed stage when c = 0");
         }
     }
 

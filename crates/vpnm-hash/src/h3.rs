@@ -9,7 +9,6 @@
 //! latency added to `D`.
 
 use crate::gf2::BitMatrix;
-use crate::BankHasher;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,9 +16,8 @@ use rand::{Rng, SeedableRng};
 /// indices.
 ///
 /// ```
-/// use vpnm_hash::{BankHasher, H3Hash};
+/// use vpnm_hash::H3Hash;
 /// let h = H3Hash::from_seed(32, 5, 7);
-/// assert_eq!(h.num_banks(), 32);
 /// assert!(h.bank_of(12345) < 32);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,7 +27,6 @@ pub struct H3Hash {
     /// universal (pairwise independent) rather than merely universal.
     offset: u64,
     addr_bits: u32,
-    out_bits: u32,
     /// Byte-folded evaluation tables: `tables[c][b] = M · (b << 8c)`.
     /// Because `M·x` is GF(2)-linear, XORing one lookup per address byte
     /// reproduces `mul_vec` exactly while replacing the per-row popcount
@@ -97,7 +94,7 @@ impl H3Hash {
         assert!(offset & !((1u64 << out_bits) - 1) == 0, "offset wider than output");
         let addr_bits = matrix.num_cols();
         let tables = fold_tables(&matrix);
-        H3Hash { matrix, offset, addr_bits, out_bits, tables }
+        H3Hash { matrix, offset, addr_bits, tables }
     }
 
     /// The number of input address bits consumed.
@@ -109,9 +106,35 @@ impl H3Hash {
     pub fn matrix(&self) -> &BitMatrix {
         &self.matrix
     }
-}
 
-impl H3Hash {
+    /// Maps `addr` to a bank index in `0..2^out_bits`.
+    pub fn bank_of(&self, addr: u64) -> u32 {
+        let mut out = self.offset;
+        for (c, table) in self.tables.iter().enumerate() {
+            out ^= table[(addr >> (8 * c)) as u8 as usize];
+        }
+        out as u32
+    }
+
+    /// Maps a batch of addresses at once: `out[i] = bank_of(addrs[i])`.
+    /// Mirrors the pipelined hardware `HU` block, which hashes one
+    /// address per cycle back-to-back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addrs` and `out` differ in length.
+    pub fn bank_of_batch(&self, addrs: &[u64], out: &mut [u32]) {
+        assert_eq!(addrs.len(), out.len(), "batch slices must match in length");
+        // Vector path: 8 addresses per iteration, one AVX2 gather per
+        // byte table, truncation to 32 bits commuting with XOR — the
+        // result is bit-identical to `bank_of` per element.
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::fold_u32(&self.tables, self.offset as u32, addrs, out) {
+            return;
+        }
+        self.bank_of_batch_scalar(addrs, out);
+    }
+
     /// The scalar batch fold, with the loop order swapped vs `bank_of`:
     /// walk each 2 KiB byte table across the whole batch while it is hot
     /// in L1, instead of cycling all tables per address. XOR is
@@ -125,38 +148,6 @@ impl H3Hash {
                 *o ^= table[(a >> shift) as u8 as usize] as u32;
             }
         }
-    }
-}
-
-impl BankHasher for H3Hash {
-    fn num_banks(&self) -> u32 {
-        1 << self.out_bits
-    }
-
-    fn bank_of(&self, addr: u64) -> u32 {
-        let mut out = self.offset;
-        for (c, table) in self.tables.iter().enumerate() {
-            out ^= table[(addr >> (8 * c)) as u8 as usize];
-        }
-        out as u32
-    }
-
-    fn bank_of_batch(&self, addrs: &[u64], out: &mut [u32]) {
-        assert_eq!(addrs.len(), out.len(), "batch slices must match in length");
-        // Vector path: 8 addresses per iteration, one AVX2 gather per
-        // byte table, truncation to 32 bits commuting with XOR — the
-        // result is bit-identical to `bank_of` per element.
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::fold_u32(&self.tables, self.offset as u32, addrs, out) {
-            return;
-        }
-        self.bank_of_batch_scalar(addrs, out);
-    }
-
-    fn latency_cycles(&self) -> u64 {
-        // An XOR tree over addr_bits inputs is ceil(log2(addr_bits)) 2-input
-        // gate levels; pipelined at one level per cycle.
-        u64::from(32 - (self.addr_bits.max(2) - 1).leading_zeros())
     }
 }
 
@@ -269,13 +260,6 @@ mod tests {
                 assert_eq!(b, h.bank_of(a), "addr {a:#x}");
             }
         }
-    }
-
-    #[test]
-    fn latency_is_log_depth() {
-        assert_eq!(H3Hash::from_seed(32, 5, 0).latency_cycles(), 5);
-        assert_eq!(H3Hash::from_seed(64, 5, 0).latency_cycles(), 6);
-        assert_eq!(H3Hash::from_seed(2, 1, 0).latency_cycles(), 1);
     }
 
     #[test]

@@ -30,13 +30,17 @@
 //!   mixer and hasher for simulator-internal maps and keystreams;
 //!   never used for bank selection.
 //!
-//! All hashers implement [`BankHasher`], the interface consumed by
-//! `vpnm-core`.
+//! Each family has an inherent `bank_of`; `vpnm-core`'s `HashEngine`,
+//! a closed enum over the families, is the one dispatch the controller
+//! calls. Every bank hash except [`LowBitsHash`] is *universal* (any
+//! fixed address pair collides with probability at most `1/banks` over
+//! the key choice), which the VPNM worst-case analysis (paper Sections
+//! 3.2 and 5) needs.
 //!
 //! # Example
 //!
 //! ```
-//! use vpnm_hash::{BankHasher, H3Hash};
+//! use vpnm_hash::H3Hash;
 //!
 //! // 32-bit addresses hashed onto 32 banks (5 bank bits).
 //! let h = H3Hash::from_seed(32, 5, 0xDEAD_BEEF);
@@ -68,62 +72,6 @@ pub use multiply_shift::MultiplyShiftHash;
 pub use permute::AffinePermutation;
 pub use tabulation::TabulationHash;
 
-/// A keyed function from memory-line addresses to bank indices.
-///
-/// Implementations must be *universal* (collision probability of any fixed
-/// address pair over the key choice is at most `1/num_banks`) for the VPNM
-/// worst-case analysis (paper Sections 3.2 and 5) to hold.
-pub trait BankHasher {
-    /// Number of banks the hash maps onto (a power of two).
-    fn num_banks(&self) -> u32;
-
-    /// Maps `addr` to a bank index in `0..num_banks()`.
-    fn bank_of(&self, addr: u64) -> u32;
-
-    /// Maps a batch of addresses at once: `out[i] = bank_of(addrs[i])`.
-    ///
-    /// Semantically identical to the scalar loop; implementations may
-    /// override it to amortize per-call overhead (e.g. [`H3Hash`] hoists
-    /// its byte-fold table walk outside the address loop). Mirrors the
-    /// pipelined hardware `HU` block, which hashes one address per cycle
-    /// back-to-back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addrs` and `out` differ in length.
-    fn bank_of_batch(&self, addrs: &[u64], out: &mut [u32]) {
-        assert_eq!(addrs.len(), out.len(), "batch slices must match in length");
-        for (o, &a) in out.iter_mut().zip(addrs) {
-            *o = self.bank_of(a);
-        }
-    }
-
-    /// The pipeline latency of a hardware realization of this hash, in
-    /// interface cycles. The paper notes the universal hash "can be fully
-    /// pipelined" (Section 3.4): it adds a constant to the normalized delay
-    /// `D` but no throughput cost.
-    fn latency_cycles(&self) -> u64 {
-        1
-    }
-}
-
-/// Blanket impl so trait objects and references can be passed where a
-/// generic `BankHasher` is expected.
-impl<T: BankHasher + ?Sized> BankHasher for &T {
-    fn num_banks(&self) -> u32 {
-        (**self).num_banks()
-    }
-    fn bank_of(&self, addr: u64) -> u32 {
-        (**self).bank_of(addr)
-    }
-    fn bank_of_batch(&self, addrs: &[u64], out: &mut [u32]) {
-        (**self).bank_of_batch(addrs, out)
-    }
-    fn latency_cycles(&self) -> u64 {
-        (**self).latency_cycles()
-    }
-}
-
 /// A trivial non-randomized "hash" that selects the low address bits as the
 /// bank index — what a conventional controller does, and the baseline the
 /// paper's randomization is compared against (an adversary defeats this
@@ -143,19 +91,10 @@ impl LowBitsHash {
         assert!((1..=32).contains(&bank_bits), "bank_bits must be in 1..=32");
         LowBitsHash { bank_bits }
     }
-}
 
-impl BankHasher for LowBitsHash {
-    fn num_banks(&self) -> u32 {
-        1 << self.bank_bits
-    }
-
-    fn bank_of(&self, addr: u64) -> u32 {
+    /// Maps `addr` to a bank index in `0..2^bank_bits`.
+    pub fn bank_of(&self, addr: u64) -> u32 {
         (addr & ((1 << self.bank_bits) - 1)) as u32
-    }
-
-    fn latency_cycles(&self) -> u64 {
-        0
     }
 }
 
@@ -166,28 +105,14 @@ mod tests {
     #[test]
     fn low_bits_hash_is_modulo() {
         let h = LowBitsHash::new(3);
-        assert_eq!(h.num_banks(), 8);
         for a in 0..64u64 {
             assert_eq!(h.bank_of(a), (a % 8) as u32);
         }
-        assert_eq!(h.latency_cycles(), 0);
     }
 
     #[test]
     #[should_panic(expected = "bank_bits")]
     fn low_bits_rejects_zero() {
         let _ = LowBitsHash::new(0);
-    }
-
-    #[test]
-    fn trait_object_usable() {
-        let h = LowBitsHash::new(2);
-        let dynref: &dyn BankHasher = &h;
-        assert_eq!(dynref.bank_of(5), 1);
-        assert_eq!(dynref.num_banks(), 4);
-        fn takes_generic<H: BankHasher>(h: H) -> u32 {
-            h.bank_of(6)
-        }
-        assert_eq!(takes_generic(h), 2);
     }
 }

@@ -5,7 +5,6 @@
 //! cross-check for the H3 family and the default hash in the workload
 //! generators' internal sampling.
 
-use crate::BankHasher;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -13,9 +12,8 @@ use rand::{Rng, SeedableRng};
 /// indices.
 ///
 /// ```
-/// use vpnm_hash::{BankHasher, MultiplyShiftHash};
+/// use vpnm_hash::MultiplyShiftHash;
 /// let h = MultiplyShiftHash::from_seed(5, 3);
-/// assert_eq!(h.num_banks(), 32);
 /// assert!(h.bank_of(99) < 32);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,20 +43,10 @@ impl MultiplyShiftHash {
     pub fn multiplier(&self) -> u64 {
         self.a
     }
-}
 
-impl BankHasher for MultiplyShiftHash {
-    fn num_banks(&self) -> u32 {
-        1 << self.out_bits
-    }
-
-    fn bank_of(&self, addr: u64) -> u32 {
+    /// Maps `addr` to a bank index in `0..2^out_bits`.
+    pub fn bank_of(&self, addr: u64) -> u32 {
         (self.a.wrapping_mul(addr).wrapping_add(self.b) >> (64 - self.out_bits)) as u32
-    }
-
-    fn latency_cycles(&self) -> u64 {
-        // A pipelined 64-bit multiplier is typically 3 stages.
-        3
     }
 }
 

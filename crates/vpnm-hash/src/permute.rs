@@ -14,7 +14,6 @@
 //! relocation`] computes, for each line, where it moves under a new key.
 
 use crate::gf2::BitMatrix;
-use crate::BankHasher;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,7 +21,7 @@ use rand::{Rng, SeedableRng};
 /// addresses, used as a bijective bank/row placement function.
 ///
 /// ```
-/// use vpnm_hash::{AffinePermutation, BankHasher};
+/// use vpnm_hash::AffinePermutation;
 /// let p = AffinePermutation::from_seed(16, 4, 99);
 /// // A permutation: 2^16 inputs map to 2^16 distinct outputs.
 /// let x = 0x1234u64;
@@ -162,20 +161,10 @@ impl AffinePermutation {
     pub fn relocation(&self, new: &AffinePermutation, y: u64) -> u64 {
         new.apply(self.invert(y))
     }
-}
 
-impl BankHasher for AffinePermutation {
-    fn num_banks(&self) -> u32 {
-        1 << self.bank_bits
-    }
-
-    fn bank_of(&self, addr: u64) -> u32 {
+    /// Bank part of the placement: the low `bank_bits` of `apply(addr)`.
+    pub fn bank_of(&self, addr: u64) -> u32 {
         (self.apply(addr) & ((1u64 << self.bank_bits) - 1)) as u32
-    }
-
-    fn latency_cycles(&self) -> u64 {
-        // same XOR-tree depth as H3 over addr_bits inputs
-        u64::from(32 - (self.addr_bits.max(2) - 1).leading_zeros())
     }
 }
 
@@ -293,9 +282,8 @@ mod proptests {
             prop_assert_eq!(p.row_of(x), p.apply(x) >> 4);
         }
 
-        /// The table-major `apply_batch` and the trait's default
-        /// `bank_of_batch` are bit-identical to per-element
-        /// `apply`/`bank_of`, for random keys, widths, and batch lengths.
+        /// The table-major `apply_batch` is bit-identical to per-element
+        /// `apply`, for random keys, widths, and batch lengths.
         #[test]
         fn batch_bit_identical_to_scalar(
             seed in any::<u64>(),
@@ -306,11 +294,8 @@ mod proptests {
             let p = AffinePermutation::from_seed(addr_bits, bank_bits, seed);
             let mut out = vec![0u64; xs.len()];
             p.apply_batch(&xs, &mut out);
-            let mut banks = vec![0u32; xs.len()];
-            p.bank_of_batch(&xs, &mut banks);
             for (i, &x) in xs.iter().enumerate() {
                 prop_assert_eq!(out[i], p.apply(x), "apply({:#x})", x);
-                prop_assert_eq!(banks[i], p.bank_of(x), "bank_of({:#x})", x);
             }
         }
     }

@@ -6,24 +6,22 @@
 //! much higher-independence family in balls-into-bins settings — making it a
 //! good third family for the statistical comparisons in the experiments.
 
-use crate::BankHasher;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Tabulation hash from 64-bit addresses to `out_bits`-bit bank indices.
 ///
 /// The hardware realization is 8 parallel 256-entry SRAM lookups plus an
-/// XOR tree — fully pipelined in ~2 cycles.
+/// XOR tree, fully pipelined.
 ///
 /// ```
-/// use vpnm_hash::{BankHasher, TabulationHash};
+/// use vpnm_hash::TabulationHash;
 /// let h = TabulationHash::from_seed(5, 21);
 /// assert!(h.bank_of(0xABCD_EF01) < 32);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TabulationHash {
     tables: Box<[[u32; 256]; 8]>,
-    out_bits: u32,
 }
 
 impl TabulationHash {
@@ -41,30 +39,21 @@ impl TabulationHash {
                 *e = rng.gen::<u32>() & mask;
             }
         }
-        TabulationHash { tables, out_bits }
+        TabulationHash { tables }
     }
 
     /// Samples tables deterministically from a seed.
     pub fn from_seed(out_bits: u32, seed: u64) -> Self {
         Self::new(out_bits, &mut StdRng::seed_from_u64(seed))
     }
-}
 
-impl BankHasher for TabulationHash {
-    fn num_banks(&self) -> u32 {
-        1 << self.out_bits
-    }
-
-    fn bank_of(&self, addr: u64) -> u32 {
+    /// Maps `addr` to a bank index in `0..2^out_bits`.
+    pub fn bank_of(&self, addr: u64) -> u32 {
         let mut h = 0u32;
         for (i, t) in self.tables.iter().enumerate() {
             h ^= t[((addr >> (8 * i)) & 0xFF) as usize];
         }
         h
-    }
-
-    fn latency_cycles(&self) -> u64 {
-        2
     }
 }
 
@@ -123,41 +112,5 @@ mod tests {
         }
         let rate = f64::from(coll) / f64::from(trials);
         assert!((rate - 1.0 / 32.0).abs() < 0.015, "rate {rate:.4}");
-    }
-
-    #[test]
-    fn batch_matches_scalar() {
-        let h = TabulationHash::from_seed(6, 31);
-        let addrs: Vec<u64> =
-            (0..333).map(|i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
-        let mut out = vec![0u32; addrs.len()];
-        h.bank_of_batch(&addrs, &mut out);
-        for (&a, &b) in addrs.iter().zip(&out) {
-            assert_eq!(b, h.bank_of(a), "addr {a:#x}");
-        }
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The batch (the trait's default loop) is bit-identical to
-        /// per-element `bank_of`, for random keys and batch lengths.
-        #[test]
-        fn batch_bit_identical_to_scalar(
-            seed in any::<u64>(),
-            out_bits in 1u32..=31,
-            addrs in proptest::collection::vec(any::<u64>(), 0..48),
-        ) {
-            let h = TabulationHash::from_seed(out_bits, seed);
-            let mut out = vec![0u32; addrs.len()];
-            h.bank_of_batch(&addrs, &mut out);
-            for (&a, &b) in addrs.iter().zip(&out) {
-                prop_assert_eq!(b, h.bank_of(a), "addr {:#x}", a);
-            }
-        }
     }
 }

@@ -153,7 +153,7 @@ impl AddressGenerator for ReplayAdversary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpnm_hash::{BankHasher, H3Hash, LowBitsHash};
+    use vpnm_hash::{H3Hash, LowBitsHash};
 
     #[test]
     fn stride_adversary_pins_low_bit_banking() {

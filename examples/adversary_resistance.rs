@@ -21,7 +21,6 @@
 //! Run with: `cargo run --release --example adversary_resistance`
 
 use vpnm::core::{HashKind, LineAddr, Request, VpnmConfig, VpnmController};
-use vpnm::hash::BankHasher;
 use vpnm::workloads::generators::AddressGenerator;
 use vpnm::workloads::{OmniscientAdversary, ReplayAdversary, StrideAdversary, UniformAddresses};
 

@@ -230,7 +230,6 @@ fn epoch_advance_is_uniform_across_trait_objects() {
 fn rekeying_changes_the_mapping() {
     // Two controllers with different seeds map the same addresses to
     // different banks (with overwhelming probability over 64 addresses).
-    use vpnm::hash::BankHasher;
     let a = VpnmController::new(VpnmConfig::test_roomy(), 100).unwrap();
     let b = VpnmController::new(VpnmConfig::test_roomy(), 101).unwrap();
     let differing = (0..64u64).filter(|&x| a.hash().bank_of(x) != b.hash().bank_of(x)).count();
