@@ -180,16 +180,6 @@ pub fn pareto_frontier(points: &[DesignPoint]) -> Vec<DesignPoint> {
     frontier
 }
 
-/// The cheapest point achieving at least `min_mts`, if any — how Table 2
-/// picks "optimal design parameters" per MTS budget.
-pub fn cheapest_at_least(points: &[DesignPoint], min_mts: f64) -> Option<DesignPoint> {
-    points
-        .iter()
-        .filter(|p| p.mts_total >= min_mts)
-        .min_by(|a, b| a.area_mm2.total_cmp(&b.area_mm2))
-        .copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,16 +225,5 @@ mod tests {
                 frontier.iter().any(|f| f.area_mm2 <= p.area_mm2 && f.mts_total >= p.mts_total);
             assert!(dominated);
         }
-    }
-
-    #[test]
-    fn cheapest_at_least_honors_threshold() {
-        let points = sweep(&SweepConfig::tiny());
-        let max_mts = points.iter().map(|p| p.mts_total).fold(0.0, f64::max);
-        let pick = cheapest_at_least(&points, max_mts / 10.0);
-        if let Some(p) = pick {
-            assert!(p.mts_total >= max_mts / 10.0);
-        }
-        assert!(cheapest_at_least(&points, crate::MTS_CAP * 2.0).is_none());
     }
 }

@@ -32,11 +32,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vpnm_apps::serve::{write_trace, Arrival};
+use vpnm_apps::serve::{write_trace, Arrival, FlowMix};
 use vpnm_workloads::burst::BurstShaper;
-use vpnm_workloads::{
-    HeavyTailFlows, MultiTenantMix, StrideAdversary, Tagged, TenantFlowGen, UniformAddresses,
-};
+use vpnm_workloads::{StrideAdversary, Tagged, TenantFlowGen};
 
 fn usage_exit(error: &str) -> ! {
     eprintln!(
@@ -46,6 +44,12 @@ fn usage_exit(error: &str) -> ! {
          [--tenants N] [--adversary-pct P] [--banks N]\n\
          [--burst ON:OFF] [--seed N]"
     );
+    std::process::exit(2)
+}
+
+/// Exits 2 on flags that parse but name traffic no generator can make.
+fn refuse(why: &str) -> ! {
+    eprintln!("vpnm-loadgen: {why}");
     std::process::exit(2)
 }
 
@@ -125,16 +129,28 @@ fn main() {
     }
 
     let mut gen: Box<dyn TenantFlowGen> = match mix.as_str() {
-        "uniform" => Box::new(Tagged::new(0, UniformAddresses::new(flows, seed ^ 0x10AD))),
-        "heavy-tail" => Box::new(Tagged::new(0, HeavyTailFlows::new(flows, skew, seed ^ 0x10AD))),
         // The paper's stride attacker walks bank-conflicting addresses;
         // as flow IDs it concentrates all traffic on B colliding flows.
-        "stride" => Box::new(Tagged::new(0, StrideAdversary::new(32, flows))),
-        "multi-tenant" => {
-            Box::new(MultiTenantMix::new(tenants, flows, banks, adversary_pct, seed ^ 0x10AD))
+        "stride" if flows < 32 => {
+            refuse(&format!("--mix stride needs at least 32 flows, got {flows}"))
         }
-        other => usage_exit(&format!("unknown mix '{other}'")),
+        "stride" => Box::new(Tagged::new(0, StrideAdversary::new(32, flows))),
+        other => {
+            let flow_mix = match other {
+                "uniform" => FlowMix::Uniform { space: flows },
+                "heavy-tail" => FlowMix::HeavyTail { space: flows, skew },
+                "multi-tenant" => {
+                    FlowMix::MultiTenant { space: flows, tenants, adversary_pct, banks }
+                }
+                _ => usage_exit(&format!("unknown mix '{other}'")),
+            };
+            flow_mix.check().unwrap_or_else(|e| refuse(&e));
+            flow_mix.generator(seed ^ 0x10AD)
+        }
     };
+    if burst.is_some_and(|(on, _)| on == 0) {
+        refuse("--burst needs a non-empty ON window");
+    }
     let mut shaper = burst.map(|(on, off)| BurstShaper::new(on, off));
     let mut rng = StdRng::seed_from_u64(seed);
 

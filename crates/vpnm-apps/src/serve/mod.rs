@@ -117,7 +117,19 @@ impl FlowMix {
     /// ([`UniformAddresses::new`], [`HeavyTailFlows::new`],
     /// [`MultiTenantMix::new`]), so a bad mix is an `Err` from
     /// [`run_serve`] instead of a panic in every producer thread.
-    fn check(&self) -> Result<(), String> {
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message naming the mix and what is wrong
+    /// with it.
+    // `check` and `generator` are `#[inline]` so that making them `pub`
+    // left the machine code of every binary linking this crate where it
+    // was. Emitted as symbols of their own, they moved the repo
+    // benchmark's hot loops to other 64-byte offsets, which slowed the
+    // untimed oracle of each `mem_dense_reads` repetition by ~20 % on
+    // an AVX2 host, though that workload calls neither.
+    #[inline]
+    pub fn check(&self) -> Result<(), String> {
         let invalid = |why: String| Err(format!("invalid flow mix {self:?}: {why}"));
         match *self {
             FlowMix::Uniform { space: 0 } => invalid("the flow space is empty".into()),
@@ -143,7 +155,10 @@ impl FlowMix {
         }
     }
 
-    pub(crate) fn generator(&self, seed: u64) -> Box<dyn TenantFlowGen + Send> {
+    /// The mix's flow generator, seeded with `seed`. Panics on
+    /// parameters [`FlowMix::check`] refuses.
+    #[inline] // as `check`
+    pub fn generator(&self, seed: u64) -> Box<dyn TenantFlowGen + Send> {
         match *self {
             FlowMix::Uniform { space } => {
                 Box::new(Tagged::new(0, UniformAddresses::new(space, seed)))

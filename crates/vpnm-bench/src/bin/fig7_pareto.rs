@@ -2,10 +2,11 @@
 //! area, one curve per bus scaling ratio `R ∈ {1.0 … 1.5}` (paper
 //! Section 5.3.1).
 //!
-//! Sweeps the `(B, Q, K)` grid per `R`, evaluates MTS (combined
+//! Sweeps the paper's `(B, Q, K, R)` grid once, evaluates MTS (combined
 //! delay-storage + bank-queue) and area (calibrated 0.13 µm model), and
 //! prints each ratio's Pareto frontier plus the extra memory-bus
-//! bandwidth it costs (the percentages annotated in the paper's figure).
+//! bandwidth it costs (the percentages annotated in the paper's figure),
+//! then the best MTS at `B = 16` against `B = 32` over the whole grid.
 //!
 //! Run: `cargo run --release -p vpnm-bench --bin fig7_pareto`
 
@@ -13,18 +14,12 @@ use vpnm_analysis::design_space::{pareto_frontier, sweep, SweepConfig};
 use vpnm_bench::{fmt_mts, Table};
 
 fn main() {
-    let ratios = [1.0f64, 1.1, 1.2, 1.3, 1.4, 1.5];
+    let config = SweepConfig::paper_figure7();
+    let all = sweep(&config);
     println!("Figure 7: Pareto-optimal MTS vs. area per bus scaling ratio (L = 20)\n");
     let mut best_at_30mm: Vec<(f64, f64)> = Vec::new();
-    for &r in &ratios {
-        let config = SweepConfig {
-            banks: vec![16, 32, 64],
-            queue_entries: (8..=64).step_by(8).collect(),
-            storage_rows: (16..=128).step_by(16).collect(),
-            bus_ratios: vec![r],
-            bank_latency: 20,
-        };
-        let points = sweep(&config);
+    for &r in &config.bus_ratios {
+        let points: Vec<_> = all.iter().filter(|p| p.bus_ratio == r).copied().collect();
         let frontier = pareto_frontier(&points);
         let extra_bw = (r - 1.0) / r * 100.0;
         println!("R = {r} ({extra_bw:.0}% extra memory-bus bandwidth)");
@@ -61,6 +56,14 @@ fn main() {
     assert!(at(1.3) >= 1e9, "R=1.3 must reach the 1-second budget at 30 mm²");
     assert!(at(1.3) >= at(1.0), "more bus headroom must never hurt");
     assert!(at(1.5) >= at(1.1));
+    // Paper Section 5.2: B = 32 is the knee; fewer banks cannot reach a
+    // useful MTS at any Q/K/R in the grid.
+    let best = |banks: u32| {
+        all.iter().filter(|p| p.banks == banks).map(|p| p.mts_total).fold(0.0, f64::max)
+    };
+    let (best_16, best_32) = (best(16), best(32));
+    println!("best MTS with B = 16: {}   with B = 32: {}", fmt_mts(best_16), fmt_mts(best_32));
+    assert!(best_32 > best_16 * 1e3, "B = 32 must beat B = 16 by more than 10³");
     println!(
         "\nshape check passed: MTS grows with R at fixed area, R = 1.3 reaches 1e9 under 30 mm² ✓"
     );

@@ -94,7 +94,9 @@ impl CampaignParams {
     ///
     /// # Errors
     ///
-    /// Returns a message for a zero horizon/shard size or unknown preset.
+    /// Returns a message for a zero horizon/shard size, an unknown
+    /// preset, or a channel count the fabric refuses (0, not a power of
+    /// two).
     pub fn validate(&self) -> Result<VpnmConfig, String> {
         if self.cycles == 0 {
             return Err("campaign horizon must be non-zero".into());
@@ -104,9 +106,7 @@ impl CampaignParams {
         }
         let config = preset_config(&self.preset)
             .ok_or_else(|| format!("unknown config preset '{}'", self.preset))?;
-        if self.channels > 1 {
-            self.fabric_config(config.clone()).validate()?;
-        }
+        self.fabric_config(config.clone()).validate()?;
         Ok(config)
     }
 
@@ -916,6 +916,9 @@ mod tests {
         assert!(p.validate().is_err());
         p = small_params();
         p.shard_cycles = 0;
+        assert!(p.validate().is_err());
+        p = small_params();
+        p.channels = 0;
         assert!(p.validate().is_err());
     }
 

@@ -222,6 +222,89 @@ impl BitMatrix {
     }
 }
 
+/// Byte-folded evaluation tables of a GF(2) linear map:
+/// `tabs[c][b] = M · (b << 8c)`. Because `M·x` is linear, XORing one
+/// lookup per input byte, `M·x = ⊕_c tabs[c][byte_c(x)]`, reproduces
+/// [`BitMatrix::mul_vec`] bit for bit — input bits beyond the matrix's
+/// columns included, since no entry has them — while replacing the
+/// per-row popcount loop with `ceil(cols/8)` L1 loads: the software
+/// analogue of the hardware XOR tree evaluating all key columns at once.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) struct ByteTables {
+    pub(crate) tabs: Vec<[u64; 256]>,
+}
+
+impl ByteTables {
+    /// Tabulates `m`, little-endian by input byte.
+    pub(crate) fn new(m: &BitMatrix) -> Self {
+        let tabs = (0..m.cols.div_ceil(8))
+            .map(|c| {
+                // Column vectors of this byte: col[j] = M · (1 << (8c + j)).
+                let mut col = [0u64; 8];
+                for (j, col_bits) in col.iter_mut().enumerate() {
+                    let bit = c * 8 + j as u32;
+                    if bit < m.cols {
+                        for r in 0..m.num_rows() {
+                            *col_bits |= u64::from(m.get(r, bit)) << r;
+                        }
+                    }
+                }
+                // Each entry adds its lowest set bit's column to an
+                // entry already built.
+                let mut t = [0u64; 256];
+                for b in 1usize..256 {
+                    t[b] = t[b & (b - 1)] ^ col[b.trailing_zeros() as usize];
+                }
+                t
+            })
+            .collect();
+        ByteTables { tabs }
+    }
+
+    /// `M·x`.
+    #[inline]
+    pub(crate) fn apply(&self, x: u64) -> u64 {
+        let mut out = 0;
+        for (c, tab) in self.tabs.iter().enumerate() {
+            out ^= tab[(x >> (8 * c)) as u8 as usize];
+        }
+        out
+    }
+
+    /// Batched fold with a final XOR constant: `out[i] = init ⊕ M·xs[i]`,
+    /// table-major so each 2 KiB byte table stays hot in L1 across the
+    /// batch. XOR is commutative, so this is bit-identical to `apply`.
+    pub(crate) fn apply_batch(&self, init: u64, xs: &[u64], out: &mut [u64]) {
+        debug_assert_eq!(xs.len(), out.len());
+        out.fill(init);
+        for (c, tab) in self.tabs.iter().enumerate() {
+            let shift = 8 * c;
+            for (o, &x) in out.iter_mut().zip(xs) {
+                *o ^= tab[(x >> shift) as u8 as usize];
+            }
+        }
+    }
+
+    /// [`ByteTables::apply_batch`] truncated to the low 32 bits, which
+    /// commutes with XOR: `out[i] = init ⊕ (M·xs[i] as u32)`.
+    pub(crate) fn apply_batch_u32(&self, init: u32, xs: &[u64], out: &mut [u32]) {
+        debug_assert_eq!(xs.len(), out.len());
+        out.fill(init);
+        for (c, tab) in self.tabs.iter().enumerate() {
+            let shift = 8 * c;
+            for (o, &x) in out.iter_mut().zip(xs) {
+                *o ^= tab[(x >> shift) as u8 as usize] as u32;
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for ByteTables {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ByteTables({} tables)", self.tabs.len())
+    }
+}
+
 #[inline]
 fn mask_of(bits: u32) -> u64 {
     if bits >= 64 {

@@ -8,7 +8,7 @@
 //! `HU` block (Figure 2) can be "fully pipelined" with only a constant
 //! latency added to `D`.
 
-use crate::gf2::BitMatrix;
+use crate::gf2::{BitMatrix, ByteTables};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,37 +27,8 @@ pub struct H3Hash {
     /// universal (pairwise independent) rather than merely universal.
     offset: u64,
     addr_bits: u32,
-    /// Byte-folded evaluation tables: `tables[c][b] = M · (b << 8c)`.
-    /// Because `M·x` is GF(2)-linear, XORing one lookup per address byte
-    /// reproduces `mul_vec` exactly while replacing the per-row popcount
-    /// loop with `ceil(addr_bits/8)` loads — the software analogue of the
-    /// hardware XOR tree evaluating all key columns at once.
-    tables: Vec<[u64; 256]>,
-}
-
-/// Byte-folded lookup tables for `matrix`, chunked little-endian.
-fn fold_tables(matrix: &BitMatrix) -> Vec<[u64; 256]> {
-    let chunks = matrix.num_cols().div_ceil(8);
-    (0..chunks)
-        .map(|c| {
-            // Column vectors of this byte: col[j] = M · (1 << (8c + j)).
-            let mut col = [0u64; 8];
-            for (j, col_bits) in col.iter_mut().enumerate() {
-                let bit = c * 8 + j as u32;
-                if bit < matrix.num_cols() {
-                    for r in 0..matrix.num_rows() {
-                        *col_bits |= u64::from(matrix.get(r, bit)) << r;
-                    }
-                }
-            }
-            let mut t = [0u64; 256];
-            for b in 1usize..256 {
-                let low = b.trailing_zeros() as usize;
-                t[b] = t[b & (b - 1)] ^ col[low];
-            }
-            t
-        })
-        .collect()
+    /// The key's byte-folded evaluation tables, derived from `matrix`.
+    tables: ByteTables,
 }
 
 impl H3Hash {
@@ -93,7 +64,7 @@ impl H3Hash {
         assert!(out_bits <= 31, "at most 31 output bits");
         assert!(offset & !((1u64 << out_bits) - 1) == 0, "offset wider than output");
         let addr_bits = matrix.num_cols();
-        let tables = fold_tables(&matrix);
+        let tables = ByteTables::new(&matrix);
         H3Hash { matrix, offset, addr_bits, tables }
     }
 
@@ -109,11 +80,7 @@ impl H3Hash {
 
     /// Maps `addr` to a bank index in `0..2^out_bits`.
     pub fn bank_of(&self, addr: u64) -> u32 {
-        let mut out = self.offset;
-        for (c, table) in self.tables.iter().enumerate() {
-            out ^= table[(addr >> (8 * c)) as u8 as usize];
-        }
-        out as u32
+        (self.tables.apply(addr) ^ self.offset) as u32
     }
 
     /// Maps a batch of addresses at once: `out[i] = bank_of(addrs[i])`.
@@ -129,25 +96,12 @@ impl H3Hash {
         // byte table, truncation to 32 bits commuting with XOR — the
         // result is bit-identical to `bank_of` per element.
         #[cfg(target_arch = "x86_64")]
-        if crate::simd::fold_u32(&self.tables, self.offset as u32, addrs, out) {
+        if crate::simd::fold_u32(&self.tables.tabs, self.offset as u32, addrs, out) {
             return;
         }
-        self.bank_of_batch_scalar(addrs, out);
-    }
-
-    /// The scalar batch fold, with the loop order swapped vs `bank_of`:
-    /// walk each 2 KiB byte table across the whole batch while it is hot
-    /// in L1, instead of cycling all tables per address. XOR is
-    /// commutative, so the result is bit-identical to `bank_of` per
-    /// element.
-    fn bank_of_batch_scalar(&self, addrs: &[u64], out: &mut [u32]) {
-        out.fill(self.offset as u32);
-        for (c, table) in self.tables.iter().enumerate() {
-            let shift = 8 * c;
-            for (o, &a) in out.iter_mut().zip(addrs) {
-                *o ^= table[(a >> shift) as u8 as usize] as u32;
-            }
-        }
+        // The table-major scalar fold: each byte table walks the whole
+        // batch while it is hot in L1.
+        self.tables.apply_batch_u32(self.offset as u32, addrs, out);
     }
 }
 
@@ -254,7 +208,7 @@ mod tests {
             let mut out = vec![0u32; addrs.len()];
             h.bank_of_batch(&addrs, &mut out);
             let mut scalar = vec![0u32; addrs.len()];
-            h.bank_of_batch_scalar(&addrs, &mut scalar);
+            h.tables.apply_batch_u32(h.offset as u32, &addrs, &mut scalar);
             assert_eq!(out, scalar, "dispatching batch vs scalar batch");
             for (&a, &b) in addrs.iter().zip(&out) {
                 assert_eq!(b, h.bank_of(a), "addr {a:#x}");
@@ -306,7 +260,7 @@ mod proptests {
             let mut out = vec![0u32; addrs.len()];
             h.bank_of_batch(&addrs, &mut out);
             let mut scalar = vec![0u32; addrs.len()];
-            h.bank_of_batch_scalar(&addrs, &mut scalar);
+            h.tables.apply_batch_u32(h.offset as u32, &addrs, &mut scalar);
             prop_assert_eq!(&out, &scalar, "dispatching batch vs scalar batch");
             for (&a, &b) in addrs.iter().zip(&out) {
                 prop_assert_eq!(b, h.bank_of(a), "addr {:#x}", a);

@@ -13,7 +13,7 @@
 //! the data on the occurrence of multiple stalls". [`AffinePermutation::
 //! relocation`] computes, for each line, where it moves under a new key.
 
-use crate::gf2::BitMatrix;
+use crate::gf2::{BitMatrix, ByteTables};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,67 +33,15 @@ use rand::{Rng, SeedableRng};
 pub struct AffinePermutation {
     forward: BitMatrix,
     inverse: BitMatrix,
-    /// Byte-tabulated `forward`/`inverse` (the H3 trick): linearity makes
-    /// `M·x` the XOR of one table entry per input byte, so the hot
-    /// `apply`/`invert` paths cost a few L1 loads instead of one popcount
-    /// per output bit. Derived from the matrices at construction — never
-    /// serialized, always in agreement.
+    /// Byte-tabulated `forward`/`inverse`, so the hot `apply`/`invert`
+    /// paths cost a few L1 loads instead of one popcount per output bit.
+    /// Derived from the matrices at construction — never serialized,
+    /// always in agreement.
     fwd_tab: ByteTables,
     inv_tab: ByteTables,
     offset: u64,
     addr_bits: u32,
     bank_bits: u32,
-}
-
-/// Per-byte XOR tables for a GF(2) linear map: `tabs[c][b] = M·(b « 8c)`,
-/// so `M·x = ⊕_c tabs[c][byte_c(x)]`. Bit-identical to
-/// [`BitMatrix::mul_vec`] for every input, including the masking of bits
-/// beyond the matrix's column count (those bits were masked when the
-/// entries were built).
-#[derive(Clone, PartialEq, Eq)]
-struct ByteTables {
-    tabs: Vec<[u64; 256]>,
-}
-
-impl ByteTables {
-    fn new(m: &BitMatrix) -> Self {
-        let mut tabs = vec![[0u64; 256]; m.num_cols().div_ceil(8) as usize];
-        for (c, tab) in tabs.iter_mut().enumerate() {
-            for (b, slot) in tab.iter_mut().enumerate() {
-                *slot = m.mul_vec((b as u64) << (8 * c));
-            }
-        }
-        ByteTables { tabs }
-    }
-
-    #[inline]
-    fn apply(&self, x: u64) -> u64 {
-        let mut out = 0;
-        for (c, tab) in self.tabs.iter().enumerate() {
-            out ^= tab[(x >> (8 * c)) as u8 as usize];
-        }
-        out
-    }
-
-    /// Batched fold with the final XOR constant: `out[i] = init ⊕
-    /// M·xs[i]`, table-major so each 2 KiB byte table stays hot in L1
-    /// across the batch; bit-identical to `apply`.
-    fn apply_batch(&self, init: u64, xs: &[u64], out: &mut [u64]) {
-        debug_assert_eq!(xs.len(), out.len());
-        out.fill(init);
-        for (c, tab) in self.tabs.iter().enumerate() {
-            let shift = 8 * c;
-            for (o, &x) in out.iter_mut().zip(xs) {
-                *o ^= tab[(x >> shift) as u8 as usize];
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for ByteTables {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ByteTables({} tables)", self.tabs.len())
-    }
 }
 
 impl AffinePermutation {

@@ -7,7 +7,8 @@
 # (`git archive`, so no worktree metadata is left behind), builds it and
 # the working tree in release, then runs on both:
 #
-#   * the 13 claim-asserting bins and 7 examples of CI's claim step,
+#   * the 13 claim-asserting bins of CI's claim step and every example
+#     in the working tree's `examples/` (the base runs the same list),
 #     comparing each one's stdout and every SNAPSHOT_*.json it writes;
 #   * CI's pooled-fabric `vpnm-serve` run, comparing its JSON with the
 #     measurement-domain fields (`wall_nanos`, `mpps`, `producer_parks`)
@@ -31,8 +32,7 @@ trap 'rm -rf "$tmp"' EXIT
 bins="mts_validation adversary_resistance ablations qos_sweep vpnm-inspect fig1_timing
       dram_efficiency fig4_dsb_mts fig6_baq_mts fig7_pareto table2_optimal table3_buffering
       reassembly_throughput"
-examples="quickstart route_lookup content_inspection packet_reassembly packet_buffering
-          design_space adversary_resistance"
+examples=$(for f in "$repo"/examples/*.rs; do basename "$f" .rs; done)
 serve_args="--cycles 200000 --flows 65536 --producers 3 --channels 4 --select universal-hash
             --workers 2"
 
