@@ -8,8 +8,7 @@
 //! ```text
 //! vpnm-serve [engine flags] [serving flags]
 //!
-//!   engine:  --engine fast|reference  --channels N
-//!            --select low-bits|high-bits|universal-hash  --workers N
+//!   engine:  --channels N  --select low-bits|universal-hash  --workers N
 //!   qos:     --tenants N        tenants sharing the fabric (1)
 //!            --regulator off|global|per-bank   ingress token buckets (off)
 //!            --tenant-rate N/D  per-tenant budget, requests/cycle (1/4)

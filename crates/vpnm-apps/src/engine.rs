@@ -1,15 +1,13 @@
 //! Config→engine construction for the serving front-end.
 //!
-//! With two engines ([`VpnmController`], [`ReferenceController`]) and the
-//! multi-channel [`VpnmFabric`] all presenting the same
-//! [`PipelinedMemory`] interface, `vpnm-serve` parses one flag set and
-//! builds whatever topology was asked for ([`ServeConfig`] carries the
-//! selection):
+//! With the bare [`VpnmController`] and the multi-channel [`VpnmFabric`]
+//! presenting the same [`PipelinedMemory`] interface, `vpnm-serve` parses
+//! one flag set and builds whatever topology was asked for
+//! ([`ServeConfig`] carries the selection):
 //!
 //! ```text
-//! --engine fast|reference     which engine serves each channel (default fast)
 //! --channels N                channel count, a power of two (default 1)
-//! --select low-bits|high-bits|universal-hash
+//! --select low-bits|universal-hash
 //!                             fabric channel-select stage (default low-bits)
 //! --workers N                 worker threads for the fabric's epoch path
 //!                             (default 1 = on-thread; clamped to the
@@ -24,7 +22,7 @@
 //! --tenant-burst N            bucket depth in requests (default 16)
 //! ```
 //!
-//! The default selection builds a bare fast controller, the same hot path
+//! The default selection builds a bare controller, the same hot path
 //! as calling [`VpnmController::new`] directly. Any QoS selection
 //! (`--tenants > 1` or a regulator) routes through the fabric even at one
 //! channel, because tenant accounting lives there.
@@ -32,34 +30,13 @@
 //! [`ServeConfig`]: crate::serve::ServeConfig
 
 use vpnm_core::{
-    ChannelSelect, FabricConfig, PipelinedMemory, QosConfig, ReferenceController, RegulatorMode,
-    VpnmConfig, VpnmController, VpnmFabric, MAX_TENANTS,
+    ChannelSelect, FabricConfig, PipelinedMemory, QosConfig, RegulatorMode, VpnmConfig,
+    VpnmController, VpnmFabric, MAX_TENANTS,
 };
-
-/// Which engine implementation serves each channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The production engine: packed scheduling lanes, shared delay
-    /// wheel, idle fast-forward.
-    Fast,
-    /// The O(B)-per-cycle seed formulation, kept as a differential twin.
-    Reference,
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EngineKind::Fast => "fast",
-            EngineKind::Reference => "reference",
-        })
-    }
-}
 
 /// The engine/topology selection of a serving run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineOpts {
-    /// Engine serving each channel.
-    pub kind: EngineKind,
     /// Channel count (1 = a bare controller, no fabric wrapper).
     pub channels: u32,
     /// Channel-select stage for `channels > 1`.
@@ -82,7 +59,6 @@ pub struct EngineOpts {
 impl Default for EngineOpts {
     fn default() -> Self {
         EngineOpts {
-            kind: EngineKind::Fast,
             channels: 1,
             select: ChannelSelect::LowBits,
             workers: 1,
@@ -109,13 +85,6 @@ impl EngineOpts {
         while let Some(arg) = args.next() {
             let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
             match arg.as_str() {
-                "--engine" => {
-                    opts.kind = match value("--engine")?.as_str() {
-                        "fast" => EngineKind::Fast,
-                        "reference" => EngineKind::Reference,
-                        other => return Err(format!("unknown engine '{other}'")),
-                    };
-                }
                 "--channels" => {
                     let v = value("--channels")?;
                     let n: u32 =
@@ -128,7 +97,6 @@ impl EngineOpts {
                 "--select" => {
                     opts.select = match value("--select")?.as_str() {
                         "low-bits" => ChannelSelect::LowBits,
-                        "high-bits" => ChannelSelect::HighBits,
                         "universal-hash" => ChannelSelect::UniversalHash,
                         other => return Err(format!("unknown channel select '{other}'")),
                     };
@@ -206,46 +174,34 @@ impl EngineOpts {
         FabricConfig { channels: self.channels, select: self.select, base, qos: self.qos() }
     }
 
-    /// Builds the selected engine/topology over `base`.
+    /// Builds the selected topology over `base`.
     ///
-    /// A single channel builds the bare engine (no fabric wrapper, so the
-    /// default selection is the exact pre-helper hot path); multiple
-    /// channels — or any QoS selection, whose tenant ledger lives in the
-    /// fabric — build a [`VpnmFabric`] of the selected engine.
+    /// A single channel builds a bare [`VpnmController`] (no fabric
+    /// wrapper, so the default selection is the exact pre-helper hot
+    /// path); multiple channels — or any QoS selection, whose tenant
+    /// ledger lives in the fabric — build a [`VpnmFabric`].
     ///
     /// # Errors
     ///
     /// Returns the config/fabric validation failure message.
     pub fn build(&self, base: VpnmConfig, seed: u64) -> Result<Box<dyn PipelinedMemory>, String> {
         if self.channels == 1 && self.qos().is_none() {
-            return Ok(match self.kind {
-                EngineKind::Fast => Box::new(VpnmController::new(base, seed)?),
-                EngineKind::Reference => Box::new(ReferenceController::new(base, seed)?),
-            });
+            return Ok(Box::new(VpnmController::new(base, seed)?));
         }
-        Ok(match self.kind {
-            EngineKind::Fast => {
-                let mut fab = VpnmFabric::new(self.fabric_config(base), seed)?;
-                fab.set_workers(self.workers);
-                Box::new(fab)
-            }
-            EngineKind::Reference => {
-                let mut fab = VpnmFabric::new_reference(self.fabric_config(base), seed)?;
-                fab.set_workers(self.workers);
-                Box::new(fab)
-            }
-        })
+        let mut fab = VpnmFabric::new(self.fabric_config(base), seed)?;
+        fab.set_workers(self.workers);
+        Ok(Box::new(fab))
     }
 
-    /// One-line human description, e.g. `fast` or `reference x4
+    /// One-line human description, e.g. `1 channel` or `4 channels
     /// (universal-hash)`.
     pub fn describe(&self) -> String {
         let mut s = if self.channels == 1 {
-            self.kind.to_string()
+            "1 channel".to_string()
         } else if self.workers > 1 {
-            format!("{} x{} ({}, {} workers)", self.kind, self.channels, self.select, self.workers)
+            format!("{} channels ({}, {} workers)", self.channels, self.select, self.workers)
         } else {
-            format!("{} x{} ({})", self.kind, self.channels, self.select)
+            format!("{} channels ({})", self.channels, self.select)
         };
         if let Some(q) = self.qos() {
             s.push_str(&format!(", {} tenants", q.tenants));
@@ -276,8 +232,6 @@ mod tests {
         let (opts, rest) = parse_vec(&[
             "--cycles",
             "100",
-            "--engine",
-            "reference",
             "--channels",
             "4",
             "--select",
@@ -286,16 +240,17 @@ mod tests {
             "4",
         ])
         .unwrap();
-        assert_eq!(opts.kind, EngineKind::Reference);
         assert_eq!(opts.channels, 4);
         assert_eq!(opts.select, ChannelSelect::UniversalHash);
         assert_eq!(opts.workers, 4);
         assert_eq!(rest, vec!["--cycles".to_string(), "100".to_string()]);
 
         assert_eq!(parse_vec(&[]).unwrap().0, EngineOpts::default());
-        assert!(parse_vec(&["--engine", "warp"]).is_err());
         assert!(parse_vec(&["--channels"]).is_err());
         assert!(parse_vec(&["--select", "mod-17"]).is_err());
+        // `--engine` is not an engine flag, and `high-bits` is no channel select.
+        assert_eq!(parse_vec(&["--engine", "fast"]).unwrap().1, ["--engine", "fast"]);
+        assert!(parse_vec(&["--select", "high-bits"]).is_err());
         assert!(parse_vec(&["--workers", "many"]).is_err());
     }
 
@@ -367,12 +322,10 @@ mod tests {
     #[test]
     fn builds_every_topology() {
         let base = VpnmConfig::small_test();
-        for kind in [EngineKind::Fast, EngineKind::Reference] {
-            for channels in [1, 2] {
-                let opts = EngineOpts { kind, channels, ..EngineOpts::default() };
-                let mem = opts.build(base.clone(), 7).expect("valid topology");
-                assert_eq!(mem.outstanding(), 0, "{}", opts.describe());
-            }
+        for channels in [1, 2] {
+            let opts = EngineOpts { channels, ..EngineOpts::default() };
+            let mem = opts.build(base.clone(), 7).expect("valid topology");
+            assert_eq!(mem.outstanding(), 0, "{}", opts.describe());
         }
         // Invalid channel counts surface as construction errors.
         let odd = EngineOpts { channels: 3, ..EngineOpts::default() };
@@ -394,15 +347,14 @@ mod tests {
 
     #[test]
     fn describe_is_compact() {
-        assert_eq!(EngineOpts::default().describe(), "fast");
+        assert_eq!(EngineOpts::default().describe(), "1 channel");
         let fab = EngineOpts {
-            kind: EngineKind::Reference,
             channels: 8,
             select: ChannelSelect::UniversalHash,
             ..EngineOpts::default()
         };
-        assert_eq!(fab.describe(), "reference x8 (universal-hash)");
-        let par = EngineOpts { kind: EngineKind::Fast, workers: 4, ..fab };
-        assert_eq!(par.describe(), "fast x8 (universal-hash, 4 workers)");
+        assert_eq!(fab.describe(), "8 channels (universal-hash)");
+        let par = EngineOpts { workers: 4, ..fab };
+        assert_eq!(par.describe(), "8 channels (universal-hash, 4 workers)");
     }
 }

@@ -25,8 +25,8 @@
 //! * [`inspect`] — signature-based content inspection (the "packet
 //!   inspection" future-work direction): an on-chip Bloom prefilter in
 //!   front of an exact-match verification table in VPNM memory.
-//! * [`engine`] — the `--engine/--channels/--select/--workers` and QoS
-//!   flag set that builds any engine/fabric topology for a serving run
+//! * [`engine`] — the `--channels/--select/--workers` and QoS flag set
+//!   that builds the bare controller or fabric topology of a serving run
 //!   ([`ServeConfig::engine`]); `vpnm-serve` parses it.
 //! * [`serve`] — the live serving front-end: concurrent producers,
 //!   bounded ingress queues with backpressure, wall-clock pacing, and a
@@ -43,7 +43,7 @@ pub mod packet_buffer;
 pub mod reassembly;
 pub mod serve;
 
-pub use engine::{EngineKind, EngineOpts};
+pub use engine::EngineOpts;
 pub use inspect::{InspectionEngine, SignatureMatch};
 pub use lpm::{LpmEngine, RoutePrefix, RouteTable};
 pub use packet_buffer::{BufferEvent, PacketBufferStats, VpnmPacketBuffer};

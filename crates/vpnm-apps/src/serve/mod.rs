@@ -176,8 +176,8 @@ impl FlowMix {
 /// Configuration of one serving run.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Engine/fabric topology (the shared `--engine/--channels/--select/
-    /// --workers` selection).
+    /// Engine/fabric topology (the shared `--channels/--select/--workers`
+    /// selection).
     pub engine: EngineOpts,
     /// Memory design point each channel runs.
     pub base: VpnmConfig,
@@ -231,10 +231,14 @@ impl ServeConfig {
         }
     }
 
-    fn flow_space(&self) -> u64 {
+    /// The number of flow IDs the source draws from; `None` past
+    /// `u64::MAX` (a trace holding flow `u64::MAX`).
+    fn flow_space(&self) -> Option<u64> {
         match &self.source {
-            ArrivalSource::Synthetic { mix, .. } => mix.space(),
-            ArrivalSource::Trace(t) => t.iter().map(|a| a.flow).max().map_or(1, |m| m + 1),
+            ArrivalSource::Synthetic { mix, .. } => Some(mix.space()),
+            ArrivalSource::Trace(t) => {
+                t.iter().map(|a| a.flow).max().map_or(Some(1), |m| m.checked_add(1))
+            }
         }
     }
 }
@@ -560,7 +564,7 @@ impl<'a> Scheduler<'a> {
 ///
 /// # Errors
 ///
-/// Returns a message for invalid geometry, pacing or flow mix — checked
+/// Returns a message for invalid geometry, pacing, load or flow mix — checked
 /// before any producer thread starts — or, with [`ServeConfig::verify`],
 /// for a payload that fails verification on a stall-free run (which
 /// would be a correctness bug, not congestion).
@@ -580,14 +584,20 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
     if let Some(rate) = cfg.pace.filter(|r| !(1..=1_000_000_000).contains(r)) {
         return Err(format!("pace {rate} must be in 1..=1e9 interface cycles per second"));
     }
-    if let ArrivalSource::Synthetic { mix, .. } = &cfg.source {
+    if let ArrivalSource::Synthetic { load, mix } = &cfg.source {
         mix.check()?;
+        if !(0.0..=1.0).contains(load) {
+            return Err(format!("load {load} must be in [0, 1] packets per cycle"));
+        }
     }
     if cfg.epoch_len.saturating_mul(cfg.cell_bytes as u64) > u64::from(u32::MAX) {
         return Err("epoch_len * cell_bytes must fit in 32 bits (payload arena offsets)".into());
     }
-    let capacity_u64 = cfg.flow_space().next_power_of_two().max(2);
-    let capacity = u32::try_from(capacity_u64).map_err(|_| "flow space too large".to_string())?;
+    let capacity = cfg
+        .flow_space()
+        .and_then(u64::checked_next_power_of_two)
+        .and_then(|c| u32::try_from(c.max(2)).ok())
+        .ok_or("flow space too large")?;
     // `with_memory` cannot see the memory's address width; a region
     // larger than the memory would surface as rejected enqueues booked
     // as stall drops.
@@ -706,6 +716,11 @@ mod tests {
     fn bad_configs_are_errors_not_panics() {
         let mix =
             |mix| ServeConfig { source: ArrivalSource::Synthetic { load: 0.45, mix }, ..small() };
+        let load = |load| ServeConfig {
+            source: ArrivalSource::Synthetic { load, mix: FlowMix::Uniform { space: 1 << 10 } },
+            ..small()
+        };
+        let max_flow = vec![Arrival { cycle: 0, flow: u64::MAX, tenant: 0 }];
         let tenants = |tenants, adversary_pct, banks| FlowMix::MultiTenant {
             space: 1 << 10,
             tenants,
@@ -726,6 +741,17 @@ mod tests {
             ("stride wider than the space", mix(tenants(4, 25, 1 << 11))),
             ("stride over no banks", mix(tenants(4, 25, 0))),
             ("buffer larger than the memory", ServeConfig { cells_per_queue: 128, ..small() }),
+            ("flow space above 2^63", mix(FlowMix::Uniform { space: u64::MAX })),
+            (
+                "trace holding flow u64::MAX",
+                ServeConfig {
+                    source: ArrivalSource::Trace(std::sync::Arc::new(max_flow)),
+                    ..small()
+                },
+            ),
+            ("load above 1", load(1.5)),
+            ("negative load", load(-0.1)),
+            ("NaN load", load(f64::NAN)),
         ];
         for (label, cfg) in cases {
             assert!(run_serve(&cfg).is_err(), "{label}: must be rejected before producers start");
@@ -734,6 +760,8 @@ mod tests {
         assert!(run_serve(&mix(FlowMix::Uniform { space: 1 })).is_ok());
         assert!(run_serve(&mix(tenants(1, 0, 0))).is_ok());
         assert!(run_serve(&ServeConfig { cells_per_queue: 64, ..small() }).is_ok());
+        assert!(run_serve(&load(0.0)).is_ok());
+        assert!(run_serve(&load(1.0)).is_ok());
     }
 
     #[test]
@@ -824,12 +852,10 @@ mod tests {
 
     #[test]
     fn multi_tenant_serve_attributes_every_packet_and_contains_the_adversary() {
-        use crate::engine::EngineKind;
         use vpnm_core::RegulatorMode;
         let banks = u64::from(VpnmConfig::test_roomy().banks) * 2;
         let mk = |regulator| ServeConfig {
             engine: EngineOpts {
-                kind: EngineKind::Fast,
                 channels: 2,
                 select: ChannelSelect::UniversalHash,
                 tenants: 4,

@@ -24,7 +24,7 @@
 //! (`--cycles N` scales the offered window; engine flags are fixed —
 //! the study needs its own multi-channel QoS topology.)
 
-use vpnm_apps::engine::{EngineKind, EngineOpts};
+use vpnm_apps::engine::EngineOpts;
 use vpnm_apps::serve::{run_serve, ArrivalSource, FlowMix, ServeConfig, ServeReport};
 use vpnm_bench::Table;
 use vpnm_core::{ChannelSelect, RegulatorMode, VpnmConfig};
@@ -44,7 +44,6 @@ fn serve_config(cycles: u64, regulator: RegulatorMode, rate_den: u32) -> ServeCo
     let banks = u64::from(base.banks) * u64::from(CHANNELS);
     ServeConfig {
         engine: EngineOpts {
-            kind: EngineKind::Fast,
             channels: CHANNELS,
             select: ChannelSelect::UniversalHash,
             workers: 1,

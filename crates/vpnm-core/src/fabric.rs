@@ -5,8 +5,8 @@
 //! not ports: [`VpnmFabric`] stripes a single request stream over `C`
 //! independent [`PipelinedMemory`] engines, each owning a private
 //! `1/C`-slice of the address space. The channel for an address is chosen
-//! by a bijective [`ChannelSelector`] stage (low bits, high bits, or a
-//! keyed invertible permutation — the paper's universal-hash argument,
+//! by a bijective [`ChannelSelector`] stage (low bits, or a keyed
+//! invertible permutation — the paper's universal-hash argument,
 //! Section 3.2, lifted from banks to channels), and the *local* address
 //! the channel sees is the remainder of the split, so every fabric line
 //! maps to exactly one physical cell.
@@ -213,8 +213,9 @@ fn localized(req: &Request, local: u64) -> Request {
 
 impl<M: PipelinedMemory> VpnmFabric<M> {
     /// Builds a fabric whose channels come from `build(channel_index,
-    /// channel_config)` — the generic constructor behind
-    /// [`VpnmFabric::new`] and [`VpnmFabric::new_reference`].
+    /// channel_config, channel_seed)` — the generic constructor behind
+    /// [`VpnmFabric::new`], and how the differential suites build a
+    /// fabric of [`crate::ReferenceController`] channels.
     ///
     /// # Errors
     ///
@@ -613,19 +614,6 @@ impl VpnmFabric<crate::VpnmController> {
     }
 }
 
-impl VpnmFabric<crate::ReferenceController> {
-    /// Builds a fabric of [`crate::ReferenceController`] channels — the
-    /// seed-formulation twin of [`VpnmFabric::new`], for differential
-    /// testing at the fabric level.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation failure message for an inconsistent config.
-    pub fn new_reference(config: FabricConfig, seed: u64) -> Result<Self, String> {
-        VpnmFabric::with_engines(config, seed, |_, cfg, s| crate::ReferenceController::new(cfg, s))
-    }
-}
-
 impl<M: PipelinedMemory> PipelinedMemory for VpnmFabric<M> {
     fn delay(&self) -> u64 {
         VpnmFabric::delay(self)
@@ -679,7 +667,7 @@ impl<M: PipelinedMemory> PipelinedMemory for VpnmFabric<M> {
 mod tests {
     use super::*;
     use crate::memory::{sparse_of, ticked};
-    use crate::{IdealMemory, VpnmController};
+    use crate::{IdealMemory, ReferenceController, VpnmController};
 
     fn fabric_config(channels: u32, select: ChannelSelect) -> FabricConfig {
         FabricConfig { channels, select, base: VpnmConfig::small_test(), qos: None }
@@ -720,9 +708,7 @@ mod tests {
 
     #[test]
     fn deterministic_latency_across_channels() {
-        for select in
-            [ChannelSelect::LowBits, ChannelSelect::HighBits, ChannelSelect::UniversalHash]
-        {
+        for select in [ChannelSelect::LowBits, ChannelSelect::UniversalHash] {
             let mut fab = VpnmFabric::new(fabric_config(4, select), 0xC0FFEE).unwrap();
             let d = PipelinedMemory::delay(&fab);
             let mut accepted = 0u64;
@@ -849,7 +835,8 @@ mod tests {
     fn reference_fabric_agrees_with_fast_fabric() {
         let cfg = fabric_config(2, ChannelSelect::UniversalHash);
         let mut fast = VpnmFabric::new(cfg.clone(), 42).unwrap();
-        let mut reference = VpnmFabric::new_reference(cfg, 42).unwrap();
+        let mut reference =
+            VpnmFabric::with_engines(cfg, 42, |_, c, s| ReferenceController::new(c, s)).unwrap();
         for i in 0..300u64 {
             let req = (i % 3 != 2).then(|| {
                 if i % 5 == 0 {

@@ -3,16 +3,6 @@
 use crate::timing::TimingModel;
 use vpnm_sim::Cycle;
 
-/// Read or write — banks treat both as an `L`-cycle occupation in the
-/// paper's model, but stats distinguish them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessKind {
-    /// A read access.
-    Read,
-    /// A write access.
-    Write,
-}
-
 /// The state of one DRAM bank.
 ///
 /// A bank is *busy* from the cycle an access is issued until
@@ -21,13 +11,13 @@ pub enum AccessKind {
 /// exists precisely to absorb this).
 ///
 /// ```
-/// use vpnm_dram::{Bank, AccessKind};
+/// use vpnm_dram::Bank;
 /// use vpnm_dram::timing::TimingModel;
 /// use vpnm_sim::Cycle;
 ///
 /// let mut bank = Bank::new();
 /// let t = TimingModel::simple(10);
-/// let done = bank.start_access(&t, AccessKind::Read, 5, Cycle::new(0)).unwrap();
+/// let done = bank.start_access(&t, 5, Cycle::new(0)).unwrap();
 /// assert_eq!(done, Cycle::new(10));
 /// assert!(bank.is_busy(Cycle::new(9)));
 /// assert!(!bank.is_busy(Cycle::new(10)));
@@ -62,6 +52,7 @@ impl Bank {
     }
 
     /// Starts an access to `row` at `now`, returning the completion cycle.
+    /// Reads and writes occupy a bank alike, as in the paper's model.
     ///
     /// # Errors
     ///
@@ -70,7 +61,6 @@ impl Bank {
     pub fn start_access(
         &mut self,
         timing: &TimingModel,
-        _kind: AccessKind,
         row: u64,
         now: Cycle,
     ) -> Result<Cycle, Cycle> {
@@ -109,7 +99,7 @@ mod tests {
     fn access_occupies_bank_for_l_cycles() {
         let mut b = Bank::new();
         let t = TimingModel::simple(4);
-        let done = b.start_access(&t, AccessKind::Read, 0, Cycle::new(10)).unwrap();
+        let done = b.start_access(&t, 0, Cycle::new(10)).unwrap();
         assert_eq!(done, Cycle::new(14));
         for c in 10..14 {
             assert!(b.is_busy(Cycle::new(c)));
@@ -121,11 +111,11 @@ mod tests {
     fn conflict_reports_free_time() {
         let mut b = Bank::new();
         let t = TimingModel::simple(5);
-        b.start_access(&t, AccessKind::Write, 1, Cycle::new(0)).unwrap();
-        let err = b.start_access(&t, AccessKind::Read, 2, Cycle::new(3)).unwrap_err();
+        b.start_access(&t, 1, Cycle::new(0)).unwrap();
+        let err = b.start_access(&t, 2, Cycle::new(3)).unwrap_err();
         assert_eq!(err, Cycle::new(5));
         // after it frees, access succeeds
-        assert!(b.start_access(&t, AccessKind::Read, 2, Cycle::new(5)).is_ok());
+        assert!(b.start_access(&t, 2, Cycle::new(5)).is_ok());
         assert_eq!(b.accesses(), 2);
     }
 
@@ -133,11 +123,11 @@ mod tests {
     fn open_page_row_hits_tracked() {
         let mut b = Bank::new();
         let t = TimingModel::sdram_pc133();
-        let d1 = b.start_access(&t, AccessKind::Read, 7, Cycle::new(0)).unwrap();
-        let d2 = b.start_access(&t, AccessKind::Read, 7, d1).unwrap();
+        let d1 = b.start_access(&t, 7, Cycle::new(0)).unwrap();
+        let d2 = b.start_access(&t, 7, d1).unwrap();
         assert_eq!(d2 - d1, 3); // CAS-only
         assert_eq!(b.row_hits(), 1);
-        let d3 = b.start_access(&t, AccessKind::Read, 9, d2).unwrap();
+        let d3 = b.start_access(&t, 9, d2).unwrap();
         assert_eq!(d3 - d2, 9); // precharge + activate + cas
         assert_eq!(b.row_hits(), 1);
         assert_eq!(b.open_row(), Some(9));

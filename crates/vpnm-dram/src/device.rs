@@ -1,6 +1,6 @@
 //! The assembled DRAM device: banks + data bus + storage.
 
-use crate::bank::{AccessKind, Bank};
+use crate::bank::Bank;
 use crate::config::DramConfig;
 use crate::stats::DramStats;
 use crate::storage::SparseStorage;
@@ -195,7 +195,7 @@ impl DramDevice {
         let timing = self.config.timing;
         let b = self.banks.get_mut(bank as usize).ok_or(DramError::BadBank { bank, num_banks })?;
         let was_hits = b.row_hits();
-        let done = match b.start_access(&timing, AccessKind::Read, row, now) {
+        let done = match b.start_access(&timing, row, now) {
             Ok(done) => done,
             Err(free_at) => return Ok(Err(free_at)),
         };
@@ -223,7 +223,7 @@ impl DramDevice {
         let timing = self.config.timing;
         let b = self.banks.get_mut(bank as usize).ok_or(DramError::BadBank { bank, num_banks })?;
         let was_hits = b.row_hits();
-        let done = match b.start_access(&timing, AccessKind::Write, row, now) {
+        let done = match b.start_access(&timing, row, now) {
             Ok(done) => done,
             Err(free_at) => return Ok(Err(free_at)),
         };

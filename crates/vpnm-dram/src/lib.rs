@@ -49,7 +49,7 @@ pub mod stats;
 pub mod storage;
 pub mod timing;
 
-pub use bank::{AccessKind, Bank};
+pub use bank::Bank;
 pub use config::DramConfig;
 pub use device::{DramDevice, DramError, ReadGrant};
 pub use stats::DramStats;

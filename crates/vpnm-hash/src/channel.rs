@@ -4,14 +4,12 @@
 //! needs a *bijective* split of every fabric address into a `(channel,
 //! local address)` pair: bijective, because each channel owns a private
 //! bank/row space and every fabric line must land in exactly one physical
-//! cell. [`ChannelSelector`] provides that split in three flavours:
+//! cell. [`ChannelSelector`] provides that split in two flavours:
 //!
 //! * [`ChannelSelect::LowBits`] — channel = low `c` address bits, local
 //!   address = the remaining high bits. Interleaves consecutive lines
 //!   round-robin across channels (the conventional DRAM-controller
 //!   choice).
-//! * [`ChannelSelect::HighBits`] — channel = high `c` bits, local = low
-//!   bits. Partitions the address space into `C` contiguous regions.
 //! * [`ChannelSelect::UniversalHash`] — an extra keyed stage: the fabric
 //!   address is first passed through an invertible
 //!   [`AffinePermutation`] over the full fabric address width, then
@@ -20,7 +18,7 @@
 //!   key, extending the paper's universal-hash argument (Section 3.2)
 //!   from banks to channels.
 //!
-//! All three are combinational in the model: like the bank hash `HU`
+//! Both are combinational in the model: like the bank hash `HU`
 //! block, a hardware realization is fully pipelined and adds a constant
 //! to the normalized delay `D` but no throughput cost.
 
@@ -32,8 +30,6 @@ use std::fmt;
 pub enum ChannelSelect {
     /// Low `c` address bits select the channel (line interleaving).
     LowBits,
-    /// High `c` address bits select the channel (contiguous regions).
-    HighBits,
     /// Keyed invertible affine permutation, then low-bit split.
     UniversalHash,
 }
@@ -42,7 +38,6 @@ impl fmt::Display for ChannelSelect {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             ChannelSelect::LowBits => "low-bits",
-            ChannelSelect::HighBits => "high-bits",
             ChannelSelect::UniversalHash => "universal-hash",
         })
     }
@@ -60,19 +55,19 @@ impl fmt::Display for ChannelSelect {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChannelSelector {
-    kind: ChannelSelect,
     addr_bits: u32,
     channel_bits: u32,
-    /// Keyed stage for [`ChannelSelect::UniversalHash`]; `None` for the
-    /// plain bit selects and for the degenerate single-channel case.
+    /// Keyed stage for [`ChannelSelect::UniversalHash`]; `None` for
+    /// [`ChannelSelect::LowBits`] and for the degenerate single-channel
+    /// case.
     perm: Option<AffinePermutation>,
 }
 
 impl ChannelSelector {
     /// Builds a selector splitting `addr_bits`-bit fabric addresses over
     /// `2^channel_bits` channels. `seed` keys the
-    /// [`ChannelSelect::UniversalHash`] stage and is ignored by the bit
-    /// selects.
+    /// [`ChannelSelect::UniversalHash`] stage and is ignored by
+    /// [`ChannelSelect::LowBits`].
     ///
     /// `channel_bits == 0` (a single channel) is the identity mapping for
     /// every flavour, so a one-channel fabric routes bit-exactly like no
@@ -102,12 +97,7 @@ impl ChannelSelector {
         }
         let perm = (kind == ChannelSelect::UniversalHash && channel_bits > 0)
             .then(|| AffinePermutation::from_seed(addr_bits, channel_bits, seed));
-        Ok(ChannelSelector { kind, addr_bits, channel_bits, perm })
-    }
-
-    /// The flavour this selector implements.
-    pub fn kind(&self) -> ChannelSelect {
-        self.kind
+        Ok(ChannelSelector { addr_bits, channel_bits, perm })
     }
 
     /// Fabric address width in bits.
@@ -132,6 +122,7 @@ impl ChannelSelector {
 
     /// Splits a fabric address into `(channel, local address)`.
     ///
+    /// The keyed permutation, if there is one, then the low-bit split.
     /// Total over `0..2^addr_bits` and a bijection onto
     /// `(0..channels) x (0..2^local_bits)`; callers must range-check the
     /// address first (debug builds assert).
@@ -145,25 +136,14 @@ impl ChannelSelector {
         if self.channel_bits == 0 {
             return (0, addr);
         }
-        let cmask = (1u64 << self.channel_bits) - 1;
-        match self.kind {
-            ChannelSelect::LowBits => ((addr & cmask) as u32, addr >> self.channel_bits),
-            ChannelSelect::HighBits => {
-                let local_bits = self.local_bits();
-                ((addr >> local_bits) as u32, addr & ((1u64 << local_bits) - 1))
-            }
-            ChannelSelect::UniversalHash => {
-                let p = self.perm.as_ref().expect("keyed stage present").apply(addr);
-                ((p & cmask) as u32, p >> self.channel_bits)
-            }
-        }
+        let p = self.perm.as_ref().map_or(addr, |perm| perm.apply(addr));
+        ((p & ((1u64 << self.channel_bits) - 1)) as u32, p >> self.channel_bits)
     }
 
     /// Batched [`ChannelSelector::route`]: `(channels[i], locals[i]) =
-    /// route(addrs[i])`, bit-identical to the scalar path. The
-    /// [`ChannelSelect::UniversalHash`] flavour evaluates its affine
-    /// stage through [`AffinePermutation::apply_batch`]'s table-major
-    /// byte fold.
+    /// route(addrs[i])`, bit-identical to the scalar path. The keyed
+    /// stage runs through [`AffinePermutation::apply_batch`]'s
+    /// table-major byte fold.
     ///
     /// # Panics
     ///
@@ -176,30 +156,14 @@ impl ChannelSelector {
             locals.copy_from_slice(addrs);
             return;
         }
+        match &self.perm {
+            Some(perm) => perm.apply_batch(addrs, locals),
+            None => locals.copy_from_slice(addrs),
+        }
         let cmask = (1u64 << self.channel_bits) - 1;
-        match self.kind {
-            ChannelSelect::LowBits => {
-                for ((&a, ch), local) in addrs.iter().zip(channels).zip(locals) {
-                    *ch = (a & cmask) as u32;
-                    *local = a >> self.channel_bits;
-                }
-            }
-            ChannelSelect::HighBits => {
-                let local_bits = self.local_bits();
-                let lmask = (1u64 << local_bits) - 1;
-                for ((&a, ch), local) in addrs.iter().zip(channels).zip(locals) {
-                    *ch = (a >> local_bits) as u32;
-                    *local = a & lmask;
-                }
-            }
-            ChannelSelect::UniversalHash => {
-                let perm = self.perm.as_ref().expect("keyed stage present");
-                perm.apply_batch(addrs, locals);
-                for (ch, local) in channels.iter_mut().zip(locals) {
-                    *ch = (*local & cmask) as u32;
-                    *local >>= self.channel_bits;
-                }
-            }
+        for (ch, local) in channels.iter_mut().zip(locals) {
+            *ch = (*local & cmask) as u32;
+            *local >>= self.channel_bits;
         }
     }
 
@@ -211,14 +175,8 @@ impl ChannelSelector {
         if self.channel_bits == 0 {
             return local;
         }
-        match self.kind {
-            ChannelSelect::LowBits => (local << self.channel_bits) | u64::from(channel),
-            ChannelSelect::HighBits => (u64::from(channel) << self.local_bits()) | local,
-            ChannelSelect::UniversalHash => {
-                let p = (local << self.channel_bits) | u64::from(channel);
-                self.perm.as_ref().expect("keyed stage present").invert(p)
-            }
-        }
+        let p = (local << self.channel_bits) | u64::from(channel);
+        self.perm.as_ref().map_or(p, |perm| perm.invert(p))
     }
 }
 
@@ -227,8 +185,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    const KINDS: [ChannelSelect; 3] =
-        [ChannelSelect::LowBits, ChannelSelect::HighBits, ChannelSelect::UniversalHash];
+    const KINDS: [ChannelSelect; 2] = [ChannelSelect::LowBits, ChannelSelect::UniversalHash];
 
     #[test]
     fn route_unroute_is_a_bijection_on_small_space() {
@@ -259,11 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn bit_selects_pick_documented_bits() {
+    fn low_bits_pick_documented_bits() {
         let low = ChannelSelector::new(ChannelSelect::LowBits, 8, 2, 0).unwrap();
         assert_eq!(low.route(0b1011_0110), (0b10, 0b10_1101));
-        let high = ChannelSelector::new(ChannelSelect::HighBits, 8, 2, 0).unwrap();
-        assert_eq!(high.route(0b1011_0110), (0b10, 0b11_0110));
     }
 
     #[test]
@@ -303,7 +258,6 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(ChannelSelect::LowBits.to_string(), "low-bits");
-        assert_eq!(ChannelSelect::HighBits.to_string(), "high-bits");
         assert_eq!(ChannelSelect::UniversalHash.to_string(), "universal-hash");
     }
 }
@@ -314,11 +268,7 @@ mod proptests {
     use proptest::prelude::*;
 
     fn kind() -> impl Strategy<Value = ChannelSelect> {
-        prop_oneof![
-            Just(ChannelSelect::LowBits),
-            Just(ChannelSelect::HighBits),
-            Just(ChannelSelect::UniversalHash),
-        ]
+        prop_oneof![Just(ChannelSelect::LowBits), Just(ChannelSelect::UniversalHash)]
     }
 
     proptest! {

@@ -163,32 +163,6 @@ impl DualClock {
         }
     }
 
-    /// Creates a dual clock from an exact rational ratio `num / den`
-    /// (memory ticks per interface tick).
-    ///
-    /// Unlike [`DualClock::new`], no decimal rounding is applied — the
-    /// schedule is exact for any rational ratio. [`WallPacer`] uses this
-    /// with `num` = nanoseconds per second and `den` = interface cycles
-    /// per second, so wall-time pacing accrues zero drift over arbitrarily
-    /// long runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `den == 0` or `num < den` (the memory side must be at
-    /// least as fast as the interface side).
-    pub fn from_rational(num: u64, den: u64) -> Self {
-        assert!(den > 0, "ratio denominator must be non-zero");
-        assert!(num >= den, "bus scaling ratio must be >= 1.0, got {num}/{den}");
-        let g = gcd(num, den);
-        DualClock {
-            num: num / g,
-            den: den / g,
-            acc: 0,
-            memory: Cycle::ZERO,
-            interface: Cycle::ZERO,
-        }
-    }
-
     /// The configured ratio `R` as a float.
     pub fn ratio(&self) -> f64 {
         self.num as f64 / self.den as f64
@@ -271,9 +245,9 @@ impl DualClock {
         // The accumulator lands on m*den - d = (den - d % den) % den — the
         // remainder form avoids materializing m*den, which can exceed u64
         // even when the target does not. Stay in u64 on the hot path and
-        // fall back to u128 when n*num itself overflows (a WallPacer
-        // catching up after a long stall asks for billions of edges with
-        // num = 1e9).
+        // fall back to u128 when n*num itself overflows (an idle
+        // controller asked to skip an epoch of more than u64::MAX / num
+        // cycles).
         let m = match n.checked_mul(self.num) {
             Some(target) => {
                 let d = target - self.acc;
@@ -290,28 +264,6 @@ impl DualClock {
         self.memory += m;
         self.interface += n;
         m
-    }
-
-    /// The largest `n` such that [`DualClock::advance_interfaces`]`(n)`
-    /// would consume at most `m` memory cycles — i.e. how many whole
-    /// interface cycles fit inside the next `m` memory ticks.
-    ///
-    /// [`WallPacer::cycles_due`] is its caller: with nanoseconds as the
-    /// fast domain, it is the number of interface cycles that have fallen
-    /// due in `m` elapsed nanoseconds. Returns 0 when not even one
-    /// interface edge falls within `m` memory ticks.
-    pub fn interfaces_within_memory(&self, m: u64) -> u64 {
-        // advance_interfaces(n) consumes ceil((n*num - acc)/den) memory
-        // ticks, which is <= m iff n*num <= m*den + acc. Stay in u64
-        // while `m*den` fits; a pacer catching up after a long stall
-        // (den up to 1e9) takes the u128 fallback.
-        match m.checked_mul(self.den).and_then(|md| md.checked_add(self.acc)) {
-            Some(md) => md / self.num,
-            None => {
-                ((u128::from(m) * u128::from(self.den) + u128::from(self.acc))
-                    / u128::from(self.num)) as u64
-            }
-        }
     }
 
     /// Current memory-domain time.
@@ -331,11 +283,10 @@ impl DualClock {
 /// The offline bins drive the [`DualClock`] purely in simulated time; a
 /// live serving loop instead has to answer "given that `t` nanoseconds of
 /// wall time have passed, how many interface cycles is the line card
-/// allowed to have accepted?" `WallPacer` reuses the same drift-free
-/// Bresenham schedule by treating nanoseconds as the fast domain and
-/// interface cycles as the slow domain: the ratio is the exact rational
-/// `1e9 / cycles_per_sec`, so pacing accrues zero rounding error no
-/// matter how long the server runs.
+/// allowed to have accepted?" The answer is one integer division,
+/// `floor(t * cycles_per_sec / 1e9)`, taken in `u128` from the start of
+/// the run rather than accumulated per call, so pacing accrues zero
+/// rounding error no matter how long the server runs.
 ///
 /// The pacer is deliberately pure — callers pass in elapsed nanoseconds
 /// (from `Instant::elapsed()` or a test scalar), so the library stays
@@ -351,12 +302,11 @@ impl DualClock {
 /// ```
 #[derive(Debug, Clone)]
 pub struct WallPacer {
-    clock: DualClock,
     cycles_per_sec: u64,
+    issued: u64,
 }
 
-/// One nanosecond tick per wall second — the fast-domain rate of
-/// [`WallPacer`]'s internal [`DualClock`].
+/// Nanoseconds per wall second.
 const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 impl WallPacer {
@@ -372,7 +322,7 @@ impl WallPacer {
             cycles_per_sec > 0 && cycles_per_sec <= NANOS_PER_SEC,
             "cycles_per_sec must be in 1..=1e9, got {cycles_per_sec}"
         );
-        WallPacer { clock: DualClock::from_rational(NANOS_PER_SEC, cycles_per_sec), cycles_per_sec }
+        WallPacer { cycles_per_sec, issued: 0 }
     }
 
     /// The configured interface-cycle rate, in cycles per wall second.
@@ -389,25 +339,26 @@ impl WallPacer {
     /// `elapsed_nanos` (less than a previous call's) is treated as no
     /// progress and returns 0.
     pub fn cycles_due(&mut self, elapsed_nanos: u64) -> u64 {
-        let budget = elapsed_nanos.saturating_sub(self.clock.memory_now().as_u64());
-        let n = self.clock.interfaces_within_memory(budget);
-        self.clock.advance_interfaces(n);
+        let due =
+            u128::from(elapsed_nanos) * u128::from(self.cycles_per_sec) / u128::from(NANOS_PER_SEC);
+        // `due` <= elapsed_nanos, as the rate is at most one cycle per ns.
+        let n = (due as u64).saturating_sub(self.issued);
+        self.issued += n;
         n
     }
 
     /// Total interface cycles issued so far.
     pub fn cycles_issued(&self) -> u64 {
-        self.clock.interface_now().as_u64()
+        self.issued
     }
 
     /// Nanoseconds from `elapsed_nanos` until the next interface cycle
     /// becomes due — a sleep hint for the serving loop. Returns 0 when a
     /// cycle is already due.
     pub fn nanos_until_next(&self, elapsed_nanos: u64) -> u64 {
-        let mut probe = self.clock.clone();
-        let m = probe.advance_to_interface();
-        let next_due = self.clock.memory_now().as_u64() + m;
-        next_due.saturating_sub(elapsed_nanos)
+        let next_due = ((u128::from(self.issued) + 1) * u128::from(NANOS_PER_SEC))
+            .div_ceil(u128::from(self.cycles_per_sec));
+        u64::try_from(next_due.saturating_sub(u128::from(elapsed_nanos))).unwrap_or(u64::MAX)
     }
 }
 
@@ -555,33 +506,28 @@ mod tests {
     }
 
     #[test]
-    fn interfaces_within_memory_is_the_exact_inverse_of_advance() {
-        // For every ratio and accumulator phase, the reported n must
-        // satisfy cost(n) <= m < cost(n + 1), where cost is the memory
-        // ticks advance_interfaces would consume.
-        for &r in &[1.0, 1.1, 1.25, 1.3, 1.5, 2.0, 3.7] {
-            let mut clk = DualClock::new(r);
-            for phase in 0..40u64 {
-                for _ in 0..(phase % 5) {
-                    clk.tick_memory();
-                }
-                for m in 0..12u64 {
-                    let n = clk.interfaces_within_memory(m);
-                    let cost = |edges: u64| clk.clone().advance_interfaces(edges);
-                    assert!(cost(n) <= m, "r={r} phase={phase} m={m} n={n}");
-                    assert!(cost(n + 1) > m, "r={r} phase={phase} m={m} n={n}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn advance_interfaces_zero_is_noop() {
         let mut d = DualClock::new(1.3);
         d.tick_memory();
         let before = (d.memory_now(), d.interface_now(), d.acc);
         assert_eq!(d.advance_interfaces(0), 0);
         assert_eq!((d.memory_now(), d.interface_now(), d.acc), before);
+    }
+
+    #[test]
+    fn advance_interfaces_survives_u64_overflow_horizons() {
+        // n * num overflows u64 here, so the jump takes the u128 branch;
+        // it must still land on ceil((n * num - acc) / den).
+        let mut d = DualClock::new(1.3);
+        // One memory tick, no interface edge yet: acc = 10.
+        assert!(!d.tick_memory().interface_tick);
+        let acc = u128::from(d.acc);
+        assert_ne!(acc, 0);
+        let n = u64::MAX / 8;
+        let m = d.advance_interfaces(n);
+        assert_eq!(u128::from(m), (u128::from(n) * 13 - acc).div_ceil(10));
+        assert_eq!(d.memory_now().as_u64(), 1 + m);
+        assert_eq!(d.interface_now().as_u64(), n);
     }
 
     #[test]
@@ -607,31 +553,9 @@ mod tests {
     }
 
     #[test]
-    fn from_rational_matches_decimal_constructor() {
-        // 1.3 == 13/10: both constructors must produce the same schedule.
-        let mut a = DualClock::new(1.3);
-        let mut b = DualClock::from_rational(13, 10);
-        for _ in 0..10_000 {
-            assert_eq!(a.tick_memory(), b.tick_memory());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "bus scaling ratio")]
-    fn from_rational_rejects_sub_unity() {
-        let _ = DualClock::from_rational(9, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "denominator")]
-    fn from_rational_rejects_zero_den() {
-        let _ = DualClock::from_rational(1, 0);
-    }
-
-    #[test]
     fn wall_pacer_exact_over_a_simulated_hour() {
-        // 7_777_777 cycles/s is deliberately non-round: the rational
-        // schedule must still land on exactly cps * seconds with zero
+        // 7_777_777 cycles/s is deliberately non-round: the schedule
+        // must still land on exactly cps * seconds with zero
         // cumulative drift, regardless of the polling pattern.
         let cps = 7_777_777u64;
         let mut p = WallPacer::new(cps);
@@ -682,66 +606,8 @@ mod tests {
     }
 
     #[test]
-    fn from_rational_reduces_degenerate_unity_ratios() {
-        // num == den at any magnitude is exactly R = 1: every memory tick
-        // is an interface tick, and the stored rational reduces to 1/1 so
-        // the accumulator never grows.
-        let mut d = DualClock::from_rational(NANOS_PER_SEC, NANOS_PER_SEC);
-        assert_eq!((d.num, d.den), (1, 1));
-        for i in 1..=1000u64 {
-            let t = d.tick_memory();
-            assert!(t.interface_tick);
-            assert_eq!(t.interface_cycle.as_u64(), i);
-        }
-    }
-
-    #[test]
-    fn from_rational_is_exact_beyond_decimal_precision() {
-        // A ratio no 3-digit decimal expansion can express: 1e9+7 (prime)
-        // over 1e9. The closed-form jump must land on exactly
-        // ceil(n * num / den) memory cycles — one extra tick leaks in only
-        // once every ~143M interface cycles, and never before.
-        let num = 1_000_000_007u64;
-        let den = 1_000_000_000u64;
-        let mut d = DualClock::from_rational(num, den);
-        assert_eq!((d.num, d.den), (num, den), "coprime ratio must not reduce");
-        for n in [1u64, 12_345, 1_000_000] {
-            let mut probe = DualClock::from_rational(num, den);
-            let m = probe.advance_interfaces(n);
-            let expected = (u128::from(n) * u128::from(num)).div_ceil(u128::from(den)) as u64;
-            assert_eq!(m, expected, "n={n}");
-        }
-        // And the incremental walk agrees with the jump at a small scale.
-        let mut ticks = 0u64;
-        for _ in 0..1_000 {
-            d.advance_to_interface();
-            ticks += 1;
-        }
-        assert_eq!(d.interface_now().as_u64(), ticks);
-        assert_eq!(d.memory_now().as_u64(), 1_001); // ceil(1000 * (1e9+7)/1e9)
-    }
-
-    #[test]
-    fn interfaces_within_memory_survives_u64_overflow_horizons() {
-        // m * den overflows u64 for huge horizons; the u128 fallback must
-        // give the same exact answer the closed form predicts.
-        let mut d = DualClock::from_rational(13, 10);
-        d.tick_memory(); // non-zero accumulator phase (acc = 10)
-        let m = u64::MAX / 2;
-        let n = d.interfaces_within_memory(m);
-        let expected = ((u128::from(m) * 10 + u128::from(d.acc)) / 13) as u64;
-        assert_eq!(n, expected);
-        // Sanity at the extreme horizon too.
-        assert_eq!(
-            d.interfaces_within_memory(u64::MAX),
-            ((u128::from(u64::MAX) * 10 + u128::from(d.acc)) / 13) as u64
-        );
-    }
-
-    #[test]
     fn wall_pacer_at_the_boundary_rate_is_one_cycle_per_nano() {
-        // cps = 1e9 reduces the internal ratio to 1/1: wall time and the
-        // cycle budget are the same axis.
+        // At cps = 1e9 wall time and the cycle budget are the same axis.
         let mut p = WallPacer::new(NANOS_PER_SEC);
         assert_eq!(p.cycles_due(1), 1);
         assert_eq!(p.cycles_due(1_000_000), 1_000_000 - 1);

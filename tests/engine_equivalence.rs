@@ -219,8 +219,10 @@ fn single_channel_fabric_matches_both_bare_engines() {
     let mut bare = VpnmController::new(cfg.clone(), 3).expect("valid");
     assert_engines_equivalent(&mut fabric, &mut bare, &stream);
 
-    let mut fabric =
-        VpnmFabric::new_reference(FabricConfig::single(cfg.clone()), 3).expect("valid");
+    let mut fabric = VpnmFabric::with_engines(FabricConfig::single(cfg.clone()), 3, |_, c, s| {
+        ReferenceController::new(c, s)
+    })
+    .expect("valid");
     let mut bare = ReferenceController::new(cfg, 3).expect("valid");
     assert_engines_equivalent(&mut fabric, &mut bare, &stream);
 }
@@ -231,10 +233,12 @@ fn fabric_engines_agree_at_four_channels() {
     // lockstep under every channel-select policy, exactly as the bare
     // engines do at one channel.
     let stream = mixed_stream(2000, (1 << 16) - 1);
-    for select in [ChannelSelect::LowBits, ChannelSelect::HighBits, ChannelSelect::UniversalHash] {
+    for select in [ChannelSelect::LowBits, ChannelSelect::UniversalHash] {
         let cfg = FabricConfig { channels: 4, select, base: VpnmConfig::small_test(), qos: None };
         let mut fast = VpnmFabric::new(cfg.clone(), 11).expect("valid");
-        let mut reference = VpnmFabric::new_reference(cfg, 11).expect("valid");
+        let mut reference =
+            VpnmFabric::with_engines(cfg, 11, |_, c, s| ReferenceController::new(c, s))
+                .expect("valid");
         assert_engines_equivalent(&mut fast, &mut reference, &stream);
     }
 }
