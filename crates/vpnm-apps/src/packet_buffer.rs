@@ -205,6 +205,15 @@ pub struct VpnmPacketBuffer<M: PipelinedMemory = VpnmController> {
     stats: PacketBufferStats,
 }
 
+/// The address of position `counter` of queue `queue`'s ring: queue `q`
+/// owns the region `[q·C, (q+1)·C)`, `C = cells_per_queue`. The one
+/// place a head or tail pointer becomes an address, for this buffer's
+/// pointers and for the serving loop's flow-table counters alike.
+#[inline]
+pub(crate) fn cell_addr(queue: u32, counter: u64, cells_per_queue: u64) -> LineAddr {
+    LineAddr(u64::from(queue) * cells_per_queue + counter % cells_per_queue)
+}
+
 /// Checks that the queue regions fit an `addr_bits`-wide address space.
 pub(crate) fn check_region(
     num_queues: u32,
@@ -308,10 +317,6 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
         (self.queues.len() as u64 * 2 * ptr_bits).div_ceil(8)
     }
 
-    fn cell_addr(&self, queue: u32, counter: u64) -> LineAddr {
-        LineAddr(u64::from(queue) * self.cells_per_queue + counter % self.cells_per_queue)
-    }
-
     /// Advances one cell slot: optionally applies an event and returns a
     /// delivered cell if one is due.
     ///
@@ -335,7 +340,7 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
                     self.pump(None);
                     return Err(BufferError::QueueFull);
                 }
-                let addr = self.cell_addr(queue, q.tail);
+                let addr = cell_addr(queue, q.tail, self.cells_per_queue);
                 (Some(Request::write(addr, cell)), Action::Enqueue(queue))
             }
             Some(BufferEvent::Dequeue { queue }) => {
@@ -345,7 +350,7 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
                     self.pump(None);
                     return Err(BufferError::QueueEmpty);
                 }
-                let addr = self.cell_addr(queue, q.head);
+                let addr = cell_addr(queue, q.head, self.cells_per_queue);
                 (Some(Request::take_as(TenantId::HOST, addr)), Action::Dequeue(queue))
             }
         };
@@ -401,9 +406,9 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
     }
 
     /// Runs `len` interface cycles in one epoch-batched call, applying at
-    /// most one event per cycle — the serving front-end's batch front
-    /// door, and the only packet-buffer drive mode that reaches a
-    /// fabric's parallel epoch worker path.
+    /// most one event per cycle — the packet buffer's batch door, and its
+    /// only drive mode that reaches a fabric's parallel epoch worker
+    /// path.
     ///
     /// `events` holds `(cycle_offset, event)` pairs with offsets strictly
     /// increasing and `< len`; offsets with no entry run idle. Enqueue
@@ -487,7 +492,7 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
             None => Err(BufferError::BadQueue),
             Some(q) if q.tail - q.head >= self.cells_per_queue => Err(BufferError::QueueFull),
             Some(q) => {
-                let addr = self.cell_addr(queue, q.tail);
+                let addr = cell_addr(queue, q.tail, self.cells_per_queue);
                 self.queues[queue as usize].tail += 1;
                 self.stats.enqueued += 1;
                 Ok(addr)
@@ -503,7 +508,7 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
             None => Err(BufferError::BadQueue),
             Some(q) if q.tail == q.head => Err(BufferError::QueueEmpty),
             Some(q) => {
-                let addr = self.cell_addr(queue, q.head);
+                let addr = cell_addr(queue, q.head, self.cells_per_queue);
                 self.queues[queue as usize].head += 1;
                 self.in_flight.push_back(queue);
                 self.stats.dequeued += 1;

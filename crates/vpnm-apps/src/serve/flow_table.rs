@@ -8,17 +8,19 @@
 //!
 //! The table serves double duty:
 //!
-//! * **Flow → queue mapping.** A slot index *is* the packet-buffer queue
-//!   index, so admitting a flow's first packet implicitly claims a
-//!   per-queue pointer pair and DRAM ring in the
-//!   [`VpnmPacketBuffer`](crate::packet_buffer::VpnmPacketBuffer) (the
-//!   paper's Section 5.4.1 head/tail pointer SRAM, scaled from the
+//! * **Flow → queue mapping.** A slot index *is* the queue index: flow
+//!   slot `s` owns the DRAM ring `[s·C, (s+1)·C)` (`C` cells per queue),
+//!   the layout of [`VpnmPacketBuffer`](crate::packet_buffer::VpnmPacketBuffer)
+//!   (the paper's Section 5.4.1 packet buffer, scaled from the
 //!   4096-interface design point to millions of flows).
-//! * **Shadow occupancy.** The serving loop schedules a whole epoch of
-//!   buffer events before the buffer applies them, so the buffer's own
-//!   pointers are stale while the event list is built. The `in`/`out`
-//!   counters advance at *schedule* time and therefore always agree with
-//!   the admission decision the buffer itself will make.
+//! * **The head and tail pointers.** The `in`/`out` counters *are* the
+//!   Section 5.4.1 pointer SRAM, not a shadow of it: the serving loop
+//!   derives every enqueue's and dequeue's cell address from them and
+//!   issues the requests to the memory itself. They advance at
+//!   *schedule* time, which is exact because every read returns at
+//!   `t + D` and nothing is decided from a response. They wrap at 2³²;
+//!   the serving loop keeps addresses unaliased across the wrap by
+//!   refusing a ring depth that does not divide 2³².
 //!
 //! The serving loop maps a flow to its slot in one place, one
 //! [`FlowTable::slot_of`] probe per admitted arrival.
@@ -123,23 +125,35 @@ impl FlowTable {
     /// Packets currently resident in `slot`'s buffer ring, as of the
     /// latest *scheduled* (not yet necessarily applied) event.
     pub fn occupancy(&self, slot: u32) -> u32 {
-        self.in_counts[slot as usize] - self.out_counts[slot as usize]
+        self.in_counts[slot as usize].wrapping_sub(self.out_counts[slot as usize])
     }
 
-    /// Records a scheduled enqueue; returns the cell's sequence number
-    /// within the flow (the payload seed the dequeue side verifies).
+    /// Records a scheduled enqueue; returns the tail pointer the cell is
+    /// written at, which is also its sequence number within the flow (the
+    /// payload seed the dequeue side verifies), modulo 2³².
     pub fn note_enqueue(&mut self, slot: u32) -> u64 {
-        let seq = u64::from(self.in_counts[slot as usize]);
-        self.in_counts[slot as usize] += 1;
-        seq
+        let tail = &mut self.in_counts[slot as usize];
+        let seq = *tail;
+        *tail = seq.wrapping_add(1);
+        u64::from(seq)
     }
 
-    /// Records a scheduled dequeue; returns the sequence number of the
-    /// cell that will come back (FIFO within the flow).
+    /// Records a scheduled dequeue; returns the head pointer the cell is
+    /// read from, the sequence number of the cell that will come back
+    /// (FIFO within the flow), modulo 2³².
     pub fn note_dequeue(&mut self, slot: u32) -> u64 {
-        let seq = u64::from(self.out_counts[slot as usize]);
-        self.out_counts[slot as usize] += 1;
-        seq
+        let head = &mut self.out_counts[slot as usize];
+        let seq = *head;
+        *head = seq.wrapping_add(1);
+        u64::from(seq)
+    }
+
+    /// Sets both of `slot`'s pointers to `count`, an empty ring that has
+    /// already passed `count` cells: lets a test reach the 2³² wrap.
+    #[cfg(test)]
+    fn start_counts_at(&mut self, slot: u32, count: u32) {
+        self.in_counts[slot as usize] = count;
+        self.out_counts[slot as usize] = count;
     }
 }
 
@@ -258,6 +272,35 @@ mod tests {
         assert_eq!(t.note_enqueue(s), 2, "sequence continues across emptiness");
         assert_eq!(t.occupancy(s), 1);
         assert_eq!(t.slot_of(11), Some(s), "the flow keeps its slot across drain");
+    }
+
+    #[test]
+    fn pointers_wrap_at_two_to_the_32_without_aliasing() {
+        use crate::packet_buffer::cell_addr;
+        for ring in [4u64, 16] {
+            let mut t = FlowTable::new(4);
+            let s = t.slot_of(3).unwrap();
+            let region = u64::from(s) * ring..u64::from(s + 1) * ring;
+            t.start_counts_at(s, u32::MAX - 5);
+            // Keep the ring full while both pointers step across the wrap:
+            // the queued cells always sit at `ring` distinct addresses of
+            // the slot's region, and each dequeue reads the address its
+            // enqueue wrote.
+            let mut queued = std::collections::VecDeque::new();
+            for step in 0..3 * ring {
+                if t.occupancy(s) == ring as u32 {
+                    let head = t.note_dequeue(s);
+                    assert_eq!(Some(cell_addr(s, head, ring)), queued.pop_front(), "step {step}");
+                }
+                let tail = t.note_enqueue(s);
+                let addr = cell_addr(s, tail, ring);
+                assert!(region.contains(&addr.0), "step {step}: {addr:?}");
+                assert!(!queued.contains(&addr), "step {step}: {addr:?} aliases a queued cell");
+                queued.push_back(addr);
+                assert_eq!(u64::from(t.occupancy(s)), queued.len() as u64, "step {step}");
+            }
+            assert!(t.note_enqueue(s) < 3 * ring, "the tail pointer has wrapped");
+        }
     }
 
     #[test]

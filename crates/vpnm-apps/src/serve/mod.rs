@@ -1,4 +1,4 @@
-//! Live serving front-end: concurrent producers driving the
+//! Live serving front-end: concurrent producers driving a
 //! fabric-backed packet buffer at a paced line rate.
 //!
 //! This module is the operational composition of everything below it —
@@ -7,23 +7,25 @@
 //! loop with the moving parts a deployment has:
 //!
 //! ```text
-//!  producers (N threads)      scheduler thread (epoch e+1)       caller's thread (epoch e)
-//!  ───────────────────        ────────────────────────────       ─────────────────────────
+//!  producers (N threads)      calling thread: scheduler (epoch e+1)  memory thread (epoch e)
+//!  ───────────────────        ─────────────────────────────────────  ───────────────────────
 //!  Bernoulli(load) / trace ┌► bounded ingress queue, admit
-//!  flow IDs from the mix ──┤  FlowTable slot == queue index
-//!  bounded lanes (park) ───┘  egress-first schedule,
-//!                             payload bytes ──── work lane ────► freeze arena, VpnmPacketBuffer
-//!                                                                run_epoch_arena → fabric workers
-//!  egress ◄── verify, latency ◄──── report lane (epoch e−1) ◄──── deterministic t+D return
+//!  flow IDs from the mix ──┤  FlowTable: slot == queue, counters
+//!  bounded lanes (park) ───┘  == head/tail pointers → cell address
+//!                             egress-first schedule, payload bytes,
+//!                             freeze arena, build requests ── work lane ──► run_epoch_sparse
+//!                                                                           → fabric workers
+//!  egress ◄── pair, verify, latency ◄──── report lane (epoch e−1) ◄──── deterministic t+D return
 //! ```
 //!
 //! **Two stages, one epoch in flight.** The scheduler never reads a
-//! response to decide anything: admission and egress run on shadow
-//! occupancy, because every read returns at exactly `t + D`. So it
-//! builds epoch e+1 and retires the report of epoch e−1 while the
-//! calling thread runs epoch e through the memory. Both hand-offs are
-//! `sync_channel(1)` lanes, and the epoch's buffers travel back with its
-//! report.
+//! response to decide anything: admission and egress run on the flow
+//! table's pointers, because every read returns at exactly `t + D`. So
+//! it builds epoch e+1 and retires the report of epoch e−1 while the
+//! memory thread runs epoch e. The memory thread owns the memory and
+//! does nothing else: per epoch, one `run_epoch_sparse` call and the two
+//! hand-offs. Both are `sync_channel(1)` lanes, and the epoch's request
+//! buffer travels back with its report.
 //!
 //! **Backpressure is explicit and bounded everywhere.** A packet that
 //! cannot be absorbed is *rejected* at a named, counted boundary — never
@@ -61,13 +63,16 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 
 use bytes::Bytes;
-use vpnm_core::{MetricsSnapshot, PipelinedMemory, ServingMetrics, TenantStats, VpnmConfig};
+use vpnm_core::{
+    MetricsSnapshot, PipelinedMemory, Request, RunReport, ServingMetrics, TenantId, TenantStats,
+    VpnmConfig,
+};
 use vpnm_sim::{FineHistogram, Histogram, WallPacer};
 use vpnm_workloads::packets::{payload_extend, payload_matches};
 use vpnm_workloads::{HeavyTailFlows, MultiTenantMix, Tagged, TenantFlowGen, UniformAddresses};
 
 use crate::engine::EngineOpts;
-use crate::packet_buffer::{check_region, BufferEpochReport, LaneEvent, VpnmPacketBuffer};
+use crate::packet_buffer::{cell_addr, check_region};
 
 /// Flow-ID distribution for synthetic traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -186,13 +191,14 @@ pub struct ServeConfig {
     /// Offered window in interface cycles.
     pub cycles: u64,
     /// Cycles per epoch batch (the producer hand-off and
-    /// `run_epoch_arena` unit).
+    /// `run_epoch_sparse` unit).
     pub epoch_len: u64,
     /// Traffic source.
     pub source: ArrivalSource,
     /// Ingress-queue bound in packets; occupancy never exceeds it.
     pub queue_depth: usize,
-    /// Per-flow buffer ring depth in cells.
+    /// Per-flow buffer ring depth in cells: a power of two up to 2³², so
+    /// that it divides the range of the flow table's 32-bit pointers.
     pub cells_per_queue: u64,
     /// Payload bytes per cell, `1..=base.cell_bytes`; the memory stores
     /// design-point-sized cells, zero-padded past the payload.
@@ -256,19 +262,18 @@ pub struct ServeReport {
     pub residual: u64,
 }
 
-/// One epoch on its way from the scheduler to the memory stage and
-/// back: the scheduled event lane and the payload bytes its enqueues
-/// span. Both buffers return with the epoch's report, so two of these
+/// One epoch on its way from the scheduler to the memory thread and
+/// back: its length and its requests, each at its cycle offset. The
+/// request buffer returns with the epoch's report, so two of these
 /// shuttle between the stages for the whole run.
 #[derive(Default)]
 struct EpochWork {
     len: u64,
-    events: Vec<(u64, LaneEvent)>,
-    payload: Vec<u8>,
+    requests: Vec<(u64, Request)>,
 }
 
-/// What the memory stage hands back for one epoch.
-type EpochDone = (BufferEpochReport, EpochWork);
+/// What the memory thread hands back for one epoch.
+type EpochDone = (RunReport, EpochWork);
 
 /// In-flight bookkeeping for one offered packet after admission.
 struct PendingCell {
@@ -288,17 +293,19 @@ fn tenant_lane(lanes: &mut [TenantStats], tenant: u16) -> &mut TenantStats {
     &mut lanes[usize::from(tenant).min(last)]
 }
 
-/// The scheduling stage of [`run_serve`]: admission, the egress policy,
-/// payload generation and delivery verification, run on a thread of its
-/// own. It never touches the memory. It sees the memory only through the
-/// epochs it sends and the reports that come back.
+/// The scheduling stage of [`run_serve`], on the calling thread:
+/// admission, the egress policy, the head/tail pointers and the cell
+/// addresses they give, payload generation, the epoch's requests, and
+/// response pairing and delivery verification. It never touches the
+/// memory. It sees the memory only through the epochs it sends and the
+/// reports that come back.
 ///
 /// Nothing a scheduling pass reads — the ingress queue, the transmit
-/// FIFO, the flow table's shadow occupancy — depends on a response, so
-/// epoch e+1 can be scheduled before epoch e has run. Reports are
-/// absorbed in epoch order, popping `issued` from the front while
-/// scheduling pushes at the back, and every counter either side touches
-/// is a sum; the result is the serial loop's, byte for byte.
+/// FIFO, the flow table's pointers — depends on a response, so epoch e+1
+/// can be scheduled before epoch e has run. Reports are absorbed in epoch
+/// order, popping `issued` from the front while scheduling pushes at the
+/// back, and every counter either side touches is a sum; the result is
+/// the serial loop's, byte for byte.
 struct Scheduler<'a> {
     cfg: &'a ServeConfig,
     table: FlowTable,
@@ -309,7 +316,11 @@ struct Scheduler<'a> {
     /// table layout — byte for byte.
     ingress: VecDeque<(u64, Option<u32>, u16)>,
     tx_fifo: VecDeque<PendingCell>,
+    /// Dequeues issued to the memory, in issue order: responses come
+    /// back in the same order, since every read takes exactly `D`.
     issued: VecDeque<PendingCell>,
+    /// The epoch's payload bytes, frozen into one arena per epoch.
+    payload: Vec<u8>,
     /// Per-tenant lanes, allocated only when the engine selection is
     /// QoS-tracked.
     tenant_lanes: Option<Vec<TenantStats>>,
@@ -327,6 +338,7 @@ impl<'a> Scheduler<'a> {
             ingress: VecDeque::with_capacity(cfg.queue_depth),
             tx_fifo: VecDeque::new(),
             issued: VecDeque::new(),
+            payload: Vec::new(),
             tenant_lanes: cfg
                 .engine
                 .qos()
@@ -356,7 +368,7 @@ impl<'a> Scheduler<'a> {
 
     /// The epoch loop: the offered window, then idle drain epochs until
     /// everything admitted has retired (bounded budget: backlog +
-    /// pipeline delay). Epoch e goes to the memory stage before the
+    /// pipeline delay). Epoch e goes to the memory thread before the
     /// report for e−1 is absorbed, so the two stages overlap — except
     /// before the last offered epoch and every drain epoch, whose drain
     /// budget and `done` test must see every earlier report absorbed.
@@ -365,7 +377,7 @@ impl<'a> Scheduler<'a> {
         delay: u64,
         started: Instant,
         work: SyncSender<EpochWork>,
-        done: &Receiver<EpochDone>,
+        done: Receiver<EpochDone>,
     ) -> Result<Self, String> {
         let cfg = self.cfg;
         let plan = EpochPlan { cycles: cfg.cycles, epoch_len: cfg.epoch_len };
@@ -380,7 +392,7 @@ impl<'a> Scheduler<'a> {
         let mut in_flight = false;
         for epoch in 0.. {
             if epoch + 1 >= offered_epochs && in_flight {
-                spare = self.absorb(done)?;
+                spare = self.absorb(&done)?;
                 in_flight = false;
             }
             let (start, end) = if epoch < offered_epochs {
@@ -417,9 +429,9 @@ impl<'a> Scheduler<'a> {
 
             let mut next = std::mem::take(&mut spare);
             self.schedule(start, end, arrivals, &mut next);
-            work.send(next).map_err(|_| "the memory stage stopped")?;
+            work.send(next).map_err(|_| "the memory thread stopped")?;
             if in_flight {
-                spare = self.absorb(done)?;
+                spare = self.absorb(&done)?;
             }
             in_flight = true;
         }
@@ -432,12 +444,13 @@ impl<'a> Scheduler<'a> {
 
     /// Schedules the cycles `[start, end)` into `work`: one memory
     /// operation per cycle, shared between egress (transmit) and
-    /// admission.
+    /// admission. The epoch's payload is then frozen into one arena, and
+    /// every write carries a zero-copy slice of it.
     fn schedule(&mut self, start: u64, end: u64, arrivals: &[Arrival], work: &mut EpochWork) {
         let cfg = self.cfg;
         work.len = end - start;
-        work.events.clear();
-        work.payload.clear();
+        work.requests.clear();
+        self.payload.clear();
         let mut next_arrival = 0usize;
         for c in start..end {
             while next_arrival < arrivals.len() && arrivals[next_arrival].cycle == c {
@@ -458,10 +471,10 @@ impl<'a> Scheduler<'a> {
             // ingress: keeps both sides bounded and the pipe full.
             if !self.tx_fifo.is_empty() && self.tx_fifo.len() >= self.ingress.len() {
                 let cell = self.tx_fifo.pop_front().expect("non-empty");
-                let seq = self.table.note_dequeue(cell.slot);
-                debug_assert_eq!(seq, cell.seq, "per-flow FIFO order");
-                work.events
-                    .push((offset, LaneEvent::Dequeue { queue: cell.slot, tenant: cell.tenant }));
+                let head = self.table.note_dequeue(cell.slot);
+                debug_assert_eq!(head, cell.seq, "per-flow FIFO order");
+                let addr = cell_addr(cell.slot, head, cfg.cells_per_queue);
+                work.requests.push((offset, Request::take_as(TenantId(cell.tenant), addr)));
                 self.issued.push_back(cell);
             } else if let Some((arrived, slot, tenant)) = self.ingress.pop_front() {
                 match slot {
@@ -475,17 +488,11 @@ impl<'a> Scheduler<'a> {
                     }
                     Some(slot) => {
                         let seq = self.table.note_enqueue(slot);
-                        let span = work.payload.len() as u32;
-                        payload_extend(slot, seq, cfg.cell_bytes, &mut work.payload);
-                        work.events.push((
-                            offset,
-                            LaneEvent::Enqueue {
-                                queue: slot,
-                                start: span,
-                                end: work.payload.len() as u32,
-                                tenant,
-                            },
-                        ));
+                        payload_extend(slot, seq, cfg.cell_bytes, &mut self.payload);
+                        let addr = cell_addr(slot, seq, cfg.cells_per_queue);
+                        // The payload slice is filled in once the arena is frozen.
+                        let write = Request::write_as(TenantId(tenant), addr, Bytes::default());
+                        work.requests.push((offset, write));
                         self.serving.admitted += 1;
                         self.tx_fifo.push_back(PendingCell { arrival: arrived, slot, seq, tenant });
                     }
@@ -494,21 +501,40 @@ impl<'a> Scheduler<'a> {
             self.serving.transmit_backlog_hwm =
                 self.serving.transmit_backlog_hwm.max(self.tx_fifo.len() as u64);
         }
+
+        self.freeze(work);
+    }
+
+    /// Freezes the epoch's payload into one arena — one allocation and
+    /// one copy per epoch, on this thread (see `run_serve` on where
+    /// long-lived memory is allocated) — and points each write at its
+    /// zero-copy slice of it.
+    fn freeze(&self, work: &mut EpochWork) {
+        let cell_bytes = self.cfg.cell_bytes;
+        let arena = Bytes::copy_from_slice(&self.payload);
+        let mut start = 0;
+        for (_, request) in &mut work.requests {
+            if let Request::Write { data, .. } = request {
+                *data = arena.slice(start..start + cell_bytes);
+                start += cell_bytes;
+            }
+        }
     }
 
     /// Waits for the oldest epoch in flight, retires its deliveries
     /// (pairing, verification, latency) and returns its buffers.
     fn absorb(&mut self, done: &Receiver<EpochDone>) -> Result<EpochWork, String> {
         let cfg = self.cfg;
-        let (report, work) = done.recv().map_err(|_| "the memory stage stopped")?;
-        debug_assert!(report.outcomes.iter().all(Result::is_ok), "shadow occupancy is exact");
-        self.stalls_seen += report.stalled;
-        for d in report.delivered {
+        let (run, work) = done.recv().map_err(|_| "the memory thread stopped")?;
+        debug_assert_eq!(run.rejected, 0, "run_serve's checks admit no malformed request");
+        self.stalls_seen += run.stalled;
+        for r in run.responses {
             // A stalled read loses its response; skip (and count) the
-            // orphaned issue-side entries the same way the buffer does.
+            // orphaned issue-side entries until the response's queue.
+            let queue = r.addr.0 / cfg.cells_per_queue;
             let cell = loop {
                 let front = self.issued.pop_front().ok_or("response without an issued dequeue")?;
-                if front.slot == d.cell.queue {
+                if u64::from(front.slot) == queue {
                     break front;
                 }
                 self.serving.stall_drops += 1;
@@ -516,7 +542,7 @@ impl<'a> Scheduler<'a> {
             };
             // The device returns design-point-sized cells, zero-padded
             // past the `cell_bytes` the payload filled.
-            let payload = d.cell.data.get(..cfg.cell_bytes);
+            let payload = r.data.get(..cfg.cell_bytes);
             if cfg.verify
                 && !payload.is_some_and(|p| payload_matches(cell.slot, cell.seq, cfg.cell_bytes, p))
             {
@@ -535,7 +561,7 @@ impl<'a> Scheduler<'a> {
                 continue;
             }
             self.serving.transmitted += 1;
-            let waited = d.completed_at.saturating_sub(cell.arrival);
+            let waited = r.completed_at.as_u64().saturating_sub(cell.arrival);
             self.latency.record(waited);
             if let Some(lanes) = self.tenant_lanes.as_mut() {
                 let lane = tenant_lane(lanes, cell.tenant);
@@ -547,15 +573,49 @@ impl<'a> Scheduler<'a> {
     }
 }
 
+/// The memory thread of [`run_serve`]: builds the memory, reports its
+/// pipeline delay (or the build error), then runs each epoch it receives
+/// until the work lane closes, and returns the memory's snapshot.
+fn run_memory(
+    cfg: &ServeConfig,
+    ready: &SyncSender<Result<u64, String>>,
+    work: Receiver<EpochWork>,
+    done: &SyncSender<EpochDone>,
+) -> Option<MetricsSnapshot> {
+    // The receiver outlives this thread: it is dropped only when the
+    // scope returns.
+    let reason = "the scheduler waits for the memory";
+    let mut mem = match cfg.engine.build(cfg.base.clone(), cfg.seed) {
+        Ok(mem) => mem,
+        Err(e) => {
+            ready.send(Err(e)).expect(reason);
+            return None;
+        }
+    };
+    ready.send(Ok(mem.delay())).expect(reason);
+    for work in work {
+        let run = mem.run_epoch_sparse(work.len, &work.requests);
+        if done.send((run, work)).is_err() {
+            break;
+        }
+    }
+    mem.snapshot()
+}
+
 /// Runs one serving session end to end: spawn producers, drive the
-/// buffer epoch by epoch (pacing if configured), drain, and account.
+/// memory epoch by epoch (pacing if configured), drain, and account.
 ///
-/// Two stages overlap: a scoped scheduler thread owns the producers,
-/// the flow table, the ingress and transmit queues, pacing, payload
-/// generation and verification, and builds epoch e+1 while the calling
-/// thread — which owns the packet buffer and its memory — runs epoch e.
-/// Long-lived memory is allocated on the calling thread: it freezes each
-/// epoch's payload into the arena the device's storage pins.
+/// Two stages overlap. The calling thread is the scheduler: it owns the
+/// producers, the flow table (whose counters are the queues' head and
+/// tail pointers), the ingress, transmit and issued queues, pacing,
+/// payload generation, response pairing and verification, and builds
+/// epoch e+1 while a scoped memory thread runs epoch e. The memory
+/// thread builds the memory itself (a `Box<dyn PipelinedMemory>` is not
+/// `Send`) and per epoch runs only `run_epoch_sparse`. Long-lived
+/// payload memory is allocated on the calling thread: it freezes each
+/// epoch's payload into the arena the device's storage pins. Freezing
+/// it on the spawned thread instead raises peak RSS (docs/PERFORMANCE.md,
+/// Layers 9 and 11).
 ///
 /// On return every offered packet is accounted exactly once:
 /// `offered == transmitted + ingress_drops + flow_queue_drops +
@@ -564,10 +624,10 @@ impl<'a> Scheduler<'a> {
 ///
 /// # Errors
 ///
-/// Returns a message for invalid geometry, pacing, load or flow mix — checked
-/// before any producer thread starts — or, with [`ServeConfig::verify`],
-/// for a payload that fails verification on a stall-free run (which
-/// would be a correctness bug, not congestion).
+/// Returns a message for invalid geometry, memory config, pacing, load or
+/// flow mix — checked before any producer thread starts — or, with
+/// [`ServeConfig::verify`], for a payload that fails verification on a
+/// stall-free run (which would be a correctness bug, not congestion).
 pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
     if cfg.epoch_len == 0 || cfg.cycles == 0 || cfg.producers == 0 || cfg.queue_depth == 0 {
         return Err("cycles, epoch_len, producers and queue_depth must be positive".into());
@@ -579,6 +639,15 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
         return Err(format!(
             "cell_bytes {} must be in 1..={} (the memory design point's cell size)",
             cfg.cell_bytes, cfg.base.cell_bytes
+        ));
+    }
+    if !(1u64 << 32).is_multiple_of(cfg.cells_per_queue) {
+        // A cell's ring position is its flow-table pointer mod the depth,
+        // and the pointers wrap at 2^32: any other depth would alias a
+        // queued cell after the wrap.
+        return Err(format!(
+            "cells_per_queue {} must be a power of two up to 2^32",
+            cfg.cells_per_queue
         ));
     }
     if let Some(rate) = cfg.pace.filter(|r| !(1..=1_000_000_000).contains(r)) {
@@ -598,33 +667,25 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
         .and_then(u64::checked_next_power_of_two)
         .and_then(|c| u32::try_from(c.max(2)).ok())
         .ok_or("flow space too large")?;
-    // `with_memory` cannot see the memory's address width; a region
-    // larger than the memory would surface as rejected enqueues booked
-    // as stall drops.
+    // The memory cannot see the queue layout; a region larger than the
+    // memory would surface as rejected enqueues booked as stall drops.
     check_region(capacity, cfg.cells_per_queue, cfg.base.addr_bits)?;
-    let mem = cfg.engine.build(cfg.base.clone(), cfg.seed)?;
-    let mut buf = VpnmPacketBuffer::with_memory(mem, capacity, cfg.cells_per_queue)?;
-    let scheduler = Scheduler::new(cfg, capacity);
-    let delay = buf.delay();
-    let started = Instant::now();
 
-    // The memory stage. One epoch is in flight at a time on each lane;
-    // the work lane closing (the scheduler returned) ends the loop, and a
-    // closed report lane (the scheduler gave up on an error) stops it.
-    let scheduler = std::thread::scope(|s| {
+    let (scheduler, snapshot, started) = std::thread::scope(|s| {
+        let (ready_tx, ready_rx) = sync_channel::<Result<u64, String>>(1);
         let (work_tx, work_rx) = sync_channel::<EpochWork>(1);
         let (done_tx, done_rx) = sync_channel::<EpochDone>(1);
-        let stage = s.spawn(move || scheduler.run(delay, started, work_tx, &done_rx));
-        for work in work_rx {
-            // One allocation and one copy per epoch, on this thread; every
-            // enqueue is a zero-copy slice of the arena.
-            let arena = Bytes::copy_from_slice(&work.payload);
-            let report = buf.run_epoch_arena(work.len, &work.events, &arena);
-            if done_tx.send((report, work)).is_err() {
-                break;
-            }
-        }
-        stage.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        // The memory thread. One epoch is in flight at a time on each
+        // lane; the work lane closing (the scheduler returned) ends the
+        // loop, and a closed report lane (the scheduler gave up on an
+        // error) stops it.
+        let memory = s.spawn(move || run_memory(cfg, &ready_tx, work_rx, &done_tx));
+        let scheduler = Scheduler::new(cfg, capacity);
+        let delay = ready_rx.recv().map_err(|_| "the memory thread stopped")??;
+        let started = Instant::now();
+        let scheduled = scheduler.run(delay, started, work_tx, done_rx);
+        let snapshot = memory.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        Ok::<_, String>((scheduled?, snapshot, started))
     })?;
     let Scheduler {
         table,
@@ -639,12 +700,7 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
     } = scheduler;
 
     // Anything still unpaired after a full drain is an orphan of a
-    // stalled (or regulator-deferred) read. The buffer's in-flight FIFO
-    // and `issued` mirror the same dequeues, so each orphan is counted
-    // once, from `issued`; `reconcile_lost` runs for its clearing side
-    // effect on the buffer's own accounting.
-    let orphans = buf.reconcile_lost();
-    debug_assert_eq!(orphans, issued.len() as u64, "both FIFOs mirror the same dequeues");
+    // stalled (or regulator-deferred) read.
     serving.stall_drops += issued.len() as u64;
     if let Some(lanes) = tenant_lanes.as_mut() {
         for cell in &issued {
@@ -662,7 +718,7 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
 
     let residual = (ingress.len() + tx_fifo.len()) as u64;
     debug_assert!(serving.conserves(residual), "packet conservation");
-    let snapshot = buf.memory().snapshot().map(|mut s| {
+    let snapshot = snapshot.map(|mut s| {
         // Fold the serve-side attribution (drops, deliveries, latency)
         // into the fabric's tenant section, which already carries the
         // regulator-side issued/deferred counts.
@@ -741,6 +797,15 @@ mod tests {
             ("stride wider than the space", mix(tenants(4, 25, 1 << 11))),
             ("stride over no banks", mix(tenants(4, 25, 0))),
             ("buffer larger than the memory", ServeConfig { cells_per_queue: 128, ..small() }),
+            ("ring depth not a power of two", ServeConfig { cells_per_queue: 12, ..small() }),
+            (
+                // Refused by `VpnmController::new`, on the memory thread.
+                "memory config the controller refuses",
+                ServeConfig {
+                    base: VpnmConfig { banks: 3, ..VpnmConfig::test_roomy() },
+                    ..small()
+                },
+            ),
             ("flow space above 2^63", mix(FlowMix::Uniform { space: u64::MAX })),
             (
                 "trace holding flow u64::MAX",

@@ -222,18 +222,17 @@ impl BankController {
             None => 0,
             Some(AccessEntry::Read { row, take }) => {
                 let addr = self.storage.row_addr(row);
-                match dram
-                    .try_issue_read(self.bank, addr.0, now_mem)
-                    .unwrap_or_else(|e| panic!("unexpected DRAM error: {e}"))
-                {
+                // A consuming read moves the cell out of the store into
+                // the row: bank queues are FIFO and an address lives in
+                // one bank, so no later access of this address can have
+                // been issued before it.
+                let grant = if take {
+                    dram.try_issue_take(self.bank, addr.0, now_mem)
+                } else {
+                    dram.try_issue_read(self.bank, addr.0, now_mem)
+                };
+                match grant.unwrap_or_else(|e| panic!("unexpected DRAM error: {e}")) {
                     Some(grant) => {
-                        // A consuming read drops the cell now that the row
-                        // holds it: bank queues are FIFO and an address
-                        // lives in one bank, so no later access of this
-                        // address can have been issued before it.
-                        if take {
-                            dram.take(self.bank, addr.0);
-                        }
                         self.storage.fill(row, grant.data);
                         self.in_service_until = Some(grant.data_ready_at);
                         grant.data_ready_at.as_u64()

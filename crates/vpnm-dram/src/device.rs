@@ -170,7 +170,7 @@ impl DramDevice {
         offset: u64,
         now: Cycle,
     ) -> Result<ReadGrant, DramError> {
-        match self.read_access(bank, offset, now)? {
+        match self.read_access::<false>(bank, offset, now)? {
             Ok(grant) => Ok(grant),
             Err(free_at) => {
                 self.stats.bank_conflicts += 1;
@@ -181,9 +181,10 @@ impl DramDevice {
 
     /// Shared body of the read-issue variants: `Ok(Err(free_at))` signals
     /// a busy bank, which the public wrappers map to either a counted
-    /// conflict or a silently wasted slot.
+    /// conflict or a silently wasted slot. `TAKE` moves the cell out of
+    /// the store instead of sharing it.
     #[inline]
-    fn read_access(
+    fn read_access<const TAKE: bool>(
         &mut self,
         bank: u32,
         offset: u64,
@@ -203,7 +204,8 @@ impl DramDevice {
         self.stats.reads += 1;
         self.stats.bus_busy_cycles += timing.transfer_cycles();
         self.stats.last_activity = Some(now);
-        let data = self.storage.read(self.cell_index(bank, offset));
+        let idx = self.cell_index(bank, offset);
+        let data = if TAKE { self.storage.take_or_zero(idx) } else { self.storage.read(idx) };
         Ok(Ok(ReadGrant { data_ready_at: done, data }))
     }
 
@@ -251,7 +253,26 @@ impl DramDevice {
         offset: u64,
         now: Cycle,
     ) -> Result<Option<ReadGrant>, DramError> {
-        Ok(self.read_access(bank, offset, now)?.ok())
+        Ok(self.read_access::<false>(bank, offset, now)?.ok())
+    }
+
+    /// [`DramDevice::try_issue_read`] as a *consuming* read: the granted
+    /// cell is moved out of the store into the grant, in one store probe
+    /// and with no reference-count traffic, and later reads see the zero
+    /// cell. Equivalent to `try_issue_read` followed by
+    /// [`DramDevice::take`] on a grant; a busy bank takes nothing.
+    ///
+    /// # Errors
+    ///
+    /// The same range errors as [`DramDevice::issue_read`].
+    #[inline]
+    pub fn try_issue_take(
+        &mut self,
+        bank: u32,
+        offset: u64,
+        now: Cycle,
+    ) -> Result<Option<ReadGrant>, DramError> {
+        Ok(self.read_access::<true>(bank, offset, now)?.ok())
     }
 
     /// [`DramDevice::issue_write`] with the same wasted-slot semantics as
@@ -328,7 +349,8 @@ impl DramDevice {
     }
 
     /// Zero-time removal of a cell: the re-keying migration's backdoor,
-    /// and how a controller frees the cell of a granted consuming read.
+    /// and how the reference controller frees the cell of a granted
+    /// consuming read ([`DramDevice::try_issue_take`] does both in one).
     /// Later reads see the zero cell. Returns the previous contents if the
     /// cell was populated.
     pub fn take(&mut self, bank: u32, offset: u64) -> Option<Bytes> {
@@ -403,6 +425,46 @@ mod tests {
         assert_eq!((d.stats().reads, d.stats().writes), (2, 1), "take is not an access");
         d.issue_write(2, 4, vec![7], g.data_ready_at).unwrap();
         assert_eq!(d.peek(2, 4)[0], 7, "a freed cell can be written again");
+    }
+
+    #[test]
+    fn try_issue_take_is_a_read_then_a_take() {
+        // Two devices fed the same accesses; `a` takes in one step, `b`
+        // reads and then takes.
+        let (mut a, mut b) = (tiny(), tiny());
+        let cell = Bytes::from(vec![4u8; 8]);
+        let stored = cell.as_slice().as_ptr();
+        for d in [&mut a, &mut b] {
+            d.issue_write(1, 2, cell.clone(), Cycle::ZERO).unwrap();
+        }
+        let now = Cycle::new(3);
+        let took = a.try_issue_take(1, 2, now).unwrap().expect("bank 1 is free");
+        let read = b.try_issue_read(1, 2, now).unwrap().expect("bank 1 is free");
+        assert_eq!(b.take(1, 2).as_deref(), Some(&read.data[..]));
+        assert_eq!(took, read, "the same data, ready at the same cycle");
+        assert_eq!(took.data.as_slice().as_ptr(), stored, "the stored cell itself, moved out");
+        assert_eq!(a.stats(), b.stats());
+        assert!(a.populated().is_empty() && b.populated().is_empty());
+
+        // A busy bank grants nothing and takes nothing.
+        for d in [&mut a, &mut b] {
+            d.poke(3, 0, vec![7]);
+            d.issue_read(3, 1, now).unwrap();
+        }
+        assert_eq!(a.try_issue_take(3, 0, now), Ok(None));
+        assert_eq!(b.try_issue_read(3, 0, now), Ok(None));
+        assert_eq!(a.peek(3, 0)[0], 7, "the cell stays stored");
+        assert_eq!(a.stats(), b.stats());
+
+        // A never-written cell reads back as the zero cell.
+        let later = Cycle::new(9);
+        let took = a.try_issue_take(0, 5, later).unwrap().unwrap();
+        let read = b.try_issue_read(0, 5, later).unwrap().unwrap();
+        assert_eq!(b.take(0, 5), None);
+        assert_eq!(took, read);
+        assert_eq!(took.data, [0u8; 8]);
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.populated(), b.populated());
     }
 
     #[test]

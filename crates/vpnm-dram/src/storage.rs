@@ -112,6 +112,17 @@ impl SparseStorage {
         self.cells.remove(&index)
     }
 
+    /// [`SparseStorage::take`] that hands back what a read would have:
+    /// the stored cell itself, or the shared zero cell if it was never
+    /// written.
+    #[inline]
+    pub(crate) fn take_or_zero(&mut self, index: u64) -> Bytes {
+        if self.cells.is_empty() {
+            return self.zero.clone();
+        }
+        self.cells.remove(&index).unwrap_or_else(|| self.zero.clone())
+    }
+
     /// Drops all contents.
     pub fn clear(&mut self) {
         self.cells.clear();
