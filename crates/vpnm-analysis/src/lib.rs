@@ -11,9 +11,9 @@
 //!   `MTS = log(1/2) / log(1 − C(D−1, K−1)·(1/B)^(K−1)) + D`.
 //! * [`markov`] — the **bank access queue** stall (Section 5.2): the queue
 //!   is a probabilistic state machine over "work remaining" (Figure 5);
-//!   we compute absorption into the stall state both exactly (matrix
-//!   powers, for validation) and via the spectral gap (for the huge MTS
-//!   values the paper reports).
+//!   we compute absorption into the stall state both by matrix powers
+//!   (for validation) and by a banded linear solve for the mean
+//!   absorption time (for the huge MTS values the paper reports).
 //! * [`combine`] — total MTS from the per-mechanism MTS values (stall
 //!   rates add).
 //! * [`design_space`] — the Figure 7 / Table 2 sweep: thousands of

@@ -10,11 +10,12 @@
 //!
 //! * the exact absorption probability after `t` steps (distribution
 //!   evolution — the paper's `I·Mᵗ`), used for validation;
-//! * the Mean Time to Stall via the quasi-stationary absorption rate
-//!   (spectral method), which reaches the 10¹⁴-cycle regimes of Figure 6
-//!   that explicit matrix powering cannot;
-//! * the exact expected time to absorption by direct linear solve, for
-//!   small configurations.
+//! * the Mean Time to Stall from the exact mean absorption time, found
+//!   by a banded linear solve of `(I − T)·x = 1` (`O(Q·L²)`), which
+//!   reaches the 10¹⁴-cycle regimes of Figure 6 that explicit matrix
+//!   powering cannot;
+//! * the same mean time by a dense linear solve, for small
+//!   configurations, as the banded solve's oracle.
 
 use crate::MTS_CAP;
 
@@ -233,8 +234,8 @@ impl BankQueueModel {
     }
 
     /// Exact expected time to absorption from idle, by dense linear solve
-    /// of `(I − T)·x = 1`. Exposed for validating the spectral method on
-    /// small models.
+    /// of `(I − T)·x = 1`. Exposed for validating the banded solve
+    /// ([`BankQueueModel::mean_absorption_cycles`]) on small models.
     ///
     /// # Panics
     ///

@@ -127,13 +127,6 @@ impl FlowMix {
     ///
     /// Returns a one-line message naming the mix and what is wrong
     /// with it.
-    // `check` and `generator` are `#[inline]` so that making them `pub`
-    // left the machine code of every binary linking this crate where it
-    // was. Emitted as symbols of their own, they moved the repo
-    // benchmark's hot loops to other 64-byte offsets, which slowed the
-    // untimed oracle of each `mem_dense_reads` repetition by ~20 % on
-    // an AVX2 host, though that workload calls neither.
-    #[inline]
     pub fn check(&self) -> Result<(), String> {
         let invalid = |why: String| Err(format!("invalid flow mix {self:?}: {why}"));
         match *self {
@@ -162,7 +155,6 @@ impl FlowMix {
 
     /// The mix's flow generator, seeded with `seed`. Panics on
     /// parameters [`FlowMix::check`] refuses.
-    #[inline] // as `check`
     pub fn generator(&self, seed: u64) -> Box<dyn TenantFlowGen + Send> {
         match *self {
             FlowMix::Uniform { space } => {
@@ -335,7 +327,12 @@ impl<'a> Scheduler<'a> {
         Scheduler {
             cfg,
             table: FlowTable::new(capacity),
-            ingress: VecDeque::with_capacity(cfg.queue_depth),
+            // `queue_depth` is a bound, not a size: reserve no more than one
+            // epoch of arrivals up front, so a huge bound cannot overflow
+            // or exhaust the allocator.
+            ingress: VecDeque::with_capacity(
+                cfg.queue_depth.min(usize::try_from(cfg.epoch_len).unwrap_or(usize::MAX)),
+            ),
             tx_fifo: VecDeque::new(),
             issued: VecDeque::new(),
             payload: Vec::new(),
@@ -825,6 +822,7 @@ mod tests {
         assert!(run_serve(&mix(FlowMix::Uniform { space: 1 })).is_ok());
         assert!(run_serve(&mix(tenants(1, 0, 0))).is_ok());
         assert!(run_serve(&ServeConfig { cells_per_queue: 64, ..small() }).is_ok());
+        assert!(run_serve(&ServeConfig { queue_depth: usize::MAX, ..small() }).is_ok());
         assert!(run_serve(&load(0.0)).is_ok());
         assert!(run_serve(&load(1.0)).is_ok());
     }

@@ -66,7 +66,6 @@ fn main() {
             addr_bits: 16,
             cell_bytes: 8,
             hash: HashKind::H3,
-            forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,
         };

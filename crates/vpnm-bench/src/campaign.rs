@@ -157,12 +157,6 @@ pub struct ShardResult {
     pub storage_occupancy: Histogram,
 }
 
-/// Runs one shard to completion on the caller's thread — shorthand for
-/// [`run_shard_with_workers`] with one worker.
-pub fn run_shard(params: &CampaignParams, shard: u64) -> ShardResult {
-    run_shard_with_workers(params, shard, 1)
-}
-
 /// Runs one shard to completion: a fresh controller (or fabric, for
 /// `channels > 1`) and a fresh uniform read stream, both seeded
 /// deterministically from `(params.seed, shard)`, driven through the
@@ -178,7 +172,7 @@ pub fn run_shard(params: &CampaignParams, shard: u64) -> ShardResult {
 /// [`vpnm_core::VpnmFabric::set_workers`]) —
 /// the result is byte-identical for every value, so the checkpoint
 /// grammar ignores it.
-pub fn run_shard_with_workers(params: &CampaignParams, shard: u64, workers: usize) -> ShardResult {
+pub fn run_shard(params: &CampaignParams, shard: u64, workers: usize) -> ShardResult {
     let config = params.validate().expect("validated before sharding");
     let ctrl_seed = splitmix64(params.seed.wrapping_add(shard));
     let wl_seed = splitmix64(ctrl_seed ^ 0x9E37_79B9_7F4A_7C15);
@@ -301,9 +295,9 @@ impl CampaignReport {
 /// each freshly computed shard is appended (resumed shards are not
 /// re-reported).
 ///
-/// `workers` is the per-shard fabric worker count (see
-/// [`run_shard_with_workers`]); it changes wall-clock time only, never
-/// results, so checkpoints resume freely across worker counts.
+/// `workers` is the per-shard fabric worker count (see [`run_shard`]);
+/// it changes wall-clock time only, never results, so checkpoints resume
+/// freely across worker counts.
 ///
 /// # Errors
 ///
@@ -350,7 +344,7 @@ where
         .map_err(|e| format!("cannot write checkpoint {shown}: {e}"))?;
     let log = Mutex::new((file, 0usize));
     let fresh = par_map(pending.len(), |k| {
-        let result = run_shard_with_workers(params, pending[k], workers);
+        let result = run_shard(params, pending[k], workers);
         let mut log = log.lock().expect("checkpoint file lock");
         let (file, appended) = &mut *log;
         // An append failure must not silently drop the shard from the
@@ -628,18 +622,18 @@ mod tests {
     #[test]
     fn shards_are_deterministic() {
         let p = small_params();
-        assert_eq!(run_shard(&p, 2), run_shard(&p, 2));
-        assert_ne!(run_shard(&p, 2), run_shard(&p, 3), "shards must differ");
+        assert_eq!(run_shard(&p, 2, 1), run_shard(&p, 2, 1));
+        assert_ne!(run_shard(&p, 2, 1), run_shard(&p, 3, 1), "shards must differ");
     }
 
     #[test]
     fn fabric_shards_are_deterministic_and_answer_everything() {
         let p = CampaignParams { channels: 4, cycles: 8_000, ..small_params() };
-        let a = run_shard(&p, 1);
-        assert_eq!(a, run_shard(&p, 1));
+        let a = run_shard(&p, 1, 1);
+        assert_eq!(a, run_shard(&p, 1, 1));
         assert_eq!(a.accepted, a.responses, "drained shards answer everything");
         assert_eq!(a.accepted + a.stalled, p.cycles_of_shard(1));
-        assert_ne!(a, run_shard(&small_params(), 1), "channel count changes the run");
+        assert_ne!(a, run_shard(&small_params(), 1, 1), "channel count changes the run");
 
         // Bad channel geometry is caught at validation.
         let bad = CampaignParams { channels: 3, ..small_params() };
@@ -650,7 +644,7 @@ mod tests {
     fn shard_line_round_trips_exactly() {
         let p = small_params();
         for shard in [0u64, 4] {
-            let r = run_shard(&p, shard);
+            let r = run_shard(&p, shard, 1);
             let parsed = parse_shard_line(&shard_line(&r)).expect("own lines parse");
             assert_eq!(parsed, r, "bit-exact round trip incl. histograms");
         }
@@ -685,7 +679,7 @@ mod tests {
         let mut qd = Histogram::new();
         let mut occ = Histogram::new();
         for s in 0..p.shards() {
-            let r = run_shard(&p, s);
+            let r = run_shard(&p, s, 1);
             cycles += r.cycles;
             stalled += r.stalled;
             accepted += r.accepted;
@@ -744,16 +738,16 @@ mod tests {
     #[test]
     fn fabric_shards_are_worker_count_invariant() {
         let p = CampaignParams { channels: 4, cycles: 8_000, ..small_params() };
-        let base = run_shard_with_workers(&p, 0, 1);
+        let base = run_shard(&p, 0, 1);
         for workers in [2, 4, 8] {
             assert_eq!(
-                run_shard_with_workers(&p, 0, workers),
+                run_shard(&p, 0, workers),
                 base,
                 "{workers} workers must be byte-identical to sequential"
             );
         }
         // Single-channel shards ignore the worker count entirely.
-        assert_eq!(run_shard_with_workers(&small_params(), 0, 8), run_shard(&small_params(), 0));
+        assert_eq!(run_shard(&small_params(), 0, 8), run_shard(&small_params(), 0, 1));
     }
 
     #[test]
@@ -849,7 +843,7 @@ mod tests {
         let p = small_params();
         let path = temp_checkpoint("conflict");
         run_campaign(&p, &path, 1, |_, _| {}).expect("first run");
-        let mut other = run_shard(&p, 1);
+        let mut other = run_shard(&p, 1, 1);
         other.stalled += 1;
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str(&shard_line(&other));
@@ -866,7 +860,7 @@ mod tests {
         let path = temp_checkpoint("hostile");
         let full = run_campaign(&p, &path, 1, |_, _| {}).expect("first run");
         let header = header_line(&p);
-        let mut huge = run_shard(&p, 0);
+        let mut huge = run_shard(&p, 0, 1);
         let overflowing_line =
             shard_line(&huge).replace("\"qh_b\":[", "\"qh_b\":[[0,18446744073709551615],");
         let resealed = seal(overflowing_line.rsplit_once(",\"ck\":").unwrap().0.to_string());

@@ -20,9 +20,15 @@
 //! The forensic ring then holds the complete causal window: accepts and
 //! retires marching along with a shallow queue, storage occupancy
 //! climbing to `K`, and the stall with full context.
+//!
+//! The scenario runs on [`ReferenceController`], the engine that records
+//! forensic events. Its responses, stalls and metrics equal the fast
+//! engine's cycle for cycle (`tests/engine_equivalence.rs`), so the window
+//! is the one a [`vpnm_core::VpnmController`] run of the same stream goes
+//! through.
 
 use vpnm_core::forensics::ForensicEvent;
-use vpnm_core::{HashKind, LineAddr, Request, StallKind, VpnmConfig, VpnmController};
+use vpnm_core::{HashKind, LineAddr, ReferenceController, Request, StallKind, VpnmConfig};
 
 /// Everything `vpnm-inspect` needs to render a forced-overflow stall.
 #[derive(Debug)]
@@ -34,6 +40,8 @@ pub struct DsbOverflowForensics {
     pub stall_kind: StallKind,
     /// The retained forensic events, oldest first.
     pub events: Vec<ForensicEvent>,
+    /// Events recorded before the window and evicted from the ring.
+    pub dropped: u64,
     /// The rendered causal window ("bank 0 exceeded DSB occupancy K at
     /// cycle N; last … events leading up to it"); `None` when no stall
     /// event was retained in the ring.
@@ -59,12 +67,9 @@ const ACCEPT_INTERVAL: u64 = 6;
 /// Panics if the scenario fails to stall within its cycle budget — that
 /// would mean the controller stopped holding rows for `D` cycles.
 pub fn forced_dsb_overflow() -> DsbOverflowForensics {
-    let cfg = VpnmConfig::small_test()
-        .with_hash(HashKind::LowBits)
-        .with_delay(OVERFLOW_DELAY)
-        .with_forensics_capacity(64);
+    let cfg = VpnmConfig::small_test().with_hash(HashKind::LowBits).with_delay(OVERFLOW_DELAY);
     let banks = u64::from(cfg.banks);
-    let mut mem = VpnmController::new(cfg, 0).expect("valid config");
+    let mut mem = ReferenceController::new(cfg, 0).expect("valid config");
     let mut stall = None;
     for i in 0..4 * OVERFLOW_DELAY {
         // Stride-B addresses, all distinct: every read lands in bank 0
@@ -82,6 +87,7 @@ pub fn forced_dsb_overflow() -> DsbOverflowForensics {
         stall_cycle,
         stall_kind,
         events: mem.forensics().events(),
+        dropped: mem.forensics().dropped(),
         report: mem.forensics().stall_report(),
         snapshot_json: mem.snapshot().to_json(),
     }
@@ -143,5 +149,35 @@ mod tests {
         // CAM load factor.
         assert!(f.snapshot_json.contains("\"delay_storage_stalls\": 1"), "{}", f.snapshot_json);
         assert!(f.snapshot_json.contains("\"cam_load_factor\": 1.000000"), "{}", f.snapshot_json);
+    }
+
+    /// The whole causal window, pinned: the scenario is a pure function of
+    /// its request stream, so any change to the engine it runs on, the
+    /// events it records or their rendering shows here first.
+    #[test]
+    fn forced_overflow_report_is_pinned() {
+        const REPORT: &str = "bank 0 exceeded DSB occupancy 8 at cycle 49; last 17 events leading up to it:
+  cycle        1  bank   0  accept   read  0x0 -> row 0, queue depth 1
+  cycle        7  bank   0  accept   read  0x4 -> row 1, queue depth 2
+  cycle        9  bank   0  retire   access, queue depth 1
+  cycle       13  bank   0  retire   access, queue depth 0
+  cycle       13  bank   0  accept   read  0x8 -> row 2, queue depth 1
+  cycle       19  bank   0  accept   read  0xc -> row 3, queue depth 2
+  cycle       21  bank   0  retire   access, queue depth 1
+  cycle       25  bank   0  retire   access, queue depth 0
+  cycle       25  bank   0  accept   read  0x10 -> row 4, queue depth 1
+  cycle       31  bank   0  accept   read  0x14 -> row 5, queue depth 2
+  cycle       33  bank   0  retire   access, queue depth 1
+  cycle       37  bank   0  retire   access, queue depth 0
+  cycle       37  bank   0  accept   read  0x18 -> row 6, queue depth 1
+  cycle       43  bank   0  accept   read  0x1c -> row 7, queue depth 2
+  cycle       45  bank   0  retire   access, queue depth 1
+  cycle       49  bank   0  retire   access, queue depth 0
+  cycle       49  bank   0  STALL    delay storage buffer stall: 0x20 (DSB rows live 8, queue depth 0, write buffer 0)
+";
+        let f = forced_dsb_overflow();
+        assert_eq!(f.report.as_deref(), Some(REPORT));
+        assert_eq!(f.events.len(), 17);
+        assert_eq!(f.dropped, 0);
     }
 }

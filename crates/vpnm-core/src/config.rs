@@ -56,11 +56,6 @@ pub struct VpnmConfig {
     pub cell_bytes: usize,
     /// Which universal hash family randomizes the bank mapping.
     pub hash: HashKind,
-    /// Forensic event-ring capacity for the fast engine's observability
-    /// layer — the one forensics gate. `0` (the default) records nothing
-    /// and costs nothing: the controller then runs the instantiation of
-    /// its cycle body with no event sites. See [`crate::forensics`].
-    pub forensics_capacity: usize,
     /// Bus grant policy (ablation knob; the paper uses round-robin).
     pub scheduler: SchedulerKind,
     /// Redundant-request merging (ablation knob; the paper's merging
@@ -83,7 +78,6 @@ impl VpnmConfig {
             addr_bits: 32,
             cell_bytes: 64,
             hash: HashKind::H3,
-            forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,
         }
@@ -108,7 +102,6 @@ impl VpnmConfig {
             addr_bits: 16,
             cell_bytes: 8,
             hash: HashKind::H3,
-            forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,
         }
@@ -128,7 +121,6 @@ impl VpnmConfig {
             addr_bits: 16,
             cell_bytes: 8,
             hash: HashKind::H3,
-            forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,
         }
@@ -167,12 +159,6 @@ impl VpnmConfig {
     /// Builder-style delay override.
     pub fn with_delay(mut self, d: u64) -> Self {
         self.delay_override = Some(d);
-        self
-    }
-
-    /// Builder-style forensic event-ring capacity override.
-    pub fn with_forensics_capacity(mut self, cap: usize) -> Self {
-        self.forensics_capacity = cap;
         self
     }
 
@@ -360,7 +346,6 @@ mod tests {
             addr_bits: 16,
             cell_bytes: 8,
             hash: HashKind::LowBits,
-            forensics_capacity: 0,
             scheduler: SchedulerKind::RoundRobin,
             merging: true,
         };

@@ -44,7 +44,6 @@
 use crate::bank_controller::{Accepted, BankController, BankEvent};
 use crate::config::{SchedulerKind, VpnmConfig};
 use crate::delay_storage::RowId;
-use crate::forensics::{ForensicKind, ForensicRing};
 use crate::hash_engine::HashEngine;
 use crate::memory::PipelinedMemory;
 use crate::metrics::ControllerMetrics;
@@ -210,10 +209,6 @@ pub struct VpnmController {
     cycles_skipped: u64,
     /// Cached zero cell served on deadline misses.
     zero_cell: Bytes,
-    /// Forensic event ring (see [`crate::forensics`]); inert unless
-    /// [`VpnmConfig::forensics_capacity`] is non-zero, which each drive
-    /// entry checks once to pick `step::<true>` or `step::<false>`.
-    forensics: ForensicRing,
 }
 
 impl VpnmController {
@@ -262,7 +257,6 @@ impl VpnmController {
             storage_live: 0,
             cycles_skipped: 0,
             zero_cell: Bytes::from(vec![0u8; config.cell_bytes]),
-            forensics: ForensicRing::new(config.forensics_capacity),
             config,
         })
     }
@@ -309,12 +303,6 @@ impl VpnmController {
         self.hash.bank_of(addr.0)
     }
 
-    /// The forensic event ring, when enabled via
-    /// [`VpnmConfig::forensics_capacity`].
-    pub fn forensics(&self) -> &ForensicRing {
-        &self.forensics
-    }
-
     /// Interface cycles covered by event-horizon skips rather than
     /// individual ticks (the batch doors skip; [`VpnmController::tick`]
     /// never does).
@@ -353,11 +341,7 @@ impl VpnmController {
         };
         let mut response = None;
         let mut emit = |r| response = Some(r);
-        let stall = if self.forensics.is_enabled() {
-            self.step::<true>(request, bank, &mut emit)
-        } else {
-            self.step::<false>(request, bank, &mut emit)
-        };
+        let stall = self.step(request, bank, &mut emit);
         let depth = self.max_queue_depth();
         self.metrics.sample_cycle(depth, self.storage_live);
         TickOutput { response, stall }
@@ -371,12 +355,8 @@ impl VpnmController {
     /// drive loop) so the request stays in registers instead of crossing a call boundary
     /// every simulated cycle, and a due response is handed to `emit` in
     /// place rather than moved out through a return value.
-    ///
-    /// `REC` compiles the seven forensic event sites in or out. Callers
-    /// pass the value their entry point read from the ring, so the silent
-    /// instantiation never branches on the forensics gate.
     #[inline]
-    fn step<const REC: bool>(
+    fn step(
         &mut self,
         request: Option<Request>,
         bank: usize,
@@ -427,13 +407,6 @@ impl VpnmController {
                     if after == 0 {
                         self.ready_banks -= 1;
                     }
-                    if REC {
-                        self.forensics.record(
-                            self.clock.interface_now(),
-                            bank as u32,
-                            ForensicKind::QueueExit { queue_depth: g.depth },
-                        );
-                    }
                 }
             }
             if mt.interface_tick {
@@ -454,7 +427,6 @@ impl VpnmController {
                 stall = Some(kind);
                 self.metrics.record_stall(kind, now);
             } else {
-                let addr = req.addr();
                 let tenant = req.tenant();
                 let event = match req {
                     Request::Read { addr, take, .. } => BankEvent::Read { addr, take },
@@ -477,13 +449,6 @@ impl VpnmController {
                         if after == 1 {
                             self.ready_banks += 1;
                         }
-                        if REC {
-                            self.forensics.record(
-                                now,
-                                bank as u32,
-                                ForensicKind::Accepted { addr, row, queue_depth: after as u32 },
-                            );
-                        }
                     }
                     Ok(Accepted::ReadMerged(row)) => {
                         self.metrics.reads_accepted += 1;
@@ -491,10 +456,6 @@ impl VpnmController {
                         self.outstanding += 1;
                         self.metrics.note_outstanding(self.outstanding as u64);
                         read_row = Some((bank as u32, row, tenant));
-                        if REC {
-                            let merged = ForensicKind::Merged { addr, row };
-                            self.forensics.record(now, bank as u32, merged);
-                        }
                     }
                     Ok(Accepted::WriteBuffered) => {
                         self.metrics.writes_accepted += 1;
@@ -509,28 +470,10 @@ impl VpnmController {
                         if after == 1 {
                             self.ready_banks += 1;
                         }
-                        if REC {
-                            self.forensics.record(
-                                now,
-                                bank as u32,
-                                ForensicKind::WriteAccepted { addr, queue_depth: after as u32 },
-                            );
-                        }
                     }
                     Err(kind) => {
                         stall = Some(kind);
                         self.metrics.record_stall(kind, now);
-                        if REC {
-                            let bc = &self.banks[bank];
-                            let context = ForensicKind::Stalled {
-                                kind,
-                                addr,
-                                storage_live: bc.storage_occupancy() as u32,
-                                queue_depth: bc.queue_depth() as u32,
-                                write_depth: bc.write_buffer_depth() as u32,
-                            };
-                            self.forensics.record(now, bank as u32, context);
-                        }
                     }
                 }
             }
@@ -579,7 +522,6 @@ impl VpnmController {
             let live_before = bc.storage_occupancy();
             let pb = bc.playback(row);
             self.storage_live -= (live_before - bc.storage_occupancy()) as u64;
-            let miss = pb.data.is_none();
             let data = match pb.data {
                 Some(d) => d,
                 None => {
@@ -589,13 +531,6 @@ impl VpnmController {
             };
             self.outstanding -= 1;
             self.metrics.responses += 1;
-            if REC {
-                self.forensics.record(
-                    now,
-                    bank,
-                    ForensicKind::Returned { addr: pb.addr, row, miss },
-                );
-            }
             emit(Response {
                 addr: pb.addr,
                 data,
@@ -777,10 +712,8 @@ impl VpnmController {
     /// presenting `step` below always carries a request and the idle one
     /// in `idle_span` never does, so each inlines specialised; funnelling
     /// both through one call site with a run-time `Option` measured 4–5 %
-    /// slower on a dense stream. `REC` is the forensics gate its door
-    /// read once (see [`VpnmController::step`]), threaded through
-    /// unchanged.
-    fn drive<'a, const REC: bool>(
+    /// slower on a dense stream.
+    fn drive<'a>(
         &mut self,
         len: u64,
         count: usize,
@@ -811,11 +744,10 @@ impl VpnmController {
             for (j, &bank) in banks[..n].iter().enumerate() {
                 let (offset, request) = at(k + j);
                 if i < offset {
-                    self.idle_span::<REC>(offset - i, &mut samples, &mut report.responses);
+                    self.idle_span(offset - i, &mut samples, &mut report.responses);
                 }
-                let stall = self.step::<REC>(Some(request.clone()), bank as usize, &mut |r| {
-                    report.responses.push(r)
-                });
+                let stall = self
+                    .step(Some(request.clone()), bank as usize, &mut |r| report.responses.push(r));
                 let depth = self.max_queue_depth();
                 samples.push(&mut self.metrics, depth, self.storage_live);
                 match stall {
@@ -828,7 +760,7 @@ impl VpnmController {
             k += n;
         }
         if i < len {
-            self.idle_span::<REC>(len - i, &mut samples, &mut report.responses);
+            self.idle_span(len - i, &mut samples, &mut report.responses);
         }
         samples.flush(&mut self.metrics);
         report
@@ -839,23 +771,18 @@ impl VpnmController {
     /// due playback while no bank is queued and taking a normal idle step
     /// otherwise (a bank is queued, or a playback falls due on that very
     /// cycle). Not generic over the door's view, so every encoding shares
-    /// one copy per `REC`.
-    fn idle_span<const REC: bool>(
-        &mut self,
-        gap: u64,
-        samples: &mut SampleRun,
-        responses: &mut Vec<Response>,
-    ) {
+    /// one copy.
+    fn idle_span(&mut self, gap: u64, samples: &mut SampleRun, responses: &mut Vec<Response>) {
         let mut left = gap;
         while left > 0 {
             if self.ready_banks == 0 {
-                let n = self.skip_idle::<REC>(left);
+                let n = self.skip_idle(left);
                 if n > 0 {
                     left -= n;
                     continue;
                 }
             }
-            self.step::<REC>(None, 0, &mut |r| responses.push(r));
+            self.step(None, 0, &mut |r| responses.push(r));
             let depth = self.max_queue_depth();
             samples.push(&mut self.metrics, depth, self.storage_live);
             left -= 1;
@@ -873,7 +800,7 @@ impl VpnmController {
     /// playback falls due (ring span empty), and queue depths / storage
     /// occupancy are frozen, so the occupancy samples are identical by
     /// bulk-recording.
-    fn skip_idle<const REC: bool>(&mut self, gap: u64) -> u64 {
+    fn skip_idle(&mut self, gap: u64) -> u64 {
         debug_assert_eq!(self.ready_banks, 0);
         // Occupied ring slots equal `outstanding` reads, so an empty
         // controller skips the whole gap without scanning.
@@ -884,13 +811,6 @@ impl VpnmController {
             let depth = self.max_queue_depth();
             self.metrics.sample_cycles(depth, self.storage_live, n);
             self.cycles_skipped += n;
-            if REC {
-                self.forensics.record(
-                    self.clock.interface_now(),
-                    0,
-                    ForensicKind::FastForward { interface_cycles: n },
-                );
-            }
         }
         n
     }
@@ -1022,22 +942,12 @@ impl PipelinedMemory for VpnmController {
     }
 
     fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
-        let at = |k: usize| (requests[k].0, &requests[k].1);
-        if self.forensics.is_enabled() {
-            self.drive::<true>(len, requests.len(), at)
-        } else {
-            self.drive::<false>(len, requests.len(), at)
-        }
+        self.drive(len, requests.len(), |k| (requests[k].0, &requests[k].1))
     }
 
     fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
         // Dense view: offset(k) == k, so `drive`'s gap test never fires.
-        let (len, at) = (requests.len() as u64, |k: usize| (k as u64, &requests[k]));
-        if self.forensics.is_enabled() {
-            self.drive::<true>(len, requests.len(), at)
-        } else {
-            self.drive::<false>(len, requests.len(), at)
-        }
+        self.drive(requests.len() as u64, requests.len(), |k| (k as u64, &requests[k]))
     }
 
     fn bank_of(&self, addr: LineAddr) -> Option<u32> {
@@ -1676,86 +1586,6 @@ mod tests {
             let idle = vec![None; 5 * d as usize];
             assert_doors_match_ticks(&cfg, &[write(9, 0x5A), read(9)], &idle);
         }
-    }
-
-    #[test]
-    fn doors_record_forensics_like_ticks() {
-        // The batch doors' recording instantiation (`drive::<true>`) is
-        // reached by nothing but this test. With the ring on, a door must
-        // record exactly the events the `tick` sequence records, plus the
-        // `FastForward` markers only its idle skip emits; with the ring
-        // off it records nothing. The run itself — responses, metrics,
-        // snapshot — must not depend on the capacity at all.
-        let d = VpnmController::new(VpnmConfig::small_test(), 7).unwrap().delay() as usize;
-        // A dense prefix across the hash-chunk seam: reads, writes, and
-        // repeats that merge …
-        let dense: Vec<Option<Request>> = (0..(2 * HASH_CHUNK as u64 + 300))
-            .map(|i| match i % 7 {
-                0 => write(i % 64, i as u8),
-                1 | 2 => read(i % 64),
-                3 => read(42),
-                _ => read(i * 37 % 5000),
-            })
-            .collect();
-        // … then bursts separated by idle stretches longer than D.
-        let mut stream = dense.clone();
-        for burst in 0..120u64 {
-            for i in 0..24u64 {
-                let a = (burst * 977 + i * 37) % 5000;
-                stream.push(match i % 4 {
-                    0 => write(a % 64, i as u8),
-                    1 => read(7),
-                    _ => read(a),
-                });
-            }
-            stream.extend(std::iter::repeat_n(None, d + 1 + burst as usize % 9));
-        }
-        let sparse = sparse_of(&stream);
-        let flat: Vec<Request> = dense.iter().flatten().cloned().collect();
-        type Door<'a> = Box<dyn Fn(&mut VpnmController) -> RunReport + 'a>;
-        let doors: [(&str, &[Option<Request>], Door<'_>); 2] = [
-            (
-                "run_epoch_sparse",
-                &stream,
-                Box::new(|m| m.run_epoch_sparse(stream.len() as u64, &sparse)),
-            ),
-            ("issue_batch", &dense, Box::new(|m| m.issue_batch(&flat))),
-        ];
-        let mut by_capacity = Vec::new();
-        for cap in [0usize, 65536] {
-            let cfg = VpnmConfig::small_test().with_forensics_capacity(cap);
-            let mk = || VpnmController::new(cfg.clone(), 7).unwrap();
-            let mut runs = Vec::new();
-            for (door, input, run) in &doors {
-                let mut oracle = mk();
-                let want = ticked(&mut oracle, input);
-                let mut mem = mk();
-                let got = run(&mut mem);
-                assert_eq!(got, want, "{door}, capacity {cap}: report");
-                assert_eq!(mem.metrics(), oracle.metrics(), "{door}, capacity {cap}: metrics");
-                assert_eq!(snapshot_sans_skips(&mem), oracle.snapshot().to_json(), "{door}");
-                assert_eq!(mem.forensics().dropped(), 0, "{door}: the ring must not wrap");
-                let (skips, events): (Vec<_>, Vec<_>) = mem
-                    .forensics()
-                    .events()
-                    .into_iter()
-                    .partition(|e| matches!(e.kind, ForensicKind::FastForward { .. }));
-                assert_eq!(events, oracle.forensics().events(), "{door}, capacity {cap}: events");
-                if cap == 0 {
-                    assert!(events.is_empty() && skips.is_empty(), "{door}: ring off");
-                } else {
-                    // Every well-formed request leaves at least one event.
-                    let requests = input.iter().flatten().count();
-                    assert!(events.len() >= requests, "{door}: ring on records");
-                    if *door == "run_epoch_sparse" {
-                        assert!(!skips.is_empty(), "idle stretches must be fast-forwarded");
-                    }
-                }
-                runs.push((got, mem.snapshot().to_json()));
-            }
-            by_capacity.push(runs);
-        }
-        assert_eq!(by_capacity[0], by_capacity[1], "capacity must not change the run");
     }
 
     proptest! {

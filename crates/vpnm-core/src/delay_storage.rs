@@ -248,11 +248,6 @@ impl DelayStorageBuffer {
         r.data = Some(data.into());
     }
 
-    /// True once [`DelayStorageBuffer::fill`] has run for this row.
-    pub fn is_filled(&self, row: RowId) -> bool {
-        self.rows[row as usize].data.is_some()
-    }
-
     /// Plays one response back from a row at its deadline, decrementing
     /// the counter and freeing the row when it drains.
     ///
@@ -369,7 +364,6 @@ mod tests {
     fn playback_before_fill_is_a_deadline_miss() {
         let mut dsb = DelayStorageBuffer::new(1);
         let r = dsb.allocate(LineAddr(1)).unwrap();
-        assert!(!dsb.is_filled(r));
         let pb = dsb.playback(r);
         assert_eq!(pb.data, None);
         assert_eq!(pb.addr, LineAddr(1));

@@ -300,11 +300,6 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
         self.channels.iter().map(|c| c.outstanding()).sum()
     }
 
-    /// Malformed requests the fabric rejected before routing.
-    pub fn fabric_rejections(&self) -> u64 {
-        self.fabric_metrics.malformed_rejections
-    }
-
     /// Regulator admission plus per-tenant accounting for one request routed
     /// to `(ch, local)` and presented at fabric cycle `at`. Always true
     /// (and free) when no QoS is configured. Deferral spends no tokens —
@@ -1163,7 +1158,7 @@ mod tests {
             let mut fab = VpnmFabric::new(cfg.clone(), 1).unwrap();
             let r = fab.run_epoch(&span);
             assert_eq!((r.rejected, r.accepted), (1, 1));
-            assert_eq!(fab.fabric_rejections(), 1);
+            assert_eq!(fab.merged_snapshot().unwrap().metrics.malformed_rejections, 1);
 
             let mut dense: Vec<Option<Request>> =
                 epoch_stream(300, 3).into_iter().filter(Option::is_some).collect();
@@ -1185,7 +1180,6 @@ mod tests {
         let oob = 1u64 << fab.config().base.addr_bits;
         let out = VpnmFabric::tick(&mut fab, Some(Request::read(LineAddr(oob))));
         assert_eq!(out.stall, Some(StallKind::AddressRange));
-        assert_eq!(fab.fabric_rejections(), 2);
         assert_eq!(fab.merged_snapshot().unwrap().metrics.malformed_rejections, 2);
     }
 }

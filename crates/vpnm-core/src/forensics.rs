@@ -1,28 +1,25 @@
-//! Stall forensics: a ring-buffered event tracer with one run-time gate.
+//! Stall forensics: a ring-buffered record of the controller's recent
+//! lifecycle events.
 //!
 //! When the paper's probabilistic guarantees are working, stalls happen
 //! once per ~10¹³ accesses — which means that when one *does* happen, the
 //! single `StallKind` counter in [`crate::ControllerMetrics`] tells you
 //! nothing about *why*. This module records the controller's recent
-//! lifecycle events (accept, merge, grant, return, queue enter/exit) in a
-//! fixed-capacity ring so that the event window leading up to a stall can
-//! be reconstructed after the fact — "bank 3 exceeded DSB depth 8 at cycle
-//! N; here are the 64 events before it".
+//! lifecycle events (accept, merge, write accept, retire, return, stall)
+//! in a fixed-capacity ring so that the event window leading up to a
+//! stall can be reconstructed after the fact — "bank 3 exceeded DSB depth
+//! 8 at cycle N; here are the 64 events before it".
 //!
-//! # One gate, and what it costs when off
+//! # Recorded on the reference engine
 //!
-//! [`crate::VpnmConfig::forensics_capacity`] is the only gate, on every
-//! build: `0` (the default) records nothing, any other value keeps the
-//! last that-many events. The controller reads the gate once per drive
-//! call (`tick` and each batch door) and runs one of two instantiations
-//! of the same cycle body — one with the event sites compiled in, one
-//! without — so with capacity 0 the hot loop carries no trace of the
-//! tracer, no per-event branch included (`docs/OBSERVABILITY.md`, "What
-//! Tier 2 costs when unused", has the measurement).
-//!
-//! Only the fast engine ([`crate::VpnmController`]) records forensic
-//! events; the aggregate counters that the differential suite compares
-//! between engines live in [`crate::ControllerMetrics`] instead.
+//! [`crate::ReferenceController`] records every event of every tick into
+//! a 64-entry ring ([`crate::ReferenceController::forensics`]). The fast
+//! engine ([`crate::VpnmController`]) records nothing and carries no
+//! event site: every run is a pure function of its request stream, and
+//! the engine-equivalence suite holds the two engines to the same
+//! responses, stalls and metrics cycle for cycle, so the window before a
+//! stall of any fast run is rebuilt by replaying its stream on the
+//! reference (`docs/OBSERVABILITY.md`, Tier 2).
 
 use crate::delay_storage::RowId;
 use crate::request::{LineAddr, StallKind};
@@ -33,8 +30,8 @@ use vpnm_sim::Cycle;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForensicEvent {
     /// Interface cycle the event was recorded at. Events recorded during
-    /// the memory-clock loop (grants, queue exits) carry the interface
-    /// cycle in progress and may therefore appear one cycle before the
+    /// the memory-clock loop (queue exits) carry the interface cycle in
+    /// progress and may therefore appear one cycle before the
     /// interface-side events of the same tick; ring order is always
     /// faithful recording order.
     pub at: Cycle,
@@ -91,15 +88,6 @@ pub enum ForensicKind {
         /// must never happen for a validated config).
         miss: bool,
     },
-    /// An event-horizon skip (the controller's batch drive loop)
-    /// fast-forwarded `interface_cycles` idle interface cycles in one
-    /// step — no requests arrived, no bank had work, and no playback fell
-    /// due anywhere in the span. Recorded with bank 0 (the span is not
-    /// bank-specific). Explains apparent cycle gaps in the event stream.
-    FastForward {
-        /// Length of the skipped span in interface cycles.
-        interface_cycles: u64,
-    },
     /// A well-formed request could not be accepted: the causal context —
     /// every buffer's occupancy at the moment of the stall — is captured
     /// inline. Malformed rejections are *not* recorded (they carry no
@@ -141,9 +129,6 @@ impl fmt::Display for ForensicEvent {
                     write!(f, "return   read  {addr} from row {row}")
                 }
             }
-            ForensicKind::FastForward { interface_cycles } => {
-                write!(f, "skip     {interface_cycles} idle interface cycles (event-horizon)")
-            }
             ForensicKind::Stalled { kind, addr, storage_live, queue_depth, write_depth } => {
                 write!(
                     f,
@@ -156,9 +141,6 @@ impl fmt::Display for ForensicEvent {
 }
 
 /// Fixed-capacity ring of [`ForensicEvent`]s, oldest evicted first.
-///
-/// A zero `capacity` disables recording entirely: the controller then
-/// never calls [`ForensicRing::record`].
 #[derive(Debug, Clone)]
 pub struct ForensicRing {
     buf: Vec<ForensicEvent>,
@@ -170,24 +152,18 @@ pub struct ForensicRing {
 }
 
 impl ForensicRing {
-    /// Creates a ring retaining the last `capacity` events (0 disables).
+    /// Creates a ring retaining the last `capacity` events.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "a forensic ring needs at least one slot");
         ForensicRing { buf: Vec::with_capacity(capacity), capacity, head: 0, recorded: 0 }
     }
 
-    /// True when events are being recorded.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Records one event, evicting the oldest when full (a no-op on a
-    /// disabled ring).
-    #[inline]
+    /// Records one event, evicting the oldest when full.
     pub fn record(&mut self, at: Cycle, bank: u32, kind: ForensicKind) {
-        if self.capacity == 0 {
-            return;
-        }
         let ev = ForensicEvent { at, bank, kind };
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
@@ -280,17 +256,6 @@ mod tests {
             bank,
             ForensicKind::Accepted { addr: LineAddr(addr), row: 0, queue_depth: 1 },
         )
-    }
-
-    #[test]
-    fn zero_capacity_records_nothing() {
-        let mut r = ForensicRing::new(0);
-        assert!(!r.is_enabled());
-        let (at, bank, kind) = accept(1, 0, 10);
-        r.record(at, bank, kind);
-        assert!(r.is_empty());
-        assert_eq!(r.recorded(), 0);
-        assert_eq!(r.stall_report(), None);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!    cheap enough (a handful of compares and adds per interface cycle) to
 //!    keep enabled in every build, including benchmark runs.
 //! 2. **Forensic event tracing** (see [`crate::forensics`]): a ring buffer
-//!    of individual lifecycle events, gated by
-//!    [`crate::VpnmConfig::forensics_capacity`].
+//!    of individual lifecycle events, recorded by
+//!    [`crate::ReferenceController`] only.
 //!
 //! Both engines — the fast [`crate::VpnmController`] and the seed
 //! [`crate::ReferenceController`] — maintain the same

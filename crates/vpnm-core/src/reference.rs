@@ -24,6 +24,13 @@
 //! outputs and metrics. No benchmark workload runs it: it is a
 //! specification, not a speed baseline.
 //!
+//! It is also the engine that records stall forensics: every tick logs
+//! its lifecycle events (accept, merge, write accept, retire, return,
+//! stall) into a 64-entry [`ForensicRing`]. Because the suite holds both
+//! engines to the same cycle-for-cycle behaviour, replaying a fast run's
+//! request stream here rebuilds the event window before any of its
+//! stalls, and the fast engine carries no event site of its own.
+//!
 //! The only intentional departure from the seed is request validation:
 //! like the fast engine, malformed requests are rejected gracefully in
 //! release builds (the seed asserted unconditionally) so the two engines
@@ -34,6 +41,7 @@ use crate::bank_controller::{Accepted, BankEvent};
 use crate::config::{SchedulerKind, VpnmConfig};
 use crate::delay_line::CircularDelayBuffer;
 use crate::delay_storage::RowId;
+use crate::forensics::{ForensicKind, ForensicRing};
 use crate::hash_engine::HashEngine;
 use crate::metrics::ControllerMetrics;
 use crate::request::{LineAddr, Request, Response, StallKind, TenantId, TickOutput};
@@ -198,26 +206,36 @@ impl SeedBank {
         }
     }
 
-    /// Advances this bank's delay line by one interface cycle.
-    fn advance_delay_line(&mut self, incoming: Option<RowId>) -> Option<(LineAddr, Option<Bytes>)> {
+    /// Advances this bank's delay line by one interface cycle, returning
+    /// the row played back, its address and its data.
+    fn advance_delay_line(
+        &mut self,
+        incoming: Option<RowId>,
+    ) -> Option<(RowId, LineAddr, Option<Bytes>)> {
         let due = self.delay_line.tick(incoming)?;
-        Some(self.storage.playback(due))
+        let (addr, data) = self.storage.playback(due);
+        Some((due, addr, data))
     }
 
+    /// One bus grant: retires the in-service access if it completed, then
+    /// issues the queue head if the bank is free. Returns whether an
+    /// access retired.
     fn on_bus_grant(&mut self, dram: &mut DramDevice, now_mem: Cycle) -> bool {
+        let mut retired = false;
         if let Some(until) = self.in_service_until {
             if now_mem < until {
                 return false; // bank busy — the grant is wasted
             }
             self.queue.pop();
             self.in_service_until = None;
+            retired = true;
         }
         let Some(front) = self.queue.front().copied() else {
-            return false;
+            return retired;
         };
         match dram.is_bank_ready(self.bank, now_mem) {
             Ok(true) => {}
-            Ok(false) => return false,
+            Ok(false) => return retired,
             Err(e) => panic!("unexpected DRAM error on readiness: {e}"),
         }
         match front {
@@ -230,7 +248,6 @@ impl SeedBank {
                 }
                 self.storage.fill(row, grant.data);
                 self.in_service_until = Some(grant.data_ready_at);
-                true
             }
             AccessEntry::Write => {
                 let w = self.writes.pop().expect("Write queue entry implies buffered write");
@@ -238,9 +255,9 @@ impl SeedBank {
                     .issue_write(self.bank, w.addr.0, w.data, now_mem)
                     .expect("bank checked ready");
                 self.in_service_until = Some(done);
-                true
             }
         }
+        retired
     }
 
     fn wants_grant(&self, now: Cycle) -> bool {
@@ -289,7 +306,13 @@ pub struct ReferenceController {
     /// response due now) *before* an accepted read overwrites it (for the
     /// response due at `t + D`).
     tenant_wheel: Vec<TenantId>,
+    /// The last [`FORENSIC_WINDOW`] lifecycle events (see
+    /// [`crate::forensics`]).
+    forensics: ForensicRing,
 }
+
+/// Events the reference's forensic ring retains.
+const FORENSIC_WINDOW: usize = 64;
 
 impl ReferenceController {
     /// Builds a reference controller from `config`, keying the universal
@@ -335,6 +358,7 @@ impl ReferenceController {
             metrics: ControllerMetrics::with_banks(config.banks as usize),
             outstanding: 0,
             tenant_wheel: vec![TenantId::HOST; delay as usize],
+            forensics: ForensicRing::new(FORENSIC_WINDOW),
             config,
         })
     }
@@ -379,6 +403,12 @@ impl ReferenceController {
         self.hash.bank_of(addr.0)
     }
 
+    /// The forensic event ring: the last 64 lifecycle events, recorded
+    /// on every tick.
+    pub fn forensics(&self) -> &ForensicRing {
+        &self.forensics
+    }
+
     /// Freezes the current aggregate metrics into a serializable
     /// [`MetricsSnapshot`]. Running both engines on the same stream
     /// yields byte-identical snapshots (the equivalence suite checks
@@ -391,12 +421,18 @@ impl ReferenceController {
 
     /// Advances exactly one interface cycle — the original formulation:
     /// run every memory cycle with a grant, scan for the pick, scan for
-    /// the samples, advance every bank's delay line.
+    /// the samples, advance every bank's delay line. Records each
+    /// lifecycle event in [`ReferenceController::forensics`]; a retire
+    /// carries the interface cycle in progress when its grant fired.
     pub fn tick(&mut self, request: Option<Request>) -> TickOutput {
         loop {
             let mt = self.clock.tick_memory();
             let bank = self.pick_grant(mt.memory_cycle);
-            self.banks[bank].on_bus_grant(&mut self.dram, mt.memory_cycle);
+            if self.banks[bank].on_bus_grant(&mut self.dram, mt.memory_cycle) {
+                let queue_depth = self.banks[bank].queue_depth() as u32;
+                let at = self.clock.interface_now();
+                self.forensics.record(at, bank as u32, ForensicKind::QueueExit { queue_depth });
+            }
             if mt.interface_tick {
                 break;
             }
@@ -414,19 +450,24 @@ impl ReferenceController {
                 stall = Some(kind);
                 self.metrics.record_stall(kind, now);
             } else {
-                let bank = self.hash.bank_of(req.addr().0) as usize;
+                let addr = req.addr();
+                let bank = self.hash.bank_of(addr.0) as usize;
                 let tenant = req.tenant();
                 let event = match req {
                     Request::Read { addr, take, .. } => BankEvent::Read { addr, take },
                     Request::Write { addr, data, .. } => BankEvent::Write { addr, data },
                 };
-                match self.banks[bank].submit(event) {
+                let outcome = self.banks[bank].submit(event);
+                let bc = &self.banks[bank];
+                let queue_depth = bc.queue_depth() as u32;
+                let kind = match outcome {
                     Ok(Accepted::ReadQueued(row)) => {
                         self.metrics.reads_accepted += 1;
                         self.outstanding += 1;
                         self.metrics.note_outstanding(self.outstanding as u64);
                         read_row = Some((bank, row));
                         self.tenant_wheel[wheel_slot] = tenant;
+                        ForensicKind::Accepted { addr, row, queue_depth }
                     }
                     Ok(Accepted::ReadMerged(row)) => {
                         self.metrics.reads_accepted += 1;
@@ -435,15 +476,25 @@ impl ReferenceController {
                         self.metrics.note_outstanding(self.outstanding as u64);
                         read_row = Some((bank, row));
                         self.tenant_wheel[wheel_slot] = tenant;
+                        ForensicKind::Merged { addr, row }
                     }
                     Ok(Accepted::WriteBuffered) => {
                         self.metrics.writes_accepted += 1;
+                        ForensicKind::WriteAccepted { addr, queue_depth }
                     }
                     Err(kind) => {
                         stall = Some(kind);
                         self.metrics.record_stall(kind, now);
+                        ForensicKind::Stalled {
+                            kind,
+                            addr,
+                            storage_live: bc.storage_occupancy() as u32,
+                            queue_depth,
+                            write_depth: bc.write_depth() as u32,
+                        }
                     }
-                }
+                };
+                self.forensics.record(now, bank as u32, kind);
             }
         }
 
@@ -455,8 +506,10 @@ impl ReferenceController {
                 Some((bank, row)) if bank == i => Some(row),
                 _ => None,
             };
-            if let Some((addr, data)) = bc.advance_delay_line(incoming) {
+            if let Some((row, addr, data)) = bc.advance_delay_line(incoming) {
                 debug_assert!(response.is_none(), "two playbacks due in one cycle");
+                let miss = data.is_none();
+                self.forensics.record(now, i as u32, ForensicKind::Returned { addr, row, miss });
                 let data = match data {
                     Some(d) => d,
                     None => {
@@ -575,5 +628,38 @@ mod tests {
         responses += mem.drain().len();
         assert_eq!(responses, 100);
         assert!(mem.metrics().reads_merged >= 90);
+    }
+
+    #[test]
+    fn every_lifecycle_event_is_recorded() {
+        // Writes, reads, repeats that merge, consuming reads and a
+        // single-bank stride that stalls; then drained and flushed, so
+        // every issued access has retired. Each event site fires once per
+        // occurrence its counter counts, so a missing or doubled site
+        // breaks the sum.
+        let cfg = VpnmConfig::small_test().with_hash(crate::HashKind::LowBits);
+        let mut mem = ReferenceController::new(cfg, 5).unwrap();
+        for i in 0..3000u64 {
+            mem.tick(match i % 8 {
+                0 => Some(Request::write(LineAddr(i % 64), vec![i as u8])),
+                1 | 2 => Some(Request::read(LineAddr(i % 64))),
+                3 => Some(Request::read(LineAddr(42))),
+                4 => Some(Request::take_as(TenantId::HOST, LineAddr(i % 64))),
+                5 => Some(Request::read(LineAddr(i * 4 % 4096))),
+                6 => None,
+                _ => Some(Request::read(LineAddr(i * 37 % 5000))),
+            });
+        }
+        mem.drain();
+        while mem.banks.iter().any(|b| b.queue_depth() > 0) {
+            mem.tick(None);
+        }
+        let m = mem.metrics();
+        let dram = mem.dram_stats();
+        assert!(m.reads_merged > 0 && m.writes_accepted > 0, "{m:?}");
+        assert!(m.total_stalls() > 0 && m.responses == m.reads_accepted, "{m:?}");
+        let retired = dram.reads + dram.writes;
+        let want = m.reads_accepted + m.writes_accepted + m.responses + m.total_stalls() + retired;
+        assert_eq!(mem.forensics().recorded(), want);
     }
 }

@@ -59,16 +59,6 @@ impl DramStats {
             (a, b) => a.or(b),
         };
     }
-
-    /// Fraction of issue attempts that hit a busy bank.
-    pub fn conflict_rate(&self) -> f64 {
-        let attempts = self.accesses() + self.bank_conflicts;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.bank_conflicts as f64 / attempts as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +66,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn efficiency_and_conflict_rate() {
+    fn accesses_and_bus_efficiency() {
         let s = DramStats {
             reads: 6,
             writes: 2,
@@ -87,7 +77,6 @@ mod tests {
         };
         assert_eq!(s.accesses(), 8);
         assert!((s.bus_efficiency(Cycle::new(16)) - 0.5).abs() < 1e-12);
-        assert!((s.conflict_rate() - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -124,6 +113,5 @@ mod tests {
     fn empty_stats_are_zero() {
         let s = DramStats::default();
         assert_eq!(s.bus_efficiency(Cycle::ZERO), 0.0);
-        assert_eq!(s.conflict_rate(), 0.0);
     }
 }

@@ -347,11 +347,6 @@ impl WallPacer {
         n
     }
 
-    /// Total interface cycles issued so far.
-    pub fn cycles_issued(&self) -> u64 {
-        self.issued
-    }
-
     /// Nanoseconds from `elapsed_nanos` until the next interface cycle
     /// becomes due — a sleep hint for the serving loop. Returns 0 when a
     /// cycle is already due.
@@ -569,7 +564,6 @@ mod tests {
             issued += p.cycles_due(now);
         }
         assert_eq!(issued, cps * 3_600);
-        assert_eq!(p.cycles_issued(), issued);
     }
 
     #[test]
@@ -643,6 +637,5 @@ mod tests {
             i += 1;
         }
         assert_eq!(issued, cps * 7 * 24 * 3_600);
-        assert_eq!(p.cycles_issued(), issued);
     }
 }

@@ -33,11 +33,6 @@ impl BurstShaper {
         self.pos = (self.pos + 1) % period;
         on
     }
-
-    /// Long-run fraction of on-cycles.
-    pub fn duty_cycle(&self) -> f64 {
-        self.on_cycles as f64 / (self.on_cycles + self.off_cycles) as f64
-    }
 }
 
 #[cfg(test)]
@@ -55,12 +50,6 @@ mod tests {
     fn always_on_with_zero_off() {
         let mut b = BurstShaper::new(3, 0);
         assert!((0..10).all(|_| b.tick()));
-        assert_eq!(b.duty_cycle(), 1.0);
-    }
-
-    #[test]
-    fn duty_cycle_math() {
-        assert!((BurstShaper::new(1, 3).duty_cycle() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -34,11 +34,6 @@ pub enum SizeDistribution {
 }
 
 impl SizeDistribution {
-    /// The classic 64 B / 1500 B internet mix.
-    pub fn internet_mix() -> Self {
-        SizeDistribution::Bimodal { small: 64, large: 1500, small_fraction_percent: 60 }
-    }
-
     fn sample(&self, rng: &mut StdRng) -> u32 {
         match *self {
             SizeDistribution::Fixed(s) => s,
@@ -295,7 +290,7 @@ mod tests {
     fn bimodal_sizes_respected() {
         let mut t = PacketTrace::new(PacketTraceConfig {
             num_flows: 1,
-            sizes: SizeDistribution::internet_mix(),
+            sizes: SizeDistribution::Bimodal { small: 64, large: 1500, small_fraction_percent: 60 },
             seed: 2,
         });
         let mut small = 0;

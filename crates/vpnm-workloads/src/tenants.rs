@@ -107,11 +107,6 @@ impl MultiTenantMix {
     pub fn tenants(&self) -> u16 {
         (self.wellbehaved.len() + usize::from(self.adversary.is_some())) as u16
     }
-
-    /// The adversarial tenant's ID, when one is enabled.
-    pub fn adversary_tenant(&self) -> Option<u16> {
-        self.adversary.as_ref().map(|_| self.tenants() - 1)
-    }
 }
 
 impl TenantFlowGen for MultiTenantMix {
@@ -152,7 +147,6 @@ mod tests {
     #[test]
     fn adversary_takes_roughly_its_share() {
         let mut mix = MultiTenantMix::new(4, 1 << 16, 32, 25, 9);
-        assert_eq!(mix.adversary_tenant(), Some(3));
         let mut counts = [0u64; 4];
         for _ in 0..10_000 {
             let (t, flow) = mix.next_tagged();
@@ -178,7 +172,6 @@ mod tests {
     #[test]
     fn zero_share_disables_the_adversary() {
         let mut mix = MultiTenantMix::new(3, 1 << 10, 8, 0, 1);
-        assert_eq!(mix.adversary_tenant(), None);
         assert_eq!(mix.tenants(), 3);
         for _ in 0..200 {
             assert!(mix.next_tagged().0 < 3);

@@ -49,7 +49,6 @@ fn markov_model_predicts_simulated_queue_stalls() {
         addr_bits: 16,
         cell_bytes: 8,
         hash: HashKind::H3,
-        forensics_capacity: 0,
         scheduler: SchedulerKind::RoundRobin,
         merging: true,
     };
@@ -76,7 +75,6 @@ fn markov_model_tracks_q_scaling() {
         addr_bits: 16,
         cell_bytes: 8,
         hash: HashKind::H3,
-        forensics_capacity: 0,
         scheduler: SchedulerKind::RoundRobin,
         merging: true,
     };
@@ -125,7 +123,6 @@ fn storage_dominated_config_stalls_on_storage() {
         addr_bits: 16,
         cell_bytes: 8,
         hash: HashKind::H3,
-        forensics_capacity: 0,
         scheduler: SchedulerKind::RoundRobin,
         merging: true,
     };
