@@ -9,6 +9,8 @@
 //! vpnm-serve [engine flags] [serving flags]
 //!
 //!   engine:  --channels N  --select low-bits|universal-hash  --workers N
+//!            (--workers: the memory thread runs one share of the
+//!            channels, N - 1 pool threads the rest; 1 = on-thread)
 //!   qos:     --tenants N        tenants sharing the fabric (1)
 //!            --regulator off|global|per-bank   ingress token buckets (off)
 //!            --tenant-rate N/D  per-tenant budget, requests/cycle (1/4)

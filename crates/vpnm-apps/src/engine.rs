@@ -9,9 +9,11 @@
 //! --channels N                channel count, a power of two (default 1)
 //! --select low-bits|universal-hash
 //!                             fabric channel-select stage (default low-bits)
-//! --workers N                 worker threads for the fabric's epoch path
-//!                             (default 1 = on-thread; clamped to the
-//!                             channel count, ignored for 1 channel)
+//! --workers N                 workers for the fabric's epoch path: the
+//!                             thread driving the fabric runs one share
+//!                             of the channels, N - 1 pool threads the
+//!                             rest (default 1 = on-thread; clamped to
+//!                             the channel count, ignored for 1 channel)
 //! --tenants N                 tenants sharing the fabric (default 1 =
 //!                             single-tenant, the exact pre-QoS path)
 //! --regulator off|global|per-bank
@@ -41,10 +43,11 @@ pub struct EngineOpts {
     pub channels: u32,
     /// Channel-select stage for `channels > 1`.
     pub select: ChannelSelect,
-    /// Worker threads for the fabric's epoch-batched path:
-    /// 1 runs epochs on the caller's thread; more attach a persistent
-    /// pool. Only meaningful for `channels > 1` — outputs are
-    /// byte-identical for every value either way.
+    /// Workers for the fabric's epoch-batched path: 1 runs epochs on
+    /// the caller's thread; `W > 1` has the caller run one share of the
+    /// channels and a persistent pool of `W - 1` threads the rest. Only
+    /// meaningful for `channels > 1` — outputs are byte-identical for
+    /// every value either way.
     pub workers: usize,
     /// Tenants sharing the memory (1 = single-tenant, no QoS machinery).
     pub tenants: u16,

@@ -429,7 +429,7 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
     /// cycle.
     ///
     /// The admitted events form a sparse epoch handed to the memory in
-    /// one [`PipelinedMemory::run_epoch_sparse`] call; deliveries are
+    /// one [`PipelinedMemory::run_epoch_owned`] call; deliveries are
     /// returned directly (with their due cycle) rather than through the
     /// per-tick pending queue.
     ///
@@ -469,7 +469,7 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
             }
             report.outcomes.push(outcome);
         }
-        let run = self.mem.run_epoch_sparse(len, &sparse);
+        let run = self.mem.run_epoch_owned(len, &mut sparse);
         report.stalled = run.stalled;
         self.stats.memory_stalls += run.stalled;
         report.delivered.reserve(run.responses.len());

@@ -13,7 +13,7 @@
 //!  flow IDs from the mix ──┤  FlowTable: slot == queue, counters
 //!  bounded lanes (park) ───┘  == head/tail pointers → cell address
 //!                             egress-first schedule, payload bytes,
-//!                             freeze arena, build requests ── work lane ──► run_epoch_sparse
+//!                             freeze arena, build requests ── work lane ──► run_epoch_owned
 //!                                                                           → fabric workers
 //!  egress ◄── pair, verify, latency ◄──── report lane (epoch e−1) ◄──── deterministic t+D return
 //! ```
@@ -23,9 +23,10 @@
 //! table's pointers, because every read returns at exactly `t + D`. So
 //! it builds epoch e+1 and retires the report of epoch e−1 while the
 //! memory thread runs epoch e. The memory thread owns the memory and
-//! does nothing else: per epoch, one `run_epoch_sparse` call and the two
-//! hand-offs. Both are `sync_channel(1)` lanes, and the epoch's request
-//! buffer travels back with its report.
+//! does nothing else: per epoch, one `run_epoch_owned` call, which moves
+//! the requests into the memory, and the two hand-offs. Both are
+//! `sync_channel(1)` lanes, and the emptied request buffer travels back
+//! with its report.
 //!
 //! **Backpressure is explicit and bounded everywhere.** A packet that
 //! cannot be absorbed is *rejected* at a named, counted boundary — never
@@ -183,7 +184,7 @@ pub struct ServeConfig {
     /// Offered window in interface cycles.
     pub cycles: u64,
     /// Cycles per epoch batch (the producer hand-off and
-    /// `run_epoch_sparse` unit).
+    /// `run_epoch_owned` unit).
     pub epoch_len: u64,
     /// Traffic source.
     pub source: ArrivalSource,
@@ -256,8 +257,9 @@ pub struct ServeReport {
 
 /// One epoch on its way from the scheduler to the memory thread and
 /// back: its length and its requests, each at its cycle offset. The
-/// request buffer returns with the epoch's report, so two of these
-/// shuttle between the stages for the whole run.
+/// memory consumes the requests and the emptied buffer returns with the
+/// epoch's report, so two of these shuttle between the stages for the
+/// whole run.
 #[derive(Default)]
 struct EpochWork {
     len: u64,
@@ -590,8 +592,8 @@ fn run_memory(
         }
     };
     ready.send(Ok(mem.delay())).expect(reason);
-    for work in work {
-        let run = mem.run_epoch_sparse(work.len, &work.requests);
+    for mut work in work {
+        let run = mem.run_epoch_owned(work.len, &mut work.requests);
         if done.send((run, work)).is_err() {
             break;
         }
@@ -608,7 +610,7 @@ fn run_memory(
 /// payload generation, response pairing and verification, and builds
 /// epoch e+1 while a scoped memory thread runs epoch e. The memory
 /// thread builds the memory itself (a `Box<dyn PipelinedMemory>` is not
-/// `Send`) and per epoch runs only `run_epoch_sparse`. Long-lived
+/// `Send`) and per epoch runs only `run_epoch_owned`. Long-lived
 /// payload memory is allocated on the calling thread: it freezes each
 /// epoch's payload into the arena the device's storage pins. Freezing
 /// it on the spawned thread instead raises peak RSS (docs/PERFORMANCE.md,

@@ -60,7 +60,8 @@ use vpnm_sim::{Cycle, DualClock};
 const HASH_CHUNK: usize = 1024;
 
 /// Summary of one batch-door call ([`PipelinedMemory::issue_batch`],
-/// [`PipelinedMemory::run_epoch_sparse`], [`PipelinedMemory::run_epoch`]).
+/// [`PipelinedMemory::run_epoch_sparse`],
+/// [`PipelinedMemory::run_epoch_owned`], [`PipelinedMemory::run_epoch`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Every response that became due during the run, in order.
@@ -706,21 +707,28 @@ impl VpnmController {
     ///   [`VpnmController::cycles_skipped`]. The cost of an epoch scales
     ///   with its requests and due playbacks, not with `len`.
     ///
-    /// `at` is the caller's view of its own encoding, monomorphised in: a
-    /// dense `&[Request]` has `at(k).0 == k`, so its gap test is a
-    /// never-taken branch and no offset array is ever materialised. The
+    /// `at` and `fetch` are the caller's view of its own encoding `src`,
+    /// monomorphised in: `at(src, k)` reads request `k`'s offset and
+    /// address in place, and `fetch(src, k)` hands the request over once,
+    /// when it is presented — cloned from a borrowed slice, or moved out
+    /// of the consuming door's Vec. A dense `&[Request]` has
+    /// `at(k).0 == k`, so its gap test is a never-taken branch and no
+    /// offset array is ever materialised. The
     /// presenting `step` below always carries a request and the idle one
     /// in `idle_span` never does, so each inlines specialised; funnelling
     /// both through one call site with a run-time `Option` measured 4–5 %
     /// slower on a dense stream.
-    fn drive<'a>(
+    fn drive<S: ?Sized>(
         &mut self,
         len: u64,
         count: usize,
-        at: impl Fn(usize) -> (u64, &'a Request),
+        src: &mut S,
+        at: impl Fn(&S, usize) -> (u64, &Request),
+        fetch: impl Fn(&mut S, usize) -> Request,
     ) -> RunReport {
         debug_assert!(
-            (1..count).all(|k| at(k - 1).0 < at(k).0) && (count == 0 || at(count - 1).0 < len),
+            (1..count).all(|k| at(src, k - 1).0 < at(src, k).0)
+                && (count == 0 || at(src, count - 1).0 < len),
             "offsets must be strictly increasing and < len"
         );
         let mut report = RunReport::default();
@@ -738,16 +746,17 @@ impl VpnmController {
             // harmlessly — `step` validates before consulting the bank.
             let n = HASH_CHUNK.min(count - k);
             for (j, a) in addrs[..n].iter_mut().enumerate() {
-                *a = at(k + j).1.addr().0;
+                *a = at(src, k + j).1.addr().0;
             }
             self.hash.hash_batch(&addrs[..n], &mut banks[..n]);
             for (j, &bank) in banks[..n].iter().enumerate() {
-                let (offset, request) = at(k + j);
+                let offset = at(src, k + j).0;
                 if i < offset {
                     self.idle_span(offset - i, &mut samples, &mut report.responses);
                 }
-                let stall = self
-                    .step(Some(request.clone()), bank as usize, &mut |r| report.responses.push(r));
+                let request = fetch(src, k + j);
+                let stall =
+                    self.step(Some(request), bank as usize, &mut |r| report.responses.push(r));
                 let depth = self.max_queue_depth();
                 samples.push(&mut self.metrics, depth, self.storage_live);
                 match stall {
@@ -941,13 +950,36 @@ impl PipelinedMemory for VpnmController {
         VpnmController::drain(self)
     }
 
-    fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
-        self.drive(len, requests.len(), |k| (requests[k].0, &requests[k].1))
+    fn run_epoch_sparse(&mut self, len: u64, mut requests: &[(u64, Request)]) -> RunReport {
+        let count = requests.len();
+        self.drive(len, count, &mut requests, |r, k| (r[k].0, &r[k].1), |r, k| r[k].1.clone())
     }
 
-    fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
+    fn run_epoch_owned(&mut self, len: u64, requests: &mut Vec<(u64, Request)>) -> RunReport {
+        // Consuming view: each request moves out of its slot (a payload-free
+        // read stands in until the `clear`), so a write's payload is never
+        // cloned.
+        let report = self.drive(
+            len,
+            requests.len(),
+            requests,
+            |r, k| (r[k].0, &r[k].1),
+            |r, k| std::mem::replace(&mut r[k].1, Request::read(LineAddr(0))),
+        );
+        requests.clear();
+        report
+    }
+
+    fn issue_batch(&mut self, mut requests: &[Request]) -> RunReport {
         // Dense view: offset(k) == k, so `drive`'s gap test never fires.
-        self.drive(requests.len() as u64, requests.len(), |k| (k as u64, &requests[k]))
+        let count = requests.len();
+        self.drive(
+            count as u64,
+            count,
+            &mut requests,
+            |r, k| (k as u64, &r[k]),
+            |r, k| r[k].clone(),
+        )
     }
 
     fn bank_of(&self, addr: LineAddr) -> Option<u32> {
@@ -971,7 +1003,7 @@ impl PipelinedMemory for VpnmController {
 mod tests {
     use super::*;
     use crate::hash_engine::HashKind;
-    use crate::memory::{sparse_of, ticked, Pipeline};
+    use crate::memory::{run_owned, sparse_of, ticked, Pipeline};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1431,11 +1463,12 @@ mod tests {
     /// sequence**. Runs `stream` (after ticking `prefix` into every twin,
     /// so epochs start from a warm state with reads in flight) through
     /// every encoding that can express it — option-dense `run_epoch`,
-    /// sparse `run_epoch_sparse`, and, when no slot is idle, dense
-    /// `issue_batch` — and demands byte-identical reports, clock, metrics
-    /// and snapshot (modulo `cycles_skipped`, which must instead agree
-    /// between the doors). Returns the cycles a batch door skipped, so
-    /// callers can also assert the skip machinery actually engaged.
+    /// sparse `run_epoch_sparse`, its consuming `run_epoch_owned`, and,
+    /// when no slot is idle, dense `issue_batch` — and demands
+    /// byte-identical reports, clock, metrics and snapshot (modulo
+    /// `cycles_skipped`, which must instead agree between the doors).
+    /// Returns the cycles a batch door skipped, so callers can also
+    /// assert the skip machinery actually engaged.
     fn assert_doors_match_ticks(
         cfg: &VpnmConfig,
         prefix: &[Option<Request>],
@@ -1456,6 +1489,7 @@ mod tests {
         let mut doors: Vec<(&str, Door<'_>)> = vec![
             ("run_epoch", Box::new(|m| m.run_epoch(stream))),
             ("run_epoch_sparse", Box::new(|m| m.run_epoch_sparse(stream.len() as u64, &sparse))),
+            ("run_epoch_owned", Box::new(|m| run_owned(m, stream))),
         ];
         if let Some(dense) = &dense {
             doors.push(("issue_batch", Box::new(|m| m.issue_batch(dense))));

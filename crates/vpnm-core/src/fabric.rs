@@ -130,19 +130,55 @@ impl FabricConfig {
 /// A channel's share of an epoch, encoded sparsely: `(cycle offset
 /// within the epoch, the routed request)` pairs in offset order. Only
 /// the cycles that actually carry a request for this channel appear —
-/// the engine jumps the gaps via [`PipelinedMemory::run_epoch_sparse`].
+/// the engine jumps the gaps via [`PipelinedMemory::run_epoch_owned`],
+/// which drains the lane and keeps its capacity for the next epoch.
 type SparseLane = Vec<(u64, Request)>;
 
-/// One worker's share of an epoch: the epoch length plus `(channel
-/// index, the channel engine itself, that channel's request lane)`
-/// triples. Engines travel *by value* to the worker and come home in the
-/// matching [`EpochDone`], so no locking or sharing is involved —
-/// ownership is the synchronization.
-type EpochJob<M> = (u64, Vec<(usize, M, SparseLane)>);
+/// One channel's part of a worker's share: the engine and its lane travel
+/// to the worker *by value* and come home with the epoch's report, so no
+/// locking or sharing is involved — ownership is the synchronization.
+#[derive(Debug)]
+struct ChannelRun<M> {
+    engine: M,
+    lane: SparseLane,
+    report: RunReport,
+}
 
-/// The result of an [`EpochJob`]: each channel comes back with the
-/// [`RunReport`] of its epoch.
-type EpochDone<M> = Vec<(usize, M, RunReport)>;
+/// One worker's share of an epoch: its channels in channel order. The
+/// same Vec goes out and comes back every epoch, so it keeps its
+/// capacity.
+type Share<M> = Vec<ChannelRun<M>>;
+
+/// A pool thread's job: the epoch length and its share.
+type EpochJob<M> = (u64, Share<M>);
+
+/// Runs every channel of `share` through its lane, consuming it.
+fn run_share<M: PipelinedMemory>(len: u64, share: &mut Share<M>) {
+    for run in share {
+        run.report = run.engine.run_epoch_owned(len, &mut run.lane);
+    }
+}
+
+/// The buffers the epoch path refills every epoch, kept between epochs so
+/// that a steady run of epochs allocates only the merged response Vec
+/// (and whatever the channels allocate themselves).
+#[derive(Debug)]
+struct EpochScratch<M> {
+    /// `kept[j]` indexes the j-th well-formed request of the epoch.
+    kept: Vec<usize>,
+    /// `addrs[j]`: its fabric address, routed to `(chans[j], locals[j])`.
+    addrs: Vec<u64>,
+    chans: Vec<u32>,
+    locals: Vec<u64>,
+    /// One sparse lane per channel, drained by the channel's epoch.
+    lanes: Vec<SparseLane>,
+    /// One response stream per channel, in cycle order, merged at the
+    /// barrier.
+    streams: Vec<std::vec::IntoIter<Response>>,
+    /// One share per worker (share 0 is the calling thread's); only the
+    /// pooled path fills them.
+    shares: Vec<Share<M>>,
+}
 
 /// `C` lockstep [`PipelinedMemory`] channels behind one flat interface.
 ///
@@ -157,13 +193,15 @@ type EpochDone<M> = Vec<(usize, M, RunReport)>;
 ///
 /// [`VpnmFabric::tick`] is the sequential lockstep path: one interface
 /// cycle at a time, every channel stepped in channel order.
-/// The batch doors ([`PipelinedMemory::run_epoch_sparse`] and its dense /
-/// option-dense encodings) hand a span of cycles over as an **epoch**:
+/// The batch doors ([`PipelinedMemory::run_epoch_sparse`], its consuming
+/// [`PipelinedMemory::run_epoch_owned`] and its dense / option-dense
+/// encodings) hand a span of cycles over as an **epoch**:
 /// the router scatters the span's requests into per-channel lanes,
 /// channels advance through the whole epoch independently (sequentially,
-/// or on a persistent worker pool after [`VpnmFabric::set_workers`]),
-/// and a barrier at the epoch boundary re-sorts the responses into the
-/// exact cycle order the sequential path produces. See `DESIGN.md`,
+/// or split between the calling thread and a persistent pool after
+/// [`VpnmFabric::set_workers`]), and a barrier at the epoch boundary
+/// merges the responses into the exact cycle order the sequential path
+/// produces. See `DESIGN.md`,
 /// "Fabric layer", for the epoch/barrier diagram.
 #[derive(Debug)]
 pub struct VpnmFabric<M: PipelinedMemory = crate::VpnmController> {
@@ -176,9 +214,11 @@ pub struct VpnmFabric<M: PipelinedMemory = crate::VpnmController> {
     /// routing (a bit select would alias them into a valid channel), so
     /// their counts live here and fold into the merged snapshot.
     fabric_metrics: ControllerMetrics,
-    /// Persistent worker pool for the epoch path; `None` (the
-    /// default) runs epochs on the caller's thread.
-    pool: Option<WorkerPool<EpochJob<M>, EpochDone<M>>>,
+    /// Persistent pool threads for shares `1..W` of the epoch path (the
+    /// calling thread runs share 0); `None` (the default) runs epochs
+    /// wholly on the caller's thread.
+    pool: Option<WorkerPool<EpochJob<M>, Share<M>>>,
+    scratch: EpochScratch<M>,
     /// Token buckets throttling the ingress when QoS is configured with a
     /// mode other than `Off`. Admission runs in the serial routing pass
     /// (tick order), so regulated runs stay byte-identical across
@@ -198,16 +238,10 @@ fn channel_seed(seed: u64, channel: u32) -> u64 {
     seed ^ u64::from(channel).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// `req` re-addressed to the channel-local line `local` (payload shared,
-/// tenant kept).
-fn localized(req: &Request, local: u64) -> Request {
+/// Re-addresses `req` in place to the channel-local line `local`.
+fn localize(req: &mut Request, local: u64) {
     match req {
-        Request::Read { tenant, take, .. } => {
-            Request::Read { addr: LineAddr(local), tenant: *tenant, take: *take }
-        }
-        Request::Write { data, tenant, .. } => {
-            Request::Write { addr: LineAddr(local), data: data.clone(), tenant: *tenant }
-        }
+        Request::Read { addr, .. } | Request::Write { addr, .. } => *addr = LineAddr(local),
     }
 }
 
@@ -238,6 +272,15 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
             .map(|c| build(c, channel_config.clone(), channel_seed(seed, c)))
             .collect::<Result<Vec<M>, String>>()?;
         let delay = config.fabric_delay();
+        let scratch = EpochScratch {
+            kept: Vec::new(),
+            addrs: Vec::new(),
+            chans: Vec::new(),
+            locals: Vec::new(),
+            lanes: vec![Vec::new(); channels.len()],
+            streams: (0..channels.len()).map(|_| Vec::new().into_iter()).collect(),
+            shares: Vec::new(),
+        };
         let (regulator, tenants) = match &config.qos {
             Some(q) => (
                 (q.mode != RegulatorMode::Off)
@@ -259,6 +302,7 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
             now: 0,
             fabric_metrics: ControllerMetrics::new(),
             pool: None,
+            scratch,
             regulator,
             tenants,
         })
@@ -307,15 +351,22 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
     fn admit(&mut self, req: &Request, ch: u32, local: u64, at: u64) -> bool {
         let Some(section) = &mut self.tenants else { return true };
         let tenant = req.tenant();
-        let slot = self.config.qos.as_ref().expect("tenant section implies qos").clamp(tenant);
+        let qos = self.config.qos.as_ref().expect("tenant section implies qos");
+        let slot = qos.clamp(tenant);
         let ok = match &mut self.regulator {
             Some(reg) => {
                 // Fabric-global bank index: channels each own `base.banks`
                 // banks, and the channel engine's keyed hash names the
                 // local one (engines without banks fall back to 0, which
-                // degrades per-bank regulation to global for them).
-                let bank = ch * self.config.base.banks
-                    + self.channels[ch as usize].bank_of(LineAddr(local)).unwrap_or(0);
+                // degrades per-bank regulation to global for them). Only
+                // per-bank buckets read it, so the global regulator skips
+                // the hash.
+                let bank = if qos.mode == RegulatorMode::PerBank {
+                    ch * self.config.base.banks
+                        + self.channels[ch as usize].bank_of(LineAddr(local)).unwrap_or(0)
+                } else {
+                    0
+                };
                 reg.admit(tenant, bank, at)
             }
             None => true,
@@ -344,7 +395,9 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
             } else {
                 let (ch, local) = self.selector.route(req.addr().0);
                 if self.admit(&req, ch, local, self.now + 1) {
-                    target = Some((ch as usize, localized(&req, local)));
+                    let mut req = req;
+                    localize(&mut req, local);
+                    target = Some((ch as usize, req));
                 } else {
                     // Deferred, not dropped: the channels still advance
                     // this cycle (lockstep), the request just never
@@ -386,14 +439,15 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
     /// Workers driving the epoch path: `1` means epochs run on
     /// the caller's thread (no pool).
     pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(1, WorkerPool::workers)
+        self.pool.as_ref().map_or(1, |pool| pool.threads() + 1)
     }
 
     /// Switches the epoch path between on-thread execution
-    /// (`workers <= 1`) and a persistent worker pool of `workers`
-    /// threads (clamped to the channel count — extra workers would only
-    /// idle). Channel `c` is always served by worker `c % workers`, so
-    /// the partition — and therefore every observable output — is
+    /// (`workers <= 1`) and `workers` workers (clamped to the channel
+    /// count — extra workers would only idle): the calling thread and a
+    /// persistent pool of `workers - 1` threads. Channel `c` is always
+    /// served by worker `c % workers`, worker 0 being the calling thread,
+    /// so the partition — and therefore every observable output — is
     /// identical from epoch to epoch and across worker counts.
     ///
     /// Calling this between epochs is safe at any time: the pool holds no
@@ -402,29 +456,26 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
     where
         M: Send + 'static,
     {
-        let workers = workers.min(self.channels.len());
-        if workers <= 1 {
-            self.pool = None;
+        let workers = workers.clamp(1, self.channels.len());
+        if self.workers() == workers {
             return;
         }
-        if self.pool.as_ref().is_some_and(|p| p.workers() == workers) {
-            return;
-        }
-        self.pool = Some(WorkerPool::new(workers, |_, (len, job): EpochJob<M>| {
-            job.into_iter()
-                .map(|(ch, mut engine, lane)| {
-                    let report = engine.run_epoch_sparse(len, &lane);
-                    (ch, engine, report)
-                })
-                .collect()
-        }));
+        self.pool = (workers > 1).then(|| {
+            WorkerPool::new(workers - 1, |_, (len, mut share): EpochJob<M>| {
+                run_share(len, &mut share);
+                share
+            })
+        });
+        self.scratch.shares = (0..workers).map(|_| Vec::new()).collect();
     }
 
     /// The one epoch router behind every batch door: advances the whole
     /// fabric `len` interface cycles, presenting request `k` of `count` at
-    /// fabric cycle `now + at(k).0` (a sparse epoch; `at` is the door's
-    /// view of its own encoding, exactly as in the controller's drive
-    /// loop). Equivalent to that many [`VpnmFabric::tick`] calls —
+    /// fabric cycle `now + at(src, k).0` (a sparse epoch; `at` and `fetch`
+    /// are the door's view of its own encoding `src`, exactly as in the
+    /// controller's drive loop: `at` reads a request in place, `fetch`
+    /// hands it over — a clone from a borrowed span, a move out of the
+    /// consuming door's Vec). Equivalent to that many [`VpnmFabric::tick`] calls —
     /// byte-identical responses (in exact cycle order), stall counts, and
     /// merged snapshots, modulo the `cycles_skipped` drive-mode counter —
     /// but executed channel-major: malformed requests are held at the
@@ -432,13 +483,14 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
     /// same recording cycle), channel selection runs as one batched pass
     /// over the presented addresses ([`ChannelSelector::route_batch`]),
     /// admission runs serially in
-    /// cycle order, and the survivors scatter into sparse per-channel
-    /// lanes that each channel then advances through independently via
-    /// [`PipelinedMemory::run_epoch_sparse`] — jumping straight across
+    /// cycle order, and the survivors, re-addressed in place, move into
+    /// sparse per-channel lanes that each channel then advances through
+    /// independently via [`PipelinedMemory::run_epoch_owned`] — jumping
+    /// straight across
     /// the cycles that belong to its siblings, so the work per epoch
     /// scales with the requests and responses, not with `channels x
-    /// cycles`, and channels can run on [`VpnmFabric::set_workers`] pool
-    /// threads.
+    /// cycles`, and channels can run on [`VpnmFabric::set_workers`]
+    /// workers.
     ///
     /// `bypass` is the single-channel hand-off: with one channel the
     /// selector is the identity (zero channel bits), so routing,
@@ -448,15 +500,18 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
     /// — malformed requests must be rejected *at the fabric*, and
     /// per-request admission and tenant accounting live in the routed
     /// path.
-    fn route<'a>(
+    fn route<S: ?Sized>(
         &mut self,
         len: u64,
         count: usize,
-        at: impl Fn(usize) -> (u64, &'a Request),
-        bypass: impl FnOnce(&mut M) -> RunReport,
+        src: &mut S,
+        at: impl Fn(&S, usize) -> (u64, &Request),
+        fetch: impl Fn(&mut S, usize) -> Request,
+        bypass: impl FnOnce(&mut M, &mut S) -> RunReport,
     ) -> RunReport {
         debug_assert!(
-            (1..count).all(|k| at(k - 1).0 < at(k).0) && (count == 0 || at(count - 1).0 < len),
+            (1..count).all(|k| at(src, k - 1).0 < at(src, k).0)
+                && (count == 0 || at(src, count - 1).0 < len),
             "offsets must be strictly increasing and < len"
         );
         let mut report = RunReport::default();
@@ -466,17 +521,16 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
         let (addr_bits, cell_bytes) = (self.config.base.addr_bits, self.config.base.cell_bytes);
         if self.channels.len() == 1
             && self.tenants.is_none()
-            && (0..count).all(|k| at(k).1.malformed(addr_bits, cell_bytes).is_none())
+            && (0..count).all(|k| at(src, k).1.malformed(addr_bits, cell_bytes).is_none())
         {
             self.now += len;
-            return bypass(&mut self.channels[0]);
+            return bypass(&mut self.channels[0], src);
         }
-        // `kept[j]` indexes the j-th well-formed request; `addrs[j]` is
-        // its fabric address, routed to `(chans[j], locals[j])`.
-        let mut kept: Vec<usize> = Vec::with_capacity(count);
-        let mut addrs: Vec<u64> = Vec::with_capacity(count);
+        let EpochScratch { kept, addrs, chans, locals, .. } = &mut self.scratch;
+        kept.clear();
+        addrs.clear();
         for k in 0..count {
-            let (offset, req) = at(k);
+            let (offset, req) = at(src, k);
             if let Some(kind) = req.malformed(addr_bits, cell_bytes) {
                 report.rejected += 1;
                 self.fabric_metrics.record_stall(kind, Cycle::new(self.now + offset + 1));
@@ -485,95 +539,107 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
             kept.push(k);
             addrs.push(req.addr().0);
         }
-        let mut chans = vec![0u32; addrs.len()];
-        let mut locals = vec![0u64; addrs.len()];
-        self.selector.route_batch(&addrs, &mut chans, &mut locals);
-        let mut lanes: Vec<SparseLane> = vec![Vec::new(); self.channels.len()];
-        for (j, &k) in kept.iter().enumerate() {
-            let (offset, req) = at(k);
+        chans.resize(addrs.len(), 0);
+        locals.resize(addrs.len(), 0);
+        self.selector.route_batch(addrs, chans, locals);
+        for j in 0..self.scratch.kept.len() {
+            let (k, ch, local) =
+                (self.scratch.kept[j], self.scratch.chans[j], self.scratch.locals[j]);
+            let (offset, req) = at(src, k);
             // Admission runs serially in offset (= cycle) order at the
             // exact cycle `tick` would present the request, so the epoch
             // path defers the same requests the sequential path does.
-            if !self.admit(req, chans[j], locals[j], self.now + offset + 1) {
+            if !self.admit(req, ch, local, self.now + offset + 1) {
                 report.stalled += 1;
                 continue;
             }
-            lanes[chans[j] as usize].push((offset, localized(req, locals[j])));
+            let mut req = fetch(src, k);
+            localize(&mut req, local);
+            self.scratch.lanes[ch as usize].push((offset, req));
         }
-        self.execute_lanes(len, lanes, &mut report);
+        self.execute_lanes(len, &mut report);
         report
     }
 
     /// The execute-and-merge half of [`VpnmFabric::route`]: runs
-    /// every channel through its sparse lane (on-thread or on the worker
-    /// pool), folds the per-channel reports into `report`, and
-    /// barrier-merges the response streams back into exact cycle order.
-    fn execute_lanes(&mut self, len: u64, lanes: Vec<SparseLane>, report: &mut RunReport) {
-        let c = self.channels.len();
+    /// every channel through its sparse lane (on-thread, or split between
+    /// the calling thread and the pool), folds the per-channel reports
+    /// into `report`, and merges the response streams back into exact
+    /// cycle order.
+    fn execute_lanes(&mut self, len: u64, report: &mut RunReport) {
         // Execute: every channel advances through the epoch independently.
-        // Engines travel to the pool workers by value and come home at the
+        // Engines travel to the pool threads by value and come home at the
         // barrier; the `ch % workers` partition is fixed, so results are
         // independent of scheduling.
-        let mut streams: Vec<Vec<Response>> = (0..c).map(|_| Vec::new()).collect();
+        let EpochScratch { lanes, streams, shares, .. } = &mut self.scratch;
         let mut fold = |ch: usize, r: RunReport| {
             report.accepted += r.accepted;
             report.stalled += r.stalled;
             report.rejected += r.rejected;
-            streams[ch] = r.responses;
+            streams[ch] = r.responses.into_iter();
         };
         match &self.pool {
             None => {
-                for (ch, (engine, lane)) in self.channels.iter_mut().zip(&lanes).enumerate() {
-                    let r = engine.run_epoch_sparse(len, lane);
-                    fold(ch, r);
+                for (ch, (engine, lane)) in self.channels.iter_mut().zip(lanes).enumerate() {
+                    fold(ch, engine.run_epoch_owned(len, lane));
                 }
             }
             Some(pool) => {
-                let w = pool.workers();
-                let mut jobs: Vec<EpochJob<M>> = (0..w).map(|_| (len, Vec::new())).collect();
-                let engines = std::mem::take(&mut self.channels);
-                for ((ch, engine), lane) in engines.into_iter().enumerate().zip(lanes) {
-                    jobs[ch % w].1.push((ch, engine, lane));
+                let w = shares.len();
+                for (ch, engine) in self.channels.drain(..).enumerate() {
+                    let lane = std::mem::take(&mut lanes[ch]);
+                    shares[ch % w].push(ChannelRun { engine, lane, report: RunReport::default() });
                 }
-                for (worker, job) in jobs.into_iter().enumerate() {
-                    pool.submit(worker, job);
+                for (worker, share) in shares.iter_mut().enumerate().skip(1) {
+                    pool.submit(worker - 1, (len, std::mem::take(share)));
                 }
-                let mut slots: Vec<Option<M>> = (0..c).map(|_| None).collect();
-                for worker in 0..w {
-                    for (ch, engine, r) in pool.recv(worker) {
-                        slots[ch] = Some(engine);
-                        fold(ch, r);
-                    }
+                // The calling thread runs share 0 while the pool runs the
+                // rest, then collects them.
+                run_share(len, &mut shares[0]);
+                for (worker, share) in shares.iter_mut().enumerate().skip(1) {
+                    *share = pool.recv(worker - 1);
                 }
-                self.channels =
-                    slots.into_iter().map(|s| s.expect("worker returns every channel")).collect();
+                // Each share holds its channels in channel order, so
+                // popping from the top channel down hands them back in
+                // reverse.
+                for ch in (0..lanes.len()).rev() {
+                    let run = shares[ch % w].pop().expect("every channel comes home");
+                    lanes[ch] = run.lane;
+                    self.channels.push(run.engine);
+                    fold(ch, run.report);
+                }
+                self.channels.reverse();
             }
         }
 
-        // Barrier merge: the shared pinned delay guarantees at most one
-        // response per fabric cycle, and every response a channel returns
-        // came due *inside* this epoch — `completed_at` is in
-        // `(now, now + len]`. That makes `completed_at - now - 1` a
-        // perfect bucket index: scatter each response into its cycle's
-        // slot (O(1), no comparisons — cheaper than any comparison merge
-        // of the streams), then read the slots off in order. Local
-        // addresses translate back to fabric addresses on the way in.
-        let total: usize = streams.iter().map(Vec::len).sum();
+        // Barrier merge: each channel's stream is already in cycle order,
+        // and the shared pinned delay guarantees at most one response per
+        // fabric cycle, all due *inside* this epoch (`completed_at` in
+        // `(now, now + len]`). A k-way merge on `completed_at` restores
+        // the sequential order; local addresses translate back to fabric
+        // addresses on the way out.
+        let total: usize = streams.iter().map(ExactSizeIterator::len).sum();
         let mut responses: Vec<Response> = Vec::with_capacity(total);
-        if total > 0 {
-            let mut slots: Vec<Option<Response>> = (0..len).map(|_| None).collect();
-            for (ch, stream) in streams.into_iter().enumerate() {
-                for mut resp in stream {
-                    resp.addr = LineAddr(self.selector.unroute(ch as u32, resp.addr.0));
-                    let slot = &mut slots[(resp.completed_at.as_u64() - self.now - 1) as usize];
-                    debug_assert!(
-                        slot.is_none(),
-                        "two channels answered in one fabric cycle — delays disagree"
-                    );
-                    *slot = Some(resp);
+        let mut last = self.now;
+        for _ in 0..total {
+            let mut next: Option<(usize, u64)> = None;
+            for (ch, stream) in streams.iter().enumerate() {
+                if let Some(head) = stream.as_slice().first() {
+                    let due = head.completed_at.as_u64();
+                    if next.is_none_or(|(_, best)| due < best) {
+                        next = Some((ch, due));
+                    }
                 }
             }
-            responses.extend(slots.into_iter().flatten());
+            let (ch, due) = next.expect("`total` responses remain");
+            debug_assert!(
+                due > last && due <= self.now + len,
+                "two channels answered in one fabric cycle — delays disagree"
+            );
+            last = due;
+            let mut resp = streams[ch].next().expect("peeked");
+            resp.addr = LineAddr(self.selector.unroute(ch as u32, resp.addr.0));
+            responses.push(resp);
         }
         report.responses = responses;
         self.now += len;
@@ -626,23 +692,42 @@ impl<M: PipelinedMemory> PipelinedMemory for VpnmFabric<M> {
         VpnmFabric::now(self)
     }
 
-    fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
+    fn run_epoch_sparse(&mut self, len: u64, mut requests: &[(u64, Request)]) -> RunReport {
         self.route(
             len,
             requests.len(),
-            |k| (requests[k].0, &requests[k].1),
-            |engine| engine.run_epoch_sparse(len, requests),
+            &mut requests,
+            |r, k| (r[k].0, &r[k].1),
+            |r, k| r[k].1.clone(),
+            |engine, r| engine.run_epoch_sparse(len, r),
         )
     }
 
-    fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
+    fn run_epoch_owned(&mut self, len: u64, requests: &mut Vec<(u64, Request)>) -> RunReport {
+        // Consuming view: each routed request moves out of its slot (a
+        // payload-free read stands in until the `clear`).
+        let report = self.route(
+            len,
+            requests.len(),
+            requests,
+            |r, k| (r[k].0, &r[k].1),
+            |r, k| std::mem::replace(&mut r[k].1, Request::read(LineAddr(0))),
+            |engine, r| engine.run_epoch_owned(len, r),
+        );
+        requests.clear();
+        report
+    }
+
+    fn issue_batch(&mut self, mut requests: &[Request]) -> RunReport {
         // Dense view: offset(k) == k. (The option-dense `run_epoch` door
         // is the trait default, which re-encodes onto `run_epoch_sparse`.)
         self.route(
             requests.len() as u64,
             requests.len(),
-            |k| (k as u64, &requests[k]),
-            |engine| engine.issue_batch(requests),
+            &mut requests,
+            |r, k| (k as u64, &r[k]),
+            |r, k| r[k].clone(),
+            |engine, r| engine.issue_batch(r),
         )
     }
 
@@ -661,8 +746,10 @@ impl<M: PipelinedMemory> PipelinedMemory for VpnmFabric<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{sparse_of, ticked};
+    use crate::memory::{run_owned, sparse_of, ticked};
     use crate::{IdealMemory, ReferenceController, VpnmController};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::Arc;
 
     fn fabric_config(channels: u32, select: ChannelSelect) -> FabricConfig {
         FabricConfig { channels, select, base: VpnmConfig::small_test(), qos: None }
@@ -879,10 +966,11 @@ mod tests {
     /// sequence**. Ticks `stream` through an oracle fabric, then runs it
     /// as two epochs (a seam at `seam`: reads issued in the first come
     /// due in the second) through every encoding that can express it —
-    /// option-dense, sparse, and dense when no slot is idle — on fabrics
-    /// built by `mk`, demanding identical reports, clock, drain and
-    /// snapshot (modulo `cycles_skipped`; the snapshot's tenant section
-    /// carries the regulator's per-tenant issued/deferred counts).
+    /// option-dense, sparse, consuming sparse, and dense when no slot is
+    /// idle — on fabrics built by `mk`, demanding identical reports,
+    /// clock, drain and snapshot (modulo `cycles_skipped`; the snapshot's
+    /// tenant section carries the regulator's per-tenant issued/deferred
+    /// counts).
     fn assert_doors_match_ticks<F: PipelinedMemory>(
         mk: impl Fn() -> F,
         stream: &[Option<Request>],
@@ -904,6 +992,7 @@ mod tests {
                 "run_epoch_sparse",
                 Box::new(|f, e| f.run_epoch_sparse(spans[e].len() as u64, &sparse_of(spans[e]))),
             ),
+            ("run_epoch_owned", Box::new(|f, e| run_owned(f, spans[e]))),
         ];
         if let [Some(a), Some(b)] = &dense {
             doors.push(("issue_batch", Box::new(move |f, e| f.issue_batch([a, b][e]))));
@@ -943,13 +1032,13 @@ mod tests {
     #[test]
     fn run_epoch_parallel_is_byte_identical_to_on_thread() {
         let stream = epoch_stream(2000, 13);
-        let run = |workers: usize| {
+        let run = |workers: usize, owned: bool| {
             let mut fab =
                 VpnmFabric::new(fabric_config(8, ChannelSelect::UniversalHash), 5).unwrap();
             fab.set_workers(workers);
             let mut report = RunReport::default();
             for span in stream.chunks(333) {
-                let r = fab.run_epoch(span);
+                let r = if owned { run_owned(&mut fab, span) } else { fab.run_epoch(span) };
                 report.accepted += r.accepted;
                 report.stalled += r.stalled;
                 report.rejected += r.rejected;
@@ -958,12 +1047,14 @@ mod tests {
             report.responses.extend(PipelinedMemory::drain(&mut fab));
             (report, snapshot_sans_skips(&fab))
         };
-        let (base_report, base_snap) = run(1);
+        let (base_report, base_snap) = run(1, false);
         assert!(!base_report.responses.is_empty());
-        for workers in [2, 3, 8] {
-            let (report, snap) = run(workers);
-            assert_eq!(report, base_report, "workers = {workers}");
-            assert_eq!(snap, base_snap, "workers = {workers}");
+        for workers in [1, 2, 3, 8] {
+            for owned in [false, true] {
+                let (report, snap) = run(workers, owned);
+                assert_eq!(report, base_report, "workers = {workers}, owned = {owned}");
+                assert_eq!(snap, base_snap, "workers = {workers}, owned = {owned}");
+            }
         }
     }
 
@@ -1120,6 +1211,93 @@ mod tests {
         let mut boxed = mk();
         boxed.run_epoch_sparse(stream.len() as u64, &sparse_of(&stream));
         assert!(boxed.snapshot().unwrap().cycles_skipped > 0, "native path skips idle spans");
+
+        // The consuming door reaches the fabric's own `run_epoch_owned`,
+        // not the trait default (`run_epoch_sparse`, then clear): a
+        // single-channel fabric hands its span on in the door it arrived
+        // through, so the channel sees which one that was.
+        let calls = Arc::new(Calls::default());
+        let mut boxed: Box<dyn PipelinedMemory> =
+            Box::new(counting_fabric(fabric_config(1, ChannelSelect::LowBits), &calls));
+        run_owned(&mut boxed, &epoch_stream(300, 9));
+        assert_eq!(calls.owned.load(Relaxed), 1, "forwarded to the fabric's consuming door");
+        assert_eq!(calls.sparse.load(Relaxed), 0, "not re-encoded by the trait default");
+    }
+
+    /// What a [`Counting`] channel was asked to do.
+    #[derive(Debug, Default)]
+    struct Calls {
+        bank_of: AtomicU64,
+        sparse: AtomicU64,
+        owned: AtomicU64,
+    }
+
+    /// A fast controller that counts the calls its fabric makes into it.
+    #[derive(Debug)]
+    struct Counting {
+        inner: VpnmController,
+        calls: Arc<Calls>,
+    }
+
+    impl PipelinedMemory for Counting {
+        fn delay(&self) -> u64 {
+            self.inner.delay()
+        }
+        fn tick(&mut self, request: Option<Request>) -> TickOutput {
+            self.inner.tick(request)
+        }
+        fn outstanding(&self) -> usize {
+            self.inner.outstanding()
+        }
+        fn now(&self) -> Cycle {
+            self.inner.now()
+        }
+        fn bank_of(&self, addr: LineAddr) -> Option<u32> {
+            self.calls.bank_of.fetch_add(1, Relaxed);
+            Some(self.inner.bank_of(addr))
+        }
+        fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
+            self.calls.sparse.fetch_add(1, Relaxed);
+            PipelinedMemory::run_epoch_sparse(&mut self.inner, len, requests)
+        }
+        fn run_epoch_owned(&mut self, len: u64, requests: &mut Vec<(u64, Request)>) -> RunReport {
+            self.calls.owned.fetch_add(1, Relaxed);
+            self.inner.run_epoch_owned(len, requests)
+        }
+        fn snapshot(&self) -> Option<MetricsSnapshot> {
+            Some(self.inner.snapshot())
+        }
+    }
+
+    fn counting_fabric(config: FabricConfig, calls: &Arc<Calls>) -> VpnmFabric<Counting> {
+        VpnmFabric::with_engines(config, 0xEE, |_, cfg, seed| {
+            Ok(Counting { inner: VpnmController::new(cfg, seed)?, calls: Arc::clone(calls) })
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn only_the_per_bank_regulator_hashes_the_bank() {
+        // Admission reads a request's bank only for per-bank buckets: the
+        // global regulator and tracking-only QoS never ask a channel for
+        // it, and the per-bank regulator asks once per routed request —
+        // on the tick path and the epoch path alike.
+        let stream = two_tenant_stream(900, 5);
+        let routed = stream.iter().flatten().count() as u64;
+        for (qos, want) in [
+            (QosConfig::tracking(2), 0),
+            (qos_config(RegulatorMode::Global, 1, 4, 2), 0),
+            (qos_config(RegulatorMode::PerBank, 1, 2, 4), routed),
+        ] {
+            let mut cfg = fabric_config(4, ChannelSelect::UniversalHash);
+            cfg.qos = Some(qos);
+            let calls = Arc::new(Calls::default());
+            ticked(&mut counting_fabric(cfg.clone(), &calls), &stream);
+            assert_eq!(calls.bank_of.load(Relaxed), want, "{:?}: tick path", qos.mode);
+            let calls = Arc::new(Calls::default());
+            run_owned(&mut counting_fabric(cfg, &calls), &stream);
+            assert_eq!(calls.bank_of.load(Relaxed), want, "{:?}: epoch path", qos.mode);
+        }
     }
 
     #[test]
@@ -1148,8 +1326,8 @@ mod tests {
     #[test]
     fn batch_doors_reject_malformed_like_tick() {
         // Rejected at the fabric edge with fabric-level accounting — on
-        // the routed path and on a single channel, where a malformed
-        // request must keep the span off the bypass.
+        // the routed path (on-thread and pooled) and on a single channel,
+        // where a malformed request must keep the span off the bypass.
         for channels in [1u32, 2] {
             let cfg = fabric_config(channels, ChannelSelect::LowBits);
             let oob = Request::read(LineAddr(1u64 << cfg.base.addr_bits));
@@ -1164,8 +1342,14 @@ mod tests {
                 epoch_stream(300, 3).into_iter().filter(Option::is_some).collect();
             dense[100] = Some(oob);
             dense[200] = Some(fat);
-            let mk = || VpnmFabric::new(cfg.clone(), 1).unwrap();
-            assert_doors_match_ticks(mk, &dense, 150);
+            for workers in [1, 2] {
+                let mk = || {
+                    let mut fab = VpnmFabric::new(cfg.clone(), 1).unwrap();
+                    fab.set_workers(workers);
+                    fab
+                };
+                assert_doors_match_ticks(mk, &dense, 150);
+            }
         }
     }
 

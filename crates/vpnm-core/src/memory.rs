@@ -93,12 +93,12 @@ pub trait PipelinedMemory {
     /// the collected responses (in delivery order) plus acceptance counts.
     ///
     /// This is the one batch primitive of the stack: the
-    /// [`crate::VpnmFabric`] feeds each channel its `1/C` lane through it,
-    /// the packet buffer and the serving loop issue whole scheduling
-    /// epochs through it, and the two other batch doors below are
-    /// re-encodings onto it. The contract is observational equivalence
-    /// with the per-tick path: responses, stall accounting, clock, and
-    /// metrics must be exactly what the equivalent
+    /// [`crate::VpnmFabric`] feeds each channel its `1/C` lane through it
+    /// (by its consuming twin), the packet buffer and the serving loop
+    /// issue whole scheduling epochs through it, and the other batch
+    /// doors below are re-encodings onto it. The contract is
+    /// observational equivalence with the per-tick path: responses, stall
+    /// accounting, clock, and metrics must be exactly what the equivalent
     /// [`PipelinedMemory::tick`] sequence produces. The one sanctioned
     /// exception is the `cycles_skipped` drive-mode counter — engines
     /// with event-horizon skipping ([`crate::VpnmController`]) account
@@ -121,6 +121,21 @@ pub trait PipelinedMemory {
                 Some(_) => report.stalled += 1,
             }
         }
+        report
+    }
+
+    /// The consuming door of [`PipelinedMemory::run_epoch_sparse`]: the
+    /// same sparse epoch, but the requests are the callee's to keep.
+    /// `requests` comes back empty with its capacity intact, so a caller
+    /// that refills one buffer every epoch allocates it once.
+    ///
+    /// The default runs [`PipelinedMemory::run_epoch_sparse`] and then
+    /// clears. [`crate::VpnmController`] moves each request into its bank
+    /// instead of cloning it, and [`crate::VpnmFabric`] rewrites each
+    /// request's address in place and moves it into its channel's lane.
+    fn run_epoch_owned(&mut self, len: u64, requests: &mut Vec<(u64, Request)>) -> RunReport {
+        let report = self.run_epoch_sparse(len, requests);
+        requests.clear();
         report
     }
 
@@ -190,6 +205,22 @@ pub(crate) fn ticked<M: PipelinedMemory + ?Sized>(
     report
 }
 
+/// `run_epoch_owned` over a fresh copy of `span`'s sparse encoding,
+/// checking the door's buffer contract: the Vec comes back drained with
+/// its capacity kept.
+#[cfg(test)]
+pub(crate) fn run_owned<M: PipelinedMemory + ?Sized>(
+    mem: &mut M,
+    span: &[Option<Request>],
+) -> RunReport {
+    let mut owned = sparse_of(span);
+    let capacity = owned.capacity();
+    let report = mem.run_epoch_owned(span.len() as u64, &mut owned);
+    assert!(owned.is_empty(), "run_epoch_owned drains its requests");
+    assert_eq!(owned.capacity(), capacity, "run_epoch_owned keeps the buffer");
+    report
+}
+
 /// Boxed engines forward everything, so `Box<dyn PipelinedMemory>` (and
 /// boxed concrete engines) slot into generic harnesses unchanged.
 impl<M: PipelinedMemory + ?Sized> PipelinedMemory for Box<M> {
@@ -219,6 +250,9 @@ impl<M: PipelinedMemory + ?Sized> PipelinedMemory for Box<M> {
     }
     fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
         (**self).run_epoch_sparse(len, requests)
+    }
+    fn run_epoch_owned(&mut self, len: u64, requests: &mut Vec<(u64, Request)>) -> RunReport {
+        (**self).run_epoch_owned(len, requests)
     }
     fn run_epoch(&mut self, requests: &[Option<Request>]) -> RunReport {
         (**self).run_epoch(requests)

@@ -1,43 +1,45 @@
-//! A persistent worker pool with per-worker bounded SPSC lanes.
+//! A persistent thread pool with per-thread bounded SPSC lanes.
 //!
-//! The parallel [`crate::VpnmFabric`] execution mode needs to hand each
-//! channel's epoch of work to a dedicated thread every few thousand
-//! simulated cycles. Spawning scoped threads per epoch (the
-//! shard-and-collect pattern the measurement harnesses use) would pay a
-//! thread launch per epoch; this pool generalizes that pattern into a
-//! fixed set of **persistent** workers created once and fed through
+//! The parallel [`crate::VpnmFabric`] execution mode splits each epoch's
+//! channels into `W` shares every few thousand simulated cycles. The
+//! calling thread runs share 0 itself, between submitting the other
+//! shares and receiving them, so `W` workers take `W - 1` pool threads
+//! and one fewer hand-off per epoch. Spawning scoped threads per epoch
+//! (the shard-and-collect pattern the measurement harnesses use) would
+//! pay a thread launch per epoch; this pool generalizes that pattern into
+//! a fixed set of **persistent** threads created once and fed through
 //! bounded rendezvous channels, so the steady-state cost of an epoch
-//! hand-off is two queue operations per worker.
+//! hand-off is two queue operations per pool thread.
 //!
 //! The pool is deliberately minimal and fully deterministic from the
 //! caller's point of view:
 //!
-//! * Each worker owns one **bounded SPSC job lane** (capacity 1) and one
+//! * Each thread owns one **bounded SPSC job lane** (capacity 1) and one
 //!   result lane. [`WorkerPool::submit`] enqueues onto a specific
-//!   worker's lane; [`WorkerPool::recv`] blocks on that worker's result.
-//!   Work never migrates between workers, so a caller that partitions
+//!   thread's lane; [`WorkerPool::recv`] blocks on that thread's result.
+//!   Work never migrates between threads, so a caller that partitions
 //!   work by index gets the same partition every epoch (cache affinity)
 //!   and results arrive exactly where they are awaited — scheduling
 //!   cannot reorder anything the caller observes.
 //! * Jobs are values (`J: Send`) and results are values (`R: Send`);
-//!   workers share no state with the caller. Determinism is then the
+//!   threads share no state with the caller. Determinism is then the
 //!   caller's job-construction invariant, not a synchronization property.
 //!
-//! The pool is engine-agnostic (any `Fn(worker, J) -> R`); its one user
+//! The pool is engine-agnostic (any `Fn(thread, J) -> R`); its one user
 //! is the fabric. The serving front-end's producers hand off through
 //! [`crate::ring::spsc`] lanes, the same std channel plus a park count.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
-/// One worker's communication lanes.
+/// One thread's communication lanes.
 struct Lane<J, R> {
     jobs: SyncSender<J>,
     results: Receiver<R>,
 }
 
-/// A fixed set of persistent worker threads, each fed through its own
-/// bounded SPSC lane. See the [module docs](self) for the design.
+/// A fixed set of persistent threads, each fed through its own bounded
+/// SPSC lane. See the [module docs](self) for the design.
 pub struct WorkerPool<J, R> {
     lanes: Vec<Lane<J, R>>,
     threads: Vec<JoinHandle<()>>,
@@ -45,33 +47,33 @@ pub struct WorkerPool<J, R> {
 
 impl<J, R> std::fmt::Debug for WorkerPool<J, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool").field("workers", &self.lanes.len()).finish()
+        f.debug_struct("WorkerPool").field("threads", &self.lanes.len()).finish()
     }
 }
 
 impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
-    /// Spawns `workers` persistent threads, each running `f(worker_index,
+    /// Spawns `threads` persistent threads, each running `f(thread_index,
     /// job)` for every job submitted to its lane until the pool is
     /// dropped.
     ///
     /// # Panics
     ///
-    /// Panics if `workers == 0`.
-    pub fn new<F>(workers: usize, f: F) -> Self
+    /// Panics if `threads == 0`.
+    pub fn new<F>(threads: usize, f: F) -> Self
     where
         F: Fn(usize, J) -> R + Send + Clone + 'static,
     {
-        assert!(workers > 0, "a worker pool needs at least one worker");
-        let mut lanes = Vec::with_capacity(workers);
-        let mut threads = Vec::with_capacity(workers);
-        for w in 0..workers {
+        assert!(threads > 0, "a worker pool needs at least one thread");
+        let mut lanes = Vec::with_capacity(threads);
+        let mut handles = Vec::with_capacity(threads);
+        for w in 0..threads {
             // Rendezvous-adjacent lanes: capacity 1 keeps at most one
-            // epoch of work in flight per worker, which bounds memory and
+            // epoch of work in flight per thread, which bounds memory and
             // means `submit` back-pressures instead of queueing unboundedly.
             let (job_tx, job_rx) = sync_channel::<J>(1);
             let (result_tx, result_rx) = sync_channel::<R>(1);
             let f = f.clone();
-            threads.push(
+            handles.push(
                 std::thread::Builder::new()
                     .name(format!("vpnm-worker-{w}"))
                     .spawn(move || {
@@ -87,7 +89,7 @@ impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
             );
             lanes.push(Lane { jobs: job_tx, results: result_rx });
         }
-        WorkerPool { lanes, threads }
+        WorkerPool { lanes, threads: handles }
     }
 }
 
@@ -96,41 +98,41 @@ impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
 // callers hold an `Option<WorkerPool<…>>` without infecting their own
 // type parameters (a pool can only be *constructed* with `Send` payloads).
 impl<J, R> WorkerPool<J, R> {
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
+    /// Number of pool threads (not counting the caller).
+    pub fn threads(&self) -> usize {
         self.lanes.len()
     }
 
-    /// Enqueues `job` on `worker`'s lane, blocking while the lane is full
-    /// (at most one job may be in flight per worker).
+    /// Enqueues `job` on `thread`'s lane, blocking while the lane is full
+    /// (at most one job may be in flight per thread).
     ///
     /// # Panics
     ///
-    /// Panics if `worker` is out of range or the worker thread died (a
-    /// panic inside a job).
-    pub fn submit(&self, worker: usize, job: J) {
-        self.lanes[worker].jobs.send(job).expect("worker thread alive");
+    /// Panics if `thread` is out of range or the thread died (a panic
+    /// inside a job).
+    pub fn submit(&self, thread: usize, job: J) {
+        self.lanes[thread].jobs.send(job).expect("worker thread alive");
     }
 
-    /// Blocks until `worker` finishes its oldest in-flight job and
+    /// Blocks until `thread` finishes its oldest in-flight job and
     /// returns the result.
     ///
     /// # Panics
     ///
-    /// Panics if `worker` is out of range or the worker thread died (a
-    /// panic inside a job).
-    pub fn recv(&self, worker: usize) -> R {
-        self.lanes[worker].results.recv().expect("worker thread alive")
+    /// Panics if `thread` is out of range or the thread died (a panic
+    /// inside a job).
+    pub fn recv(&self, thread: usize) -> R {
+        self.lanes[thread].results.recv().expect("worker thread alive")
     }
 }
 
 impl<J, R> Drop for WorkerPool<J, R> {
     fn drop(&mut self) {
-        // Closing the job lanes ends each worker's recv loop; joining
+        // Closing the job lanes ends each thread's recv loop; joining
         // bounds the pool's thread lifetime to the pool value itself.
         self.lanes.clear();
         for t in self.threads.drain(..) {
-            // A worker that panicked already surfaced its panic to the
+            // A thread that panicked already surfaced its panic to the
             // caller at recv time; don't double-panic during drop.
             let _ = t.join();
         }
@@ -148,7 +150,7 @@ mod tests {
             pool.submit(w, w as u64 + 10);
         }
         // Results arrive on the lane the job was submitted to, tagged
-        // with that worker's index.
+        // with that thread's index.
         for w in 0..3 {
             assert_eq!(pool.recv(w), (w, (w as u64 + 10) * 2));
         }
@@ -163,7 +165,7 @@ mod tests {
             assert_eq!(pool.recv(0), epoch + 1);
             assert_eq!(pool.recv(1), epoch + 2);
         }
-        assert_eq!(pool.workers(), 2);
+        assert_eq!(pool.threads(), 2);
     }
 
     #[test]
@@ -177,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one worker")]
+    #[should_panic(expected = "at least one thread")]
     fn zero_workers_is_a_caller_bug() {
         let _ = WorkerPool::<u8, u8>::new(0, |_, x| x);
     }

@@ -348,6 +348,46 @@ fn fabric_epoch_path_is_worker_count_invariant_and_matches_tick() {
 }
 
 #[test]
+fn fast_fabric_owned_door_matches_reference_fabric() {
+    // The consuming epoch door, one request buffer refilled every epoch
+    // as the serving loop does: the fast fabric moves each request into
+    // its channel's lane and on into a bank, while the reference
+    // fabric's channels take the trait default (`run_epoch_sparse`, then
+    // clear). Every epoch's report, the drain and the merged snapshot
+    // must agree (modulo the `cycles_skipped` drive-mode counter).
+    let stream = mixed_stream(2000, (1 << 16) - 1);
+    for (select, workers) in [(ChannelSelect::LowBits, 1), (ChannelSelect::UniversalHash, 2)] {
+        let cfg = FabricConfig { channels: 4, select, base: VpnmConfig::small_test(), qos: None };
+        let mut fast = VpnmFabric::new(cfg.clone(), 11).expect("valid");
+        fast.set_workers(workers);
+        let mut reference =
+            VpnmFabric::with_engines(cfg, 11, |_, c, s| ReferenceController::new(c, s))
+                .expect("valid");
+        let mut buffer: Vec<(u64, Request)> = Vec::new();
+        let mut owned = |mem: &mut dyn PipelinedMemory, span: &[Option<Request>]| {
+            buffer.extend(
+                span.iter().enumerate().filter_map(|(i, slot)| Some((i as u64, slot.clone()?))),
+            );
+            let capacity = buffer.capacity();
+            let report = mem.run_epoch_owned(span.len() as u64, &mut buffer);
+            assert!(buffer.is_empty(), "run_epoch_owned drains its requests");
+            assert_eq!(buffer.capacity(), capacity, "run_epoch_owned keeps the buffer");
+            report
+        };
+        for (epoch, span) in stream.chunks(257).enumerate() {
+            let want = owned(&mut reference, span);
+            assert_eq!(owned(&mut fast, span), want, "{select}, epoch {epoch}");
+        }
+        assert_eq!(
+            PipelinedMemory::drain(&mut fast),
+            PipelinedMemory::drain(&mut reference),
+            "{select}: drain"
+        );
+        assert_eq!(snapshot_sans_skips(&fast), snapshot_sans_skips(&reference), "{select}");
+    }
+}
+
+#[test]
 fn boxed_engines_run_the_same_stream_through_one_call_site() {
     // The widened trait is object-safe: one loop drives a bare fast
     // engine, a bare reference engine and a four-channel fabric through
