@@ -129,11 +129,17 @@ impl CfdsBuffer {
         let op = self.window.remove(pos).expect("position valid");
         match op.kind {
             OpKind::Write { data } => {
-                self.dram.issue_write(op.bank, op.offset, data, now).expect("bank checked free");
+                self.dram
+                    .try_issue_write(op.bank, op.offset, data, now)
+                    .expect("address in range")
+                    .expect("bank checked free");
             }
             OpKind::Read { queue, read_seq } => {
-                let grant =
-                    self.dram.issue_read(op.bank, op.offset, now).expect("bank checked free");
+                let grant = self
+                    .dram
+                    .try_issue_read(op.bank, op.offset, now)
+                    .expect("address in range")
+                    .expect("bank checked free");
                 self.completed.push(CompletedRead {
                     read_seq,
                     ready_at: grant.data_ready_at,

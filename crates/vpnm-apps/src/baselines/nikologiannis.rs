@@ -126,10 +126,17 @@ impl NikologiannisBuffer {
         let op = self.pool.remove(pos).expect("position valid");
         match op.kind {
             OpKind::Write { data } => {
-                self.dram.issue_write(op.bank, op.offset, data, now).expect("bank checked");
+                self.dram
+                    .try_issue_write(op.bank, op.offset, data, now)
+                    .expect("address in range")
+                    .expect("bank checked");
             }
             OpKind::Read { read_seq } => {
-                let grant = self.dram.issue_read(op.bank, op.offset, now).expect("bank checked");
+                let grant = self
+                    .dram
+                    .try_issue_read(op.bank, op.offset, now)
+                    .expect("address in range")
+                    .expect("bank checked");
                 self.done.push(DoneRead {
                     read_seq,
                     ready_at: grant.data_ready_at,
@@ -139,7 +146,10 @@ impl NikologiannisBuffer {
             OpKind::Pointer => {
                 // occupies the bank like any access; content is list
                 // metadata the model does not need to materialize
-                let _ = self.dram.issue_read(op.bank, op.offset, now).expect("bank checked");
+                self.dram
+                    .try_issue_read(op.bank, op.offset, now)
+                    .expect("address in range")
+                    .expect("bank checked");
             }
         }
     }

@@ -40,9 +40,9 @@ fn measure(config: DramConfig, pattern: Pattern, seed: u64) -> f64 {
             }
             Pattern::RowLocal => (rng.gen_range(0..banks), rng.gen_range(0..64)),
         });
-        match dram.issue_read(bank, offset, now) {
-            Ok(_) => done += 1,
-            Err(_) => pending = Some((bank, offset)),
+        match dram.try_issue_read(bank, offset, now).expect("address in range") {
+            Some(_) => done += 1,
+            None => pending = Some((bank, offset)),
         }
         now += 1;
     }

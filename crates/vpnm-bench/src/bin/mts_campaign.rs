@@ -14,16 +14,13 @@
 //! ```text
 //! cargo run --release -p vpnm-bench --bin mts_campaign -- \
 //!     --cycles 1e9 [--shard-cycles 1e6] [--preset paper_optimal] \
-//!     [--seed 42] [--channels N] [--workers N] \
+//!     [--seed 42] [--channels N] \
 //!     [--checkpoint mts_campaign_checkpoint.jsonl]
 //! ```
 //!
 //! Re-running the same command after a kill resumes from the checkpoint;
-//! delete the checkpoint file to start over. `--workers` drives each
-//! multi-channel shard's epochs across a worker pool; it changes
-//! wall-clock time only, never results, so checkpoints resume freely
-//! across worker counts (defaults to the available cores, capped at the
-//! channel count).
+//! delete the checkpoint file to start over. Shards run in parallel on
+//! every core; each shard, fabric channels included, runs on one thread.
 
 use std::path::PathBuf;
 use vpnm_bench::campaign::{run_campaign, CampaignParams};
@@ -41,12 +38,10 @@ fn parse_cycles(s: &str) -> Option<u64> {
 fn usage() -> ! {
     eprintln!(
         "usage: mts_campaign [--cycles N] [--shard-cycles N] [--preset NAME] \
-         [--seed N] [--channels N] [--workers N] [--checkpoint PATH]\n\
+         [--seed N] [--channels N] [--checkpoint PATH]\n\
          (N accepts scientific notation, e.g. 1e9; presets: paper_optimal, \
          paper_compact, small_test, test_roomy; --channels > 1 stripes each \
-         shard over a universal-hash-selected fabric; --workers > 1 runs \
-         each shard's channels on a worker pool — results are identical \
-         for every worker count)"
+         shard over a universal-hash-selected fabric)"
     );
     std::process::exit(2)
 }
@@ -60,7 +55,6 @@ fn main() {
         channels: 1,
     };
     let mut checkpoint = PathBuf::from("mts_campaign_checkpoint.jsonl");
-    let mut workers: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
@@ -72,35 +66,24 @@ fn main() {
             "--preset" => params.preset = value(),
             "--seed" => params.seed = value().parse().unwrap_or_else(|_| usage()),
             "--channels" => params.channels = value().parse().unwrap_or_else(|_| usage()),
-            "--workers" => {
-                workers = Some(value().parse::<usize>().unwrap_or_else(|_| usage()).max(1));
-            }
             "--checkpoint" => checkpoint = PathBuf::from(value()),
             _ => usage(),
         }
     }
-    // Default per-shard workers: the available cores, capped at the
-    // channel count (the fabric clamps again anyway).
-    let workers = workers.unwrap_or_else(|| {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        cores.min(params.channels.max(1) as usize)
-    });
-
     println!(
         "MTS campaign: {} cycles of full-rate uniform reads on '{}' x{} channel(s) \
-         ({} shards x {} cycles, seed {}, {} worker(s)/shard)",
+         ({} shards x {} cycles, seed {})",
         params.cycles,
         params.preset,
         params.channels,
         params.shards(),
         params.shard_cycles,
-        params.seed,
-        workers
+        params.seed
     );
     println!("checkpoint: {} (delete to restart)\n", checkpoint.display());
 
     let started = std::time::Instant::now();
-    let report = run_campaign(&params, &checkpoint, workers, |done, pending| {
+    let report = run_campaign(&params, &checkpoint, |done, pending| {
         eprintln!("  shard {done}/{pending} done ({:.1}s)", started.elapsed().as_secs_f64());
     })
     .unwrap_or_else(|e| {

@@ -48,11 +48,6 @@ use vpnm_workloads::UniformAddresses;
 /// recorded `cycles_skipped` (per-channel idle spans are now skipped), so
 /// v2 fabric shard lines no longer match fresh ones; 4 — every line ends
 /// with a `"ck"` checksum of the text before it.
-///
-/// The worker count is deliberately **not** part of the grammar: epoch
-/// results are byte-identical for every worker count, so a campaign
-/// checkpointed sequentially resumes under `--workers N` (and vice versa)
-/// without divergence.
 pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Interface cycles simulated per `issue_batch` call inside a shard — large
@@ -167,21 +162,17 @@ pub struct ShardResult {
 /// stream), and histograms carry one sample per channel per cycle, merged
 /// across channels.
 ///
-/// `workers` only affects how a multi-channel shard's epochs execute
-/// (on-thread for 1, a per-shard fabric worker pool otherwise, see
-/// [`vpnm_core::VpnmFabric::set_workers`]) —
-/// the result is byte-identical for every value, so the checkpoint
-/// grammar ignores it.
-pub fn run_shard(params: &CampaignParams, shard: u64, workers: usize) -> ShardResult {
+/// A shard runs on the calling thread, fabric channels included: the
+/// campaign's parallelism is across shards (see [`run_campaign`]).
+pub fn run_shard(params: &CampaignParams, shard: u64) -> ShardResult {
     let config = params.validate().expect("validated before sharding");
     let ctrl_seed = splitmix64(params.seed.wrapping_add(shard));
     let wl_seed = splitmix64(ctrl_seed ^ 0x9E37_79B9_7F4A_7C15);
     let gen = UniformAddresses::new(1u64 << config.addr_bits, wl_seed);
     let cycles = params.cycles_of_shard(shard);
     if params.channels > 1 {
-        let mut mem =
+        let mem =
             VpnmFabric::new(params.fabric_config(config), ctrl_seed).expect("params validate");
-        mem.set_workers(workers);
         drive_shard(mem, gen, shard, cycles)
     } else {
         let mem = VpnmController::new(config, ctrl_seed).expect("preset validates");
@@ -295,10 +286,6 @@ impl CampaignReport {
 /// each freshly computed shard is appended (resumed shards are not
 /// re-reported).
 ///
-/// `workers` is the per-shard fabric worker count (see [`run_shard`]);
-/// it changes wall-clock time only, never results, so checkpoints resume
-/// freely across worker counts.
-///
 /// # Errors
 ///
 /// Returns a one-line message when the checkpoint belongs to different
@@ -307,7 +294,6 @@ impl CampaignReport {
 pub fn run_campaign<P>(
     params: &CampaignParams,
     checkpoint: &Path,
-    workers: usize,
     progress: P,
 ) -> Result<CampaignReport, String>
 where
@@ -344,7 +330,7 @@ where
         .map_err(|e| format!("cannot write checkpoint {shown}: {e}"))?;
     let log = Mutex::new((file, 0usize));
     let fresh = par_map(pending.len(), |k| {
-        let result = run_shard(params, pending[k], workers);
+        let result = run_shard(params, pending[k]);
         let mut log = log.lock().expect("checkpoint file lock");
         let (file, appended) = &mut *log;
         // An append failure must not silently drop the shard from the
@@ -622,18 +608,18 @@ mod tests {
     #[test]
     fn shards_are_deterministic() {
         let p = small_params();
-        assert_eq!(run_shard(&p, 2, 1), run_shard(&p, 2, 1));
-        assert_ne!(run_shard(&p, 2, 1), run_shard(&p, 3, 1), "shards must differ");
+        assert_eq!(run_shard(&p, 2), run_shard(&p, 2));
+        assert_ne!(run_shard(&p, 2), run_shard(&p, 3), "shards must differ");
     }
 
     #[test]
     fn fabric_shards_are_deterministic_and_answer_everything() {
         let p = CampaignParams { channels: 4, cycles: 8_000, ..small_params() };
-        let a = run_shard(&p, 1, 1);
-        assert_eq!(a, run_shard(&p, 1, 1));
+        let a = run_shard(&p, 1);
+        assert_eq!(a, run_shard(&p, 1));
         assert_eq!(a.accepted, a.responses, "drained shards answer everything");
         assert_eq!(a.accepted + a.stalled, p.cycles_of_shard(1));
-        assert_ne!(a, run_shard(&small_params(), 1, 1), "channel count changes the run");
+        assert_ne!(a, run_shard(&small_params(), 1), "channel count changes the run");
 
         // Bad channel geometry is caught at validation.
         let bad = CampaignParams { channels: 3, ..small_params() };
@@ -644,7 +630,7 @@ mod tests {
     fn shard_line_round_trips_exactly() {
         let p = small_params();
         for shard in [0u64, 4] {
-            let r = run_shard(&p, shard, 1);
+            let r = run_shard(&p, shard);
             let parsed = parse_shard_line(&shard_line(&r)).expect("own lines parse");
             assert_eq!(parsed, r, "bit-exact round trip incl. histograms");
         }
@@ -667,7 +653,7 @@ mod tests {
     fn campaign_merge_equals_single_threaded_run() {
         let p = small_params();
         let path = temp_checkpoint("merge");
-        let report = run_campaign(&p, &path, 1, |_, _| {}).expect("campaign runs");
+        let report = run_campaign(&p, &path, |_, _| {}).expect("campaign runs");
         assert_eq!(report.completed, p.shards());
         assert_eq!(report.resumed, 0);
 
@@ -679,7 +665,7 @@ mod tests {
         let mut qd = Histogram::new();
         let mut occ = Histogram::new();
         for s in 0..p.shards() {
-            let r = run_shard(&p, s, 1);
+            let r = run_shard(&p, s);
             cycles += r.cycles;
             stalled += r.stalled;
             accepted += r.accepted;
@@ -703,7 +689,7 @@ mod tests {
     fn killed_campaign_resumes_from_checkpoint() {
         let p = small_params();
         let path = temp_checkpoint("resume");
-        let full = run_campaign(&p, &path, 1, |_, _| {}).expect("first run");
+        let full = run_campaign(&p, &path, |_, _| {}).expect("first run");
 
         // Simulate a mid-run kill: drop the last two completed shard
         // lines and leave a truncated partial line behind.
@@ -715,7 +701,7 @@ mod tests {
         std::fs::write(&path, truncated).unwrap();
 
         let recomputed = Mutex::new(0usize);
-        let resumed = run_campaign(&p, &path, 1, |_, _| {
+        let resumed = run_campaign(&p, &path, |_, _| {
             *recomputed.lock().unwrap() += 1;
         })
         .expect("resume run");
@@ -730,60 +716,19 @@ mod tests {
         full_cmp.resumed = resumed.resumed;
         assert_eq!(resumed, full_cmp);
         // The rerun shards' lines were not glued to the truncated one.
-        let again = run_campaign(&p, &path, 1, |_, _| {}).expect("second resume");
+        let again = run_campaign(&p, &path, |_, _| {}).expect("second resume");
         assert_eq!(again.resumed, p.shards(), "every shard line parses now");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn fabric_shards_are_worker_count_invariant() {
-        let p = CampaignParams { channels: 4, cycles: 8_000, ..small_params() };
-        let base = run_shard(&p, 0, 1);
-        for workers in [2, 4, 8] {
-            assert_eq!(
-                run_shard(&p, 0, workers),
-                base,
-                "{workers} workers must be byte-identical to sequential"
-            );
-        }
-        // Single-channel shards ignore the worker count entirely.
-        assert_eq!(run_shard(&small_params(), 0, 8), run_shard(&small_params(), 0, 1));
-    }
-
-    #[test]
-    fn checkpoints_resume_across_worker_counts() {
-        // A campaign checkpointed sequentially resumes under a parallel
-        // worker count (and the reverse) with an identical merged report:
-        // the worker count is not part of the checkpoint grammar.
-        let p = CampaignParams { channels: 4, cycles: 12_000, ..small_params() };
-        for (first, second) in [(1usize, 4usize), (4, 1)] {
-            let path = temp_checkpoint("xworkers");
-            let full = run_campaign(&p, &path, first, |_, _| {}).expect("first run");
-
-            // Drop the last completed shard line to force a partial resume.
-            let text = std::fs::read_to_string(&path).unwrap();
-            let mut lines: Vec<&str> = text.lines().collect();
-            lines.truncate(lines.len() - 1);
-            std::fs::write(&path, lines.join("\n") + "\n").unwrap();
-
-            let resumed =
-                run_campaign(&p, &path, second, |_, _| {}).expect("resume under other workers");
-            assert_eq!(resumed.resumed, p.shards() - 1);
-            let mut full_cmp = full.clone();
-            full_cmp.resumed = resumed.resumed;
-            assert_eq!(resumed, full_cmp, "workers {first} -> {second} must not diverge");
-            let _ = std::fs::remove_file(&path);
-        }
     }
 
     #[test]
     fn mismatched_checkpoint_is_refused() {
         let p = small_params();
         let path = temp_checkpoint("mismatch");
-        run_campaign(&p, &path, 1, |_, _| {}).expect("first run");
+        run_campaign(&p, &path, |_, _| {}).expect("first run");
         let mut other = p.clone();
         other.seed = 43;
-        let err = run_campaign(&other, &path, 1, |_, _| {}).unwrap_err();
+        let err = run_campaign(&other, &path, |_, _| {}).unwrap_err();
         assert!(err.contains("different campaign"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
@@ -795,7 +740,7 @@ mod tests {
         // the uninterrupted one, or the run returns a one-line error.
         let p = CampaignParams { cycles: 150, shard_cycles: 50, ..small_params() };
         let path = temp_checkpoint("sweep");
-        let full = run_campaign(&p, &path, 1, |_, _| {}).expect("uninterrupted run");
+        let full = run_campaign(&p, &path, |_, _| {}).expect("uninterrupted run");
         let clean = std::fs::read(&path).unwrap();
         let lines: Vec<&[u8]> = clean.split_inclusive(|&b| b == b'\n').collect();
         assert_eq!(lines.len(), 4, "header plus three shards");
@@ -819,7 +764,7 @@ mod tests {
         let (mut resumed, mut refused) = (0, 0);
         for (n, case) in flips.chain(swaps).chain(dups).chain(cuts).enumerate() {
             std::fs::write(&path, &case).unwrap();
-            match run_campaign(&p, &path, 1, |_, _| {}) {
+            match run_campaign(&p, &path, |_, _| {}) {
                 Ok(report) => {
                     assert_eq!(
                         CampaignReport { resumed: full.resumed, ..report },
@@ -842,13 +787,13 @@ mod tests {
     fn conflicting_shard_lines_are_refused() {
         let p = small_params();
         let path = temp_checkpoint("conflict");
-        run_campaign(&p, &path, 1, |_, _| {}).expect("first run");
-        let mut other = run_shard(&p, 1, 1);
+        run_campaign(&p, &path, |_, _| {}).expect("first run");
+        let mut other = run_shard(&p, 1);
         other.stalled += 1;
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str(&shard_line(&other));
         std::fs::write(&path, text).unwrap();
-        let err = run_campaign(&p, &path, 1, |_, _| {}).unwrap_err();
+        let err = run_campaign(&p, &path, |_, _| {}).unwrap_err();
         assert!(err.contains("two different results for shard 1"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
@@ -858,16 +803,16 @@ mod tests {
         // Lines with valid checksums but impossible contents.
         let p = CampaignParams { cycles: 1_500, shard_cycles: 500, ..small_params() };
         let path = temp_checkpoint("hostile");
-        let full = run_campaign(&p, &path, 1, |_, _| {}).expect("first run");
+        let full = run_campaign(&p, &path, |_, _| {}).expect("first run");
         let header = header_line(&p);
-        let mut huge = run_shard(&p, 0, 1);
+        let mut huge = run_shard(&p, 0);
         let overflowing_line =
             shard_line(&huge).replace("\"qh_b\":[", "\"qh_b\":[[0,18446744073709551615],");
         let resealed = seal(overflowing_line.rsplit_once(",\"ck\":").unwrap().0.to_string());
 
         // A bucket count that overflows the histogram rejects the line.
         std::fs::write(&path, format!("{header}{resealed}")).unwrap();
-        let report = run_campaign(&p, &path, 1, |_, _| {}).expect("line rejected, shard rerun");
+        let report = run_campaign(&p, &path, |_, _| {}).expect("line rejected, shard rerun");
         assert_eq!(CampaignReport { resumed: full.resumed, ..report }, full);
 
         // Counters that only overflow once merged are refused.
@@ -876,14 +821,14 @@ mod tests {
         twin.shard = 1;
         std::fs::write(&path, format!("{header}{}{}", shard_line(&huge), shard_line(&twin)))
             .unwrap();
-        let err = run_campaign(&p, &path, 1, |_, _| {}).unwrap_err();
+        let err = run_campaign(&p, &path, |_, _| {}).unwrap_err();
         assert!(err.contains("overflow"), "{err}");
 
         // A channel count beyond u32 is refused, not truncated to 1.
         let wide = header.replace("\"channels\":1", &format!("\"channels\":{}", (1u64 << 32) + 1));
         let wide = seal(wide.rsplit_once(",\"ck\":").unwrap().0.to_string());
         std::fs::write(&path, wide).unwrap();
-        let err = run_campaign(&p, &path, 1, |_, _| {}).unwrap_err();
+        let err = run_campaign(&p, &path, |_, _| {}).unwrap_err();
         assert!(err.contains("exceed u32"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
@@ -895,7 +840,7 @@ mod tests {
         let v3 = "{\"campaign\":\"mts_uniform_reads\",\"version\":3,\"preset\":\"small_test\",\
                   \"cycles\":20000,\"shard_cycles\":4000,\"seed\":42,\"channels\":1}\n";
         std::fs::write(&path, v3).unwrap();
-        let err = run_campaign(&p, &path, 1, |_, _| {}).unwrap_err();
+        let err = run_campaign(&p, &path, |_, _| {}).unwrap_err();
         assert!(err.ends_with("version 3 != 4"), "{err}");
         let _ = std::fs::remove_file(&path);
     }

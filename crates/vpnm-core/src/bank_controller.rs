@@ -189,8 +189,8 @@ impl BankController {
     ///
     /// # Panics
     ///
-    /// Panics if the DRAM rejects an access for a reason other than a busy
-    /// bank (range errors indicate controller/device misconfiguration).
+    /// Panics on a [`vpnm_dram::DramError`]: a range error means the
+    /// controller and the device were configured inconsistently.
     #[inline]
     pub fn on_bus_grant(&mut self, dram: &mut DramDevice, now_mem: Cycle) -> GrantOutcome {
         // Retire a completed access: its queue slot frees only now, so
@@ -212,12 +212,12 @@ impl BankController {
         }
         // A grant to a busy bank is simply wasted (paper Section 4: "some
         // of the round-robin slots are not used when … the memory bank is
-        // busy") and must not count as a conflict in device stats — the
-        // `try_issue` variants fold that readiness peek into the issue
-        // itself, so the busy window is tested once, not twice. A write
-        // tests it up front instead, so that it can pop the buffered cell
-        // and move it into the device (no refcount traffic), while a busy
-        // bank still leaves the buffer untouched.
+        // busy"). The bank is this controller's alone and its busy window
+        // is `in_service_until`, tested above, so a read's issue door —
+        // which tests the window once more, and would count a conflict —
+        // finds it free. A write tests readiness up front, so that it can
+        // pop the buffered cell and move it into the device (no refcount
+        // traffic), while a busy bank still leaves the buffer untouched.
         let busy_until = match self.queue.front().copied() {
             None => 0,
             Some(AccessEntry::Read { row, take }) => {
@@ -421,7 +421,7 @@ mod tests {
         h.advance(Some(row));
         // Occupy the bank behind the controller's back: the wasted grant
         // issues nothing and frees nothing.
-        let free_at = d.issue_read(1, 0, Cycle::new(1)).unwrap().data_ready_at;
+        let free_at = d.try_issue_read(1, 0, Cycle::new(1)).unwrap().unwrap().data_ready_at;
         assert!(!h.bc.on_bus_grant(&mut d, Cycle::new(1)).issued);
         assert_eq!(d.populated(), [(1, 5)], "a wasted grant leaves the cell");
         assert!(h.bc.on_bus_grant(&mut d, free_at).issued);
@@ -540,7 +540,7 @@ mod tests {
         let ptr = cell.as_slice().as_ptr();
         bc.submit(BankEvent::Write { addr: LineAddr(6), data: cell }).unwrap();
         // Occupy the bank through the device, behind the controller's back.
-        let free_at = d.issue_read(1, 0, Cycle::ZERO).unwrap().data_ready_at;
+        let free_at = d.try_issue_read(1, 0, Cycle::ZERO).unwrap().unwrap().data_ready_at;
         for now in 0..free_at.as_u64() {
             let g = bc.on_bus_grant(&mut d, Cycle::new(now));
             assert!(!g.issued && !g.retired, "cycle {now}: busy bank issues nothing");

@@ -241,8 +241,10 @@ impl SeedBank {
         match front {
             AccessEntry::Read { row, take } => {
                 let addr = self.storage.row_addr(row);
-                let grant =
-                    dram.issue_read(self.bank, addr.0, now_mem).expect("bank checked ready");
+                let grant = dram
+                    .try_issue_read(self.bank, addr.0, now_mem)
+                    .expect("address in range")
+                    .expect("bank checked ready");
                 if take {
                     dram.take(self.bank, addr.0);
                 }
@@ -252,7 +254,8 @@ impl SeedBank {
             AccessEntry::Write => {
                 let w = self.writes.pop().expect("Write queue entry implies buffered write");
                 let done = dram
-                    .issue_write(self.bank, w.addr.0, w.data, now_mem)
+                    .try_issue_write(self.bank, w.addr.0, w.data, now_mem)
+                    .expect("address in range")
                     .expect("bank checked ready");
                 self.in_service_until = Some(done);
             }

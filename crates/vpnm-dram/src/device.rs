@@ -8,22 +8,11 @@ use bytes::Bytes;
 use std::fmt;
 use vpnm_sim::Cycle;
 
-/// Why a DRAM command could not be accepted.
+/// Why a DRAM command is malformed: it names a bank or a cell the device
+/// does not have. A busy bank is not an error — the issue doors answer it
+/// with `Ok(None)` (see [`DramDevice::try_issue_read`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DramError {
-    /// The target bank is busy with a previous access until `free_at` —
-    /// a bank conflict (paper Section 3.1).
-    BankBusy {
-        /// Bank that was busy.
-        bank: u32,
-        /// When it becomes free.
-        free_at: Cycle,
-    },
-    /// The shared data bus is occupied until `free_at`.
-    BusBusy {
-        /// When the bus frees.
-        free_at: Cycle,
-    },
     /// Bank index ≥ configured bank count.
     BadBank {
         /// Offending bank index.
@@ -43,10 +32,6 @@ pub enum DramError {
 impl fmt::Display for DramError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DramError::BankBusy { bank, free_at } => {
-                write!(f, "bank {bank} busy until {free_at}")
-            }
-            DramError::BusBusy { free_at } => write!(f, "data bus busy until {free_at}"),
             DramError::BadBank { bank, num_banks } => {
                 write!(f, "bank index {bank} out of range (device has {num_banks} banks)")
             }
@@ -159,29 +144,33 @@ impl DramDevice {
         }
     }
 
-    /// Issues a read of cell `offset` in `bank` at cycle `now`.
-    ///
-    /// # Errors
-    ///
-    /// [`DramError::BankBusy`] on a bank conflict, plus the range errors.
-    pub fn issue_read(
+    /// The one place an access starts: the range checks, then the bank's
+    /// busy test. A busy bank starts nothing and is counted as a
+    /// conflict (`Ok(None)`); an accepted access books its row hit and
+    /// its bus transfer and returns its completion cycle.
+    #[inline]
+    fn start_access(
         &mut self,
         bank: u32,
         offset: u64,
         now: Cycle,
-    ) -> Result<ReadGrant, DramError> {
-        match self.read_access::<false>(bank, offset, now)? {
-            Ok(grant) => Ok(grant),
-            Err(free_at) => {
-                self.stats.bank_conflicts += 1;
-                Err(DramError::BankBusy { bank, free_at })
-            }
-        }
+    ) -> Result<Option<Cycle>, DramError> {
+        self.check_offset(offset)?;
+        let row = self.row_of(offset);
+        let num_banks = self.config.num_banks;
+        let timing = self.config.timing;
+        let b = self.banks.get_mut(bank as usize).ok_or(DramError::BadBank { bank, num_banks })?;
+        let Some((done, row_hit)) = b.start_access(&timing, row, now) else {
+            self.stats.bank_conflicts += 1;
+            return Ok(None);
+        };
+        self.stats.row_hits += u64::from(row_hit);
+        self.stats.bus_busy_cycles += timing.transfer_cycles();
+        self.stats.last_activity = Some(now);
+        Ok(Some(done))
     }
 
-    /// Shared body of the read-issue variants: `Ok(Err(free_at))` signals
-    /// a busy bank, which the public wrappers map to either a counted
-    /// conflict or a silently wasted slot. `TAKE` moves the cell out of
+    /// Shared body of the two read doors. `TAKE` moves the cell out of
     /// the store instead of sharing it.
     #[inline]
     fn read_access<const TAKE: bool>(
@@ -189,63 +178,28 @@ impl DramDevice {
         bank: u32,
         offset: u64,
         now: Cycle,
-    ) -> Result<Result<ReadGrant, Cycle>, DramError> {
-        self.check_offset(offset)?;
-        let row = self.row_of(offset);
-        let num_banks = self.config.num_banks;
-        let timing = self.config.timing;
-        let b = self.banks.get_mut(bank as usize).ok_or(DramError::BadBank { bank, num_banks })?;
-        let was_hits = b.row_hits();
-        let done = match b.start_access(&timing, row, now) {
-            Ok(done) => done,
-            Err(free_at) => return Ok(Err(free_at)),
+    ) -> Result<Option<ReadGrant>, DramError> {
+        let Some(done) = self.start_access(bank, offset, now)? else {
+            return Ok(None);
         };
-        self.stats.row_hits += b.row_hits() - was_hits;
         self.stats.reads += 1;
-        self.stats.bus_busy_cycles += timing.transfer_cycles();
-        self.stats.last_activity = Some(now);
         let idx = self.cell_index(bank, offset);
         let data = if TAKE { self.storage.take_or_zero(idx) } else { self.storage.read(idx) };
-        Ok(Ok(ReadGrant { data_ready_at: done, data }))
+        Ok(Some(ReadGrant { data_ready_at: done, data }))
     }
 
-    /// Shared body of the write-issue variants (see
-    /// [`DramDevice::read_access`]).
-    #[inline]
-    fn write_access(
-        &mut self,
-        bank: u32,
-        offset: u64,
-        data: Bytes,
-        now: Cycle,
-    ) -> Result<Result<Cycle, Cycle>, DramError> {
-        self.check_offset(offset)?;
-        let row = self.row_of(offset);
-        let num_banks = self.config.num_banks;
-        let timing = self.config.timing;
-        let b = self.banks.get_mut(bank as usize).ok_or(DramError::BadBank { bank, num_banks })?;
-        let was_hits = b.row_hits();
-        let done = match b.start_access(&timing, row, now) {
-            Ok(done) => done,
-            Err(free_at) => return Ok(Err(free_at)),
-        };
-        self.stats.row_hits += b.row_hits() - was_hits;
-        self.stats.writes += 1;
-        self.stats.bus_busy_cycles += timing.transfer_cycles();
-        self.stats.last_activity = Some(now);
-        let idx = self.cell_index(bank, offset);
-        self.storage.write(idx, data);
-        Ok(Ok(done))
-    }
-
-    /// [`DramDevice::issue_read`] that treats a busy bank as a wasted
-    /// scheduler slot rather than a conflict: returns `Ok(None)` without
-    /// touching stats (matching an `is_bank_ready` pre-check, in one
-    /// busy test instead of two).
+    /// Issues a read of cell `offset` in `bank` at cycle `now`.
+    ///
+    /// Returns `Ok(None)` if the bank is still busy with an earlier
+    /// access: nothing starts, and the attempt is counted in
+    /// [`DramStats::bank_conflicts`]. Callers that schedule around busy
+    /// banks test [`DramDevice::is_bank_ready`] first, so for them the
+    /// count stays 0.
     ///
     /// # Errors
     ///
-    /// The same range errors as [`DramDevice::issue_read`].
+    /// [`DramError::BadBank`] or [`DramError::BadOffset`] for a cell the
+    /// device does not have.
     #[inline]
     pub fn try_issue_read(
         &mut self,
@@ -253,7 +207,7 @@ impl DramDevice {
         offset: u64,
         now: Cycle,
     ) -> Result<Option<ReadGrant>, DramError> {
-        Ok(self.read_access::<false>(bank, offset, now)?.ok())
+        self.read_access::<false>(bank, offset, now)
     }
 
     /// [`DramDevice::try_issue_read`] as a *consuming* read: the granted
@@ -264,7 +218,7 @@ impl DramDevice {
     ///
     /// # Errors
     ///
-    /// The same range errors as [`DramDevice::issue_read`].
+    /// The same range errors as [`DramDevice::try_issue_read`].
     #[inline]
     pub fn try_issue_take(
         &mut self,
@@ -272,16 +226,16 @@ impl DramDevice {
         offset: u64,
         now: Cycle,
     ) -> Result<Option<ReadGrant>, DramError> {
-        Ok(self.read_access::<true>(bank, offset, now)?.ok())
+        self.read_access::<true>(bank, offset, now)
     }
 
-    /// [`DramDevice::issue_write`] with the same wasted-slot semantics as
-    /// [`DramDevice::try_issue_read`]: `Ok(None)` on a busy bank, no
-    /// conflict counted.
+    /// Issues a write of `data` into cell `offset` of `bank` at `now`,
+    /// returning the completion cycle — or `Ok(None)`, a counted
+    /// conflict, on a busy bank, exactly as [`DramDevice::try_issue_read`].
     ///
     /// # Errors
     ///
-    /// The same range errors as [`DramDevice::issue_write`].
+    /// The same range errors as [`DramDevice::try_issue_read`].
     ///
     /// # Panics
     ///
@@ -293,33 +247,13 @@ impl DramDevice {
         data: impl Into<Bytes>,
         now: Cycle,
     ) -> Result<Option<Cycle>, DramError> {
-        Ok(self.write_access(bank, offset, data.into(), now)?.ok())
-    }
-
-    /// Issues a write of `data` into cell `offset` of `bank` at `now`,
-    /// returning the completion cycle.
-    ///
-    /// # Errors
-    ///
-    /// [`DramError::BankBusy`] on a bank conflict, plus the range errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` exceeds the configured cell size.
-    pub fn issue_write(
-        &mut self,
-        bank: u32,
-        offset: u64,
-        data: impl Into<Bytes>,
-        now: Cycle,
-    ) -> Result<Cycle, DramError> {
-        match self.write_access(bank, offset, data.into(), now)? {
-            Ok(done) => Ok(done),
-            Err(free_at) => {
-                self.stats.bank_conflicts += 1;
-                Err(DramError::BankBusy { bank, free_at })
-            }
-        }
+        let Some(done) = self.start_access(bank, offset, now)? else {
+            return Ok(None);
+        };
+        self.stats.writes += 1;
+        let idx = self.cell_index(bank, offset);
+        self.storage.write(idx, data);
+        Ok(Some(done))
     }
 
     /// Direct (zero-time) backdoor read for test oracles and debugging —
@@ -368,12 +302,22 @@ mod tests {
         DramDevice::new(DramConfig::tiny_test()) // 4 banks, L=3, 8B cells
     }
 
+    /// A read of a bank the test knows is free.
+    fn read(d: &mut DramDevice, bank: u32, offset: u64, now: Cycle) -> ReadGrant {
+        d.try_issue_read(bank, offset, now).unwrap().expect("bank is free")
+    }
+
+    /// A write to a bank the test knows is free; returns its completion.
+    fn write(d: &mut DramDevice, bank: u32, offset: u64, data: Vec<u8>, now: Cycle) -> Cycle {
+        d.try_issue_write(bank, offset, data, now).unwrap().expect("bank is free")
+    }
+
     #[test]
     fn read_after_write_roundtrips() {
         let mut d = tiny();
-        let done = d.issue_write(1, 3, vec![9, 9, 9], Cycle::new(0)).unwrap();
+        let done = write(&mut d, 1, 3, vec![9, 9, 9], Cycle::new(0));
         assert_eq!(done, Cycle::new(3));
-        let g = d.issue_read(1, 3, done).unwrap();
+        let g = read(&mut d, 1, 3, done);
         assert_eq!(g.data, vec![9, 9, 9, 0, 0, 0, 0, 0]);
         assert_eq!(g.data_ready_at, Cycle::new(6));
     }
@@ -381,26 +325,39 @@ mod tests {
     #[test]
     fn conflict_on_same_bank_not_on_other() {
         let mut d = tiny();
-        d.issue_read(0, 0, Cycle::new(0)).unwrap();
-        let err = d.issue_read(0, 1, Cycle::new(1)).unwrap_err();
-        assert!(
-            matches!(err, DramError::BankBusy { bank: 0, free_at } if free_at == Cycle::new(3))
-        );
-        // different bank at the same time is fine
-        d.issue_read(1, 1, Cycle::new(1)).unwrap();
-        assert_eq!(d.stats().bank_conflicts, 1);
-        assert_eq!(d.stats().reads, 2);
+        d.poke(0, 1, vec![5]);
+        read(&mut d, 0, 0, Cycle::new(0));
+        let before = d.stats().clone();
+        // Every door finds bank 0 busy until cycle 3.
+        for now in [1, 2] {
+            assert_eq!(d.try_issue_read(0, 1, Cycle::new(now)), Ok(None));
+            assert_eq!(d.try_issue_take(0, 1, Cycle::new(now)), Ok(None));
+            assert_eq!(d.try_issue_write(0, 1, vec![7], Cycle::new(now)), Ok(None));
+        }
+        assert_eq!(d.stats().bank_conflicts, 6, "each busy attempt is one conflict");
+        let unchanged = DramStats { bank_conflicts: 0, ..d.stats().clone() };
+        assert_eq!(unchanged, before, "and nothing else moves");
+        assert_eq!(d.peek(0, 1)[0], 5, "a busy write stores nothing, a busy take frees nothing");
+        // A different bank at the same time is fine.
+        read(&mut d, 1, 1, Cycle::new(1));
+        // The bank frees at the completion cycle.
+        assert!(d.try_issue_take(0, 1, Cycle::new(3)).unwrap().is_some());
+        assert_eq!((d.stats().reads, d.stats().bank_conflicts), (3, 6));
     }
 
     #[test]
     fn range_validation() {
         let mut d = tiny();
-        assert!(matches!(
-            d.issue_read(7, 0, Cycle::ZERO),
-            Err(DramError::BadBank { bank: 7, num_banks: 4 })
-        ));
-        assert!(matches!(d.issue_read(0, 10_000, Cycle::ZERO), Err(DramError::BadOffset { .. })));
+        let bad_bank = DramError::BadBank { bank: 7, num_banks: 4 };
+        let bad_offset = DramError::BadOffset { offset: 10_000, cells_per_bank: 64 };
+        assert_eq!(d.try_issue_read(7, 0, Cycle::ZERO), Err(bad_bank));
+        assert_eq!(d.try_issue_take(7, 0, Cycle::ZERO), Err(bad_bank));
+        assert_eq!(d.try_issue_write(7, 0, vec![1], Cycle::ZERO), Err(bad_bank));
+        assert_eq!(d.try_issue_read(0, 10_000, Cycle::ZERO), Err(bad_offset));
+        assert_eq!(d.try_issue_take(0, 10_000, Cycle::ZERO), Err(bad_offset));
+        assert_eq!(d.try_issue_write(0, 10_000, vec![1], Cycle::ZERO), Err(bad_offset));
         assert!(d.is_bank_ready(9, Cycle::ZERO).is_err());
+        assert_eq!(d.stats(), &DramStats::default(), "a refused access is no access");
     }
 
     #[test]
@@ -414,16 +371,16 @@ mod tests {
     #[test]
     fn take_after_a_read_frees_the_cell_but_not_the_grant() {
         let mut d = tiny();
-        let done = d.issue_write(2, 4, vec![5, 6], Cycle::ZERO).unwrap();
-        let g = d.issue_read(2, 4, done).unwrap();
+        let done = write(&mut d, 2, 4, vec![5, 6], Cycle::ZERO);
+        let g = read(&mut d, 2, 4, done);
         assert_eq!(d.take(2, 4).as_deref(), Some(&[5, 6, 0, 0, 0, 0, 0, 0][..]));
         assert_eq!(g.data, [5, 6, 0, 0, 0, 0, 0, 0], "the granted data outlives the cell");
         assert!(d.populated().is_empty());
         assert_eq!(d.take(2, 4), None);
-        let g = d.issue_read(2, 4, g.data_ready_at).unwrap();
+        let g = read(&mut d, 2, 4, g.data_ready_at);
         assert_eq!(g.data, [0u8; 8], "a freed cell reads as zero");
         assert_eq!((d.stats().reads, d.stats().writes), (2, 1), "take is not an access");
-        d.issue_write(2, 4, vec![7], g.data_ready_at).unwrap();
+        write(&mut d, 2, 4, vec![7], g.data_ready_at);
         assert_eq!(d.peek(2, 4)[0], 7, "a freed cell can be written again");
     }
 
@@ -435,7 +392,7 @@ mod tests {
         let cell = Bytes::from(vec![4u8; 8]);
         let stored = cell.as_slice().as_ptr();
         for d in [&mut a, &mut b] {
-            d.issue_write(1, 2, cell.clone(), Cycle::ZERO).unwrap();
+            d.try_issue_write(1, 2, cell.clone(), Cycle::ZERO).unwrap().expect("bank is free");
         }
         let now = Cycle::new(3);
         let took = a.try_issue_take(1, 2, now).unwrap().expect("bank 1 is free");
@@ -449,7 +406,7 @@ mod tests {
         // A busy bank grants nothing and takes nothing.
         for d in [&mut a, &mut b] {
             d.poke(3, 0, vec![7]);
-            d.issue_read(3, 1, now).unwrap();
+            d.try_issue_read(3, 1, now).unwrap().expect("bank 3 is free");
         }
         assert_eq!(a.try_issue_take(3, 0, now), Ok(None));
         assert_eq!(b.try_issue_read(3, 0, now), Ok(None));
@@ -481,7 +438,7 @@ mod tests {
         let mut d = tiny();
         let mut now = Cycle::ZERO;
         for i in 0..4u32 {
-            now = d.issue_write(i, 0, vec![0], now).unwrap();
+            now = write(&mut d, i, 0, vec![0], now);
         }
         // 4 transfers of 1 cycle each over 12 elapsed cycles
         assert!((d.stats().bus_efficiency(now) - 4.0 / 12.0).abs() < 1e-12);
@@ -491,17 +448,21 @@ mod tests {
     fn open_page_stats_count_row_hits() {
         let cfg = DramConfig::tiny_test().with_timing(TimingModel::sdram_pc133());
         let mut d = DramDevice::new(cfg);
-        let t1 = d.issue_read(0, 0, Cycle::ZERO).unwrap().data_ready_at;
-        let t2 = d.issue_read(0, 1, t1).unwrap().data_ready_at; // same row (4 cells/row)
+        let t1 = read(&mut d, 0, 0, Cycle::ZERO).data_ready_at;
+        let t2 = read(&mut d, 0, 1, t1).data_ready_at; // same row (4 cells/row)
+        assert_eq!(t2 - t1, 3, "CAS only");
         assert_eq!(d.stats().row_hits, 1);
-        let _ = d.issue_read(0, 15, t2).unwrap(); // row 3 — miss
+        let t3 = read(&mut d, 0, 15, t2).data_ready_at; // row 3 — miss
+        assert_eq!(t3 - t2, 9, "precharge + activate + CAS");
         assert_eq!(d.stats().row_hits, 1);
+        write(&mut d, 0, 12, vec![1], t3); // row 3 again — a write hits too
+        assert_eq!(d.stats().row_hits, 2);
     }
 
     #[test]
     fn error_messages_render() {
-        let e = DramError::BankBusy { bank: 1, free_at: Cycle::new(9) };
-        assert!(e.to_string().contains("bank 1 busy"));
+        let e = DramError::BadBank { bank: 7, num_banks: 4 };
+        assert!(e.to_string().contains("bank index 7 out of range"));
         let e = DramError::BadOffset { offset: 9, cells_per_bank: 4 };
         assert!(e.to_string().contains("out of range"));
     }

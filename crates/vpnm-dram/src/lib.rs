@@ -18,25 +18,25 @@
 //!
 //! The device is *passive*: callers (the VPNM bank controllers, or the
 //! baseline packet buffers) present a cycle number with each command, and
-//! the device reports when data will be ready or why the command cannot be
-//! accepted. This keeps clocking policy in the controller where it belongs.
+//! the device reports when data will be ready — or `None` when the bank
+//! is still busy, which it counts as a bank conflict. This keeps clocking
+//! policy in the controller where it belongs.
 //!
 //! # Example
 //!
 //! ```
-//! use vpnm_dram::{DramConfig, DramDevice, DramError};
+//! use vpnm_dram::{DramConfig, DramDevice};
 //! use vpnm_sim::Cycle;
 //!
 //! let mut dram = DramDevice::new(DramConfig::paper_rdram());
 //! // Write a cell in bank 3, then read it back.
-//! let done = dram.issue_write(3, 40, b"hello".to_vec(), Cycle::new(0)).unwrap();
-//! let grant = dram.issue_read(3, 40, done).unwrap();
+//! let done = dram.try_issue_write(3, 40, b"hello".to_vec(), Cycle::new(0)).unwrap().unwrap();
+//! let grant = dram.try_issue_read(3, 40, done).unwrap().unwrap();
 //! assert_eq!(&grant.data[..5], b"hello");
-//! // The bank is busy until the read completes: a second access conflicts.
-//! assert!(matches!(
-//!     dram.issue_read(3, 41, done + 1),
-//!     Err(DramError::BankBusy { .. })
-//! ));
+//! // The bank is busy until the read completes: a second access starts
+//! // nothing, and the device counts the conflict.
+//! assert_eq!(dram.try_issue_read(3, 41, done + 1), Ok(None));
+//! assert_eq!(dram.stats().bank_conflicts, 1);
 //! ```
 
 #![warn(missing_docs)]
